@@ -7,9 +7,18 @@ speed and power), re-scale them by the recursion's current volatility and
 collect empirical percentiles. Path draws come from a counter-based
 generator keyed by (seed, path), so results do not depend on worker count.
 
-The same stepping engine also filters observed data beyond the training
-sample (to obtain residual state at backtest origins) and simulates
-synthetic panels from known coefficients.
+One compiled engine steps the recursions for point forecasts, bootstrap
+paths, filtering of observed data beyond the training sample (to obtain
+residual state at backtest origins) and synthetic simulation from known
+coefficients. Its state is one time-major array (variable, time, turbine,
+path), so every read is a contiguous vector over paths. A step runs three
+stages: both volatilities of every turbine, then the speed means, then the
+power means (power loads on the current speed). Each stage gathers its
+distinct regressors (variable, turbine, lag, transform) with one fancy index,
+transforms them on contiguous row ranges and takes one product with an
+(outputs x regressors) coefficient matrix. Time-varying coefficients and
+intercepts are folded into those matrices from the basis rows, one bounded
+block of steps at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import interaction_basis
-from .model import FittedJointModel, Term
+from .model import FittedJointModel
 from .panel import STEP_SECONDS, CalendarIndex, TurbinePanel
 
 PERCENTILES = np.arange(1, 100)
@@ -69,165 +78,185 @@ _FAMILY_SOURCE = {
     ("power_vol", "speed_vol_lag"): ("Sv", "cbrt"),
 }
 
+# the first axis of the engine's state array
+_VARS = ("W", "P", "E", "Ep", "Sv", "Pv")
+_W, _P, _E, _EP, _SV, _PV = range(len(_VARS))
 
-@dataclass
-class _Group:
-    """All coefficients sharing one regressor (same family/source/lag/threshold)."""
+# transform -> (class, lower bound); "thr" takes the term's threshold, and
+# no threshold makes it "id". A stage sorts its regressors by class, so
+# negation (classes 2-3), the lower bound (1-4) and the cube root (3-5) each
+# act on one contiguous range of rows: cbrt(max(-x, 0)) for "cbrt_neg".
+_TRANSFORMS = {"id": (0, -np.inf), "thr": (1, None), "pos": (1, 0.0), "neg": (2, 0.0),
+               "cbrt_neg": (3, 0.0), "cbrt_pos": (4, 0.0), "cbrt": (5, -np.inf)}
 
-    var: str
-    transform: str
-    j: int
-    lag: int
-    threshold: float
-    const_coef: float
-    tv_idx: np.ndarray
-    tv_coefs: np.ndarray
-
-
-@dataclass
-class _Compiled:
-    intercept_const: float
-    intercept_idx: np.ndarray
-    intercept_coefs: np.ndarray
-    groups: list[_Group]
-    max_lag: int
-    min_lag: int
+# upper bound on the elements of one stage's folded (steps x outputs x
+# regressors) coefficient block
+_FOLD_ELEMS = 1 << 16
 
 
-def _compile(equation: str, terms: list[Term]) -> _Compiled:
-    groups: dict[tuple, list[Term]] = {}
-    icst, iidx, icoef = 0.0, [], []
-    for t in terms:
-        if t.family == "const":
-            if t.basis_index < 0:
-                icst += t.value
+def _rows(cls: np.ndarray, lo: int, hi: int) -> slice | None:
+    a, b = np.searchsorted(cls, [lo, hi + 1])
+    return slice(a, b) if b > a else None
+
+
+class _Stage:
+    """One compiled stage: for every output (equation, turbine),
+    ``coef @ [transform(state[var, pos - lag, j]); 1]``, the intercept being
+    the last column of ``coef``.
+
+    ``now`` holds the variables written by earlier stages of the same step;
+    only those may be read at lag 0.
+    """
+
+    def __init__(self, model, equations: tuple[str, ...], now: tuple[int, ...],
+                 kind: str):
+        self.kind = kind  # the interaction basis of the equations
+        entries = []  # (output, regressor key or None for the intercept, basis, value)
+        for o, (eq, i) in enumerate((eq, i) for eq in equations for i in range(model.d)):
+            for t in model.terms.get((eq, i), []):
+                if t.family == "const":
+                    entries.append((o, None, t.basis_index, t.value))
+                    continue
+                source = _FAMILY_SOURCE.get((eq, t.family))
+                if source is None:
+                    raise ForecastError(f"unknown family {t.family!r} in {eq}")
+                var = _VARS.index(source[0])
+                if t.lag < 1 and var not in now:
+                    what = "volatility" if eq.endswith("_vol") else t.family
+                    raise ForecastError(f"{eq}[{i}]: {what} terms need lag >= 1")
+                cls, lower = _TRANSFORMS[source[1]]
+                if lower is None:
+                    finite = np.isfinite(t.threshold)
+                    cls, lower = (1, float(t.threshold)) if finite else (0, -np.inf)
+                entries.append((o, (cls, lower, var, t.j, t.lag), t.basis_index, t.value))
+        keys = sorted({key for _, key, _, _ in entries if key is not None})
+        col = {key: c for c, key in enumerate(keys + [None])}
+        cls = np.array([k[0] for k in keys], dtype=int)
+        self.lower = np.array([k[1] for k in keys], dtype=float)[:, None]
+        self.var, self.j, self.lag = (np.array([k[n] for k in keys], dtype=np.intp)
+                                      for n in (2, 3, 4))
+        self.neg, self.low, self.cbrt = _rows(cls, 2, 3), _rows(cls, 1, 4), _rows(cls, 3, 5)
+        self.coef = np.zeros((len(equations) * model.d, len(col)))
+        tv: dict[int, dict[int, float]] = {}  # flat coefficient index -> basis -> value
+        for o, key, b, value in entries:
+            at = o * len(col) + col[key]
+            if b < 0:
+                self.coef.flat[at] += value
             else:
-                iidx.append(t.basis_index)
-                icoef.append(t.value)
-            continue
-        key = (t.family, t.j, t.lag, t.threshold)
-        groups.setdefault(key, []).append(t)
-    compiled = []
-    for (family, j, lag, thr), lst in groups.items():
-        source = _FAMILY_SOURCE.get((equation, family))
-        if source is None:
-            raise ForecastError(f"unknown family {family!r} in {equation}")
-        const = sum(t.value for t in lst if t.basis_index < 0)
-        tv = [(t.basis_index, t.value) for t in lst if t.basis_index >= 0]
-        compiled.append(_Group(
-            var=source[0], transform=source[1], j=j, lag=lag, threshold=thr,
-            const_coef=float(const),
-            tv_idx=np.array([k for k, _ in tv], dtype=int),
-            tv_coefs=np.array([v for _, v in tv]),
-        ))
-    lags = [g.lag for g in compiled]
-    return _Compiled(
-        intercept_const=icst,
-        intercept_idx=np.array(iidx, dtype=int),
-        intercept_coefs=np.array(icoef),
-        groups=compiled,
-        max_lag=max(lags, default=0),
-        min_lag=min(lags, default=1),
-    )
+                row = tv.setdefault(at, {})
+                row[b] = row.get(b, 0.0) + value
+        self.tv_at = np.array(sorted(tv), dtype=np.intp)
+        self.tv = np.zeros((model.diurnal.n_basis * model.annual.n_basis, len(tv)))
+        for k, at in enumerate(self.tv_at):
+            for b, value in tv[at].items():
+                self.tv[b, k] = value
 
+    def fold(self, basis: dict[str, np.ndarray], start: int, steps: int) -> np.ndarray:
+        """Coefficients (steps, outputs, regressors + 1) at basis rows
+        ``start`` .. ``start + steps - 1``."""
+        if not self.tv_at.size:
+            return np.broadcast_to(self.coef, (steps,) + self.coef.shape)
+        coef = np.repeat(self.coef[None], steps, axis=0)
+        coef.reshape(steps, -1)[:, self.tv_at] += basis[self.kind][start:start + steps] @ self.tv
+        return coef
 
-def _transform(x, code: str, threshold: float):
-    if code == "id":
-        return x
-    if code == "thr":
-        return x if threshold == -np.inf else np.maximum(x, threshold)
-    if code == "pos":
-        return np.maximum(x, 0.0)
-    if code == "neg":
-        return np.maximum(-x, 0.0)
-    if code == "cbrt_pos":
-        return np.cbrt(np.maximum(x, 0.0))
-    if code == "cbrt_neg":
-        return np.cbrt(np.maximum(-x, 0.0))
-    if code == "cbrt":
-        return np.cbrt(x)
-    raise ForecastError(f"unknown transform {code}")
-
-
-def _eval(compiled: _Compiled, state: dict, pos: int, basis_row: np.ndarray):
-    total = compiled.intercept_const
-    if compiled.intercept_idx.size:
-        total = total + float(np.dot(compiled.intercept_coefs,
-                                     basis_row[compiled.intercept_idx]))
-    for g in compiled.groups:
-        coef = g.const_coef
-        if g.tv_idx.size:
-            coef += float(np.dot(g.tv_coefs, basis_row[g.tv_idx]))
-        if coef == 0.0:
-            continue
-        x = _transform(state[g.var][..., g.j, pos - g.lag], g.transform, g.threshold)
-        total = total + coef * x
-    return total
+    def __call__(self, flat: np.ndarray, rows: np.ndarray, coef: np.ndarray,
+                 x: np.ndarray, out: np.ndarray) -> None:
+        """``out = coef @ x`` after gathering ``flat[rows]`` into the leading
+        rows of ``x`` (regressors + 1, paths; its last row is 1) and
+        transforming them."""
+        flat.take(rows, axis=0, out=x[:-1], mode="clip")
+        if self.neg:
+            np.negative(x[self.neg], out=x[self.neg])
+        if self.low:
+            np.maximum(x[self.low], self.lower[self.low], out=x[self.low])
+        if self.cbrt:
+            np.cbrt(x[self.cbrt], out=x[self.cbrt])
+        np.matmul(coef, x, out=out)
 
 
 class _Engine:
-    """Shared stepping logic over a window of state arrays.
-
-    State arrays have shape (n_paths, d, T); the first ``hist`` positions
-    hold history, later positions are written by the step methods.
-    """
+    """The model's recursions, compiled into three stages per step. Read-only
+    after construction, so threads may share it."""
 
     def __init__(self, model: FittedJointModel):
         self.model = model
-        self.d = model.d
-        self.eqs = {}
-        for eq in ("speed_mean", "power_mean", "speed_vol", "power_vol"):
-            for i in range(self.d):
-                c = _compile(eq, model.terms.get((eq, i), []))
-                if eq.endswith("_vol") and c.groups and c.min_lag < 1:
-                    raise ForecastError(f"{eq}[{i}]: volatility terms need lag >= 1")
-                self.eqs[(eq, i)] = c
+        self.floors = np.stack([model.speed_floors, model.power_floors])[:, :, None]
+        self.stages = (_Stage(model, ("speed_vol", "power_vol"), (), "plain"),
+                       _Stage(model, ("speed_mean",), (_SV, _PV), "cumulative"),
+                       _Stage(model, ("power_mean",), (_W, _E, _SV, _PV), "cumulative"))
 
-    def basis_rows(self, timestamps: np.ndarray):
+    def basis_rows(self, timestamps: np.ndarray, kinds) -> dict[str, np.ndarray]:
+        """Interaction basis rows of each kind ("cumulative" for the means,
+        "plain" for the volatilities) at the timestamps."""
         cal = CalendarIndex.from_timestamps(timestamps, self.model.anchor_epoch)
-        mean_b = interaction_basis(cal.time_of_day, cal.time_of_year,
-                                   self.model.diurnal, self.model.annual,
-                                   "cumulative").values
-        vol_b = interaction_basis(cal.time_of_day, cal.time_of_year,
-                                  self.model.diurnal, self.model.annual,
-                                  "plain").values
-        return mean_b, vol_b
+        return {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
+                                        self.model.diurnal, self.model.annual,
+                                        kind).values
+                for kind in kinds}
 
-    def step_vol(self, state, pos, vol_row):
-        m = self.model
-        for i in range(self.d):
-            sv = _eval(self.eqs[("speed_vol", i)], state, pos, vol_row)
-            state["Sv"][..., i, pos] = np.maximum(sv, m.speed_floors[i])
-        for i in range(self.d):
-            pv = _eval(self.eqs[("power_vol", i)], state, pos, vol_row)
-            state["Pv"][..., i, pos] = np.maximum(pv, m.power_floors[i])
+    def run(self, state: np.ndarray, first: int, timestamps: np.ndarray,
+            shocks=None, observed: bool = False, check: bool = False) -> None:
+        """Step positions ``first, first + 1, ...`` (one per timestamp) of
+        ``state`` (variables x time x turbines x paths, C-contiguous).
 
-    def step_mean(self, state, pos, mean_row, speed_shock, power_shock):
-        """Advance both mean recursions with the given shock rows
-        (arrays broadcastable to (n_paths, d))."""
-        for i in range(self.d):
-            state["E"][..., i, pos] = speed_shock[..., i]
-            state["W"][..., i, pos] = (
-                _eval(self.eqs[("speed_mean", i)], state, pos, mean_row)
-                + speed_shock[..., i]
-            )
-        for i in range(self.d):
-            state["Ep"][..., i, pos] = power_shock[..., i]
-            state["P"][..., i, pos] = (
-                _eval(self.eqs[("power_mean", i)], state, pos, mean_row)
-                + power_shock[..., i]
-            )
+        ``observed``: W and P already hold observations and the step backs
+        out the shocks E and Ep (filtering). Otherwise ``shocks(s, sv, pv)``
+        gives step ``s``'s speed and power shocks from its volatilities, or
+        ``shocks`` is None: zero shocks, and the volatilities, which nothing
+        then reads, are not stepped. ``check`` raises once a speed or power
+        value leaves +-1e9.
+        """
+        _, T, d, paths = state.shape
+        flat = state.reshape(-1, paths)
+        step_vol = observed or shocks is not None
+        stages = self.stages[not step_vol:]
+        if first < max(st.lag.max(initial=0) for st in stages):
+            raise ForecastError(f"lags reach before the {first} rows of history")
+        basis = self.basis_rows(timestamps, {st.kind for st in stages if st.tv_at.size})
+        base = [(st.var * T - st.lag) * d + st.j for st in stages]
+        xs = [np.ones((st.coef.shape[1], paths)) for st in stages]
+        vol = np.empty((2, d, paths))
+        fitted = np.empty((d, paths))
+        block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
+        zs = zp = 0.0
+        for b0 in range(0, len(timestamps), block):
+            steps = min(block, len(timestamps) - b0)
+            coefs = [st.fold(basis, b0, steps) for st in stages]
+            for k in range(steps):
+                pos = first + b0 + k
+                if step_vol:
+                    stages[0](flat, base[0] + pos * d, coefs[0][k], xs[0],
+                              vol.reshape(2 * d, paths))
+                    np.maximum(vol, self.floors, out=state[_SV:, pos])
+                if shocks is not None:
+                    zs, zp = shocks(b0 + k, state[_SV, pos], state[_PV, pos])
+                for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
+                    if observed:
+                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], fitted)
+                        np.subtract(state[y, pos], fitted, out=state[e, pos])
+                    else:
+                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], state[y, pos])
+                        state[e, pos] = z
+                        if shocks is not None:
+                            state[y, pos] += z
+                if check and np.abs(state[_W:_P + 1, pos]).max() > 1e9:
+                    raise ForecastError(f"unstable recursion at step {b0 + k}")
 
-    def step_filter(self, state, pos, mean_row, vol_row, w_obs, p_obs):
-        """One observed row: advance volatilities, then back out the shocks.
-        ``state['W']``/``state['P']`` already hold the observations."""
-        self.step_vol(state, pos, vol_row)
-        for i in range(self.d):
-            fitted = _eval(self.eqs[("speed_mean", i)], state, pos, mean_row)
-            state["E"][..., i, pos] = w_obs[i] - fitted
-        for i in range(self.d):
-            fitted = _eval(self.eqs[("power_mean", i)], state, pos, mean_row)
-            state["Ep"][..., i, pos] = p_obs[i] - fitted
+
+def _path_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
+    """Pool rows (horizon, n_paths): path ``p`` draws from a Philox stream
+    keyed by (seed, p) at counter 0. One bit generator is re-keyed for every
+    path, which draws exactly what a fresh generator per path would."""
+    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state  # counter 0, empty buffer, no cached half-word
+    draws = np.empty((horizon, n_paths), dtype=np.int64)
+    for p in range(n_paths):
+        fresh["state"]["key"] = np.array([seed, p], dtype=np.uint64)
+        bitgen.state = fresh
+        draws[:, p] = rng.integers(0, pool_m, size=horizon)
+    return draws
 
 
 def _locate(model: FittedJointModel, panel: TurbinePanel) -> int:
@@ -254,10 +283,11 @@ class Forecaster:
         self.engine = _Engine(model)
         self.start = _locate(model, panel)
         n, d = panel.n, panel.d
-        self.E = np.zeros((n, d))
-        self.Ep = np.zeros((n, d))
-        self.Sv = np.tile(model.speed_floors, (n, 1))
-        self.Pv = np.tile(model.power_floors, (n, 1))
+        # the engine state with one path; W .. Pv are (n, d) views of it
+        self.state = np.zeros((len(_VARS), n, d, 1))
+        self.W, self.P, self.E, self.Ep, self.Sv, self.Pv = self.state[..., 0]
+        self.W[:], self.P[:] = panel.speed, panel.power
+        self.Sv[:], self.Pv[:] = model.speed_floors, model.power_floors
         k = model.timestamps.shape[0]
         self.E[self.start:self.start + k] = model.speed_resid
         self.Ep[self.start:self.start + k] = model.power_resid
@@ -270,20 +300,13 @@ class Forecaster:
     def ensure_state(self, row: int) -> None:
         if row <= self.covered_through:
             return
-        lo, hi = self.covered_through + 1, row
-        mean_b, vol_b = self.engine.basis_rows(self.panel.timestamps[lo:hi + 1])
-        state = {
-            "W": self.panel.speed.T[None], "P": self.panel.power.T[None],
-            "E": self.E.T[None], "Ep": self.Ep.T[None],
-            "Sv": self.Sv.T[None], "Pv": self.Pv.T[None],
-        }
-        # transposed views share memory with the instance arrays
-        for pos in range(lo, hi + 1):
-            self.engine.step_filter(state, pos, mean_b[pos - lo], vol_b[pos - lo],
-                                    self.panel.speed[pos], self.panel.power[pos])
-        self.covered_through = hi
+        lo = self.covered_through + 1
+        self.engine.run(self.state, lo, self.panel.timestamps[lo:row + 1], observed=True)
+        self.covered_through = row
 
     def _window(self, origin: int, horizon: int, n_paths: int):
+        """State (variables, trim + horizon, d, n_paths) holding the ``trim``
+        rows up to ``origin`` for every path, and the future timestamps."""
         trim = self.model.trim
         if origin - trim + 1 < self.start:
             raise ForecastError(
@@ -292,42 +315,26 @@ class Forecaster:
         if origin >= self.panel.n:
             raise ForecastError("origin beyond the panel")
         self.ensure_state(origin)
-        lo = origin - trim + 1
-        T = trim + horizon
-        d = self.panel.d
-
-        def window(arr2d):
-            out = np.empty((n_paths, d, T))
-            out[:, :, :trim] = arr2d[lo:origin + 1].T
-            out[:, :, trim:] = 0.0
-            return out
-
-        state = {
-            "W": window(self.panel.speed), "P": window(self.panel.power),
-            "E": window(self.E), "Ep": window(self.Ep),
-            "Sv": window(self.Sv), "Pv": window(self.Pv),
-        }
+        state = np.zeros((len(_VARS), trim + horizon, self.panel.d, n_paths))
+        state[:, :trim] = self.state[:, origin - trim + 1:origin + 1]
         ts_future = (self.panel.timestamps[origin]
                      + STEP_SECONDS * np.arange(1, horizon + 1))
-        mean_b, vol_b = self.engine.basis_rows(ts_future)
-        return state, mean_b, vol_b
+        return state, ts_future
 
     # -- forecasts --------------------------------------------------------
 
     def point(self, origin: int, horizon: int) -> ForecastResult:
         """Plug-in recursion with future shocks at zero."""
-        state, mean_b, vol_b = self._window(origin, horizon, 1)
+        state, ts_future = self._window(origin, horizon, 1)
         trim = self.model.trim
-        zero = np.zeros((1, self.panel.d))
-        for s in range(horizon):
-            self.engine.step_mean(state, trim + s, mean_b[s], zero, zero)
+        self.engine.run(state, trim, ts_future)
         return ForecastResult(
             origin_index=origin,
             origin_timestamp=int(self.panel.timestamps[origin]),
             horizon=horizon,
             labels=self.panel.labels,
-            speed_point=state["W"][0, :, trim:].T.copy(),
-            power_point=state["P"][0, :, trim:].T.copy(),
+            speed_point=state[_W, trim:, :, 0].copy(),
+            power_point=state[_P, trim:, :, 0].copy(),
         )
 
     def bootstrap(self, origin: int, horizon: int, n_paths: int = 1000,
@@ -339,35 +346,32 @@ class Forecaster:
             raise ForecastError("empty standardized residual pool")
         if n_paths < 100:
             warnings.warn(f"n_paths={n_paths} < 100: quantiles will be noisy")
-        draws = np.empty((n_paths, horizon), dtype=np.int64)
-        for p in range(n_paths):
-            rng = np.random.Generator(np.random.Philox(key=np.array([seed, p],
-                                                                    dtype=np.uint64)))
-            draws[p] = rng.integers(0, pool_m, size=horizon)
-        state, mean_b, vol_b = self._window(origin, horizon, n_paths)
+        draws = _path_draws(seed, n_paths, horizon, pool_m)
+        # (d, pool) copies: one step's jointly drawn rows are a (d, paths) take
+        z_pool, u_pool = model.speed_pool.T.copy(), model.power_pool.T.copy()
+
+        def shocks(s, sv, pv):
+            return (sv * z_pool.take(draws[s], axis=1),
+                    pv ** 3 * u_pool.take(draws[s], axis=1))
+
+        state, ts_future = self._window(origin, horizon, n_paths)
         trim = model.trim
-        for s in range(horizon):
-            pos = trim + s
-            self.engine.step_vol(state, pos, vol_b[s])
-            z = model.speed_pool[draws[:, s]]  # (n_paths, d), jointly drawn rows
-            u = model.power_pool[draws[:, s]]
-            speed_shock = state["Sv"][:, :, pos] * z
-            power_shock = state["Pv"][:, :, pos] ** 3 * u
-            self.engine.step_mean(state, pos, mean_b[s], speed_shock, power_shock)
-        w_paths = state["W"][:, :, trim:]  # (n_paths, d, horizon)
-        p_paths = state["P"][:, :, trim:]
+        self.engine.run(state, trim, ts_future, shocks)
+        w_paths = state[_W, trim:]  # (horizon, d, n_paths)
+        p_paths = state[_P, trim:]
+        means = w_paths.mean(axis=2), p_paths.mean(axis=2)
+        w_paths.sort(axis=2)  # in place: the state is not needed any more
+        p_paths.sort(axis=2)
         idx = np.ceil(PERCENTILES / 100.0 * n_paths).astype(int) - 1
-        w_sorted = np.sort(w_paths, axis=0)
-        p_sorted = np.sort(p_paths, axis=0)
         return ForecastResult(
             origin_index=origin,
             origin_timestamp=int(self.panel.timestamps[origin]),
             horizon=horizon,
             labels=self.panel.labels,
-            speed_point=w_paths.mean(axis=0).T.copy(),
-            power_point=p_paths.mean(axis=0).T.copy(),
-            speed_quantiles=w_sorted[idx].transpose(2, 1, 0),
-            power_quantiles=p_sorted[idx].transpose(2, 1, 0),
+            speed_point=means[0],
+            power_point=means[1],
+            speed_quantiles=w_paths[:, :, idx],
+            power_quantiles=p_paths[:, :, idx],
             n_paths=n_paths,
             seed=seed,
         )
@@ -419,27 +423,19 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     total = burn_in + n
     lead = 160  # flat pre-history so max-lag reads stay in bounds
     ts = start_epoch + STEP_SECONDS * (np.arange(total + lead) - burn_in - lead)
-    mean_b, vol_b = engine.basis_rows(ts)
     T = total + lead
-    state = {k: np.zeros((1, d, T)) for k in ("W", "P", "E", "Ep", "Sv", "Pv")}
-    state["Sv"][:] = 1.0
-    state["Pv"][:] = 1.0
+    state = np.zeros((len(_VARS), T, d, 1))
+    state[_SV:] = 1.0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    z = rng.standard_normal((T, d))
-    u = rng.standard_normal((T, d))
-    for pos in range(lead, T):
-        engine.step_vol(state, pos, vol_b[pos])
-        speed_shock = state["Sv"][:, :, pos] * z[pos]
-        power_shock = state["Pv"][:, :, pos] ** 3 * u[pos]
-        engine.step_mean(state, pos, mean_b[pos], speed_shock, power_shock)
-        if (np.abs(state["W"][0, :, pos]).max() > 1e9
-                or np.abs(state["P"][0, :, pos]).max() > 1e9):
-            raise ForecastError(f"unstable recursion at step {pos - lead}")
+    z = rng.standard_normal((T, d))[lead:, :, None]
+    u = rng.standard_normal((T, d))[lead:, :, None]
+    engine.run(state, lead, ts[lead:],
+               lambda s, sv, pv: (sv * z[s], pv ** 3 * u[s]), check=True)
     keep = slice(T - n, T)
     return TurbinePanel(
         timestamps=ts[keep],
-        speed=state["W"][0, :, keep].T.copy(),
-        power=state["P"][0, :, keep].T.copy(),
+        speed=state[_W, keep, :, 0].copy(),
+        power=state[_P, keep, :, 0].copy(),
         labels=labels,
         speed_mask=np.zeros((n, d), dtype=bool),
         power_mask=np.zeros((n, d), dtype=bool),

@@ -353,6 +353,8 @@ def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -
     out = np.zeros(problem.p)
     out[work.cols] = _kkt_at(work, coefficients, lam)
     return out
+
+
 def lambda_grid(problem: LassoProblem, count: int = 100, ratio: float = 1e-4) -> np.ndarray:
     """Descending log-spaced penalty grid.
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config, two_turbine_truth
 
+import parkcast.forecast as pf
+from parkcast.basis import interaction_basis
 from parkcast.forecast import (
     ForecastError,
     Forecaster,
@@ -9,8 +11,8 @@ from parkcast.forecast import (
     point_forecast,
     simulate_synthetic,
 )
-from parkcast.model import Term
-from parkcast.panel import TurbinePanel
+from parkcast.model import FittedJointModel, Term
+from parkcast.panel import CalendarIndex, TurbinePanel
 
 
 def const_model_terms(d=1, speed_ar=0.0, intercept=0.0, power_terms=()):
@@ -119,6 +121,16 @@ class TestPointForecast:
         model = model_from_terms(const_model_terms(), panel, trim=5)
         with pytest.raises(ForecastError, match="history"):
             point_forecast(model, panel, 2, 4)
+
+    def test_lag_beyond_history_rejected(self):
+        # a lag longer than the model's history window must not read
+        # another variable's rows
+        panel = flat_panel()
+        terms = const_model_terms()
+        terms[("speed_mean", 0)].append(Term("speed_ar", 0, 7, NO_THR, -1, False, 0.5))
+        model = model_from_terms(terms, panel, trim=5)
+        with pytest.raises(ForecastError, match="history"):
+            point_forecast(model, panel, 200, 4)
 
 
 class TestBootstrapForecast:
@@ -245,3 +257,250 @@ class TestForecasterAlignment:
         assert np.all(np.isfinite(fc.power_point))
         # state covered through the requested origin
         assert fore.covered_through >= 5500
+
+
+# ---------------------------------------------------------------------------
+# the compiled engine against a plain per-term recursion
+
+
+def _lin(x, c):
+    return max(x, c) if np.isfinite(c) else x
+
+
+def _keep(x, c):
+    return x
+
+
+def _pos(x, c):
+    return max(x, 0.0)
+
+
+def _neg(x, c):
+    return max(-x, 0.0)
+
+
+# (equation, family) -> (state variable, transform of the lagged value)
+REFERENCE_SOURCE = {
+    ("speed_mean", "speed_ar"): ("W", _lin),
+    ("speed_mean", "speed_ma"): ("E", _keep),
+    ("power_mean", "power_ar"): ("P", _lin),
+    ("power_mean", "speed_reg"): ("W", _lin),
+    ("power_mean", "power_ma"): ("Ep", _keep),
+    ("power_mean", "speed_err"): ("E", _keep),
+    ("speed_vol", "pos_shock"): ("E", _pos),
+    ("speed_vol", "neg_shock"): ("E", _neg),
+    ("speed_vol", "vol_lag"): ("Sv", _keep),
+    ("power_vol", "pos_shock"): ("Ep", lambda x, c: np.cbrt(_pos(x, c))),
+    ("power_vol", "neg_shock"): ("Ep", lambda x, c: np.cbrt(_neg(x, c))),
+    ("power_vol", "vol_lag"): ("Pv", _keep),
+    ("power_vol", "speed_pos_shock"): ("E", lambda x, c: np.cbrt(_pos(x, c))),
+    ("power_vol", "speed_neg_shock"): ("E", lambda x, c: np.cbrt(_neg(x, c))),
+    ("power_vol", "speed_vol_lag"): ("Sv", lambda x, c: np.cbrt(x)),
+}
+
+
+def every_family_terms():
+    """Two turbines; every family, finite and -inf thresholds, speed at lag
+    0 in power, and time-varying terms (basis index >= 0) in every equation."""
+    terms = {}
+    for i in range(2):
+        o = 1 - i
+        terms[("speed_mean", i)] = [
+            Term("const", -1, 0, NAN, -1, False, 1.0),
+            Term("const", -1, 0, NAN, 2, True, 0.3),
+            Term("speed_ar", i, 1, NO_THR, -1, False, 0.4),
+            Term("speed_ar", i, 1, NO_THR, 3, True, 0.02),
+            Term("speed_ar", i, 1, 6.0, -1, False, 0.1),
+            Term("speed_ar", o, 2, NO_THR, 5, True, 0.05),
+            Term("speed_ma", i, 1, NAN, -1, False, 0.2),
+            Term("speed_ma", o, 2, NAN, 7, True, -0.1),
+        ]
+        terms[("power_mean", i)] = [
+            Term("const", -1, 0, NAN, -1, False, 5.0),
+            Term("const", -1, 0, NAN, 1, True, 0.5),
+            Term("power_ar", i, 1, NO_THR, -1, False, 0.5),
+            Term("power_ar", i, 2, 50.0, -1, False, 0.1),
+            Term("speed_reg", i, 0, NO_THR, -1, False, 2.0),
+            Term("speed_reg", i, 0, 5.0, -1, False, 3.0),
+            Term("speed_reg", o, 1, 9.0, 4, True, -1.0),
+            Term("power_ma", i, 1, NAN, -1, False, 0.3),
+            Term("speed_err", i, 0, NAN, -1, False, 1.5),
+            Term("speed_err", o, 1, NAN, -1, False, 0.2),
+        ]
+        terms[("speed_vol", i)] = [
+            Term("const", -1, 0, NAN, -1, False, 0.2),
+            Term("const", -1, 0, NAN, 0, True, 0.05),
+            Term("pos_shock", i, 1, NAN, -1, False, 0.2),
+            Term("neg_shock", i, 1, NAN, -1, False, 0.25),
+            Term("neg_shock", o, 2, NAN, 6, True, 0.03),
+            Term("vol_lag", i, 1, NAN, -1, False, 0.3),
+        ]
+        terms[("power_vol", i)] = [
+            Term("const", -1, 0, NAN, -1, False, 0.5),
+            Term("pos_shock", i, 1, NAN, -1, False, 0.1),
+            Term("neg_shock", i, 1, NAN, -1, False, 0.15),
+            Term("vol_lag", i, 1, NAN, -1, False, 0.2),
+            Term("speed_pos_shock", o, 1, NAN, -1, False, 0.05),
+            Term("speed_neg_shock", i, 1, NAN, 9, True, 0.04),
+            Term("speed_vol_lag", i, 1, NAN, -1, False, 0.1),
+        ]
+    return terms
+
+
+def every_family_setup(n=700, covered=300, trim=5):
+    """A noisy two-turbine panel and a model whose state covers its first
+    ``covered`` rows, so forecasts past them filter the rest."""
+    rng = np.random.default_rng(11)
+    ts = 1288569600 + 600 * np.arange(n)
+    panel = TurbinePanel(ts, 6.0 + rng.standard_normal((n, 2)),
+                         60.0 + 10.0 * rng.standard_normal((n, 2)), ("A", "B"),
+                         np.zeros((n, 2), bool), np.zeros((n, 2), bool))
+    cfg = tiny_config()
+    model = FittedJointModel(
+        labels=panel.labels, trim=trim, k_max=1, vol_floor_fraction=1e-3,
+        diurnal=cfg.diurnal, annual=cfg.annual, anchor_epoch=1262304000,
+        terms=every_family_terms(), timestamps=ts[:covered].copy(),
+        speed_resid=rng.standard_normal((covered, 2)),
+        power_resid=rng.standard_normal((covered, 2)),
+        speed_vol=rng.uniform(0.5, 1.5, (covered, 2)),
+        power_vol=rng.uniform(0.5, 1.5, (covered, 2)),
+        speed_floors=np.array([0.3, 0.4]), power_floors=np.array([0.6, 0.7]),
+        speed_pool=rng.standard_normal((40, 2)), power_pool=rng.standard_normal((40, 2)),
+    )
+    return panel, model
+
+
+def reference_value(model, eq, i, st, pos, basis):
+    total = 0.0
+    for t in model.terms[(eq, i)]:
+        coef = t.value if t.basis_index < 0 else t.value * basis[t.basis_index]
+        if t.family == "const":
+            total += coef
+        else:
+            var, f = REFERENCE_SOURCE[(eq, t.family)]
+            total += coef * f(st[var][pos - t.lag, t.j], t.threshold)
+    return total
+
+
+def reference_basis(model, timestamps):
+    cal = CalendarIndex.from_timestamps(timestamps, model.anchor_epoch)
+    return {kind: interaction_basis(cal.time_of_day, cal.time_of_year, model.diurnal,
+                                    model.annual, kind).values
+            for kind in ("cumulative", "plain")}
+
+
+def reference_step(model, st, pos, basis, k, shocks=None):
+    """One step of every recursion at ``pos``. ``shocks`` None: W and P hold
+    observations and the shocks are backed out; else (z, u) standardized."""
+    d = model.d
+    vol_row, mean_row = basis["plain"][k], basis["cumulative"][k]
+    for i in range(d):
+        sv = reference_value(model, "speed_vol", i, st, pos, vol_row)
+        pv = reference_value(model, "power_vol", i, st, pos, vol_row)
+        st["Sv"][pos, i] = max(sv, model.speed_floors[i])
+        st["Pv"][pos, i] = max(pv, model.power_floors[i])
+    for eq, y, e, scale in (("speed_mean", "W", "E", lambda i: st["Sv"][pos, i]),
+                            ("power_mean", "P", "Ep", lambda i: st["Pv"][pos, i] ** 3)):
+        fitted = [reference_value(model, eq, i, st, pos, mean_row) for i in range(d)]
+        for i in range(d):
+            if shocks is None:
+                st[e][pos, i] = st[y][pos, i] - fitted[i]
+            else:
+                z = (shocks[0] if y == "W" else shocks[1])[i]
+                st[e][pos, i] = scale(i) * z
+                st[y][pos, i] = fitted[i] + st[e][pos, i]
+
+
+def reference_filter(model, panel, start, through):
+    k = model.timestamps.size
+    st = {"W": panel.speed.copy(), "P": panel.power.copy()}
+    for name, arr, floors in (("E", model.speed_resid, 0.0), ("Ep", model.power_resid, 0.0),
+                              ("Sv", model.speed_vol, model.speed_floors),
+                              ("Pv", model.power_vol, model.power_floors)):
+        st[name] = np.zeros_like(st["W"]) + floors
+        st[name][start:start + k] = arr
+    lo = start + k
+    basis = reference_basis(model, panel.timestamps[lo:through + 1])
+    for pos in range(lo, through + 1):
+        reference_step(model, st, pos, basis, pos - lo)
+    return st
+
+
+def assert_close(actual, expected):
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestEngineReference:
+    @pytest.mark.parametrize("fold_elems", [200, pf._FOLD_ELEMS])
+    def test_filter_and_point_match_per_term_loop(self, monkeypatch, fold_elems):
+        # 200 elements folds a few steps per block, so both spans cross blocks
+        monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
+        assert set(REFERENCE_SOURCE) == set(pf._FAMILY_SOURCE)
+        panel, model = every_family_setup()
+        origin, horizon = 650, 40
+        fore = Forecaster(model, panel)
+        fc = fore.point(origin, horizon)
+        ref = reference_filter(model, panel, 0, origin)
+        for name in ("E", "Ep", "Sv", "Pv"):
+            assert_close(getattr(fore, name)[:origin + 1], ref[name][:origin + 1])
+        # point: the recursion forward with zero shocks, volatilities unused
+        st = {k: np.concatenate([v[:origin + 1], np.zeros((horizon, 2))])
+              for k, v in ref.items()}
+        ts = panel.timestamps[origin] + 600 * np.arange(1, horizon + 1)
+        basis = reference_basis(model, ts)
+        zero = np.zeros(2)
+        for s in range(horizon):
+            reference_step(model, st, origin + 1 + s, basis, s, (zero, zero))
+        assert_close(fc.speed_point, st["W"][origin + 1:])
+        assert_close(fc.power_point, st["P"][origin + 1:])
+
+    def test_bootstrap_matches_per_path_loop(self):
+        panel, model = every_family_setup()
+        origin, horizon, n_paths, seed = 320, 12, 100, 4
+        fore = Forecaster(model, panel)
+        fc = fore.bootstrap(origin, horizon, n_paths, seed)
+        ref = reference_filter(model, panel, 0, origin)
+        ts = panel.timestamps[origin] + 600 * np.arange(1, horizon + 1)
+        basis = reference_basis(model, ts)
+        w = np.empty((n_paths, horizon, 2))
+        p = np.empty((n_paths, horizon, 2))
+        for path in range(n_paths):
+            rng = np.random.Generator(np.random.Philox(
+                key=np.array([seed, path], dtype=np.uint64)))
+            draws = rng.integers(0, model.speed_pool.shape[0], size=horizon)
+            st = {k: np.concatenate([v[:origin + 1], np.zeros((horizon, 2))])
+                  for k, v in ref.items()}
+            for s in range(horizon):
+                pos = origin + 1 + s
+                reference_step(model, st, pos, basis, s,
+                               (model.speed_pool[draws[s]], model.power_pool[draws[s]]))
+            w[path], p[path] = st["W"][origin + 1:], st["P"][origin + 1:]
+        idx = np.ceil(np.arange(1, 100) / 100.0 * n_paths).astype(int) - 1
+        assert_close(fc.speed_point, w.mean(axis=0))
+        assert_close(fc.power_point, p.mean(axis=0))
+        assert_close(fc.speed_quantiles, np.sort(w, axis=0)[idx].transpose(1, 2, 0))
+        assert_close(fc.power_quantiles, np.sort(p, axis=0)[idx].transpose(1, 2, 0))
+
+    def test_unknown_family_rejected(self):
+        panel, model = every_family_setup()
+        model.terms[("speed_mean", 1)].append(Term("bogus", 0, 1, NAN, -1, False, 0.1))
+        with pytest.raises(ForecastError, match="unknown family 'bogus' in speed_mean"):
+            Forecaster(model, panel)
+
+    def test_volatility_lag_zero_rejected(self):
+        panel, model = every_family_setup()
+        model.terms[("power_vol", 0)].append(Term("pos_shock", 0, 0, NAN, -1, False, 0.1))
+        with pytest.raises(ForecastError,
+                           match=r"power_vol\[0\]: volatility terms need lag >= 1"):
+            Forecaster(model, panel)
+
+
+@pytest.mark.parametrize("seed, n_paths", [(0, 3), (9, 40), (123456789, 7)])
+def test_path_draws_match_fresh_generator_per_path(seed, n_paths):
+    horizon, pool = 50, 37
+    draws = pf._path_draws(seed, n_paths, horizon, pool)
+    for path in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, path], dtype=np.uint64)))
+        assert np.array_equal(draws[:, path], rng.integers(0, pool, size=horizon))
