@@ -290,7 +290,8 @@ class _Builder:
                             self.equation, family, self.i, j, k, c, -1, False))
 
     def finish(self) -> DesignMatrix:
-        values = np.column_stack(self.cols) if self.cols else np.empty((self.ctx.n - self.ctx.trim, 0))
+        # stacked as rows: an F-ordered design, as the lasso's syrk reads it
+        values = np.array(self.cols).T if self.cols else np.empty((self.ctx.n - self.ctx.trim, 0))
         return DesignMatrix(values, self.metas, self.ctx.trim)
 
 

@@ -4,15 +4,17 @@ The objective is exactly
 
     f(b) = (y - X b)' diag(w) (y - X b) + lambda * sum_j penalized_j |b_j|
 
-on the raw coefficient scale. Columns are rescaled to unit weighted norm
+on the raw coefficient scale, solved from the sufficient statistics of one
+weighted syrk per problem. Columns are rescaled to unit weighted norm
 internally (per-coordinate thresholds carry the scale back), and returned
-coefficients are on the raw scale. Each penalty is solved by an active-set
-method warm-started from the previous one on the path: exact sign-fixed
-KKT solves on the support, a step back to the first zero crossing, and one
-vectorized gradient to find the columns that must enter (the homotopy view
-of the lasso, Osborne, Presnell & Turlach 2000). Nonnegative problems hold
-every sign at +, as in Lawson & Hanson's NNLS, which keeps volatility
-recursions well defined.
+coefficients are on the raw scale. On a fixed support and signs the path is
+affine in the penalty and is filled exactly, on supports guessed where the
+last segment ended; where a guess fails, an active-set method warm-started
+from the path takes over: exact sign-fixed KKT solves on the support, a step
+back to the first zero crossing, and one vectorized gradient to find the
+columns that must enter (the homotopy view of the lasso, Osborne, Presnell &
+Turlach 2000; Efron et al. 2004). Nonnegative problems hold every sign at +,
+as in Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 _OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
+_WINDOW = 32  # grid penalties checked at once along a path segment
 
 
 class DegenerateGridError(ValueError):
@@ -116,216 +120,168 @@ def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float)
 
 
 class _Work:
-    """Standardized view of a problem shared across a path fit.
-
-    Zero-norm columns and exact duplicates of earlier columns are excluded
-    from the solver (their coefficients stay 0). The Gram matrix is formed
-    once when that is cheaper than working from the residuals.
+    """Scales, G = X'WX, c = X'Wy and y'Wy on the standardized columns, all
+    from one syrk A = [X y]' W [X y], the only pass over the m rows. Zero
+    columns and exact duplicates of earlier columns are excluded (their
+    coefficients stay 0): a pair is flagged when ||x_i - x_j||^2_W =
+    G_ii + G_jj - 2 G_ij <= 1e-8 max(G_ii, G_jj) and confirmed by an exact
+    column compare, so a near-copy stays usable.
     """
 
     def __init__(self, problem: LassoProblem):
         self.problem = problem
-        X, w, y = problem.design, problem.weights, problem.response
-        m, p = problem.m, problem.p
-        self.scale = np.sqrt(np.einsum("ij,ij->j", X * w[:, None], X))
-        usable = self.scale > 0
-        seen: dict[bytes, int] = {}
-        for j in range(p):
-            if not usable[j]:
-                continue
-            key = X[:, j].tobytes()
-            if key in seen:
+        X, sw, y, p = problem.design, np.sqrt(problem.weights), problem.response, problem.p
+        Z = np.empty((p + 1, problem.m))
+        np.multiply(X.T, sw, out=Z[:p])
+        np.multiply(y, sw, out=Z[p])
+        A = Z @ Z.T  # a syrk: Z times its own transpose
+        diag = A.diagonal()[:p]
+        usable = diag > 0.0
+        near = diag[:, None] + diag - 2.0 * A[:p, :p] <= 1e-8 * np.maximum(diag[:, None], diag)
+        near &= usable[:, None] & usable
+        for i, j in zip(*np.nonzero(np.triu(near, 1))):
+            if usable[j] and np.array_equal(X[:, i], X[:, j]):
                 usable[j] = False
-            else:
-                seen[key] = j
+        self.scale = np.sqrt(diag)
         self.cols = np.flatnonzero(usable)
         s = self.scale[self.cols]
-        self.Xs = X[:, self.cols] / s
-        self.c = (w * y) @ self.Xs
-        self.yy = float(np.dot(w * y, y))
+        self.G = A[np.ix_(self.cols, self.cols)] / np.outer(s, s)
+        self.c = A[self.cols, p] / s
+        self.yy = float(A[p, p])
         # per-coordinate threshold back on the raw-objective scale
         self.pen_scale = np.where(problem.penalize_mask[self.cols], 1.0 / s, 0.0)
         # coefficients that may not cross zero: all of them when nonnegative,
         # else the penalized ones (the sign of an unpenalized one is free)
         self.sign_fixed = (np.ones(self.cols.size, dtype=bool) if problem.nonnegative
                            else self.pen_scale > 0)
-        k = self.cols.size
-        # Gram construction is a one-off BLAS product; it pays for itself
-        # unless the matrix is huge or there are more columns than rows help
-        self.use_gram = 0 < k <= 2500 and m * k * k <= 4e10 and m >= k
-        if self.use_gram:
-            self.G = self.Xs.T @ (w[:, None] * self.Xs)
-
-    def full_coefficients(self, b_std: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.problem.p)
-        out[self.cols] = b_std / self.scale[self.cols]
-        return out
 
     def gradient(self, b: np.ndarray) -> tuple[np.ndarray, float]:
         """X'W r on the standardized columns and the weighted RSS at ``b``."""
-        if self.use_gram:
-            g = self.c - self.G @ b
-            return g, self.yy - float(np.dot(self.c, b)) - float(np.dot(b, g))
-        active = np.flatnonzero(b)
-        r = self.problem.response - self.Xs[:, active] @ b[active]
-        wr = self.problem.weights * r
-        return wr @ self.Xs, float(np.dot(wr, r))
+        g = self.c - self.G @ b
+        return g, self.yy - float(np.dot(self.c, b)) - float(np.dot(b, g))
 
     def gram(self, active: np.ndarray) -> np.ndarray:
-        if self.use_gram:
-            return self.G[active][:, active]
-        xa = self.Xs[:, active]
-        return xa.T @ (self.problem.weights[:, None] * xa)
+        return self.G.take(active, 0).take(active, 1)
 
 
-def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
+def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """KKT residuals per usable coordinate, on the standardized scale, from
-    the gradient ``g`` = X'W r at ``b``."""
-    thr = 0.5 * lam * work.pen_scale
-    active = b != 0.0
-    if work.problem.nonnegative:
-        inactive = np.maximum(g - thr, 0.0)
-    else:
-        inactive = np.maximum(np.abs(g) - thr, 0.0)
-    return np.where(active, np.abs(g - thr * np.sign(b)), inactive)
+    the gradient ``g`` = X'W r at ``b`` and the thresholds lambda/2 * pen_scale."""
+    inactive = np.maximum((g if work.problem.nonnegative else np.abs(g)) - thr, 0.0)
+    return np.where(b != 0.0, np.abs(g - thr * np.sign(b)), inactive)
 
 
-def _independent(gram: np.ndarray, floor: float = 1e-10) -> bool:
-    """Whether unit-norm columns with this Gram matrix are numerically
-    independent: each column's squared distance to the span of the ones
-    before it (a squared Cholesky pivot) exceeds ``floor``."""
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.min(np.diag(chol))) ** 2 > floor
+def _cholesky(gram: np.ndarray, floor: float = 1e-10):
+    """Cholesky factor of the Gram matrix of unit-norm columns, or None unless each column's
+    squared distance to the span of those before it (a squared pivot) exceeds ``floor``."""
+    chol, info = lapack.dpotrf(gram)
+    return None if info or np.diag(chol).min(initial=np.inf) ** 2 <= floor else chol
 
 
 def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
     """Active-set solve at one lambda from warm start ``b`` (standardized
     scale, updated in place; feasible, on numerically independent columns).
 
-    Each iteration steps toward the exact solution of the KKT equations on
-    the active set with the signs held fixed. If a sign-fixed coefficient
-    would cross zero on the way, the step stops at the first crossing and
-    that column leaves the set. Once the set is optimal, the inactive column
-    with the largest KKT residual joins with the sign of its gradient, and
-    the next step moves it along the ray on which the old set stays optimal
-    (Osborne, Presnell & Turlach 2000); every step lowers the objective. The
-    solve stops when every KKT residual is <= ``tol``.
-
-    Returns (b, iterations, converged, weighted RSS).
+    Each iteration checks the KKT residuals first. While the active set is
+    not optimal, it steps toward the exact solution of its KKT equations
+    with the signs held fixed (repeated while that lowers the residual),
+    stopping at the first zero crossing of a sign-fixed coefficient, whose
+    column leaves. Once the set is optimal, the inactive column with the
+    largest KKT residual joins with the sign of its gradient, moving along
+    the ray on which the old set stays optimal (Osborne, Presnell & Turlach
+    2000); every step lowers the objective. Returns (b, iterations,
+    converged, weighted RSS); an optimal start counts one iteration.
     """
+    nonneg = work.problem.nonnegative
     thr = 0.5 * lam * work.pen_scale
-    active = np.flatnonzero(b)
-    signs = np.where(work.problem.nonnegative, 1.0, np.sign(b))
+    active = b.nonzero()[0]
+    signs = np.ones(b.size) if nonneg else np.sign(b)
     blocked = np.zeros(b.size, dtype=bool)  # violators that cannot enter
     # float-roundoff allowance for the quadratic form; genuine increases are
     # orders of magnitude larger
     slack = _OBJ_SLACK * (work.yy + 1.0)
     g, rss = work.gradient(b)
     obj = rss + lam * float(np.dot(work.pen_scale, np.abs(b)))
-    entered = -1  # column added by the previous iteration (last in ``active``)
-    refine_res = np.inf  # active-set residual before a refinement step
+    refine_res = np.inf  # active-set residual before the last Newton step on this set
     iterations = 0
-    converged = False
-    while iterations < max_iter:
-        iterations += 1
-        if active.size:
-            s = signs[active]
-            ba = b[active]
-            h = work.gram(active)
-            try:
-                if entered >= 0:
-                    # H^-1 e_j = [-u; 1] / sc: the ray on which the old set
-                    # stays optimal, followed to the objective's minimum on
-                    # it, or only to a crossing if the column lies in the
-                    # span of the others (sc = 0: the fit does not change
-                    # along the ray, the penalty falls)
-                    u = np.linalg.solve(h[:-1, :-1], h[:-1, -1])
-                    sc = h[-1, -1] - float(h[-1, :-1] @ u)
-                    v = np.append(-u, 1.0) * s[-1]
-                    t_max = (abs(g[entered] - thr[entered] * s[-1]) / sc
-                             if sc > 0.0 else np.inf)
-                else:
-                    # Newton step from the fresh gradient, so a repeat is an
-                    # iterative refinement: G_AA v = g_A - thr_A s_A
-                    v = np.linalg.solve(h, g[active] - thr[active] * s)
-                    t_max = 1.0
-            except np.linalg.LinAlgError:
-                v = np.full(active.size, np.nan)
-            cross = work.sign_fixed[active] & (v * s < 0.0)
-            reach = -ba[cross] / v[cross]
-            t = min(t_max, float(np.min(reach, initial=np.inf)))
-            ok = np.isfinite(t) and bool(np.all(np.isfinite(v)))
-            if ok:
-                b[active] = ba + t * v
-                dropped = active[cross][reach <= t]
-                b[dropped] = 0.0
-                g_new, rss_new = work.gradient(b)
-                new_obj = rss_new + lam * float(np.dot(work.pen_scale, np.abs(b)))
-                ok = new_obj <= obj + slack
-                if not ok and _independent(h, 1e-6):
-                    raise AssertionError("objective increased in an active-set step")
-            if not ok:
-                # on (nearly) collinear columns the step is lost in roundoff:
-                # undo it, and keep a new column out
-                b[active] = ba
-                if entered < 0:
-                    break
-                blocked[entered] = True
-                active = active[:-1]
-                entered = -1
-                continue
-            active = active[b[active] != 0.0]
-            entered = -1
-            g, rss, obj = g_new, rss_new, new_obj
-            if dropped.size:
-                continue
-        res = _kkt_std(work, b, g, lam)
-        if np.max(res, initial=0.0) <= tol:
-            converged = True
+    while True:
+        res = _kkt_std(work, b, g, thr)
+        converged = res.max(initial=0.0) <= tol
+        if converged or iterations >= max_iter:
             break
-        candidates = np.where((b == 0.0) & ~blocked, res, 0.0)
-        j = int(np.argmax(candidates))
-        if candidates[j] > tol:
-            signs[j] = 1.0 if work.problem.nonnegative else np.sign(g[j])
-            active = np.append(active, j)
-            entered = j
+        on = b != 0.0
+        worst = res.max(where=on, initial=0.0)
+        if tol < worst < refine_res:
+            entered, refine_res = -1, worst
+        else:
+            candidates = np.where(on | blocked, 0.0, res)
+            entered = int(np.argmax(candidates))
+            if candidates[entered] <= tol:
+                break  # only roundoff on the active set or a blocked column is left
+            signs[entered] = 1.0 if nonneg else np.sign(g[entered])
+            active = np.concatenate((active, [entered]))
             refine_res = np.inf
+        iterations += 1
+        s, ba, h = signs[active], b[active], work.gram(active)
+        try:
+            if entered >= 0:
+                # H^-1 e_j = [-u; 1] / sc: the ray on which the old set stays
+                # optimal, to the objective's minimum on it, or only to a
+                # crossing if the column lies in the span of the others (sc =
+                # 0: the fit does not change along the ray, the penalty falls)
+                u = np.linalg.solve(h[:-1, :-1], h[:-1, -1])
+                sc = h[-1, -1] - float(h[-1, :-1] @ u)
+                v = np.concatenate((-u, [1.0])) * s[-1]
+                t_max = (abs(g[entered] - thr[entered] * s[-1]) / sc
+                         if sc > 0.0 else np.inf)
+            else:
+                # Newton step from the fresh gradient: G_AA v = g_A - thr_A s_A
+                v = np.linalg.solve(h, g[active] - thr[active] * s)
+                t_max = 1.0
+        except np.linalg.LinAlgError:
+            v = np.full(active.size, np.nan)
+        cross = work.sign_fixed[active] & (v * s < 0.0)
+        reach = -ba[cross] / v[cross]
+        t = min(t_max, float(np.min(reach, initial=np.inf)))
+        ok = np.isfinite(t) and bool(np.all(np.isfinite(v)))
+        if ok:
+            b[active] = ba + t * v
+            dropped = active[cross][reach <= t]
+            b[dropped] = 0.0
+            g_new, rss_new = work.gradient(b)
+            new_obj = rss_new + lam * float(np.dot(work.pen_scale, np.abs(b)))
+            ok = new_obj <= obj + slack
+            if not ok and _cholesky(h, 1e-6) is not None:
+                raise AssertionError("objective increased in an active-set step")
+        if not ok:
+            # on (nearly) collinear columns the step is lost in roundoff:
+            # undo it, and keep a new column out
+            b[active] = ba
+            if entered < 0:
+                break
+            blocked[entered] = True
+            active = active[:-1]
             continue
-        # only roundoff on the active set (or a blocked column) is left:
-        # refine while that still helps
-        worst = float(np.max(np.where(b != 0.0, res, 0.0), initial=0.0))
-        if worst <= tol or worst >= refine_res:
-            break
-        refine_res = worst
+        active = active[b[active] != 0.0]
+        if dropped.size:
+            refine_res = np.inf
+        g, rss, obj = g_new, rss_new, new_obj
     if not converged:
-        warnings.warn(
-            f"active-set lasso stopped without meeting tol={tol:g} at "
-            f"lambda={lam:g} after {iterations} iterations",
-            LassoConvergenceWarning,
-        )
+        warnings.warn(f"active-set lasso stopped without meeting tol={tol:g} at "
+                      f"lambda={lam:g} after {iterations} iterations", LassoConvergenceWarning)
     # razor-edge activations far below the solver's own resolution are zero
     dust = (b != 0.0) & (np.abs(b) < 1e-3 * tol)
     if dust.any():
         b[dust] = 0.0
         g, rss = work.gradient(b)
-    return b, iterations, converged, rss
+    return b, max(iterations, 1), converged, rss
 
 
-def coordinate_descent(
-    problem: LassoProblem,
-    lam: float,
-    warm_start: np.ndarray | None = None,
-    tol: float = 1e-7,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
-    """Solve one weighted lasso at penalty ``lam``; coefficients on raw scale.
-
-    The name is historical: the solver is the active-set method of
-    ``_solve``, and ``max_sweeps`` caps its iterations.
-    """
+def coordinate_descent(problem: LassoProblem, lam: float, warm_start: np.ndarray | None = None,
+                       tol: float = 1e-7, max_sweeps: int = 10_000, full_output: bool = False):
+    """Solve one weighted lasso at penalty ``lam``; coefficients on raw scale,
+    and with ``full_output`` the iteration count. The name is historical: the
+    solver is the active-set method of ``_solve``; ``max_sweeps`` caps it."""
     work = _Work(problem)
     if warm_start is None:
         b = np.zeros(work.cols.size)
@@ -335,15 +291,12 @@ def coordinate_descent(
         if problem.nonnegative:
             np.maximum(b, 0.0, out=b)
         active = np.flatnonzero(b)
-        if active.size and not _independent(work.gram(active)):
+        if active.size and _cholesky(work.gram(active)) is None:
             b[:] = 0.0  # a warm start on (nearly) collinear columns: start afresh
-    b, _, _, _ = _solve(work, lam, b, tol, max_sweeps)
-    return work.full_coefficients(b)
-
-
-def _kkt_at(work: _Work, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    b_std = np.asarray(coefficients, dtype=float)[work.cols] * work.scale[work.cols]
-    return _kkt_std(work, b_std, work.gradient(b_std)[0], lam)
+    b, iterations, _, _ = _solve(work, lam, b, tol, max_sweeps)
+    coefficients = np.zeros(problem.p)
+    coefficients[work.cols] = b / work.scale[work.cols]
+    return (coefficients, iterations) if full_output else coefficients
 
 
 def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> np.ndarray:
@@ -351,8 +304,32 @@ def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -
     columns); a solution is optimal iff these vanish."""
     work = _Work(problem)
     out = np.zeros(problem.p)
-    out[work.cols] = _kkt_at(work, coefficients, lam)
+    b = np.asarray(coefficients, dtype=float)[work.cols] * work.scale[work.cols]
+    out[work.cols] = _kkt_std(work, b, work.gradient(b)[0], 0.5 * lam * work.pen_scale)
     return out
+
+
+def _grid(work: _Work, count: int, ratio: float) -> np.ndarray:
+    if count < 2:
+        raise ValueError("count must be >= 2")
+    if not 0.0 < ratio < 1.0:
+        raise ValueError("ratio must lie in (0, 1)")
+    pen = work.pen_scale > 0.0
+    unpen = np.flatnonzero(~pen)
+    g = work.c
+    if unpen.size:
+        # the response residualized on the unpenalized columns (Gram block)
+        beta, *_ = np.linalg.lstsq(work.gram(unpen), g[unpen], rcond=None)
+        g = g - work.G[:, unpen] @ beta
+    s = work.scale[work.cols][pen]
+    lam_max = 2.0 * float(np.max(np.abs(g[pen]) * s, initial=0.0))
+    # Cauchy-Schwarz bound on the same inner products; a top value this far
+    # below it is floating-point residue, not signal
+    bound = 2.0 * float(np.max(s, initial=0.0)) * np.sqrt(work.yy)
+    if not np.isfinite(lam_max) or lam_max <= 1e-10 * bound or lam_max <= 0.0:
+        raise DegenerateGridError("no usable penalty grid "
+                                  "(response carries no penalizable signal)")
+    return np.geomspace(lam_max, lam_max * ratio, count)
 
 
 def lambda_grid(problem: LassoProblem, count: int = 100, ratio: float = 1e-4) -> np.ndarray:
@@ -361,30 +338,9 @@ def lambda_grid(problem: LassoProblem, count: int = 100, ratio: float = 1e-4) ->
     The top value is the smallest penalty at which every penalized
     coefficient is zero: twice the largest weighted inner product between a
     penalized column and the response residualized on the unpenalized
-    columns.
+    columns, taken from the Gram matrix.
     """
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    w, X, y = problem.weights, problem.design, problem.response
-    unpen = ~problem.penalize_mask
-    r = y
-    if unpen.any():
-        sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(sw[:, None] * X[:, unpen], sw * y, rcond=None)
-        r = y - X[:, unpen] @ beta
-    pen = X[:, problem.penalize_mask]
-    lam_max = 2.0 * float(np.max(np.abs((w * r) @ pen), initial=0.0))
-    # Cauchy-Schwarz bound on the same inner products; a top value this far
-    # below it is floating-point residue, not signal
-    norms = np.sqrt(np.einsum("ij,ij->j", pen * w[:, None], pen))
-    bound = 2.0 * float(np.max(norms, initial=0.0)) * np.sqrt(float(np.dot(w * y, y)))
-    if not np.isfinite(lam_max) or lam_max <= 1e-10 * bound or lam_max <= 0.0:
-        raise DegenerateGridError(
-            "no usable penalty grid (response carries no penalizable signal)"
-        )
-    return np.geomspace(lam_max, lam_max * ratio, count)
+    return _grid(_Work(problem), count, ratio)
 
 
 def weighted_bic(problem: LassoProblem, coefficients: np.ndarray):
@@ -394,8 +350,7 @@ def weighted_bic(problem: LassoProblem, coefficients: np.ndarray):
     (-inf, True) sentinel; callers must treat that as a flag, not a score.
     """
     m = problem.m
-    r = problem.response - problem.design @ coefficients
-    rss = float(np.dot(problem.weights * r, r))
+    rss = objective_value(problem, coefficients, 0.0)
     df = int(np.count_nonzero(coefficients))
     scale = float(np.dot(problem.weights * problem.response, problem.response))
     if rss <= 1e-20 * max(scale, 1.0):
@@ -411,44 +366,88 @@ class LassoSettings:
     max_sweeps: int = 10_000  # cap on active-set iterations per lambda
 
 
+def _segment(work: _Work, active: np.ndarray, s: np.ndarray, lambdas: np.ndarray,
+             li: int, path: np.ndarray, rss: np.ndarray, tol: float):
+    """Fill the path from lambdas[li] on with the exact solution on support
+    ``active`` with signs ``s``, b_A = w - lam v with G_AA [w v] = [c_A, pen_A s_A / 2],
+    while it meets KKT (<= ``tol``) and keeps its signs above the dust floor,
+    checking ``_WINDOW`` penalties at a time. q = gradient - lam pen s / 2 is
+    affine in lam too. Returns the index of the first penalty that fails with
+    b_A, q and the KKT residuals off the support there (None when the support
+    is dependent or the grid is done)."""
+    chol = _cholesky(work.gram(active))
+    if chol is None:
+        return li, None, None, None
+    half = 0.5 * work.pen_scale
+    wv = np.array([work.c[active], half[active] * s]).T
+    w, v = (lapack.dpotrs(chol, wv)[0] if active.size else wv).T
+    q0, dq = work.c - work.G[:, active] @ w, work.G[:, active] @ v
+    dq[active] -= half[active] * s
+    free = np.ones(work.cols.size, dtype=bool)
+    free[active] = False
+    off = np.where(free, half, 0.0)
+    # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
+    cw, vgv = work.c[active] @ w, half[active] * s @ v
+    while li < lambdas.size:
+        lw = lambdas[li:li + _WINDOW, None]
+        q = q0 + lw * dq
+        # |q| on the support; off it |q| - lam pen / 2 (q - lam pen / 2 if nonnegative)
+        res = np.where(free, q, np.abs(q)) if work.problem.nonnegative else np.abs(q)
+        res -= lw * off
+        ba = w - lw * v
+        ok = (res.max(axis=1) <= tol) & (ba * s > 1e-3 * tol).all(axis=1)
+        n = lw.size if ok.all() else int(np.argmin(ok))
+        path[li:li + n, active] = ba[:n]
+        rss[li:li + n] = work.yy - cw + lw[:n, 0] ** 2 * vgv
+        li += n
+        if n < lw.size:
+            res[n, active] = 0.0
+            return li, ba[n], q[n], res[n]
+    return li, None, None, None
+
+
 def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -> LassoFit:
-    """Warm-started active-set solves along the descending grid; pick the BIC minimizer,
-    breaking ties toward the larger penalty (sparser model)."""
+    """Exact path segments along the descending grid; pick the BIC minimizer,
+    breaking ties toward the larger penalty (sparser model). Each segment
+    (``_segment``, one iteration per penalty) runs on a support guessed from
+    where the last one ended; where a guess fails, ``_solve`` finds it."""
     settings = settings or LassoSettings()
-    lambdas = lambda_grid(problem, settings.grid_count, settings.grid_ratio)
-    work = _Work(problem)
+    tol, work = settings.tol, _Work(problem)
+    lambdas = _grid(work, settings.grid_count, settings.grid_ratio)
     nlam = lambdas.size
-    coef_path = np.zeros((nlam, problem.p))
-    bic_path = np.empty(nlam)
-    sweeps = np.zeros(nlam, dtype=int)
-    converged = np.zeros(nlam, dtype=bool)
-    zero_rss = False
-    b = np.zeros(work.cols.size)
+    path, rss = np.zeros((nlam, work.cols.size)), np.empty(nlam)  # path on the standardized scale
+    sweeps, converged = np.ones(nlam, dtype=int), np.ones(nlam, dtype=bool)
+    b, li = np.zeros(work.cols.size), 0
+    while li < nlam:
+        b, sweeps[li], converged[li], rss[li] = _solve(work, float(lambdas[li]), b, tol,
+                                                       settings.max_sweeps)
+        path[li] = b
+        li += 1
+        active = b.nonzero()[0]
+        s = np.ones(active.size) if problem.nonnegative else np.sign(b[active])
+        while li < nlam and converged[li - 1]:
+            start = li
+            li, b, g, res = _segment(work, active, s, lambdas, li, path, rss, tol)
+            if li == start or b is None:
+                break
+            # guess the next support: drop what crossed zero, add every violator
+            keep = b * s > 1e-3 * tol
+            j = np.flatnonzero(res > tol)
+            active = np.concatenate((active[keep], j))
+            s = np.concatenate((s[keep], np.sign(g[j])))  # + when nonnegative
+        b = path[li - 1].copy()
     m = problem.m
-    rss_floor = 1e-20 * max(work.yy, 1.0)
-    for li, lam in enumerate(lambdas):
-        b, n_sw, ok, rss = _solve(work, lam, b, settings.tol, settings.max_sweeps)
-        coef_path[li] = work.full_coefficients(b)
-        sweeps[li] = n_sw
-        converged[li] = ok
-        df = int(np.count_nonzero(b))
-        if rss <= rss_floor:
-            bic_path[li] = -np.inf
-            zero_rss = True
-        else:
-            bic_path[li] = m * np.log(rss / m) + df * np.log(m)
+    zero = rss <= 1e-20 * max(work.yy, 1.0)
+    df = np.count_nonzero(path, axis=1)
+    bic_path = np.where(zero, -np.inf, m * np.log(np.maximum(rss, 1e-300) / m) + df * np.log(m))
     selected = int(np.argmin(bic_path))  # first occurrence = largest lambda
-    objective = objective_value(problem, coef_path[selected], float(lambdas[selected]))
-    kkt_max = float(np.max(_kkt_at(work, coef_path[selected], float(lambdas[selected])),
-                           initial=0.0))
-    return LassoFit(
-        lambdas=lambdas,
-        coef_path=coef_path,
-        bic_path=bic_path,
-        selected_index=selected,
-        sweeps=sweeps,
-        converged=converged,
-        objective=objective,
-        zero_rss=zero_rss,
-        kkt_max=kkt_max,
-    )
+    lam_sel = float(lambdas[selected])
+    coef_path = np.zeros((nlam, problem.p))
+    coef_path[:, work.cols] = path / work.scale[work.cols]
+    b_sel = path[selected]
+    objective = float(rss[selected]) + lam_sel * float(np.dot(work.pen_scale, np.abs(b_sel)))
+    kkt = _kkt_std(work, b_sel, work.gradient(b_sel)[0], 0.5 * lam_sel * work.pen_scale)
+    return LassoFit(lambdas=lambdas, coef_path=coef_path, bic_path=bic_path,
+                    selected_index=selected, sweeps=sweeps, converged=converged,
+                    objective=objective, zero_rss=bool(zero.any()),
+                    kkt_max=float(kkt.max(initial=0.0)))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from parkcast import lasso
 from parkcast.lasso import (
     DegenerateGridError,
+    _Work,
     LassoConvergenceWarning,
     LassoProblem,
     LassoSettings,
@@ -26,6 +28,15 @@ def random_problem(rng, m=50, p=8, weighted=True, nonneg=False):
 def weighted_ls(problem):
     X, y, w = problem.design, problem.response, problem.weights
     return np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * y))
+
+
+def collinear_design(rng, m=60):
+    """x1 = x0 + x2 exactly, x3 a near-copy of x0, x4 a constant."""
+    X = rng.standard_normal((m, 8))
+    X[:, 1] = X[:, 0] + X[:, 2]
+    X[:, 3] = X[:, 0] * (1 + 1e-9)
+    X[:, 4] = 1.0
+    return X
 
 
 class TestSoftThreshold:
@@ -149,10 +160,7 @@ class TestCoordinateDescent:
         # x1 = x0 + x2 exactly, x3 a near-copy of x0 and an unpenalized
         # constant: entering columns lie (nearly) in the active span
         rng = np.random.default_rng(17)
-        X = rng.standard_normal((60, 8))
-        X[:, 1] = X[:, 0] + X[:, 2]
-        X[:, 3] = X[:, 0] * (1 + 1e-9)
-        X[:, 4] = 1.0
+        X = collinear_design(rng)
         y = X[:, :3].sum(axis=1) + rng.standard_normal(60)
         mask = np.ones(8, dtype=bool)
         mask[4] = False
@@ -252,6 +260,134 @@ class TestFitPathBic:
         fit = fit_path_bic(prob, LassoSettings(grid_count=25))
         ties = np.flatnonzero(fit.bic_path == fit.bic_path[fit.selected_index])
         assert fit.selected_index == ties[0]
+
+
+class TestPathSegments:
+    """The path follows exact linear segments between support changes; every
+    grid penalty must still match a cold solve at that penalty alone."""
+
+    def check_against_cold(self, prob, monkeypatch):
+        settings = LassoSettings(grid_count=100, grid_ratio=1e-3)
+        solves = []
+        solve = lasso._solve
+        monkeypatch.setattr(lasso, "_solve", lambda *a: solves.append(1) or solve(*a))
+        fit = fit_path_bic(prob, settings)
+        monkeypatch.undo()
+        assert fit.converged.all() and (fit.sweeps >= 1).all()
+        assert len(solves) < fit.lambdas.size  # the rest lie on segments
+        for lam, coef, bic in zip(fit.lambdas, fit.coef_path, fit.bic_path):
+            assert kkt_residuals(prob, coef, lam).max() <= 10 * settings.tol
+            cold = coordinate_descent(prob, lam, tol=settings.tol)
+            assert np.abs(coef - cold).max() <= 1e-8
+            assert bic == pytest.approx(weighted_bic(prob, coef)[0], rel=1e-10)
+        on = fit.coef_path != 0.0
+        return fit, len(solves), int((on[:-1] != on[1:]).any(axis=1).sum())
+
+    def test_signed_with_unpenalized_intercept(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            X = rng.standard_normal((120, 12))
+            X[:, 0] = 1.0
+            beta = np.where(rng.uniform(size=12) < 0.4, rng.normal(0, 1.5, 12), 0.0)
+            y = X @ beta + rng.standard_normal(120)
+            mask = np.ones(12, dtype=bool)
+            mask[0] = False
+            prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 120),
+                                penalize_mask=mask)
+            fit, _, _ = self.check_against_cold(prob, monkeypatch)
+            assert (fit.coef_path[:, 0] != 0.0).all()
+
+    def test_nonnegative(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            X = np.abs(rng.standard_normal((150, 10)))
+            y = X @ np.abs(rng.normal(0, 0.5, 10)) + np.abs(rng.standard_normal(150))
+            fit, _, _ = self.check_against_cold(LassoProblem(y, X, nonnegative=True), monkeypatch)
+            assert (fit.coef_path >= 0.0).all()
+
+    def test_nonnegative_unpenalized_column_held_at_zero(self, monkeypatch):
+        rng = np.random.default_rng(46)
+        X = np.abs(rng.standard_normal((150, 10)))
+        y = X @ np.abs(rng.normal(0, 0.5, 10)) + np.abs(rng.standard_normal(150))
+        X[:, 0] = rng.standard_normal(150) - y  # its gradient stays negative
+        mask = np.ones(10, dtype=bool)
+        mask[0] = False
+        prob = LassoProblem(y, X, nonnegative=True, penalize_mask=mask)
+        fit, n_solves, n_changes = self.check_against_cold(prob, monkeypatch)
+        assert (fit.coef_path[:, 0] == 0.0).all()
+        assert n_solves <= n_changes / 3 + 1
+
+    def test_near_collinear_columns(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        X = collinear_design(rng)
+        y = X[:, :3].sum(axis=1) + rng.standard_normal(60)
+        mask = np.ones(8, dtype=bool)
+        mask[4] = False
+        for nonneg in (False, True):
+            prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 60),
+                                nonnegative=nonneg, penalize_mask=mask)
+            self.check_against_cold(prob, monkeypatch)
+
+    def test_guessed_supports_take_most_changes(self, monkeypatch):
+        # correlated columns, so that coefficients also leave the support
+        rng = np.random.default_rng(45)
+        solves = changes = 0
+        for _ in range(4):
+            Z = rng.standard_normal((120, 4))
+            X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
+            y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
+            _, n_solves, n_changes = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+            solves += n_solves
+            changes += n_changes
+        assert solves <= changes / 3
+
+    def test_segment_refuses_dependent_support(self):
+        rng = np.random.default_rng(44)
+        X = collinear_design(rng)
+        work = _Work(LassoProblem(X[:, :3].sum(axis=1) + rng.standard_normal(60), X))
+        lambdas = lasso._grid(work, 20, 1e-2)
+        path, rss = np.zeros((20, 8)), np.zeros(20)
+        # x0 with its near-copy x3: no segment, and nothing written
+        li, b, _, _ = lasso._segment(work, np.array([0, 3]), np.ones(2), lambdas, 1,
+                                     path, rss, 1e-7)
+        assert li == 1 and b is None and not path.any()
+
+    def test_objective_is_the_path_objective(self):
+        rng = np.random.default_rng(43)
+        prob = random_problem(rng, m=90, p=9)
+        fit = fit_path_bic(prob, LassoSettings(grid_count=40))
+        assert fit.objective == pytest.approx(
+            objective_value(prob, fit.coefficients, fit.selected_lambda), rel=1e-10)
+
+
+class TestGramSetup:
+    def test_duplicates_and_constants_collapse_to_first(self):
+        rng = np.random.default_rng(50)
+        m = 80
+        x, z = rng.standard_normal(m), rng.standard_normal(m)
+        ones = np.ones(m)  # first-pass volatility proxies are all ones
+        X = np.column_stack([ones, x, ones, z, x, ones, np.zeros(m), x * (1 + 1e-9)])
+        work = _Work(LassoProblem(x + z, X, weights=rng.uniform(0.5, 2.0, m)))
+        # the near-copy at 1e-9 relative is no exact duplicate and stays
+        assert work.cols.tolist() == [0, 1, 3, 7]
+        fit = fit_path_bic(LassoProblem(x + z, X), LassoSettings(grid_count=20))
+        assert (fit.coef_path[:, [2, 4, 5, 6]] == 0.0).all()
+
+    def test_grid_top_value_from_gram(self):
+        rng = np.random.default_rng(51)
+        m = 200
+        X = rng.standard_normal((m, 7))
+        X[:, 0] = 1.0
+        y = 3.0 + X[:, 1:] @ rng.normal(0, 1, 6) + rng.standard_normal(m)
+        w = rng.uniform(0.5, 2.0, m)
+        mask = np.ones(7, dtype=bool)
+        mask[0] = False
+        grid = lambda_grid(LassoProblem(y, X, weights=w, penalize_mask=mask), 5, 0.1)
+        sw = np.sqrt(w)
+        beta, *_ = np.linalg.lstsq(sw[:, None] * X[:, :1], sw * y, rcond=None)
+        r = y - X[:, :1] @ beta
+        expect = 2.0 * np.abs((w * r) @ X[:, 1:]).max()
+        assert grid[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestValidation:

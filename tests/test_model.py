@@ -9,10 +9,11 @@ from parkcast.design import (
     compute_threshold_set,
 )
 from parkcast.forecast import point_forecast, simulate_synthetic
-from parkcast.lasso import LassoProblem, fit_path_bic
+from parkcast.lasso import LassoProblem, LassoSettings, fit_path_bic, objective_value
 from parkcast.model import (
     ModelConfig,
     ModelFitError,
+    _fit_equation,
     compute_residuals,
     fit_joint_model,
     load_model,
@@ -134,6 +135,20 @@ class TestFitJointModel:
         # only unpenalized/basis intercept columns survive
         cols = model.terms[("speed_mean", 0)]
         assert all(t.family == "const" for t in cols)
+
+    def test_degenerate_grid_fallback_reports_objective(self):
+        # the only penalized column is zero, so there is no penalty grid:
+        # the fallback fits the unpenalized intercept at lambda = 0
+        rng = np.random.default_rng(3)
+        y = 2.0 + rng.standard_normal(50)
+        X = np.column_stack([np.ones(50), np.zeros(50)])
+        prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 50),
+                            penalize_mask=np.array([False, True]))
+        fit = _fit_equation("speed_mean", 0, prob, LassoSettings())
+        assert fit.lambdas.tolist() == [0.0] and fit.sweeps[0] >= 1
+        assert fit.coefficients[0] == pytest.approx(np.average(y, weights=prob.weights))
+        assert fit.objective == objective_value(prob, fit.coefficients, 0.0)
+        assert fit.objective > 0.0
 
     def test_standardized_pools_consistent(self, small_model):
         trim = small_model.trim
