@@ -125,7 +125,10 @@ class _Work:
     columns and exact duplicates of earlier columns are excluded (their
     coefficients stay 0): a pair is flagged when ||x_i - x_j||^2_W =
     G_ii + G_jj - 2 G_ij <= 1e-8 max(G_ii, G_jj) and confirmed by an exact
-    column compare, so a near-copy stays usable.
+    column compare, so a near-copy stays usable. Such a pair's norms agree
+    to 1e-4, so only neighbours in norm order are tested. Memory beyond the
+    design is the (p+1) x m buffer until the syrk is done, then A and G:
+    O(p^2), about 650 MB each at p = 9,000.
     """
 
     def __init__(self, problem: LassoProblem):
@@ -135,18 +138,24 @@ class _Work:
         np.multiply(X.T, sw, out=Z[:p])
         np.multiply(y, sw, out=Z[p])
         A = Z @ Z.T  # a syrk: Z times its own transpose
+        del Z
         diag = A.diagonal()[:p]
         usable = diag > 0.0
-        near = diag[:, None] + diag - 2.0 * A[:p, :p] <= 1e-8 * np.maximum(diag[:, None], diag)
-        near &= usable[:, None] & usable
-        for i, j in zip(*np.nonzero(np.triu(near, 1))):
-            if usable[j] and np.array_equal(X[:, i], X[:, j]):
-                usable[j] = False
+        order = np.argsort(diag)
+        ends = np.searchsorted(diag[order], diag[order] * (1.0 + 4e-4), side="right")
+        for a in np.flatnonzero(usable[order] & (ends > np.arange(p) + 1)):
+            i, js = order[a], order[a + 1:ends[a]]
+            near = diag[i] + diag[js] - 2.0 * A[i, js] <= 1e-8 * np.maximum(diag[i], diag[js])
+            for lo, hi in zip(np.minimum(i, js[near]), np.maximum(i, js[near])):
+                if usable[hi] and np.array_equal(X[:, lo], X[:, hi]):
+                    usable[hi] = False  # the later of two equal columns
         self.scale = np.sqrt(diag)
         self.cols = np.flatnonzero(usable)
         s = self.scale[self.cols]
-        self.G = A[np.ix_(self.cols, self.cols)] / np.outer(s, s)
         self.c = A[self.cols, p] / s
+        self.G = A[np.ix_(self.cols, self.cols)]
+        for r in range(0, s.size, 512):  # in row blocks: no k x k temporary
+            self.G[r:r + 512] /= np.outer(s[r:r + 512], s)
         self.yy = float(A[p, p])
         # per-coordinate threshold back on the raw-objective scale
         self.pen_scale = np.where(problem.penalize_mask[self.cols], 1.0 / s, 0.0)
@@ -164,11 +173,16 @@ class _Work:
         return self.G.take(active, 0).take(active, 1)
 
 
-def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, thr: np.ndarray) -> np.ndarray:
+def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
     """KKT residuals per usable coordinate, on the standardized scale, from
-    the gradient ``g`` = X'W r at ``b`` and the thresholds lambda/2 * pen_scale."""
-    inactive = np.maximum((g if work.problem.nonnegative else np.abs(g)) - thr, 0.0)
-    return np.where(b != 0.0, np.abs(g - thr * np.sign(b)), inactive)
+    the gradient ``g`` = X'W r at ``b``."""
+    thr = 0.5 * lam * work.pen_scale
+    active = b != 0.0
+    if work.problem.nonnegative:
+        inactive = np.maximum(g - thr, 0.0)
+    else:
+        inactive = np.maximum(np.abs(g) - thr, 0.0)
+    return np.where(active, np.abs(g - thr * np.sign(b)), inactive)
 
 
 def _cholesky(gram: np.ndarray, floor: float = 1e-10):
@@ -205,7 +219,7 @@ def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
     refine_res = np.inf  # active-set residual before the last Newton step on this set
     iterations = 0
     while True:
-        res = _kkt_std(work, b, g, thr)
+        res = _kkt_std(work, b, g, lam)
         converged = res.max(initial=0.0) <= tol
         if converged or iterations >= max_iter:
             break
@@ -267,8 +281,11 @@ def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
             refine_res = np.inf
         g, rss, obj = g_new, rss_new, new_obj
     if not converged:
-        warnings.warn(f"active-set lasso stopped without meeting tol={tol:g} at "
-                      f"lambda={lam:g} after {iterations} iterations", LassoConvergenceWarning)
+        warnings.warn(
+            f"active-set lasso stopped without meeting tol={tol:g} at "
+            f"lambda={lam:g} after {iterations} iterations",
+            LassoConvergenceWarning,
+        )
     # razor-edge activations far below the solver's own resolution are zero
     dust = (b != 0.0) & (np.abs(b) < 1e-3 * tol)
     if dust.any():
@@ -277,11 +294,18 @@ def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
     return b, max(iterations, 1), converged, rss
 
 
-def coordinate_descent(problem: LassoProblem, lam: float, warm_start: np.ndarray | None = None,
-                       tol: float = 1e-7, max_sweeps: int = 10_000, full_output: bool = False):
-    """Solve one weighted lasso at penalty ``lam``; coefficients on raw scale,
-    and with ``full_output`` the iteration count. The name is historical: the
-    solver is the active-set method of ``_solve``; ``max_sweeps`` caps it."""
+def coordinate_descent(
+    problem: LassoProblem,
+    lam: float,
+    warm_start: np.ndarray | None = None,
+    tol: float = 1e-7,
+    max_sweeps: int = 10_000,
+) -> np.ndarray:
+    """Solve one weighted lasso at penalty ``lam``; coefficients on raw scale.
+
+    The name is historical: the solver is the active-set method of
+    ``_solve``, and ``max_sweeps`` caps its iterations.
+    """
     work = _Work(problem)
     if warm_start is None:
         b = np.zeros(work.cols.size)
@@ -293,10 +317,10 @@ def coordinate_descent(problem: LassoProblem, lam: float, warm_start: np.ndarray
         active = np.flatnonzero(b)
         if active.size and _cholesky(work.gram(active)) is None:
             b[:] = 0.0  # a warm start on (nearly) collinear columns: start afresh
-    b, iterations, _, _ = _solve(work, lam, b, tol, max_sweeps)
+    b, _, _, _ = _solve(work, lam, b, tol, max_sweeps)
     coefficients = np.zeros(problem.p)
     coefficients[work.cols] = b / work.scale[work.cols]
-    return (coefficients, iterations) if full_output else coefficients
+    return coefficients
 
 
 def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> np.ndarray:
@@ -305,7 +329,7 @@ def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -
     work = _Work(problem)
     out = np.zeros(problem.p)
     b = np.asarray(coefficients, dtype=float)[work.cols] * work.scale[work.cols]
-    out[work.cols] = _kkt_std(work, b, work.gradient(b)[0], 0.5 * lam * work.pen_scale)
+    out[work.cols] = _kkt_std(work, b, work.gradient(b)[0], lam)
     return out
 
 
@@ -327,8 +351,9 @@ def _grid(work: _Work, count: int, ratio: float) -> np.ndarray:
     # below it is floating-point residue, not signal
     bound = 2.0 * float(np.max(s, initial=0.0)) * np.sqrt(work.yy)
     if not np.isfinite(lam_max) or lam_max <= 1e-10 * bound or lam_max <= 0.0:
-        raise DegenerateGridError("no usable penalty grid "
-                                  "(response carries no penalizable signal)")
+        raise DegenerateGridError(
+            "no usable penalty grid (response carries no penalizable signal)"
+        )
     return np.geomspace(lam_max, lam_max * ratio, count)
 
 
@@ -446,8 +471,16 @@ def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -
     coef_path[:, work.cols] = path / work.scale[work.cols]
     b_sel = path[selected]
     objective = float(rss[selected]) + lam_sel * float(np.dot(work.pen_scale, np.abs(b_sel)))
-    kkt = _kkt_std(work, b_sel, work.gradient(b_sel)[0], 0.5 * lam_sel * work.pen_scale)
-    return LassoFit(lambdas=lambdas, coef_path=coef_path, bic_path=bic_path,
-                    selected_index=selected, sweeps=sweeps, converged=converged,
-                    objective=objective, zero_rss=bool(zero.any()),
-                    kkt_max=float(kkt.max(initial=0.0)))
+    kkt_max = float(np.max(_kkt_std(work, b_sel, work.gradient(b_sel)[0], lam_sel),
+                           initial=0.0))
+    return LassoFit(
+        lambdas=lambdas,
+        coef_path=coef_path,
+        bic_path=bic_path,
+        selected_index=selected,
+        sweeps=sweeps,
+        converged=converged,
+        objective=objective,
+        zero_rss=bool(zero.any()),
+        kkt_max=kkt_max,
+    )

@@ -152,20 +152,21 @@ def _fit_equation(equation: str, i: int, problem: LassoProblem,
     except DegenerateGridError:
         # nothing penalizable explains the response (e.g. constant panel):
         # keep the penalized coefficients at zero and fit the intercept side
-        coef, iterations = np.zeros(problem.p), 1  # the zero solution takes one check
+        coef = np.zeros(problem.p)
         unpen = np.flatnonzero(~problem.penalize_mask)
         if unpen.size:
             sub = LassoProblem(problem.response, problem.design[:, unpen],
-                               weights=problem.weights, nonnegative=problem.nonnegative)
-            coef[unpen], iterations = coordinate_descent(
-                sub, 0.0, tol=settings.tol, max_sweeps=settings.max_sweeps, full_output=True)
+                               weights=problem.weights,
+                               nonnegative=problem.nonnegative)
+            coef[unpen] = coordinate_descent(sub, 0.0, tol=settings.tol,
+                                             max_sweeps=settings.max_sweeps)
         bic, flag = weighted_bic(problem, coef)
         fit = LassoFit(
             lambdas=np.array([0.0]),
             coef_path=coef[None, :],
             bic_path=np.array([bic]),
             selected_index=0,
-            sweeps=np.array([iterations]),
+            sweeps=np.array([1]),  # the zero or lambda = 0 solve counts as one check
             converged=np.array([True]),
             objective=objective_value(problem, coef, 0.0),
             zero_rss=flag,

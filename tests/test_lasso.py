@@ -373,6 +373,40 @@ class TestGramSetup:
         fit = fit_path_bic(LassoProblem(x + z, X), LassoSettings(grid_count=20))
         assert (fit.coef_path[:, [2, 4, 5, 6]] == 0.0).all()
 
+    @pytest.mark.parametrize("seed", [52, 53, 54])
+    def test_duplicate_rule_matches_exact_compare(self, seed):
+        # permutations and sign flips of one vector share its norm, so most
+        # columns are duplicate candidates of each other
+        rng = np.random.default_rng(seed)
+        m = 60
+        base = rng.standard_normal(m)
+        pool = [base, -base, rng.permutation(base), rng.permutation(base), np.zeros(m)]
+        X = np.column_stack([pool[k] for k in rng.integers(0, 5, 40)]
+                            + [rng.standard_normal(m) for _ in range(5)])
+        w = np.ones(m)
+        work = _Work(LassoProblem(rng.standard_normal(m), X, weights=w))
+        expect = [j for j in range(X.shape[1]) if X[:, j].any()
+                  and not any(np.array_equal(X[:, i], X[:, j]) for i in range(j))]
+        assert work.cols.tolist() == expect
+        Xs = X[:, expect] / np.sqrt((X[:, expect] ** 2).sum(axis=0))
+        np.testing.assert_allclose(work.G, Xs.T @ Xs, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("p, copy", [(6, False), (6, True), (1100, False), (1100, True)])
+    def test_gram_matches_direct_products(self, p, copy):
+        # wider than one scaling block, with and without an excluded column
+        rng = np.random.default_rng(55)
+        m = 90
+        X, y, w = rng.standard_normal((m, p)), rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
+        if copy:
+            X[:, 3] = X[:, 1]
+        work = _Work(LassoProblem(y, X, weights=w))
+        cols = [j for j in range(p) if not (copy and j == 3)]
+        assert work.cols.tolist() == cols
+        Xs = X[:, cols] / np.sqrt(np.einsum("ij,ij->j", X * w[:, None], X))[cols]
+        np.testing.assert_allclose(work.G, Xs.T @ (w[:, None] * Xs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(work.c, (w * y) @ Xs, rtol=1e-12)
+        assert work.yy == pytest.approx(float(np.dot(w * y, y)), rel=1e-12)
+
     def test_grid_top_value_from_gram(self):
         rng = np.random.default_rng(51)
         m = 200
