@@ -101,11 +101,13 @@ def bspline_eval(t, knots, degree: int):
 
 
 def _deboor(t: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
-    if degree == 0:
-        return np.where((t >= knots[0]) & (t < knots[1]), 1.0, 0.0)
-    left = (t - knots[0]) / (knots[-2] - knots[0]) * _deboor(t, knots[:-1], degree - 1)
-    right = (knots[-1] - t) / (knots[-1] - knots[1]) * _deboor(t, knots[1:], degree - 1)
-    return left + right
+    # bottom-up: b[i] is the degree-k spline on knots[i : i + k + 2]
+    b = [np.where((t >= lo) & (t < hi), 1.0, 0.0) for lo, hi in zip(knots, knots[1:])]
+    for k in range(1, degree + 1):
+        b = [(t - knots[i]) / (knots[i + k] - knots[i]) * b[i]
+             + (knots[i + k + 1] - t) / (knots[i + k + 1] - knots[i + 1]) * b[i + 1]
+             for i in range(degree + 1 - k)]
+    return b[0]
 
 
 def periodic_basis(t, spec: BSplineSpec, j: int):
@@ -124,12 +126,12 @@ def periodic_basis(t, spec: BSplineSpec, j: int):
 
 
 def periodic_basis_matrix(t, spec: BSplineSpec) -> np.ndarray:
-    """All ``n_basis`` periodic basis functions evaluated at ``t``: (n, N)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((t.size, spec.n_basis))
-    for j in range(1, spec.n_basis + 1):
-        out[:, j - 1] = periodic_basis(t, spec, j)
-    return out
+    """All ``n_basis`` periodic basis functions at ``t``, in one pass: (n, N)."""
+    knots = spec.knots()
+    s = spec.season_length
+    shifts = np.arange(spec.n_basis) * spec.knot_spacing
+    u = np.mod(np.asarray(t, dtype=float).reshape(-1, 1) - shifts, s)
+    return _deboor(u, knots, spec.degree) + _deboor(u - s, knots, spec.degree)
 
 
 def cumulative_basis(t, spec: BSplineSpec) -> BasisSet:
@@ -166,18 +168,11 @@ def interaction_basis(
     if kind == "cumulative":
         dmat = np.cumsum(dmat, axis=1)
         amat = np.cumsum(amat, axis=1)
-    n = tod.size
-    ncol = annual.n_basis * diurnal.n_basis
-    values = np.empty((n, ncol))
-    pairs: list[tuple[int, int]] = []
-    c = 0
-    for l1 in range(1, annual.n_basis + 1):
-        for l2 in range(1, diurnal.n_basis + 1):
-            values[:, c] = amat[:, l1 - 1] * dmat[:, l2 - 1]
-            pairs.append((l1, l2))
-            c += 1
+    values = (amat[:, :, None] * dmat[:, None, :]).reshape(tod.size, -1)
+    pairs = [(l1, l2) for l1 in range(1, annual.n_basis + 1)
+             for l2 in range(1, diurnal.n_basis + 1)]
     if kind == "cumulative":
-        const_col = ncol - 1
+        const_col = len(pairs) - 1
     else:
         values[:, 0] = 1.0
         const_col = 0

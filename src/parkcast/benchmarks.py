@@ -2,6 +2,9 @@
 by conditional Gaussian likelihood, and the dynamic-regression power curve
 models (plain least squares and its two-sided censored generalization).
 
+An iterated AR/BVAR/VAR forecast is linear in the last ``order`` centred rows:
+each ``VarFit`` keeps that map, and a forecast is one product per origin.
+
 Every benchmark registers under a string id and exposes the same adapter
 surface as the joint model for the backtest harness: ``fit(panel, end_row)``
 then ``forecast_power(panel, origin, horizons) -> (len(horizons), d)``.
@@ -10,7 +13,7 @@ then ``forecast_power(panel, origin, horizons) -> (len(horizons), d)``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, signal
@@ -36,6 +39,8 @@ class VarFit:
     sigma: np.ndarray  # innovation covariance
     aic: np.ndarray  # per candidate order 0..max_order
     stationary: bool = True
+    # (horizon, m, order * m) forecast map for the longest horizon asked so far
+    fmap: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -66,13 +71,17 @@ def _yw_solve(gam: np.ndarray, p: int) -> np.ndarray:
     return sol.reshape(m, p, m).swapaxes(0, 1)  # (p, m, m)
 
 
-def _companion_radius(coefs: np.ndarray) -> float:
+def _companion(coefs: np.ndarray) -> np.ndarray:
+    """Companion matrix of the (p, m, m) lag coefficients, p >= 1: the state
+    [x_t, ..., x_{t-p+1}] maps to [x_{t+1}, ..., x_{t-p+2}]."""
     p, m, _ = coefs.shape
-    comp = np.zeros((p * m, p * m))
+    comp = np.eye(p * m, k=-m)
     comp[:m] = np.concatenate(list(coefs), axis=1)
-    if p > 1:
-        comp[m:, : (p - 1) * m] = np.eye((p - 1) * m)
-    return float(np.max(np.abs(np.linalg.eigvals(comp)))) if p * m else 0.0
+    return comp
+
+
+def _companion_radius(coefs: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(_companion(coefs)))))
 
 
 def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
@@ -134,27 +143,32 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
     )
 
 
+def _forecast_map(fit: VarFit, horizon: int) -> np.ndarray:
+    """R (horizon, m, p * m) with x_{t+s+1} = R[s] @ [x_t, ..., x_{t-p+1}], all
+    centred: R[s] is the top m rows of the companion matrix to the power s + 1.
+    Built for the longest horizon asked so far and kept on the fit."""
+    fmap = fit.fmap
+    if fmap is None or fmap.shape[0] < horizon:
+        p, m = fit.order, fit.mean.size
+        fmap = np.zeros((horizon, m, p * m))
+        if p:
+            comp = _companion(fit.coefs)
+            row = np.eye(m, p * m)
+            for s in range(horizon):
+                row = fmap[s] = row @ comp
+        fit.fmap = fmap
+    return fmap[:horizon]
+
+
 def var_forecast(fit: VarFit, history: np.ndarray, horizon: int) -> np.ndarray:
     """Iterated forecasts; ``history`` holds the most recent rows (last row =
-    forecast origin). Returns (horizon, m)."""
-    history = np.asarray(history, dtype=float)
-    if history.ndim == 1:
-        history = history[:, None]
-    h = history - fit.mean
-    p = fit.order
-    if p and h.shape[0] < p:
-        raise BenchmarkError(f"need {p} rows of history, got {h.shape[0]}")
-    buf = list(h[-p:]) if p else []
-    out = np.empty((horizon, fit.mean.size))
-    for s in range(horizon):
-        nxt = np.zeros(fit.mean.size)
-        for k in range(1, p + 1):
-            nxt += fit.coefs[k - 1] @ buf[-k]
-        out[s] = nxt
-        if p:
-            buf.append(nxt)
-            buf = buf[-p:]
-    return out + fit.mean
+    forecast origin). Returns (horizon, m): the fit's forecast map applied to
+    the last ``order`` centred rows, plus the mean."""
+    history = np.asarray(history, dtype=float)  # (n, m), or (n,) when m = 1
+    if history.shape[0] < fit.order:
+        raise BenchmarkError(f"need {fit.order} rows of history, got {history.shape[0]}")
+    state = (history[::-1][: fit.order] - fit.mean).ravel()
+    return _forecast_map(fit, horizon) @ state + fit.mean
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +233,7 @@ def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.nda
     u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
     e = signal.lfilter([1.0], [1.0, fit.ma], u)
     one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e[-1]
-    out = np.empty(horizon)
-    out[0] = one
-    for s in range(1, horizon):
-        out[s] = fit.mean + fit.ar * (out[s - 1] - fit.mean)
-    return out
+    return fit.mean + fit.ar ** np.arange(horizon) * (one - fit.mean)
 
 
 # ---------------------------------------------------------------------------

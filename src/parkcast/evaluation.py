@@ -200,26 +200,21 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         if hasattr(model, "prepare"):
             model.prepare(panel, origins, horizons)
         preds = np.full((origins.size, horizons.size, panel.d), np.nan)
-        failures: list[tuple[int, str]] = []
 
-        def one(oi: int):
-            return model.forecast_power(panel, int(origins[oi]), horizons)
+        def one(oi: int) -> str | None:  # the error message if it failed
+            try:
+                preds[oi] = model.forecast_power(panel, int(origins[oi]), horizons)
+            except Exception as exc:  # noqa: BLE001 - recorded, not silenced
+                return str(exc)
+            return None
 
-        if workers > 1 and origins.size > 1:
-            preds[0] = one(0)  # warm lazy caches sequentially
+        errors = [one(0)]  # warms lazy caches sequentially
+        if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = {oi: pool.submit(one, oi) for oi in range(1, origins.size)}
-            for oi, fut in futs.items():
-                try:
-                    preds[oi] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-                    failures.append((int(origins[oi]), str(exc)))
+                errors += pool.map(one, range(1, origins.size))
         else:
-            for oi in range(origins.size):
-                try:
-                    preds[oi] = one(oi)
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((int(origins[oi]), str(exc)))
+            errors += map(one, range(1, origins.size))
+        failures = [(int(o), msg) for o, msg in zip(origins, errors) if msg is not None]
         if failures:
             warnings.warn(f"{name}: {len(failures)} origin(s) failed and were excluded")
         ok = ~np.isnan(preds).any(axis=(1, 2))

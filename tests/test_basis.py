@@ -68,6 +68,14 @@ class TestPeriodicBasis:
         with pytest.raises(IndexError):
             periodic_basis(0.0, DIURNAL, 13)
 
+    @pytest.mark.parametrize("spec", [DIURNAL, ANNUAL], ids=["diurnal", "annual"])
+    def test_matrix_equals_stacked_columns(self, spec):
+        t = np.concatenate([np.linspace(-spec.season_length, 3 * spec.season_length, 997),
+                            np.arange(144.0)])
+        stacked = np.column_stack([periodic_basis(t, spec, j)
+                                   for j in range(1, spec.n_basis + 1)])
+        assert np.array_equal(periodic_basis_matrix(t, spec), stacked)
+
     def test_plain_values_bounded_by_constant(self):
         t = np.linspace(0.0, 144.0, 2000)
         vals = periodic_basis_matrix(t, DIURNAL)

@@ -3,7 +3,9 @@ import pytest
 
 from parkcast.benchmarks import (
     BENCHMARKS,
+    Arma11Fit,
     BenchmarkError,
+    VarFit,
     arma11_forecast,
     censored_mean,
     fit_ar_yule_walker,
@@ -85,6 +87,77 @@ class TestYuleWalker:
         assert fc.shape == (7, 2)
 
 
+def recursive_forecast(fit, history, horizon):
+    """Reference: step the VAR recursion one lag at a time."""
+    history = np.asarray(history, dtype=float).reshape(len(history), -1)
+    buf = list(history - fit.mean)
+    out = []
+    for _ in range(horizon):
+        nxt = np.zeros(fit.mean.size)
+        for k in range(1, fit.order + 1):
+            nxt += fit.coefs[k - 1] @ buf[-k]
+        buf.append(nxt)
+        out.append(nxt + fit.mean)
+    return np.array(out)
+
+
+def stable_var(m, order, seed, radius=0.9):
+    """A VarFit with random lag matrices scaled to companion radius ``radius``."""
+    rng = np.random.default_rng(seed)
+    coefs = rng.standard_normal((order, m, m))
+    comp = np.eye(order * m, k=-m)
+    comp[:m] = np.concatenate(list(coefs), axis=1)
+    rho = np.max(np.abs(np.linalg.eigvals(comp)))
+    coefs *= (radius / rho) ** (np.arange(1, order + 1)[:, None, None])
+    mean = rng.uniform(5.0, 50.0, m)
+    return VarFit("var", order, coefs, mean, np.eye(m), np.zeros(order + 1))
+
+
+class TestForecastMap:
+    @staticmethod
+    def fits():
+        """(name, fit factory, history); a factory gives a fresh fit, so no
+        forecast map is cached yet."""
+        rng = np.random.default_rng(11)
+        y = np.zeros(6000)
+        for t in range(3, y.size):
+            y[t] = 0.6 * y[t - 1] + 0.25 * y[t - 2] - 0.1 * y[t - 3] + rng.standard_normal()
+        y += 30.0
+        x2 = rng.standard_normal((40, 2)) + 3.0
+        x4 = rng.standard_normal((40, 4)) * 4.0
+        return [
+            ("ar", lambda: fit_ar_yule_walker(y, max_order=8), y[-25:]),
+            ("var2_near_unit_root", lambda: stable_var(2, 3, 1, radius=0.999), x2),
+            ("var4", lambda: stable_var(4, 5, 2), x4),
+            ("order0", lambda: VarFit("var", 0, np.zeros((0, 3, 3)), np.array([1.0, -2.0, 5.0]),
+                                      np.eye(3), np.zeros(1)), x4[:, :3]),
+        ]
+
+    @staticmethod
+    def check(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+
+    def test_matches_recursion_for_either_horizon_order(self):
+        for name, make, hist in self.fits():
+            for horizons in ((600, 7), (7, 600)):
+                fit = make()
+                assert name != "ar" or fit.order >= 2
+                assert hist.shape[0] > fit.order  # history longer than p
+                for h in horizons:
+                    got = var_forecast(fit, hist, h)
+                    assert got.shape == (h, fit.mean.size)
+                    self.check(got, recursive_forecast(fit, hist, h))
+
+    def test_order_zero_is_the_mean(self):
+        fit = self.fits()[-1][1]()
+        fc = var_forecast(fit, np.zeros((0, 3)), 5)
+        assert np.array_equal(fc, np.tile(fit.mean, (5, 1)))
+
+    def test_history_shorter_than_order(self):
+        with pytest.raises(BenchmarkError, match="need 5 rows"):
+            var_forecast(stable_var(4, 5, 2), np.zeros((4, 4)), 3)
+
+
 class TestArma11:
     def test_recovery(self):
         rng = np.random.default_rng(6)
@@ -118,6 +191,18 @@ class TestArma11:
         fit = fit_arma11_mle(y)
         fc = arma11_forecast(fit, y[-100:], 400)
         assert fc[-1] == pytest.approx(fit.mean, abs=0.05)
+
+    @pytest.mark.parametrize("ar", [0.93, -0.6])
+    def test_forecast_tail_matches_recursion(self, ar):
+        fit = Arma11Fit("arma11", ar, 0.3, 12.0, 1.0)
+        y = np.random.default_rng(9).standard_normal(300) + 14.0
+        e = 0.0  # innovations, zero-initialized
+        for t in range(1, y.size):
+            e = (y[t] - fit.mean) - fit.ar * (y[t - 1] - fit.mean) - fit.ma * e
+        ref = [fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e]
+        for _ in range(287):
+            ref.append(fit.mean + fit.ar * (ref[-1] - fit.mean))
+        np.testing.assert_allclose(arma11_forecast(fit, y, 288), ref, rtol=1e-12)
 
 
 def wppt_panel(n=4000, seed=9):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import tiny_config, two_turbine_truth
 
+from parkcast.benchmarks import ArModel
 from parkcast.evaluation import (
     BacktestError,
     BacktestSpec,
@@ -151,11 +152,37 @@ class TestRunBacktest:
 
     def test_worker_count_independence(self, backtest_panel):
         spec = BacktestSpec(n_origins=8, horizons=(1, 6, 12), in_sample=4200,
-                            seed=5, models=("persistence", "ar", "lasso"))
+                            seed=5, models=("persistence", "ar", "bvar", "var",
+                                            "arma11", "lasso"))
         r1 = run_backtest(backtest_panel, spec, lasso_config=tiny_config(), workers=1)
         r2 = run_backtest(backtest_panel, spec, lasso_config=tiny_config(), workers=3)
         for name in r1.mae_mean:
             assert np.array_equal(r1.mae_mean[name], r2.mae_mean[name])
+
+    def test_failed_origins_recorded_for_any_worker_count(self, backtest_panel,
+                                                          monkeypatch):
+        spec = BacktestSpec(n_origins=8, horizons=(1, 6, 12), in_sample=4200,
+                            seed=5, models=("persistence", "ar"))
+        origins = sample_origins(backtest_panel.n, spec)
+        bad = {int(origins[0]): "boom", int(origins[5]): "bang"}
+        real = ArModel.forecast_power
+
+        def flaky(self, panel, origin, horizons):
+            if origin in bad:
+                raise RuntimeError(bad[origin])
+            return real(self, panel, origin, horizons)
+
+        monkeypatch.setattr(ArModel, "forecast_power", flaky)
+        reports = []
+        for workers in (1, 2):
+            with pytest.warns(UserWarning, match="ar: 2 origin"):
+                reports.append(run_backtest(backtest_panel, spec, workers=workers))
+        r1, r2 = reports
+        assert r1.failures["ar"] == sorted(bad.items())
+        assert r1.failures == r2.failures
+        for name in ("persistence", "ar"):
+            assert np.array_equal(r1.mae_mean[name], r2.mae_mean[name])
+            assert np.array_equal(r1.dmae_mean[name], r2.dmae_mean[name])
 
     def test_report_files(self, backtest_panel, tmp_path):
         spec = BacktestSpec(n_origins=6, horizons=tuple(range(1, 25)),
