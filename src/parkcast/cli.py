@@ -20,11 +20,9 @@ import yaml
 
 from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from .design import (
+    EQUATIONS,
     DesignContext,
-    build_power_mean_design,
-    build_power_vol_design,
-    build_speed_mean_design,
-    build_speed_vol_design,
+    build_design,
     compute_threshold_set,
     dump_columns_csv,
     index_sets_from,
@@ -266,6 +264,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 def _analyze_design(cfg, panel, outdir) -> str:
     config = model_config_from(cfg)
     equation = cfg["analyze"]["equation"]
+    if equation not in EQUATIONS:
+        raise ConfigError(f"analyze.equation must be one of {', '.join(EQUATIONS)}")
     label = cfg["analyze"]["turbine"] or panel.labels[0]
     i = panel.labels.index(label)
     cal = CalendarIndex.from_timestamps(panel.timestamps)
@@ -275,19 +275,10 @@ def _analyze_design(cfg, panel, outdir) -> str:
                               config.diurnal, config.annual, "plain")
     thresholds = compute_threshold_set(panel.speed, panel.power, config.sets,
                                        config.threshold_policy)
-    n, d = panel.n, panel.d
-    ones = np.ones((n, d))
+    ones = np.ones((panel.n, panel.d))
     ctx = DesignContext(panel.speed, panel.power, ones, ones, ones, ones,
                         mean_b.values, vol_b.values, config.sets.max_lag())
-    builders = {
-        "speed_mean": lambda: build_speed_mean_design(ctx, i, config.sets, thresholds),
-        "power_mean": lambda: build_power_mean_design(ctx, i, config.sets, thresholds),
-        "speed_vol": lambda: build_speed_vol_design(ctx, i, config.sets),
-        "power_vol": lambda: build_power_vol_design(ctx, i, config.sets),
-    }
-    if equation not in builders:
-        raise ConfigError(f"analyze.equation must be one of {sorted(builders)}")
-    dm, _ = builders[equation]()
+    dm, _ = build_design(ctx, equation, i, config.sets, thresholds)
     out = os.path.join(outdir, f"design_{equation}_{label}.csv")
     dump_columns_csv(dm.columns, out)
     return out

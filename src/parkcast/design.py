@@ -10,6 +10,10 @@ Each target turbine i gets four designs:
 * power volatility: response |power shock|^(1/3) with every regressor on the
   cube-root scale, including the speed-side coupling terms.
 
+``EQUATIONS`` is the one place a coefficient family is declared: its state
+variable, its transform and its lag set. The generic builder, the column
+rebuild, the thresholds, the fit loop and the forecast engine all read it.
+
 Coefficients flagged time varying are expanded against the seasonal
 interaction basis (cumulative set for the mean equations, plain set with a
 constant column for the volatility equations); everything else gets a single
@@ -113,6 +117,72 @@ def default_index_sets() -> IndexSets:
     return index_sets_from()
 
 
+@dataclass(frozen=True)
+class Equation:
+    """One equation of the joint model: the interaction basis kind of its
+    time-varying coefficients, its response as (state variable, transform),
+    and its coefficient families in column order, each as (family, state
+    variable, transform, IndexSets field)."""
+
+    basis: str
+    response: tuple[str, str]
+    families: tuple[tuple[str, str, str, str], ...]
+
+
+# State variables carry the forecast engine's names: W speed, P power, E and
+# Ep the mean equations' shocks, Sv and Pv the volatility proxies (Pv on the
+# cube-root scale). A "thr" family gets one column per decile threshold.
+EQUATIONS = {
+    "speed_mean": Equation("cumulative", ("W", "id"), (
+        ("speed_ar", "W", "thr", "speed_ar"),
+        ("speed_ma", "E", "id", "speed_ma"),
+    )),
+    "power_mean": Equation("cumulative", ("P", "id"), (
+        ("power_ar", "P", "thr", "power_ar"),
+        ("speed_reg", "W", "thr", "speed_reg"),
+        ("power_ma", "Ep", "id", "power_ma"),
+        ("speed_err", "E", "id", "speed_err"),
+    )),
+    "speed_vol": Equation("plain", ("E", "abs"), (
+        ("pos_shock", "E", "pos", "speed_shock"),
+        ("neg_shock", "E", "neg", "speed_shock"),
+        ("vol_lag", "Sv", "id", "speed_vol_lag"),
+    )),
+    "power_vol": Equation("plain", ("Ep", "cbrt_abs"), (
+        ("pos_shock", "Ep", "cbrt_pos", "power_shock"),
+        ("neg_shock", "Ep", "cbrt_neg", "power_shock"),
+        ("vol_lag", "Pv", "id", "power_vol_lag"),
+        ("speed_pos_shock", "E", "cbrt_pos", "cross_shock"),
+        ("speed_neg_shock", "E", "cbrt_neg", "cross_shock"),
+        ("speed_vol_lag", "Sv", "cbrt", "cross_vol_lag"),
+    )),
+}
+
+# (equation, family) -> (state variable, transform)
+FAMILY_SOURCE = {(eq, family): (var, transform)
+                 for eq, spec in EQUATIONS.items()
+                 for family, var, transform, _ in spec.families}
+
+# thresholded family -> (state variable, IndexSets field)
+_THRESHOLDED = {family: (var, field)
+                for spec in EQUATIONS.values()
+                for family, var, transform, field in spec.families
+                if transform == "thr"}
+
+# transform -> its action on a state array; "thr" thresholds per column
+_APPLY = {
+    "id": lambda x: x,
+    "thr": lambda x: x,
+    "pos": lambda x: np.maximum(x, 0.0),
+    "neg": lambda x: np.maximum(-x, 0.0),
+    "cbrt_pos": lambda x: np.cbrt(np.maximum(x, 0.0)),
+    "cbrt_neg": lambda x: np.cbrt(np.maximum(-x, 0.0)),
+    "cbrt": np.cbrt,
+    "abs": np.abs,
+    "cbrt_abs": lambda x: np.cbrt(np.abs(x)),
+}
+
+
 def compute_thresholds(series) -> np.ndarray:
     """The nine deciles (10%..90%, linear-interpolation quantiles) of a series;
     a constant series collapses to a single threshold with a warning."""
@@ -135,7 +205,8 @@ def threshold_regressor(x, c: float):
 
 @dataclass
 class ThresholdSet:
-    """Threshold values per family and source turbine.
+    """Threshold values per source turbine for the "thr" families of
+    ``EQUATIONS``: speed deciles for families on W, power deciles on P.
 
     ``get`` always returns -inf first; decile values are appended only at
     the family's configured threshold lags.
@@ -145,13 +216,11 @@ class ThresholdSet:
     power_deciles: list[np.ndarray]
     threshold_lags: dict[str, tuple[int, ...]]
 
-    _SOURCES = {"speed_ar": "speed", "speed_reg": "speed", "power_ar": "power"}
-
     def get(self, family: str, j: int, k: int) -> list[float]:
-        source = self._SOURCES.get(family)
-        if source is None or k not in self.threshold_lags.get(family, ()):
+        if k not in self.threshold_lags.get(family, ()):
             return [-np.inf]
-        dec = self.speed_deciles[j] if source == "speed" else self.power_deciles[j]
+        var, _ = _THRESHOLDED[family]
+        dec = self.speed_deciles[j] if var == "W" else self.power_deciles[j]
         return [-np.inf] + [float(c) for c in dec]
 
 
@@ -163,11 +232,8 @@ def compute_threshold_set(W, P, sets: IndexSets, policy="deciles") -> ThresholdS
     "power" threshold value lists applied to every turbine.
     """
     d = W.shape[1]
-    lags = {
-        "speed_ar": sets.speed_ar.threshold_lags,
-        "speed_reg": sets.speed_reg.threshold_lags,
-        "power_ar": sets.power_ar.threshold_lags,
-    }
+    lags = {family: getattr(sets, field).threshold_lags
+            for family, (_, field) in _THRESHOLDED.items()}
     if policy == "none":
         empty = [np.empty(0) for _ in range(d)]
         return ThresholdSet(empty, [np.empty(0) for _ in range(d)], lags)
@@ -233,149 +299,94 @@ class DesignContext:
     def d(self) -> int:
         return self.W.shape[1]
 
+    def state(self, var: str) -> np.ndarray:
+        """The (n, d) values of a state variable of ``EQUATIONS``."""
+        return getattr(self, _CONTEXT_FIELDS[var])
+
+    def basis(self, kind: str) -> np.ndarray:
+        return self.basis_mean if kind == "cumulative" else self.basis_vol
+
+
+_CONTEXT_FIELDS = {"W": "W", "P": "P", "E": "speed_resid", "Ep": "power_resid",
+                   "Sv": "speed_vol", "Pv": "power_vol"}
+
 
 def _lagged(arr: np.ndarray, j: int, k: int, trim: int) -> np.ndarray:
     n = arr.shape[0]
     return arr[trim - k : n - k, j]
 
 
-class _Builder:
-    def __init__(self, ctx: DesignContext, equation: str, i: int, basis: np.ndarray):
-        if ctx.trim >= ctx.n:
-            raise ValueError(
-                f"panel too short: need more than {ctx.trim} rows for the "
-                f"configured maximum lag"
-            )
-        self.ctx = ctx
-        self.equation = equation
-        self.i = i
-        self.basis = basis[ctx.trim :]
-        self.cols: list[np.ndarray] = []
-        self.metas: list[ColumnInfo] = []
-
-    def intercept(self) -> None:
-        for l in range(self.basis.shape[1]):
-            self.cols.append(self.basis[:, l])
-            self.metas.append(
-                ColumnInfo(self.equation, "const", self.i, -1, 0, _NO_THRESHOLD, l, True)
-            )
-
-    def add(self, family: str, source: np.ndarray, spec: FamilySpec,
-            thresholds: ThresholdSet | None = None) -> None:
-        ctx = self.ctx
+def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
+                 thresholds: ThresholdSet | None = None):
+    """Design and response of ``equation`` for turbine i: the intercept
+    columns, then every family of ``EQUATIONS[equation]`` in order, each over
+    source turbines, lags, thresholds ("thr" families, -inf first) and basis
+    columns (time-varying lags)."""
+    if ctx.trim >= ctx.n:
+        raise ValueError(
+            f"panel too short: need more than {ctx.trim} rows for the "
+            f"configured maximum lag"
+        )
+    spec = EQUATIONS[equation]
+    basis = ctx.basis(spec.basis)[ctx.trim :]
+    cols = [basis[:, l] for l in range(basis.shape[1])]
+    metas = [ColumnInfo(equation, "const", i, -1, 0, _NO_THRESHOLD, l, True)
+             for l in range(basis.shape[1])]
+    for family, var, transform, field in spec.families:
+        source = _APPLY[transform](ctx.state(var))
+        lags = getattr(sets, field)
         for j in range(ctx.d):
-            own = j == self.i
-            for k in spec.lags(own):
+            own = j == i
+            for k in lags.lags(own):
                 if k > ctx.trim:
                     raise ValueError(
                         f"lag {k} exceeds the shared trim {ctx.trim}; need at "
                         f"least {k} leading rows"
                     )
                 base = _lagged(source, j, k, ctx.trim)
-                if thresholds is not None:
+                if transform == "thr" and thresholds is not None:
                     cs = thresholds.get(family, j, k)
                 else:
                     cs = [_NO_THRESHOLD]
-                tv = k in spec.tv_lags(own)
+                tv = k in lags.tv_lags(own)
                 for c in cs:
                     reg = base if np.isnan(c) else threshold_regressor(base, c)
-                    if tv:
-                        for l in range(self.basis.shape[1]):
-                            self.cols.append(reg * self.basis[:, l])
-                            self.metas.append(ColumnInfo(
-                                self.equation, family, self.i, j, k, c, l, True))
-                    else:
-                        self.cols.append(reg)
-                        self.metas.append(ColumnInfo(
-                            self.equation, family, self.i, j, k, c, -1, False))
-
-    def finish(self) -> DesignMatrix:
-        # stacked as rows: an F-ordered design, as the lasso's syrk reads it
-        values = np.array(self.cols).T if self.cols else np.empty((self.ctx.n - self.ctx.trim, 0))
-        return DesignMatrix(values, self.metas, self.ctx.trim)
+                    for l in (range(basis.shape[1]) if tv else (-1,)):
+                        cols.append(reg * basis[:, l] if tv else reg)
+                        metas.append(ColumnInfo(equation, family, i, j, k, c, l, tv))
+    var, transform = spec.response
+    # stacked as rows: an F-ordered design, as the lasso's syrk reads it
+    return (DesignMatrix(np.array(cols).T, metas, ctx.trim),
+            _APPLY[transform](ctx.state(var)[ctx.trim :, i]))
 
 
+# one builder per equation, by name: the fit loop looks them up at call time
 def build_speed_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
                             thresholds: ThresholdSet):
-    """Design and response for the speed mean equation of turbine i."""
-    b = _Builder(ctx, "speed_mean", i, ctx.basis_mean)
-    b.intercept()
-    b.add("speed_ar", ctx.W, sets.speed_ar, thresholds)
-    b.add("speed_ma", ctx.speed_resid, sets.speed_ma)
-    return b.finish(), ctx.W[ctx.trim :, i]
+    return build_design(ctx, "speed_mean", i, sets, thresholds)
 
 
 def build_power_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
                             thresholds: ThresholdSet):
-    """Design and response for the power mean equation of turbine i; speed
-    enters at lag 0 as well (power reacts to the current wind)."""
-    b = _Builder(ctx, "power_mean", i, ctx.basis_mean)
-    b.intercept()
-    b.add("power_ar", ctx.P, sets.power_ar, thresholds)
-    b.add("speed_reg", ctx.W, sets.speed_reg, thresholds)
-    b.add("power_ma", ctx.power_resid, sets.power_ma)
-    b.add("speed_err", ctx.speed_resid, sets.speed_err)
-    return b.finish(), ctx.P[ctx.trim :, i]
+    return build_design(ctx, "power_mean", i, sets, thresholds)
 
 
 def build_speed_vol_design(ctx: DesignContext, i: int, sets: IndexSets):
-    """Design and response |shock| for the speed volatility equation."""
-    b = _Builder(ctx, "speed_vol", i, ctx.basis_vol)
-    b.intercept()
-    b.add("pos_shock", np.maximum(ctx.speed_resid, 0.0), sets.speed_shock)
-    b.add("neg_shock", np.maximum(-ctx.speed_resid, 0.0), sets.speed_shock)
-    b.add("vol_lag", ctx.speed_vol, sets.speed_vol_lag)
-    return b.finish(), np.abs(ctx.speed_resid[ctx.trim :, i])
+    return build_design(ctx, "speed_vol", i, sets)
 
 
 def build_power_vol_design(ctx: DesignContext, i: int, sets: IndexSets):
-    """Design and response |shock|^(1/3) for the power volatility equation;
-    all regressors enter through cube roots, including the speed coupling."""
-    b = _Builder(ctx, "power_vol", i, ctx.basis_vol)
-    b.intercept()
-    b.add("pos_shock", np.cbrt(np.maximum(ctx.power_resid, 0.0)), sets.power_shock)
-    b.add("neg_shock", np.cbrt(np.maximum(-ctx.power_resid, 0.0)), sets.power_shock)
-    b.add("vol_lag", ctx.power_vol, sets.power_vol_lag)
-    b.add("speed_pos_shock", np.cbrt(np.maximum(ctx.speed_resid, 0.0)), sets.cross_shock)
-    b.add("speed_neg_shock", np.cbrt(np.maximum(-ctx.speed_resid, 0.0)), sets.cross_shock)
-    b.add("speed_vol_lag", np.cbrt(ctx.speed_vol), sets.cross_vol_lag)
-    return b.finish(), np.cbrt(np.abs(ctx.power_resid[ctx.trim :, i]))
-
-
-_SOURCES = {
-    "speed_ar": lambda ctx: ctx.W,
-    "speed_ma": lambda ctx: ctx.speed_resid,
-    "power_ar": lambda ctx: ctx.P,
-    "speed_reg": lambda ctx: ctx.W,
-    "power_ma": lambda ctx: ctx.power_resid,
-    "speed_err": lambda ctx: ctx.speed_resid,
-}
-
-_VOL_SOURCES = {
-    ("speed_vol", "pos_shock"): lambda ctx: np.maximum(ctx.speed_resid, 0.0),
-    ("speed_vol", "neg_shock"): lambda ctx: np.maximum(-ctx.speed_resid, 0.0),
-    ("speed_vol", "vol_lag"): lambda ctx: ctx.speed_vol,
-    ("power_vol", "pos_shock"): lambda ctx: np.cbrt(np.maximum(ctx.power_resid, 0.0)),
-    ("power_vol", "neg_shock"): lambda ctx: np.cbrt(np.maximum(-ctx.power_resid, 0.0)),
-    ("power_vol", "vol_lag"): lambda ctx: ctx.power_vol,
-    ("power_vol", "speed_pos_shock"): lambda ctx: np.cbrt(np.maximum(ctx.speed_resid, 0.0)),
-    ("power_vol", "speed_neg_shock"): lambda ctx: np.cbrt(np.maximum(-ctx.speed_resid, 0.0)),
-    ("power_vol", "speed_vol_lag"): lambda ctx: np.cbrt(ctx.speed_vol),
-}
+    return build_design(ctx, "power_vol", i, sets)
 
 
 def regressor_from_meta(info: ColumnInfo, ctx: DesignContext) -> np.ndarray:
     """Rebuild a design column from its metadata; used to verify that column
     metadata round-trips exactly."""
-    basis = ctx.basis_mean if info.equation in ("speed_mean", "power_mean") else ctx.basis_vol
-    basis = basis[ctx.trim :]
+    basis = ctx.basis(EQUATIONS[info.equation].basis)[ctx.trim :]
     if info.family == "const":
         return basis[:, info.basis_index].copy()
-    if (info.equation, info.family) in _VOL_SOURCES:
-        source = _VOL_SOURCES[(info.equation, info.family)](ctx)
-    else:
-        source = _SOURCES[info.family](ctx)
-    reg = _lagged(source, info.j, info.lag, ctx.trim)
+    var, transform = FAMILY_SOURCE[(info.equation, info.family)]
+    reg = _lagged(_APPLY[transform](ctx.state(var)), info.j, info.lag, ctx.trim)
     if not np.isnan(info.threshold):
         reg = threshold_regressor(reg, info.threshold)
     if info.time_varying:

@@ -19,6 +19,10 @@ transforms them on contiguous row ranges and takes one product with an
 (outputs x regressors) coefficient matrix. Time-varying coefficients and
 intercepts are folded into those matrices from the basis rows, one bounded
 block of steps at a time.
+
+The variable and transform each coefficient family reads come from
+``design.EQUATIONS``, the one place a family is declared, so the engine
+applies the regressors the fit's designs were built from.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import interaction_basis
+from .design import EQUATIONS, FAMILY_SOURCE
 from .model import FittedJointModel
 from .panel import STEP_SECONDS, CalendarIndex, TurbinePanel
 
@@ -59,33 +64,15 @@ class ForecastResult:
     seed: int | None = None
 
 
-# per family: which state variable feeds it and how the value is transformed
-_FAMILY_SOURCE = {
-    ("speed_mean", "speed_ar"): ("W", "thr"),
-    ("speed_mean", "speed_ma"): ("E", "id"),
-    ("power_mean", "power_ar"): ("P", "thr"),
-    ("power_mean", "speed_reg"): ("W", "thr"),
-    ("power_mean", "power_ma"): ("Ep", "id"),
-    ("power_mean", "speed_err"): ("E", "id"),
-    ("speed_vol", "pos_shock"): ("E", "pos"),
-    ("speed_vol", "neg_shock"): ("E", "neg"),
-    ("speed_vol", "vol_lag"): ("Sv", "id"),
-    ("power_vol", "pos_shock"): ("Ep", "cbrt_pos"),
-    ("power_vol", "neg_shock"): ("Ep", "cbrt_neg"),
-    ("power_vol", "vol_lag"): ("Pv", "id"),
-    ("power_vol", "speed_pos_shock"): ("E", "cbrt_pos"),
-    ("power_vol", "speed_neg_shock"): ("E", "cbrt_neg"),
-    ("power_vol", "speed_vol_lag"): ("Sv", "cbrt"),
-}
-
 # the first axis of the engine's state array
 _VARS = ("W", "P", "E", "Ep", "Sv", "Pv")
 _W, _P, _E, _EP, _SV, _PV = range(len(_VARS))
 
-# transform -> (class, lower bound); "thr" takes the term's threshold, and
-# no threshold makes it "id". A stage sorts its regressors by class, so
-# negation (classes 2-3), the lower bound (1-4) and the cube root (3-5) each
-# act on one contiguous range of rows: cbrt(max(-x, 0)) for "cbrt_neg".
+# the transforms of EQUATIONS -> (class, lower bound); "thr" takes the
+# term's threshold, and no threshold makes it "id". A stage sorts its
+# regressors by class, so negation (classes 2-3), the lower bound (1-4) and
+# the cube root (3-5) each act on one contiguous range of rows:
+# cbrt(max(-x, 0)) for "cbrt_neg".
 _TRANSFORMS = {"id": (0, -np.inf), "thr": (1, None), "pos": (1, 0.0), "neg": (2, 0.0),
                "cbrt_neg": (3, 0.0), "cbrt_pos": (4, 0.0), "cbrt": (5, -np.inf)}
 
@@ -108,16 +95,15 @@ class _Stage:
     only those may be read at lag 0.
     """
 
-    def __init__(self, model, equations: tuple[str, ...], now: tuple[int, ...],
-                 kind: str):
-        self.kind = kind  # the interaction basis of the equations
+    def __init__(self, model, equations: tuple[str, ...], now: tuple[int, ...]):
+        self.kind = EQUATIONS[equations[0]].basis  # shared by the equations
         entries = []  # (output, regressor key or None for the intercept, basis, value)
         for o, (eq, i) in enumerate((eq, i) for eq in equations for i in range(model.d)):
             for t in model.terms.get((eq, i), []):
                 if t.family == "const":
                     entries.append((o, None, t.basis_index, t.value))
                     continue
-                source = _FAMILY_SOURCE.get((eq, t.family))
+                source = FAMILY_SOURCE.get((eq, t.family))
                 if source is None:
                     raise ForecastError(f"unknown family {t.family!r} in {eq}")
                 var = _VARS.index(source[0])
@@ -182,9 +168,9 @@ class _Engine:
     def __init__(self, model: FittedJointModel):
         self.model = model
         self.floors = np.stack([model.speed_floors, model.power_floors])[:, :, None]
-        self.stages = (_Stage(model, ("speed_vol", "power_vol"), (), "plain"),
-                       _Stage(model, ("speed_mean",), (_SV, _PV), "cumulative"),
-                       _Stage(model, ("power_mean",), (_W, _E, _SV, _PV), "cumulative"))
+        self.stages = (_Stage(model, ("speed_vol", "power_vol"), ()),
+                       _Stage(model, ("speed_mean",), (_SV, _PV)),
+                       _Stage(model, ("power_mean",), (_W, _E, _SV, _PV)))
 
     def basis_rows(self, timestamps: np.ndarray, kinds) -> dict[str, np.ndarray]:
         """Interaction basis rows of each kind ("cumulative" for the means,

@@ -23,6 +23,7 @@ import numpy as np
 
 from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from .design import (
+    EQUATIONS,
     ColumnInfo,
     DesignContext,
     IndexSets,
@@ -84,9 +85,6 @@ class Term:
     value: float
 
 
-EQUATIONS = ("speed_mean", "power_mean", "speed_vol", "power_vol")
-
-
 @dataclass
 class FittedJointModel:
     """Sparse coefficients for all four equations plus the state needed to
@@ -135,14 +133,6 @@ def volatility_proxy(fitted_abs_values: np.ndarray, floor_fraction: float):
         raise ModelFitError("degenerate volatility: no positive fitted values")
     floor = floor_fraction * float(np.median(positive))
     return np.maximum(fitted, floor), floor
-
-
-def _penalize_mask(columns: list[ColumnInfo], const_basis_col: int) -> np.ndarray:
-    mask = np.ones(len(columns), dtype=bool)
-    for c, info in enumerate(columns):
-        if info.family == "const" and info.basis_index == const_basis_col:
-            mask[c] = False
-    return mask
 
 
 def _fit_equation(equation: str, i: int, problem: LassoProblem,
@@ -196,6 +186,11 @@ def _terms_from_fit(columns: list[ColumnInfo], coefficients: np.ndarray) -> list
     return out
 
 
+# the state variable each equation fills, by its response variable: a mean
+# equation its residuals, a volatility equation its floored fitted proxies
+_FILLS = {"W": "E", "P": "Ep", "E": "Sv", "Ep": "Pv"}
+
+
 def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> FittedJointModel:
     """Run the full iteratively re-weighted estimation on a gap-free panel."""
     config = config or ModelConfig()
@@ -219,94 +214,59 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
     thresholds = compute_threshold_set(W, P, sets, config.threshold_policy)
 
     m = n - trim
-    speed_resid = np.ones((n, d))
-    power_resid = np.ones((n, d))
-    speed_vol = np.ones((n, d))
-    power_vol = np.ones((n, d))
-    omega = np.ones((m, d))
-    xi = np.ones((m, d))
-    speed_floors = np.ones(d)
-    power_floors = np.ones(d)
+    state = {var: np.ones((n, d)) for var in _FILLS.values()}
+    floors = {"Sv": np.ones(d), "Pv": np.ones(d)}
+    weights = {"W": np.ones((m, d)), "P": np.ones((m, d))}  # by response variable
 
     fits: dict[tuple[str, int], LassoFit] = {}
-    columns: dict[tuple[str, int], list[ColumnInfo]] = {}
+    terms: dict[tuple[str, int], list[Term]] = {}
 
     for _ in range(config.k_max):
-        ctx = DesignContext(W, P, speed_resid, power_resid, speed_vol, power_vol,
-                            mean_set.values, vol_set.values, trim)
-        new_speed_resid = np.zeros((n, d))
-        new_power_resid = np.zeros((n, d))
-
-        for i in range(d):
-            dm, y = build_speed_mean_design(ctx, i, sets, thresholds)
-            prob = LassoProblem(y, dm.values, weights=omega[:, i],
-                                penalize_mask=_penalize_mask(dm.columns,
-                                                             mean_set.constant_column))
-            fit = _fit_equation("speed_mean", i, prob, config.lasso)
-            fits[("speed_mean", i)] = fit
-            columns[("speed_mean", i)] = dm.columns
-            new_speed_resid[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
-
-        for i in range(d):
-            dm, y = build_power_mean_design(ctx, i, sets, thresholds)
-            prob = LassoProblem(y, dm.values, weights=xi[:, i],
-                                penalize_mask=_penalize_mask(dm.columns,
-                                                             mean_set.constant_column))
-            fit = _fit_equation("power_mean", i, prob, config.lasso)
-            fits[("power_mean", i)] = fit
-            columns[("power_mean", i)] = dm.columns
-            new_power_resid[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
-
-        # volatility designs see the fresh residuals but last iteration's proxies
-        ctx_vol = DesignContext(W, P, new_speed_resid, new_power_resid,
-                                speed_vol, power_vol,
+        fresh: dict[str, np.ndarray] = {}
+        for eq, spec in EQUATIONS.items():
+            y_var = spec.response[0]
+            filled = _FILLS[y_var]
+            mean = y_var in ("W", "P")  # an observed response
+            # mean designs see the last pass's state; volatility designs see
+            # this pass's residuals and the last pass's proxies
+            seen = state if mean else {**state, "E": fresh["E"], "Ep": fresh["Ep"]}
+            ctx = DesignContext(W, P, seen["E"], seen["Ep"], seen["Sv"], seen["Pv"],
                                 mean_set.values, vol_set.values, trim)
-        new_speed_vol = np.empty((n, d))
-        new_power_vol = np.empty((n, d))
+            # looked up by name at call time, so a wrapped builder is the one called
+            build = globals()[f"build_{eq}_design"]
+            # the one unpenalized column: the basis's constant
+            const = ("const", (mean_set if mean else vol_set).constant_column)
+            out = np.zeros((n, d)) if mean else np.empty((n, d))
+            for i in range(d):
+                dm, y = build(ctx, i, sets, thresholds) if mean else build(ctx, i, sets)
+                prob = LassoProblem(y, dm.values,
+                                    weights=weights[y_var][:, i] if mean else None,
+                                    nonnegative=not mean,
+                                    penalize_mask=np.array([(c.family, c.basis_index) != const
+                                                            for c in dm.columns]))
+                fit = _fit_equation(eq, i, prob, config.lasso)
+                fits[(eq, i)] = fit
+                terms[(eq, i)] = _terms_from_fit(dm.columns, fit.coefficients)
+                if mean:
+                    out[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
+                    continue
+                if np.any(fit.coefficients < 0.0):
+                    raise AssertionError("nonnegative fit returned a negative coefficient")
+                fv = dm.values @ fit.coefficients
+                proxy, floors[filled][i] = _proxy_or_unit(eq, i, fv, config)
+                out[trim:, i] = proxy
+                out[:trim, i] = np.median(proxy)
+            fresh[filled] = out
 
-        for i in range(d):
-            dm, y = build_speed_vol_design(ctx_vol, i, sets)
-            prob = LassoProblem(y, dm.values, nonnegative=True,
-                                penalize_mask=_penalize_mask(dm.columns,
-                                                             vol_set.constant_column))
-            fit = _fit_equation("speed_vol", i, prob, config.lasso)
-            if np.any(fit.coefficients < 0.0):
-                raise AssertionError("nonnegative fit returned a negative coefficient")
-            fits[("speed_vol", i)] = fit
-            columns[("speed_vol", i)] = dm.columns
-            fv = dm.values @ fit.coefficients
-            proxy, speed_floors[i] = _proxy_or_unit("speed_vol", i, fv, config)
-            new_speed_vol[trim:, i] = proxy
-            new_speed_vol[:trim, i] = np.median(proxy)
-
-        for i in range(d):
-            dm, y = build_power_vol_design(ctx_vol, i, sets)
-            prob = LassoProblem(y, dm.values, nonnegative=True,
-                                penalize_mask=_penalize_mask(dm.columns,
-                                                             vol_set.constant_column))
-            fit = _fit_equation("power_vol", i, prob, config.lasso)
-            if np.any(fit.coefficients < 0.0):
-                raise AssertionError("nonnegative fit returned a negative coefficient")
-            fits[("power_vol", i)] = fit
-            columns[("power_vol", i)] = dm.columns
-            fv = dm.values @ fit.coefficients
-            proxy, power_floors[i] = _proxy_or_unit("power_vol", i, fv, config)
-            new_power_vol[trim:, i] = proxy
-            new_power_vol[:trim, i] = np.median(proxy)
-
-        speed_resid, power_resid = new_speed_resid, new_power_resid
-        speed_vol, power_vol = new_speed_vol, new_power_vol
-        for i in range(d):
-            w = speed_vol[trim:, i] ** -2.0
-            omega[:, i] = w / w.mean()
-            x6 = power_vol[trim:, i] ** -6.0
-            xi[:, i] = x6 / x6.mean()
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(xi))):
+        state = fresh
+        # inverse-variance weights: the speed scale is Sv, the power scale Pv ** 3
+        for y_var, vol, power in (("W", "Sv", -2.0), ("P", "Pv", -6.0)):
+            for i in range(d):
+                w = state[vol][trim:, i] ** power
+                weights[y_var][:, i] = w / w.mean()
+        if not all(np.all(np.isfinite(w)) for w in weights.values()):
             raise AssertionError("non-finite heteroscedasticity weights (floor bug)")
 
-    terms = {
-        key: _terms_from_fit(columns[key], fits[key].coefficients) for key in fits
-    }
     return FittedJointModel(
         labels=panel.labels,
         trim=trim,
@@ -317,14 +277,14 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
         anchor_epoch=cal.anchor_epoch,
         terms=terms,
         timestamps=panel.timestamps.copy(),
-        speed_resid=speed_resid,
-        power_resid=power_resid,
-        speed_vol=speed_vol,
-        power_vol=power_vol,
-        speed_floors=speed_floors,
-        power_floors=power_floors,
-        speed_pool=speed_resid[trim:] / speed_vol[trim:],
-        power_pool=power_resid[trim:] / power_vol[trim:] ** 3,
+        speed_resid=state["E"],
+        power_resid=state["Ep"],
+        speed_vol=state["Sv"],
+        power_vol=state["Pv"],
+        speed_floors=floors["Sv"],
+        power_floors=floors["Pv"],
+        speed_pool=state["E"][trim:] / state["Sv"][trim:],
+        power_pool=state["Ep"][trim:] / state["Pv"][trim:] ** 3,
         thresholds=thresholds,
         fits=fits,
     )
@@ -404,13 +364,15 @@ class ModelFormatError(Exception):
 
 class _Reader:
     def __init__(self, fh):
-        self.lines = (ln.rstrip("\n") for ln in fh)
+        self.lines = enumerate((ln.rstrip("\n") for ln in fh), start=1)
+        self.lineno = 0
 
     def next(self) -> str:
         try:
-            return next(self.lines)
+            self.lineno, line = next(self.lines)
         except StopIteration:
             raise ModelFormatError("unexpected end of model file") from None
+        return line
 
     def keyed(self, key: str) -> list[str]:
         line = self.next()
@@ -438,48 +400,56 @@ class _Reader:
 
 def load_model(path) -> FittedJointModel:
     """Read a file written by :func:`save_model`; the result forecasts
-    identically to the model that was saved."""
+    identically to the model that was saved. A malformed file raises
+    :class:`ModelFormatError` naming the line."""
     with open(path) as fh:
         r = _Reader(fh)
-        head = r.next().split()
-        if head[:1] != [_FORMAT_TAG] or int(head[1]) != _FORMAT_VERSION:
-            raise ModelFormatError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
-        labels = tuple(r.keyed("labels")[0].split(","))
-        trim = int(r.keyed("trim")[0])
-        k_max = int(r.keyed("k_max")[0])
-        floor_frac = float.fromhex(r.keyed("vol_floor_fraction")[0])
-        anchor = int(r.keyed("anchor_epoch")[0])
-        specs = {}
-        for name in ("diurnal", "annual"):
-            deg, s, nb, strict = r.keyed(name)
-            specs[name] = BSplineSpec(int(deg), float.fromhex(s), int(nb),
-                                      strict_partition=bool(int(strict)))
-        speed_floors = np.array([float.fromhex(v) for v in r.keyed("speed_floors")])
-        power_floors = np.array([float.fromhex(v) for v in r.keyed("power_floors")])
-        dec_speed = r.matrix("deciles.speed")
-        dec_power = r.matrix("deciles.power")
-        terms: dict[tuple[str, int], list[Term]] = {}
-        for eq in EQUATIONS:
-            for i in range(len(labels)):
-                (count,) = r.section(f"terms {eq} {i}")
-                lst = []
-                for _ in range(int(count)):
-                    fam, j, lag, thr, bidx, tv, val = r.next().split()
-                    lst.append(Term(fam, int(j), int(lag), float.fromhex(thr),
-                                    int(bidx), bool(int(tv)), float.fromhex(val)))
-                terms[(eq, i)] = lst
-        (n_ts,) = r.section("tail.timestamps")
-        ts = np.array([int(v) for v in r.next().split()], dtype=np.int64)
-        if ts.size != int(n_ts):
-            raise ModelFormatError("tail timestamp count mismatch")
-        speed_resid = r.matrix("tail.speed_resid")
-        power_resid = r.matrix("tail.power_resid")
-        speed_vol = r.matrix("tail.speed_vol")
-        power_vol = r.matrix("tail.power_vol")
-        pool_speed = r.matrix("pool.speed")
-        pool_power = r.matrix("pool.power")
-        if r.next() != "end":
-            raise ModelFormatError("missing end marker")
+        try:
+            return _read_model(r)
+        except (ValueError, IndexError) as exc:
+            raise ModelFormatError(f"{path}, line {r.lineno}: {exc}") from exc
+
+
+def _read_model(r: _Reader) -> FittedJointModel:
+    head = r.next().split()
+    if head != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
+        raise ModelFormatError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
+    labels = tuple(r.keyed("labels")[0].split(","))
+    trim = int(r.keyed("trim")[0])
+    k_max = int(r.keyed("k_max")[0])
+    floor_frac = float.fromhex(r.keyed("vol_floor_fraction")[0])
+    anchor = int(r.keyed("anchor_epoch")[0])
+    specs = {}
+    for name in ("diurnal", "annual"):
+        deg, s, nb, strict = r.keyed(name)
+        specs[name] = BSplineSpec(int(deg), float.fromhex(s), int(nb),
+                                  strict_partition=bool(int(strict)))
+    speed_floors = np.array([float.fromhex(v) for v in r.keyed("speed_floors")])
+    power_floors = np.array([float.fromhex(v) for v in r.keyed("power_floors")])
+    dec_speed = r.matrix("deciles.speed")
+    dec_power = r.matrix("deciles.power")
+    terms: dict[tuple[str, int], list[Term]] = {}
+    for eq in EQUATIONS:
+        for i in range(len(labels)):
+            (count,) = r.section(f"terms {eq} {i}")
+            lst = []
+            for _ in range(int(count)):
+                fam, j, lag, thr, bidx, tv, val = r.next().split()
+                lst.append(Term(fam, int(j), int(lag), float.fromhex(thr),
+                                int(bidx), bool(int(tv)), float.fromhex(val)))
+            terms[(eq, i)] = lst
+    (n_ts,) = r.section("tail.timestamps")
+    ts = np.array([int(v) for v in r.next().split()], dtype=np.int64)
+    if ts.size != int(n_ts):
+        raise ModelFormatError("tail timestamp count mismatch")
+    speed_resid = r.matrix("tail.speed_resid")
+    power_resid = r.matrix("tail.power_resid")
+    speed_vol = r.matrix("tail.speed_vol")
+    power_vol = r.matrix("tail.power_vol")
+    pool_speed = r.matrix("pool.speed")
+    pool_power = r.matrix("pool.power")
+    if r.next() != "end":
+        raise ModelFormatError("missing end marker")
 
     thresholds = ThresholdSet(
         [row[~np.isnan(row)] for row in dec_speed],

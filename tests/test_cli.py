@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from parkcast.cli import main
+from parkcast.design import EQUATIONS
 
 CONFIG = """
 simulate:
@@ -84,6 +85,28 @@ class TestPipeline:
         assert os.path.exists("out/design_speed_mean_A.csv")
         head = open("out/design_speed_mean_A.csv").readline().strip()
         assert head == "equation,family,i,j,lag,threshold,basis,tv"
+
+    @pytest.mark.parametrize("equation", list(EQUATIONS))
+    def test_analyze_design_every_equation(self, workdir, equation):
+        run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
+        # CONFIG ends inside its analyze block
+        (workdir / "eq.yaml").write_text(CONFIG + f"  equation: {equation}\n")
+        assert run("analyze", "eq.yaml", "--panel", "out/panel.csv",
+                   "--out-dir", "out", "--what", "design") == 0
+        lines = open(f"out/design_{equation}_A.csv").read().splitlines()
+        assert lines[0] == "equation,family,i,j,lag,threshold,basis,tv"
+        assert {ln.split(",")[0] for ln in lines[1:]} == {equation}
+        families = {ln.split(",")[1] for ln in lines[1:]}
+        assert families <= {"const"} | {f[0] for f in EQUATIONS[equation].families}
+
+    def test_analyze_unknown_equation(self, workdir, capsys):
+        run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
+        (workdir / "eq.yaml").write_text(CONFIG + "  equation: wind_mean\n")
+        assert run("analyze", "eq.yaml", "--panel", "out/panel.csv",
+                   "--out-dir", "out", "--what", "design") == 2
+        err = capsys.readouterr().err
+        assert ("error: config: analyze.equation must be one of "
+                + ", ".join(EQUATIONS)) in err
 
     def test_ingest_round_trip(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "3")

@@ -4,6 +4,15 @@ from conftest import NAN, NO_THR, tiny_config, two_turbine_truth
 
 import parkcast.forecast as pf
 from parkcast.basis import interaction_basis
+from parkcast.design import (
+    EQUATIONS,
+    FAMILY_SOURCE,
+    DesignContext,
+    FamilySpec,
+    IndexSets,
+    build_design,
+    compute_threshold_set,
+)
 from parkcast.forecast import (
     ForecastError,
     Forecaster,
@@ -436,7 +445,8 @@ class TestEngineReference:
     def test_filter_and_point_match_per_term_loop(self, monkeypatch, fold_elems):
         # 200 elements folds a few steps per block, so both spans cross blocks
         monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
-        assert set(REFERENCE_SOURCE) == set(pf._FAMILY_SOURCE)
+        assert set(REFERENCE_SOURCE) == {(eq, family[0]) for eq, spec in EQUATIONS.items()
+                                         for family in spec.families}
         panel, model = every_family_setup()
         origin, horizon = 650, 40
         fore = Forecaster(model, panel)
@@ -494,6 +504,68 @@ class TestEngineReference:
         with pytest.raises(ForecastError,
                            match=r"power_vol\[0\]: volatility terms need lag >= 1"):
             Forecaster(model, panel)
+
+
+# ---------------------------------------------------------------------------
+# the fit's design columns against the regressors the engine applies
+
+
+# terms of every equation not under test: centred shocks, varying volatilities
+BACKGROUND = {
+    "speed_mean": lambda i: [Term("const", -1, 0, NAN, -1, False, 6.0)],
+    "power_mean": lambda i: [Term("const", -1, 0, NAN, -1, False, 60.0)],
+    "speed_vol": lambda i: [Term("const", -1, 0, NAN, -1, False, 0.2),
+                            Term("pos_shock", i, 1, NAN, -1, False, 0.1)],
+    "power_vol": lambda i: [Term("const", -1, 0, NAN, -1, False, 0.3),
+                            Term("neg_shock", i, 1, NAN, -1, False, 0.1)],
+}
+
+# what filtering writes for each equation: the shock backed out of an
+# observation (mean equations) or the volatility proxy (floors at zero)
+WRITES = {"speed_mean": ("E", "W"), "power_mean": ("Ep", "P"),
+          "speed_vol": ("Sv", None), "power_vol": ("Pv", None)}
+
+
+class TestFitForecastAgreement:
+    @pytest.mark.parametrize("time_varying", [False, True])
+    @pytest.mark.parametrize("equation, family", list(FAMILY_SOURCE))
+    def test_design_column_is_engine_regressor(self, equation, family, time_varying):
+        """Filter with a model whose (equation, turbine 0) holds one term of
+        coefficient 1 and no intercept; the design built on the filtered state
+        has, in that term's column, exactly the regressor the engine applied."""
+        panel, model = every_family_setup()
+        covered, trim, lag = model.timestamps.size, model.trim, 2
+        var, transform = FAMILY_SOURCE[(equation, family)]
+        threshold = {"W": 6.0, "P": 60.0}[var] if transform == "thr" else NAN
+        term = Term(family, 1, lag, threshold, 3 if time_varying else -1,
+                    time_varying, 1.0)
+        model.terms = {(eq, i): BACKGROUND[eq](i) for eq in EQUATIONS for i in range(2)}
+        model.terms[(equation, 0)] = [term]
+        model.speed_floors = model.power_floors = np.zeros(2)
+        fore = Forecaster(model, panel)
+        fore.ensure_state(panel.n - 1)
+
+        tv = (lag,) if time_varying else ()
+        sets = IndexSets(**{field: FamilySpec((lag,), (lag,), tv, tv, (lag,))
+                            for field in IndexSets.__dataclass_fields__})
+        thresholds = compute_threshold_set(panel.speed, panel.power, sets,
+                                           {"speed": [6.0], "power": [60.0]})
+        basis = reference_basis(model, panel.timestamps)
+        ctx = DesignContext(fore.W, fore.P, fore.E, fore.Ep, fore.Sv, fore.Pv,
+                            basis["cumulative"], basis["plain"], trim)
+        dm, _ = build_design(ctx, equation, 0, sets, thresholds)
+        key = (family, 1, lag, term.basis_index)
+        c = [c for c, info in enumerate(dm.columns)
+             if (info.family, info.j, info.lag, info.basis_index) == key][-1]
+        np.testing.assert_equal(dm.columns[c].threshold, threshold)  # -inf comes first
+        col = dm.values[covered - trim:, c]
+        assert np.ptp(col) > 0.0
+        written, observed = WRITES[equation]
+        got = getattr(fore, written)[covered:, 0]
+        if observed is None:
+            assert np.array_equal(got, col)
+        else:
+            assert np.array_equal(got, getattr(fore, observed)[covered:, 0] - col)
 
 
 @pytest.mark.parametrize("seed, n_paths", [(0, 3), (9, 40), (123456789, 7)])

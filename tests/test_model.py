@@ -237,6 +237,27 @@ class TestSerialization:
         assert np.array_equal(a.speed_point, b.speed_point)
         assert np.array_equal(a.power_point, b.power_point)
 
+    @pytest.mark.parametrize("kind", ["no-version", "non-integer-version",
+                                      "bad-hex-float", "short-terms-line"])
+    def test_malformed_file_raises_format_error(self, small_model, tmp_path, kind):
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        lines = path.read_text().splitlines()
+        term = 1 + next(k for k, ln in enumerate(lines)
+                        if ln.startswith("[terms") and not ln.endswith("] 0"))
+        k, line = {
+            "no-version": (0, "parkcast-model"),
+            "non-integer-version": (0, "parkcast-model one"),
+            "bad-hex-float": (4, "vol_floor_fraction 0x1.zzp-10"),
+            "short-terms-line": (term, lines[term].rsplit(" ", 1)[0]),
+        }[kind]
+        lines[k] = line
+        path.write_text("\n".join(lines) + "\n")
+        from parkcast.model import ModelFormatError
+        message = "not a parkcast-model v1 file" if k == 0 else f"line {k + 1}: "
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     def test_version_check(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("something-else 9\n")
