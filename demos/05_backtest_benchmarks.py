@@ -6,7 +6,7 @@ random origins. MAE per horizon is reported as the mean over turbines, plus
 the difference to the persistence forecaster (negative = better than
 carrying the last observation forward).
 
-Runs a deliberately small configuration: 8-11 s on a 2-core x86 VM.
+Runs a deliberately small configuration: about 8 s on a 2-core x86 VM.
 """
 
 import numpy as np

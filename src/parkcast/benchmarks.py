@@ -5,6 +5,13 @@ models (plain least squares and its two-sided censored generalization).
 An iterated AR/BVAR/VAR forecast is linear in the last ``order`` centred rows:
 each ``VarFit`` keeps that map, and a forecast is one product per origin.
 
+The power-curve models regress power at t+k, one fit per (turbine, k), on 9
+regressors: an intercept, power at t and t-1, wind speed at t+k and its
+square, and four diurnal Fourier terms of the time of day at t+k. The speed
+at t+k is the observed speed at t carried forward (persistence). A forecast
+builds one (horizons, 9) matrix per turbine and takes all horizons in one
+product.
+
 Every benchmark registers under a string id and exposes the same adapter
 surface as the joint model for the backtest harness: ``fit(panel, end_row)``
 then ``forecast_power(panel, origin, horizons) -> (len(horizons), d)``.
@@ -19,7 +26,7 @@ import numpy as np
 from scipy import optimize, signal
 from scipy.special import log_ndtr, ndtr
 
-from .panel import CalendarIndex, TurbinePanel
+from .panel import STEP_SECONDS, TurbinePanel
 
 
 class BenchmarkError(Exception):
@@ -100,34 +107,21 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
     xc = x - mean
     gam = _autocov(xc, max_order)
     n_eff = n - max_order
-    aic = np.empty(max_order + 1)
-    fits: list[np.ndarray | None] = [None] * (max_order + 1)
+    aic = np.full(max_order + 1, np.inf)
+    fits, sigmas = [np.zeros((0, m, m))], []
     for p in range(max_order + 1):
-        if p == 0:
-            resid = xc[max_order:]
-        else:
-            a = _yw_solve(gam, p)
-            fits[p] = a
-            pred = np.zeros((n_eff, m))
-            for k in range(1, p + 1):
-                pred += xc[max_order - k : n - k] @ a[k - 1].T
-            resid = xc[max_order:] - pred
-        sigma = resid.T @ resid / n_eff
-        sign, logdet = np.linalg.slogdet(sigma)
-        if sign <= 0:
-            aic[p] = np.inf
-            continue
-        aic[p] = n_eff * logdet + 2.0 * p * m * m
-    best = int(np.argmin(aic))
-    if best == 0:
-        coefs = np.zeros((0, m, m))
-        resid = xc[max_order:]
-    else:
-        coefs = fits[best]
+        if p:
+            fits.append(_yw_solve(gam, p))
         pred = np.zeros((n_eff, m))
-        for k in range(1, best + 1):
-            pred += xc[max_order - k : n - k] @ coefs[k - 1].T
+        for k in range(1, p + 1):
+            pred += xc[max_order - k : n - k] @ fits[p][k - 1].T
         resid = xc[max_order:] - pred
+        sigmas.append(resid.T @ resid / n_eff)
+        sign, logdet = np.linalg.slogdet(sigmas[p])
+        if sign > 0:
+            aic[p] = n_eff * logdet + 2.0 * p * m * m
+    best = int(np.argmin(aic))
+    coefs = fits[best]
     radius = _companion_radius(coefs) if best else 0.0
     stationary = radius < 1.0
     if not stationary:
@@ -137,7 +131,7 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
         order=best,
         coefs=coefs,
         mean=mean,
-        sigma=resid.T @ resid / n_eff,
+        sigma=sigmas[best],
         aic=aic,
         stationary=stationary,
     )
@@ -252,25 +246,25 @@ def _fourier(day_index) -> np.ndarray:
     return np.column_stack([np.cos(ang), np.cos(2 * ang), np.sin(ang), np.sin(2 * ang)])
 
 
-def _wppt_matrix(panel: TurbinePanel, rows: np.ndarray, turbine: int, k: int,
-                 tod: np.ndarray, speed_pred=None,
-                 extra: np.ndarray | None = None) -> np.ndarray:
-    """Regressors at origins ``rows`` for horizon k: intercept, power at t and
-    t-1, predicted speed at t+k and its square, diurnal Fourier terms, plus
-    any extra per-row columns (e.g. wind direction where available)."""
+def _wppt_matrix(panel: TurbinePanel, rows: np.ndarray, turbine: int, k) -> np.ndarray:
+    """The 9 regressors at origins ``rows`` for horizon k (a scalar, or one
+    horizon per row): intercept, power at t and t-1, speed at t+k (the
+    observed speed at t carried forward) and its square, and the diurnal
+    Fourier terms of the 10-minute slot at t+k."""
     P = panel.power[:, turbine]
-    if speed_pred is None:
-        w = panel.speed[rows, turbine]  # persistence of observed speed
-    else:
-        w = speed_pred(panel, rows, turbine, k)
-    day = (tod[rows] + k) % 144
-    cols = [np.ones(rows.size), P[rows], P[rows - 1], w, w * w, _fourier(day)]
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        if extra.ndim == 1:
-            extra = extra[:, None]
-        cols.append(extra[rows])
-    return np.column_stack(cols)
+    w = panel.speed[rows, turbine]
+    day = ((panel.timestamps[rows] % 86400) // STEP_SECONDS + k) % 144
+    return np.column_stack([np.ones(rows.size), P[rows], P[rows - 1], w, w * w,
+                            _fourier(day)])
+
+
+def _wppt_data(panel: TurbinePanel, turbine: int, k: int, end_row: int | None):
+    """Regressors and horizon-k targets at every usable origin before end_row."""
+    end = panel.n if end_row is None else end_row
+    rows = np.arange(1, end - k)
+    if rows.size < 20:
+        raise BenchmarkError("too few rows to fit")
+    return _wppt_matrix(panel, rows, turbine, k), panel.power[rows + k, turbine]
 
 
 @dataclass
@@ -281,29 +275,18 @@ class WpptFit:
     coefs: np.ndarray  # 9 values
 
 
-def fit_wppt(panel: TurbinePanel, turbine: int, k: int, end_row: int | None = None,
-             speed_pred=None, tod: np.ndarray | None = None) -> WpptFit:
+def fit_wppt(panel: TurbinePanel, turbine: int, k: int,
+             end_row: int | None = None) -> WpptFit:
     """Per-horizon direct least squares on the 9-regressor power-curve model."""
-    end = panel.n if end_row is None else end_row
-    rows = np.arange(1, end - k)
-    if rows.size < 20:
-        raise BenchmarkError("too few rows to fit")
-    if tod is None:
-        tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
-    X = _wppt_matrix(panel, rows, turbine, k, tod, speed_pred)
-    y = panel.power[rows + k, turbine]
+    X, y = _wppt_data(panel, turbine, k, end_row)
     coefs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         raise BenchmarkError(f"rank-deficient regressor matrix (rank {rank})")
     return WpptFit("wppt", turbine, k, coefs)
 
 
-def wppt_forecast(fit: WpptFit, panel: TurbinePanel, origin: int,
-                  speed_pred=None, tod: np.ndarray | None = None) -> float:
-    if tod is None:
-        tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
-    x = _wppt_matrix(panel, np.array([origin]), fit.turbine, fit.horizon, tod,
-                     speed_pred)
+def wppt_forecast(fit: WpptFit, panel: TurbinePanel, origin: int) -> float:
+    x = _wppt_matrix(panel, np.array([origin]), fit.turbine, fit.horizon)
     return float((x @ fit.coefs)[0])
 
 
@@ -343,21 +326,13 @@ def _tobit_negloglik(params, X, y, lower, upper, is_left, is_right, is_mid):
 
 
 def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
-              upper: float = 1500.0, end_row: int | None = None,
-              speed_pred=None, tod: np.ndarray | None = None) -> GwpptFit:
+              upper: float = 1500.0, end_row: int | None = None) -> GwpptFit:
     """Two-sided censored (Tobit) maximum likelihood on the power-curve
     regressor set: observations at or outside the power range are treated as
     censored at the range bounds."""
     if not lower < upper:
         raise ValueError("need lower < upper")
-    end = panel.n if end_row is None else end_row
-    rows = np.arange(1, end - k)
-    if rows.size < 20:
-        raise BenchmarkError("too few rows to fit")
-    if tod is None:
-        tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
-    X = _wppt_matrix(panel, rows, turbine, k, tod, speed_pred)
-    y = panel.power[rows + k, turbine]
+    X, y = _wppt_data(panel, turbine, k, end_row)
     is_left = y <= lower
     is_right = y >= upper
     is_mid = ~(is_left | is_right)
@@ -376,35 +351,45 @@ def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
                     lower, upper, bool(res.success))
 
 
-def censored_mean(latent: float, sigma: float, lower: float, upper: float) -> float:
+def censored_mean(latent, sigma, lower: float, upper: float):
     """Mean of the censored-normal variable clip(X, lower, upper) with
     X ~ N(latent, sigma^2); this is the forecast rule (the lower-bound mass
-    term is included so the identity is exact for lower != 0)."""
-    if sigma <= 0.0:
-        return float(min(max(latent, lower), upper))
-    f1 = (lower - latent) / sigma
-    f2 = (upper - latent) / sigma
+    term is included so the identity is exact for lower != 0). Elementwise
+    over ``latent`` and ``sigma``; where sigma <= 0 it is the clipped latent.
+    Scalar arguments give a float."""
+    latent, sigma = np.broadcast_arrays(np.asarray(latent, dtype=float),
+                                        np.asarray(sigma, dtype=float))
+    spread = sigma > 0.0
+    s = np.where(spread, sigma, 1.0)
+    f1 = (lower - latent) / s
+    f2 = (upper - latent) / s
     pdf = lambda t: np.exp(-0.5 * t * t) / np.sqrt(2 * np.pi)
-    return float(
-        (ndtr(f2) - ndtr(f1)) * latent
-        + (pdf(f1) - pdf(f2)) * sigma
-        + upper * (1.0 - ndtr(f2))
-        + lower * ndtr(f1)
-    )
+    mean = ((ndtr(f2) - ndtr(f1)) * latent + (pdf(f1) - pdf(f2)) * s
+            + upper * (1.0 - ndtr(f2)) + lower * ndtr(f1))
+    out = np.where(spread, mean, np.clip(latent, lower, upper))
+    return float(out) if out.ndim == 0 else out
 
 
-def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origin: int,
-                   speed_pred=None, tod: np.ndarray | None = None) -> float:
-    if tod is None:
-        tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
-    x = _wppt_matrix(panel, np.array([origin]), fit.turbine, fit.horizon, tod,
-                     speed_pred)
-    latent = float((x @ fit.coefs)[0])
-    return censored_mean(latent, fit.sigma, fit.lower, fit.upper)
+def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origin: int) -> float:
+    return censored_mean(wppt_forecast(fit, panel, origin), fit.sigma,
+                         fit.lower, fit.upper)
 
 
 # ---------------------------------------------------------------------------
 # backtest adapters
+
+
+def _window(origin: int, max_order: int) -> slice:
+    """The rows a VAR forecast at ``origin`` reads: the last max(order, 1)."""
+    return slice(origin - max(max_order, 1) + 1, origin + 1)
+
+
+def _power_paths(fits, histories, horizons, col) -> np.ndarray:
+    """Forecast each history with its fit and read the power column(s) ``col``
+    at ``horizons``: (len(horizons), d)."""
+    steps = np.asarray(horizons) - 1
+    return np.column_stack([var_forecast(f, h, int(steps.max()) + 1)[steps, col]
+                            for f, h in zip(fits, histories)])
 
 
 class PersistenceModel:
@@ -414,7 +399,7 @@ class PersistenceModel:
         return self
 
     def forecast_power(self, panel, origin, horizons):
-        return np.tile(panel.power[origin], (len(horizons), 1))
+        return persistence_forecast(panel, origin, len(horizons))
 
 
 class ArModel:
@@ -432,14 +417,9 @@ class ArModel:
         return self
 
     def forecast_power(self, panel, origin, horizons):
-        horizon = int(max(horizons))
-        out = np.empty((len(horizons), panel.d))
-        back = max(self.max_order, 1)
-        for i, f in enumerate(self.fits):
-            path = var_forecast(f, panel.power[origin - back + 1 : origin + 1, i : i + 1],
-                                horizon)
-            out[:, i] = path[np.asarray(horizons) - 1, 0]
-        return out
+        sl = _window(origin, self.max_order)
+        hists = [panel.power[sl, i : i + 1] for i in range(panel.d)]
+        return _power_paths(self.fits, hists, horizons, 0)
 
 
 class BvarModel:
@@ -460,15 +440,10 @@ class BvarModel:
         return self
 
     def forecast_power(self, panel, origin, horizons):
-        horizon = int(max(horizons))
-        out = np.empty((len(horizons), panel.d))
-        back = max(self.max_order, 1)
-        sl = slice(origin - back + 1, origin + 1)
-        for i, f in enumerate(self.fits):
-            hist = np.column_stack([panel.speed[sl, i], panel.power[sl, i]])
-            path = var_forecast(f, hist, horizon)
-            out[:, i] = path[np.asarray(horizons) - 1, 1]
-        return out
+        sl = _window(origin, self.max_order)
+        hists = [np.column_stack([panel.speed[sl, i], panel.power[sl, i]])
+                 for i in range(panel.d)]
+        return _power_paths(self.fits, hists, horizons, 1)
 
 
 class VarModel:
@@ -484,12 +459,9 @@ class VarModel:
         return self
 
     def forecast_power(self, panel, origin, horizons):
-        horizon = int(max(horizons))
-        back = max(self.max_order, 1)
-        sl = slice(origin - back + 1, origin + 1)
+        sl = _window(origin, self.max_order)
         hist = np.hstack([panel.speed[sl], panel.power[sl]])
-        path = var_forecast(self.fit_, hist, horizon)
-        return path[np.asarray(horizons) - 1, panel.d :]
+        return _power_paths([self.fit_], [hist], horizons, slice(panel.d, None))
 
 
 class Arma11Model:
@@ -503,77 +475,65 @@ class Arma11Model:
         return self
 
     def forecast_power(self, panel, origin, horizons):
-        horizon = int(max(horizons))
-        out = np.empty((len(horizons), panel.d))
+        steps = np.asarray(horizons) - 1
         back = min(origin + 1, 2000)  # innovation recursion forgets quickly
-        for i, f in enumerate(self.fits):
-            path = arma11_forecast(f, panel.power[origin - back + 1 : origin + 1, i],
-                                   horizon)
-            out[:, i] = path[np.asarray(horizons) - 1]
-        return out
+        return np.column_stack([
+            arma11_forecast(f, panel.power[origin - back + 1 : origin + 1, i],
+                            int(steps.max()) + 1)[steps]
+            for i, f in enumerate(self.fits)])
 
 
 class WpptModel:
+    """Least-squares power curve per (turbine, horizon), each fitted on the
+    in-sample rows the first time a forecast asks for it."""
+
     id = "wppt"
 
-    def __init__(self, speed_pred=None):
-        self.speed_pred = speed_pred
+    def __init__(self):
         self.end_row = None
         self._cache: dict[tuple[int, int], WpptFit] = {}
-        self._tod = None
 
     def fit(self, panel, end_row):
         self.end_row = end_row
         self._cache.clear()
-        self._tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
         return self
 
-    def _get(self, panel, turbine, k):
-        key = (turbine, k)
-        if key not in self._cache:
-            self._cache[key] = fit_wppt(panel, turbine, k, self.end_row,
-                                        self.speed_pred, self._tod)
-        return self._cache[key]
+    def _fit_one(self, panel, turbine, k):
+        return fit_wppt(panel, turbine, k, self.end_row)
+
+    def _predict(self, latent, fits):
+        return latent
 
     def forecast_power(self, panel, origin, horizons):
-        out = np.empty((len(horizons), panel.d))
-        for hi, k in enumerate(horizons):
-            for i in range(panel.d):
-                out[hi, i] = wppt_forecast(self._get(panel, i, int(k)), panel,
-                                           origin, self.speed_pred, self._tod)
+        ks = np.asarray(horizons, dtype=int)
+        out = np.empty((ks.size, panel.d))
+        for i in range(panel.d):
+            for k in ks.tolist():
+                if (i, k) not in self._cache:
+                    self._cache[i, k] = self._fit_one(panel, i, k)
+            fits = [self._cache[i, k] for k in ks.tolist()]
+            X = _wppt_matrix(panel, np.full(ks.size, origin), i, ks)
+            latent = np.einsum("hj,hj->h", X, np.array([f.coefs for f in fits]))
+            out[:, i] = self._predict(latent, fits)
         return out
 
 
-class GwpptModel:
+class GwpptModel(WpptModel):
+    """The censored power curve: a Tobit fit per (turbine, horizon), and the
+    censored-normal mean as the forecast."""
+
     id = "gwppt"
 
-    def __init__(self, lower: float = 0.0, upper: float = 1500.0, speed_pred=None):
+    def __init__(self, lower: float = 0.0, upper: float = 1500.0):
+        super().__init__()
         self.lower, self.upper = lower, upper
-        self.speed_pred = speed_pred
-        self.end_row = None
-        self._cache: dict[tuple[int, int], GwpptFit] = {}
-        self._tod = None
 
-    def fit(self, panel, end_row):
-        self.end_row = end_row
-        self._cache.clear()
-        self._tod = CalendarIndex.from_timestamps(panel.timestamps).time_of_day
-        return self
+    def _fit_one(self, panel, turbine, k):
+        return fit_gwppt(panel, turbine, k, self.lower, self.upper, self.end_row)
 
-    def _get(self, panel, turbine, k):
-        key = (turbine, k)
-        if key not in self._cache:
-            self._cache[key] = fit_gwppt(panel, turbine, k, self.lower, self.upper,
-                                         self.end_row, self.speed_pred, self._tod)
-        return self._cache[key]
-
-    def forecast_power(self, panel, origin, horizons):
-        out = np.empty((len(horizons), panel.d))
-        for hi, k in enumerate(horizons):
-            for i in range(panel.d):
-                out[hi, i] = gwppt_forecast(self._get(panel, i, int(k)), panel,
-                                            origin, self.speed_pred, self._tod)
-        return out
+    def _predict(self, latent, fits):
+        return censored_mean(latent, np.array([f.sigma for f in fits]),
+                             self.lower, self.upper)
 
 
 BENCHMARKS = {

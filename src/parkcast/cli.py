@@ -5,8 +5,8 @@ keys are rejected and the fully-resolved settings are written to
 ``<out-dir>/effective-config.yaml`` so any run can be reproduced from that
 artifact alone. All randomness flows through explicit seeds.
 
-Exit codes: 0 success, 2 config error, 3 missing file, 4 data/schema error,
-5 model or runtime failure.
+Exit codes: 0 success, 2 config error, 3 missing file, 4 data/schema error
+(a bad panel or model file), 5 model or runtime failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .design import (
 from .evaluation import BacktestSpec, run_backtest, write_report
 from .forecast import Forecaster, simulate_synthetic
 from .lasso import LassoSettings
-from .model import ModelConfig, fit_joint_model, load_model, save_model
+from .model import ModelConfig, ModelFormatError, fit_joint_model, load_model, save_model
 from .panel import (
     CalendarIndex,
     PanelError,
@@ -261,13 +261,20 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
+def _analyze_turbine(cfg, panel) -> tuple[str, int]:
+    label = cfg["analyze"]["turbine"] or panel.labels[0]
+    if label not in panel.labels:
+        raise ConfigError(f"analyze.turbine {label!r} is not in the panel; "
+                          f"its turbines are {', '.join(panel.labels)}")
+    return label, panel.labels.index(label)
+
+
 def _analyze_design(cfg, panel, outdir) -> str:
     config = model_config_from(cfg)
     equation = cfg["analyze"]["equation"]
     if equation not in EQUATIONS:
         raise ConfigError(f"analyze.equation must be one of {', '.join(EQUATIONS)}")
-    label = cfg["analyze"]["turbine"] or panel.labels[0]
-    i = panel.labels.index(label)
+    label, i = _analyze_turbine(cfg, panel)
     cal = CalendarIndex.from_timestamps(panel.timestamps)
     mean_b = interaction_basis(cal.time_of_day, cal.time_of_year,
                                config.diurnal, config.annual, "cumulative")
@@ -290,8 +297,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     outdir = cfg["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     if what == "periodogram":
-        label = cfg["analyze"]["turbine"] or panel.labels[0]
-        i = panel.labels.index(label)
+        label, i = _analyze_turbine(cfg, panel)
         var = cfg["analyze"]["variable"]
         series = panel.speed[:, i] if var == "speed" else panel.power[:, i]
         freqs, dens = smoothed_periodogram(series, int(cfg["analyze"]["span"]))
@@ -440,7 +446,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing-file: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except PanelError as exc:
+    except (PanelError, ModelFormatError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - single exit point

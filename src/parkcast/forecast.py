@@ -403,8 +403,9 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     supplies the basis specs used for any time-varying coefficients.
     """
     d = len(labels)
-    model = _SyntheticModel(labels, config.diurnal, config.annual,
-                            _anchor_for(start_epoch), true_coefficients)
+    anchor = CalendarIndex.from_timestamps([start_epoch]).anchor_epoch
+    model = _SyntheticModel(labels, config.diurnal, config.annual, anchor,
+                            true_coefficients)
     engine = _Engine(model)
     total = burn_in + n
     lead = 160  # flat pre-history so max-lag reads stay in bounds
@@ -426,10 +427,3 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
         speed_mask=np.zeros((n, d), dtype=bool),
         power_mask=np.zeros((n, d), dtype=bool),
     )
-
-
-def _anchor_for(epoch: int) -> int:
-    from datetime import datetime, timezone
-
-    first = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    return int(datetime(first.year, 1, 1, tzinfo=timezone.utc).timestamp())

@@ -401,12 +401,12 @@ class _Reader:
 def load_model(path) -> FittedJointModel:
     """Read a file written by :func:`save_model`; the result forecasts
     identically to the model that was saved. A malformed file raises
-    :class:`ModelFormatError` naming the line."""
+    :class:`ModelFormatError` naming the file and the line."""
     with open(path) as fh:
         r = _Reader(fh)
         try:
             return _read_model(r)
-        except (ValueError, IndexError) as exc:
+        except (ModelFormatError, ValueError, IndexError) as exc:
             raise ModelFormatError(f"{path}, line {r.lineno}: {exc}") from exc
 
 

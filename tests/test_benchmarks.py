@@ -59,6 +59,25 @@ class TestYuleWalker:
         assert fit.coefs[1, 0, 0] == pytest.approx(0.3, abs=0.02)
         assert fit.stationary
 
+    def test_sigma_and_aic_at_chosen_order(self):
+        # sigma is the residual covariance of the chosen order over the rows
+        # after max_order, and aic its Gaussian AIC
+        rng = np.random.default_rng(5)
+        x = np.zeros((3000, 2))
+        for t in range(1, x.shape[0]):
+            x[t] = 0.6 * x[t - 1] + 0.2 * x[t - 1, ::-1] + rng.standard_normal(2)
+        q = 5
+        fit = fit_ar_yule_walker(x, max_order=q)
+        assert fit.order >= 1
+        xc = x - fit.mean
+        n_eff = x.shape[0] - q
+        resid = xc[q:] - sum(xc[q - k : x.shape[0] - k] @ fit.coefs[k - 1].T
+                             for k in range(1, fit.order + 1))
+        np.testing.assert_allclose(fit.sigma, resid.T @ resid / n_eff, rtol=1e-12)
+        aic = n_eff * np.linalg.slogdet(fit.sigma)[1] + 2.0 * fit.order * 4
+        assert fit.aic[fit.order] == pytest.approx(aic, rel=1e-12)
+        assert fit.order == int(np.argmin(fit.aic))
+
     def test_white_noise_selects_low_order(self):
         rng = np.random.default_rng(2)
         fit = fit_ar_yule_walker(rng.standard_normal(20000), max_order=6)
@@ -222,16 +241,31 @@ class TestWppt:
         k = 3
         coefs = np.array([2.0, 0.0, 0.0, 3.0, 0.25, 1.5, -0.8, 0.6, 0.1])
         from parkcast.benchmarks import _wppt_matrix
-        from parkcast.panel import CalendarIndex
-        tod = CalendarIndex.from_timestamps(p.timestamps).time_of_day
         rows = np.arange(1, n - k)
-        X = _wppt_matrix(p, rows, 0, k, tod)
+        X = _wppt_matrix(p, rows, 0, k)
         y = X @ coefs
         power = p.power.copy()
         power[rows + k, 0] = y
         p2 = panel_from(p.speed[:, 0], power[:, 0])
         fit = fit_wppt(p2, 0, k)
         assert np.abs(fit.coefs - coefs).max() < 1e-6
+
+    def test_time_of_day_read_from_timestamps(self):
+        # a panel that starts mid-morning: the slot comes from the clock,
+        # not from the row number
+        from parkcast.benchmarks import _fourier, _wppt_matrix
+        from parkcast.panel import CalendarIndex
+        p = wppt_panel(400)
+        p = TurbinePanel(p.timestamps + 37 * 600, p.speed, p.power, p.labels,
+                         p.speed_mask, p.power_mask)
+        tod = CalendarIndex.from_timestamps(p.timestamps).time_of_day
+        rows = np.arange(1, 300)
+        for k in (1, 150):
+            X = _wppt_matrix(p, rows, 0, k)
+            np.testing.assert_array_equal(X[:, 5:], _fourier((tod[rows] + k) % 144))
+        ks = np.arange(1, rows.size + 1)
+        X = _wppt_matrix(p, rows, 0, ks)
+        np.testing.assert_array_equal(X[:, 5:], _fourier((tod[rows] + ks) % 144))
 
     def test_fourier_terms_at_midnight(self):
         from parkcast.benchmarks import _fourier
@@ -264,6 +298,16 @@ class TestGwppt:
 
     def test_saturated_upper_bound(self):
         assert censored_mean(2000.0, 1e-9, 0.0, 1500.0) == 1500.0
+
+    def test_elementwise_matches_scalar_calls(self):
+        latent = np.array([-400.0, 20.0, 700.0, 1490.0, 2600.0, 800.0])
+        sigma = np.array([80.0, 5.0, 300.0, 40.0, 700.0, 0.0])
+        got = censored_mean(latent, sigma, 0.0, 1500.0)
+        assert got.shape == latent.shape
+        for v, mu, s in zip(got, latent, sigma):
+            assert v == pytest.approx(censored_mean(mu, s, 0.0, 1500.0), rel=1e-14)
+        assert got[-1] == 800.0  # zero spread: the clipped latent
+        assert censored_mean(-3.0, 0.0, 0.0, 1500.0) == 0.0
 
     def test_symmetric_zero(self):
         assert censored_mean(0.0, 100.0, -500.0, 500.0) == pytest.approx(0.0, abs=1e-9)
@@ -310,3 +354,69 @@ class TestRegistry:
             model = make_benchmark(name).fit(p, 2500)
             fc = model.forecast_power(p, 2600, np.array([1, 4]))
             assert fc.shape == (2, 1)
+
+
+def two_turbine_panel(n=3000):
+    a, b = wppt_panel(n, seed=10), wppt_panel(n, seed=11)
+    return panel_from(np.column_stack([a.speed[:, 0], b.speed[:, 0]]),
+                      np.column_stack([a.power[:, 0], b.power[:, 0]]))
+
+
+class TestAdapterValues:
+    """Each adapter equals the direct fit-and-forecast calls, per turbine."""
+
+    END, ORIGIN = 2500, 2600
+    HORIZONS = np.array([1, 2, 6, 24])
+
+    def direct(self, p, name):
+        end, origin, steps = self.END, self.ORIGIN, self.HORIZONS - 1
+        horizon = int(self.HORIZONS.max())
+        if name == "persistence":
+            return persistence_forecast(p, origin, horizon)[steps]
+        if name == "var":
+            fit = fit_ar_yule_walker(np.hstack([p.speed[:end], p.power[:end]]), 10)
+            hist = np.hstack([p.speed[: origin + 1], p.power[: origin + 1]])
+            return var_forecast(fit, hist, horizon)[steps, p.d :]
+        cols = []
+        for i in range(p.d):
+            if name == "ar":
+                fit = fit_ar_yule_walker(p.power[:end, i], 20)
+                path = var_forecast(fit, p.power[: origin + 1, i], horizon)[:, 0]
+            elif name == "bvar":
+                both = np.column_stack([p.speed[:, i], p.power[:, i]])
+                fit = fit_ar_yule_walker(both[:end], 20)
+                path = var_forecast(fit, both[: origin + 1], horizon)[:, 1]
+            else:  # arma11 reads the last 2000 rows
+                fit = fit_arma11_mle(p.power[:end, i])
+                path = arma11_forecast(fit, p.power[origin - 1999 : origin + 1, i],
+                                       horizon)
+            cols.append(path[steps])
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("name", ["persistence", "ar", "bvar", "var", "arma11"])
+    def test_linear_adapters_equal_direct_calls(self, name):
+        p = two_turbine_panel()
+        model = make_benchmark(name).fit(p, self.END)
+        got = model.forecast_power(p, self.ORIGIN, self.HORIZONS)
+        assert got.shape == (self.HORIZONS.size, 2)
+        np.testing.assert_array_equal(got, self.direct(p, name))
+
+    @pytest.mark.parametrize("name, kwargs", [
+        ("wppt", {}),
+        ("gwppt", {}),
+        ("gwppt", {"lower": 60.0, "upper": 85.0}),  # both bounds bind
+    ])
+    def test_power_curve_adapters_equal_direct_calls(self, name, kwargs):
+        p = two_turbine_panel()
+        model = make_benchmark(name, **kwargs).fit(p, self.END)
+        want = np.empty((self.HORIZONS.size, p.d))
+        for origin in (self.ORIGIN, 2900):
+            got = model.forecast_power(p, origin, self.HORIZONS)
+            for h, k in enumerate(self.HORIZONS.tolist()):
+                for i in range(p.d):
+                    if name == "wppt":
+                        want[h, i] = wppt_forecast(fit_wppt(p, i, k, self.END), p, origin)
+                    else:
+                        fit = fit_gwppt(p, i, k, end_row=self.END, **kwargs)
+                        want[h, i] = gwppt_forecast(fit, p, origin)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -108,6 +108,16 @@ class TestPipeline:
         assert ("error: config: analyze.equation must be one of "
                 + ", ".join(EQUATIONS)) in err
 
+    @pytest.mark.parametrize("what", ["design", "periodogram"])
+    def test_analyze_unknown_turbine(self, workdir, capsys, what):
+        run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
+        (workdir / "tb.yaml").write_text(CONFIG + "  turbine: ZZ\n")
+        assert run("analyze", "tb.yaml", "--panel", "out/panel.csv",
+                   "--out-dir", "out", "--what", what) == 2
+        err = capsys.readouterr().err
+        assert ("error: config: analyze.turbine 'ZZ' is not in the panel; "
+                "its turbines are A") in err
+
     def test_ingest_round_trip(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "3")
         raw = open("out/panel.csv").read().splitlines()
@@ -143,3 +153,10 @@ class TestExitCodes:
             "ts,A_speed,A_power\n" + "\n".join(
                 f"{600*i},1.0,10.0" for i in range(20)) + "\n")
         assert run("fit", "cfg.yaml", "--panel", "tiny.csv") == 5
+
+    def test_malformed_model_file(self, workdir, capsys):
+        (workdir / "bad_model.txt").write_text("parkcast-model 1\n")
+        assert run("forecast", "cfg.yaml", "--model", "bad_model.txt") == 4
+        err = capsys.readouterr().err
+        assert ("error: data: bad_model.txt, line 1: "
+                "unexpected end of model file") in err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config, tiny_sets, two_turbine_truth
@@ -256,6 +258,26 @@ class TestSerialization:
         from parkcast.model import ModelFormatError
         message = "not a parkcast-model v1 file" if k == 0 else f"line {k + 1}: "
         with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["truncated", "wrong-tag", "bad-section",
+                                      "missing-end"])
+    def test_format_error_names_file_and_line(self, small_model, tmp_path, kind):
+        path = tmp_path / "model.txt"
+        save_model(small_model, path)
+        lines = path.read_text().splitlines()
+        sec = next(k for k, ln in enumerate(lines) if ln.startswith("[deciles.speed]"))
+        k, lines, message = {
+            "truncated": (0, lines[:1], "unexpected end of model file"),
+            "wrong-tag": (0, ["something-else 9"] + lines[1:], "not a parkcast-model"),
+            "bad-section": (sec, lines[:sec] + ["[deciles.spd] 0 0"] + lines[sec + 1:],
+                            "expected section 'deciles.speed'"),
+            "missing-end": (len(lines) - 1, lines[:-1] + ["fin"], "missing end marker"),
+        }[kind]
+        path.write_text("\n".join(lines) + "\n")
+        from parkcast.model import ModelFormatError
+        with pytest.raises(ModelFormatError,
+                           match=re.escape(f"{path}, line {k + 1}: {message}")):
             load_model(path)
 
     def test_version_check(self, tmp_path):
