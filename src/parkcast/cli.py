@@ -154,6 +154,13 @@ def model_config_from(cfg: dict) -> ModelConfig:
     )
 
 
+def _positive(cfg: dict, section: str, key: str) -> int:
+    value = int(cfg[section][key])
+    if value < 1:
+        raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
+    return value
+
+
 def _infer_turbines(path: str, timestamp: str) -> tuple[str, ...]:
     """Read turbine labels off the header: every <label>_speed/<label>_power
     column pair, in order of appearance."""
@@ -354,6 +361,8 @@ def cmd_fit(cfg: dict, args) -> int:
 
 
 def cmd_forecast(cfg: dict, args) -> int:
+    horizon = _positive(cfg, "forecast", "horizon")
+    n_paths = _positive(cfg, "forecast", "n_paths")
     if not args.model or not os.path.exists(args.model):
         raise FileNotFoundError(f"model file {args.model!r} not found")
     model = load_model(args.model)
@@ -366,10 +375,9 @@ def cmd_forecast(cfg: dict, args) -> int:
         origin = panel.n + origin
     fore = Forecaster(model, panel)
     if fcfg["bootstrap"]:
-        result = fore.bootstrap(origin, int(fcfg["horizon"]),
-                                int(fcfg["n_paths"]), int(cfg["seed"]))
+        result = fore.bootstrap(origin, horizon, n_paths, int(cfg["seed"]))
     else:
-        result = fore.point(origin, int(fcfg["horizon"]))
+        result = fore.point(origin, horizon)
     out = os.path.join(cfg["output_dir"], "forecast.csv")
     _write_forecast_csv(result, out)
     print(f"wrote {out}")
@@ -377,13 +385,15 @@ def cmd_forecast(cfg: dict, args) -> int:
 
 
 def cmd_backtest(cfg: dict, args) -> int:
+    n_origins = _positive(cfg, "backtest", "n_origins")
+    max_horizon = _positive(cfg, "backtest", "max_horizon")
     panel = _read_panel(args.panel, cfg)
     if panel.has_missing():
         panel = fill_gaps_linear(panel)
     b = cfg["backtest"]
     spec = BacktestSpec(
-        n_origins=int(b["n_origins"]),
-        horizons=tuple(range(1, int(b["max_horizon"]) + 1)),
+        n_origins=n_origins,
+        horizons=tuple(range(1, max_horizon + 1)),
         in_sample=int(b["in_sample"]),
         seed=int(cfg["seed"]),
         models=tuple(str(m) for m in b["models"]),

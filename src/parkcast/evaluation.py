@@ -5,7 +5,8 @@ full in-sample window before them and the full horizon after them; every
 model is evaluated on the same origins. Mean absolute errors are reported
 per turbine and horizon, as the turbine mean, and as the difference to the
 persistence forecaster; signed-error densities are kept at a few display
-horizons.
+horizons. The sparse joint model forecasts every origin in one engine run,
+each origin one path.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import make_benchmark
-from .forecast import Forecaster
+from .forecast import ForecastError, Forecaster
 from .model import ModelConfig, fit_joint_model
 from .panel import TurbinePanel
 
@@ -60,7 +61,10 @@ def mae(forecasts: np.ndarray, actuals: np.ndarray):
         bad = np.argwhere(np.isnan(forecasts))[0]
         raise BacktestError(f"NaN forecast at origin index {bad[0]}, "
                             f"horizon index {bad[1]}, turbine {bad[2]}")
-    abs_err = np.abs(actuals - forecasts)
+    return _mae_tables(np.abs(actuals - forecasts))
+
+
+def _mae_tables(abs_err: np.ndarray):
     per_turbine = abs_err.mean(axis=0).T  # (d, H)
     return per_turbine, per_turbine.mean(axis=0)
 
@@ -110,6 +114,7 @@ class JointModelAdapter:
     def __init__(self, config: ModelConfig | None = None):
         self.config = config
         self.forecaster: Forecaster | None = None
+        self.batch: dict = {}  # origin -> ForecastResult or its ForecastError
 
     def fit(self, panel: TurbinePanel, end_row: int):
         sub = TurbinePanel(
@@ -126,11 +131,15 @@ class JointModelAdapter:
         return self
 
     def prepare(self, panel, origins, horizons):
-        # filtering is sequential; run it before any parallel forecasting
-        self.forecaster.ensure_state(int(max(origins)))
+        # filtering is sequential, and every origin is one path of a single
+        # engine run; both happen here, before any parallel forecasting
+        fcs = self.forecaster.point_batch(origins, int(max(horizons)))
+        self.batch = dict(zip((int(o) for o in origins), fcs))
 
     def forecast_power(self, panel, origin, horizons):
-        fc = self.forecaster.point(origin, int(max(horizons)))
+        fc = self.batch[origin]
+        if isinstance(fc, ForecastError):
+            raise fc
         return fc.power_point[np.asarray(horizons) - 1]
 
 
@@ -187,9 +196,7 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
     if "persistence" not in model_ids:
         model_ids.insert(0, "persistence")  # always needed for the DMAE baseline
 
-    actuals = np.empty((origins.size, horizons.size, panel.d))
-    for oi, origin in enumerate(origins):
-        actuals[oi] = panel.power[origin + horizons]
+    actuals = panel.power[origins[:, None] + horizons]  # (origins, H, d)
 
     report = BacktestReport(spec=spec, labels=panel.labels, origins=origins,
                             horizons=horizons)
@@ -220,8 +227,9 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         ok = ~np.isnan(preds).any(axis=(1, 2))
         if not ok.any():
             raise BacktestError(f"model {name} failed at every origin")
-        per_turbine, mean_k = mae(preds[ok], actuals[ok])
-        abs_err = np.abs(actuals[ok] - preds[ok])  # (N_ok, H, d)
+        err = actuals[ok] - preds[ok]  # (N_ok, H, d)
+        abs_err = np.abs(err)
+        per_turbine, mean_k = _mae_tables(abs_err)
         report.mae_turbine[name] = per_turbine
         report.mae_mean[name] = mean_k
         report.sd_turbine[name] = mae_standard_deviation(abs_err).T
@@ -230,8 +238,7 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         for k in spec.density_horizons:
             pos = np.searchsorted(horizons, k)
             if pos < horizons.size and horizons[pos] == k:
-                err = (actuals[ok, pos, :] - preds[ok, pos, :]).ravel()
-                dens[int(k)] = error_density(err)
+                dens[int(k)] = error_density(err[:, pos, :].ravel())
         report.densities[name] = dens
         report.failures[name] = failures
         report.timings[name] = time.perf_counter() - t0

@@ -16,9 +16,14 @@ stages: both volatilities of every turbine, then the speed means, then the
 power means (power loads on the current speed). Each stage gathers its
 distinct regressors (variable, turbine, lag, transform) with one fancy index,
 transforms them on contiguous row ranges and takes one product with an
-(outputs x regressors) coefficient matrix. Time-varying coefficients and
-intercepts are folded into those matrices from the basis rows, one bounded
-block of steps at a time.
+(outputs x regressors) coefficient matrix. When every path steps through
+the same timestamps, time-varying coefficients and intercepts are folded
+into those matrices from the basis rows, one bounded block of steps at a
+time. The path axis may also hold different origins (a backtest runs all of
+its origins in one call): the basis is then evaluated once on the distinct
+timestamps, each path folds its own calendar rows, and the time-varying
+part of a stage is one gather of folded rows times the matching regressor
+rows, added to the constant product.
 
 The variable and transform each coefficient family reads come from
 ``design.EQUATIONS``, the one place a family is declared, so the engine
@@ -136,6 +141,11 @@ class _Stage:
         for k, at in enumerate(self.tv_at):
             for b, value in tv[at].items():
                 self.tv[b, k] = value
+        # per-path folds: entry k multiplies row tv_reg[k] of x and adds to
+        # the output whose row of tv_out is 1 in column k
+        out, self.tv_reg = np.divmod(self.tv_at, len(col))
+        self.tv_out = np.zeros((self.coef.shape[0], len(tv)))
+        self.tv_out[out, np.arange(len(tv))] = 1.0
 
     def fold(self, basis: dict[str, np.ndarray], start: int, steps: int) -> np.ndarray:
         """Coefficients (steps, outputs, regressors + 1) at basis rows
@@ -146,11 +156,17 @@ class _Stage:
         coef.reshape(steps, -1)[:, self.tv_at] += basis[self.kind][start:start + steps] @ self.tv
         return coef
 
+    def fold_rows(self, basis: dict[str, np.ndarray]) -> np.ndarray | None:
+        """Time-varying coefficient values (entries, basis rows), or None
+        when the stage has none."""
+        return (basis[self.kind] @ self.tv).T.copy() if self.tv_at.size else None
+
     def __call__(self, flat: np.ndarray, rows: np.ndarray, coef: np.ndarray,
-                 x: np.ndarray, out: np.ndarray) -> None:
+                 x: np.ndarray, out: np.ndarray, tv: np.ndarray | None = None) -> None:
         """``out = coef @ x`` after gathering ``flat[rows]`` into the leading
         rows of ``x`` (regressors + 1, paths; its last row is 1) and
-        transforming them."""
+        transforming them. ``tv`` (entries, paths), each path's time-varying
+        coefficient values, adds their products; it is overwritten."""
         flat.take(rows, axis=0, out=x[:-1], mode="clip")
         if self.neg:
             np.negative(x[self.neg], out=x[self.neg])
@@ -159,6 +175,9 @@ class _Stage:
         if self.cbrt:
             np.cbrt(x[self.cbrt], out=x[self.cbrt])
         np.matmul(coef, x, out=out)
+        if tv is not None:
+            tv *= x.take(self.tv_reg, axis=0)
+            out += self.tv_out @ tv
 
 
 class _Engine:
@@ -186,6 +205,9 @@ class _Engine:
         """Step positions ``first, first + 1, ...`` (one per timestamp) of
         ``state`` (variables x time x turbines x paths, C-contiguous).
 
+        ``timestamps`` is one row shared by every path, or (paths, steps):
+        one row per path, each path folding its own calendar rows (rows that
+        all agree are run as one shared row).
         ``observed``: W and P already hold observations and the step backs
         out the shocks E and Ep (filtering). Otherwise ``shocks(s, sv, pv)``
         gives step ``s``'s speed and power shocks from its volatilities, or
@@ -199,30 +221,51 @@ class _Engine:
         stages = self.stages[not step_vol:]
         if first < max(st.lag.max(initial=0) for st in stages):
             raise ForecastError(f"lags reach before the {first} rows of history")
-        basis = self.basis_rows(timestamps, {st.kind for st in stages if st.tv_at.size})
+        kinds = {st.kind for st in stages if st.tv_at.size}
+        if timestamps.ndim == 2 and (timestamps == timestamps[0]).all():
+            timestamps = timestamps[0]
+        per_path = timestamps.ndim == 2
+        n_steps = timestamps.shape[-1]
+        if per_path:
+            distinct, inverse = np.unique(timestamps, return_inverse=True)
+            inverse = inverse.reshape(timestamps.shape).T.copy()  # (steps, paths)
+            basis = self.basis_rows(distinct, kinds)
+            folded = [st.fold_rows(basis) for st in stages]
+            block = n_steps
+        else:
+            basis = self.basis_rows(timestamps, kinds)
+            block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
         base = [(st.var * T - st.lag) * d + st.j for st in stages]
         xs = [np.ones((st.coef.shape[1], paths)) for st in stages]
         vol = np.empty((2, d, paths))
         fitted = np.empty((d, paths))
-        block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
+        tvs = [None] * len(stages)
         zs = zp = 0.0
-        for b0 in range(0, len(timestamps), block):
-            steps = min(block, len(timestamps) - b0)
-            coefs = [st.fold(basis, b0, steps) for st in stages]
+        for b0 in range(0, n_steps, block):
+            steps = min(block, n_steps - b0)
+            if per_path:
+                coefs = [np.broadcast_to(st.coef, (steps,) + st.coef.shape) for st in stages]
+            else:
+                coefs = [st.fold(basis, b0, steps) for st in stages]
             for k in range(steps):
                 pos = first + b0 + k
+                if per_path:
+                    tvs = [None if f is None else f.take(inverse[b0 + k], axis=1)
+                           for f in folded]
                 if step_vol:
                     stages[0](flat, base[0] + pos * d, coefs[0][k], xs[0],
-                              vol.reshape(2 * d, paths))
+                              vol.reshape(2 * d, paths), tvs[0])
                     np.maximum(vol, self.floors, out=state[_SV:, pos])
                 if shocks is not None:
                     zs, zp = shocks(b0 + k, state[_SV, pos], state[_PV, pos])
                 for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
                     if observed:
-                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], fitted)
+                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], fitted,
+                                  tvs[n])
                         np.subtract(state[y, pos], fitted, out=state[e, pos])
                     else:
-                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], state[y, pos])
+                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n],
+                                  state[y, pos], tvs[n])
                         state[e, pos] = z
                         if shocks is not None:
                             state[y, pos] += z
@@ -290,9 +333,7 @@ class Forecaster:
         self.engine.run(self.state, lo, self.panel.timestamps[lo:row + 1], observed=True)
         self.covered_through = row
 
-    def _window(self, origin: int, horizon: int, n_paths: int):
-        """State (variables, trim + horizon, d, n_paths) holding the ``trim``
-        rows up to ``origin`` for every path, and the future timestamps."""
+    def _check_origin(self, origin: int) -> None:
         trim = self.model.trim
         if origin - trim + 1 < self.start:
             raise ForecastError(
@@ -300,33 +341,71 @@ class Forecaster:
             )
         if origin >= self.panel.n:
             raise ForecastError("origin beyond the panel")
-        self.ensure_state(origin)
+
+    def _window(self, origins, horizon: int, n_paths: int):
+        """State (variables, trim + horizon, d, n_paths) holding, for every
+        path, the ``trim`` rows up to its origin, and the future timestamps
+        (origins, horizon). ``origins`` is one origin for all paths or one
+        origin per path."""
+        if horizon < 1:
+            raise ForecastError(f"horizon must be >= 1, got {horizon}")
+        if n_paths < 1:
+            raise ForecastError(f"n_paths must be >= 1, got {n_paths}")
+        origins = np.atleast_1d(origins)
+        for origin in origins:
+            self._check_origin(int(origin))
+        self.ensure_state(int(origins.max()))
+        trim = self.model.trim
         state = np.zeros((len(_VARS), trim + horizon, self.panel.d, n_paths))
-        state[:, :trim] = self.state[:, origin - trim + 1:origin + 1]
-        ts_future = (self.panel.timestamps[origin]
+        rows = origins + np.arange(1 - trim, 1)[:, None]  # (trim, origins)
+        state[:, :trim] = self.state[..., 0][:, rows].transpose(0, 1, 3, 2)
+        ts_future = (self.panel.timestamps[origins][:, None]
                      + STEP_SECONDS * np.arange(1, horizon + 1))
         return state, ts_future
 
     # -- forecasts --------------------------------------------------------
 
-    def point(self, origin: int, horizon: int) -> ForecastResult:
-        """Plug-in recursion with future shocks at zero."""
-        state, ts_future = self._window(origin, horizon, 1)
+    def _point_result(self, state: np.ndarray, origin: int, path: int) -> ForecastResult:
         trim = self.model.trim
-        self.engine.run(state, trim, ts_future)
         return ForecastResult(
             origin_index=origin,
             origin_timestamp=int(self.panel.timestamps[origin]),
-            horizon=horizon,
+            horizon=state.shape[1] - trim,
             labels=self.panel.labels,
-            speed_point=state[_W, trim:, :, 0].copy(),
-            power_point=state[_P, trim:, :, 0].copy(),
+            speed_point=state[_W, trim:, :, path].copy(),
+            power_point=state[_P, trim:, :, path].copy(),
         )
+
+    def point(self, origin: int, horizon: int) -> ForecastResult:
+        """Plug-in recursion with future shocks at zero."""
+        state, ts_future = self._window(origin, horizon, 1)
+        self.engine.run(state, self.model.trim, ts_future)
+        return self._point_result(state, origin, 0)
+
+    def point_batch(self, origins, horizon: int) -> list[ForecastResult | ForecastError]:
+        """``point`` at every origin, run as the paths of one engine call. An
+        origin that ``point`` would reject gets that ``ForecastError`` in
+        place of its result and does not stop the others."""
+        origins = [int(o) for o in origins]
+        results: list[ForecastResult | ForecastError | None] = [None] * len(origins)
+        for k, origin in enumerate(origins):
+            try:
+                self._check_origin(origin)
+            except ForecastError as exc:
+                results[k] = exc
+        good = [k for k, r in enumerate(results) if r is None]
+        if good:
+            state, ts_future = self._window([origins[k] for k in good], horizon, len(good))
+            self.engine.run(state, self.model.trim, ts_future)
+            for path, k in enumerate(good):
+                results[k] = self._point_result(state, origins[k], path)
+        return results
 
     def bootstrap(self, origin: int, horizon: int, n_paths: int = 1000,
                   seed: int = 0) -> ForecastResult:
         """Joint sample paths from resampled standardized residual rows."""
         model = self.model
+        state, ts_future = self._window(origin, horizon, n_paths)
         pool_m = model.speed_pool.shape[0]
         if pool_m == 0:
             raise ForecastError("empty standardized residual pool")
@@ -340,7 +419,6 @@ class Forecaster:
             return (sv * z_pool.take(draws[s], axis=1),
                     pv ** 3 * u_pool.take(draws[s], axis=1))
 
-        state, ts_future = self._window(origin, horizon, n_paths)
         trim = model.trim
         self.engine.run(state, trim, ts_future, shocks)
         w_paths = state[_W, trim:]  # (horizon, d, n_paths)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 
 from parkcast.cli import main
 from parkcast.design import EQUATIONS
@@ -153,6 +154,25 @@ class TestExitCodes:
             "ts,A_speed,A_power\n" + "\n".join(
                 f"{600*i},1.0,10.0" for i in range(20)) + "\n")
         assert run("fit", "cfg.yaml", "--panel", "tiny.csv") == 5
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("forecast", "forecast", "horizon"),
+        ("forecast", "forecast", "n_paths"),
+        ("backtest", "backtest", "max_horizon"),
+        ("backtest", "backtest", "n_origins"),
+    ])
+    def test_non_positive_size_is_config_error(self, workdir, capsys, command,
+                                               section, key):
+        cfg = yaml.safe_load(CONFIG)
+        cfg[section][key] = 0
+        (workdir / "zero.yaml").write_text(yaml.safe_dump(cfg))
+        (workdir / "tiny.csv").write_text(
+            "ts,A_speed,A_power\n" + "\n".join(
+                f"{600*i},1.0,10.0" for i in range(20)) + "\n")
+        extra = ["--model", "model.txt"] if command == "forecast" else []
+        assert run(command, "zero.yaml", "--panel", "tiny.csv", *extra) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: {section}.{key} must be >= 1, got 0" in err
 
     def test_malformed_model_file(self, workdir, capsys):
         (workdir / "bad_model.txt").write_text("parkcast-model 1\n")

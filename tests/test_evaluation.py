@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from conftest import tiny_config, two_turbine_truth
+from conftest import tiny_config, tiny_sets, two_turbine_truth
 
+import parkcast.evaluation as evaluation
 from parkcast.benchmarks import ArModel
 from parkcast.evaluation import (
     BacktestError,
     BacktestSpec,
+    JointModelAdapter,
     dmae,
     error_density,
     mae,
@@ -14,7 +16,7 @@ from parkcast.evaluation import (
     sample_origins,
     write_report,
 )
-from parkcast.forecast import simulate_synthetic
+from parkcast.forecast import ForecastError, simulate_synthetic
 
 
 class TestMae:
@@ -183,6 +185,43 @@ class TestRunBacktest:
         for name in ("persistence", "ar"):
             assert np.array_equal(r1.mae_mean[name], r2.mae_mean[name])
             assert np.array_equal(r1.dmae_mean[name], r2.dmae_mean[name])
+
+    def test_lasso_mae_matches_per_origin_point(self, backtest_panel):
+        spec = BacktestSpec(n_origins=12, horizons=(1, 2, 6, 24, 48), in_sample=4000,
+                            seed=6, models=("persistence", "lasso"))
+        report = run_backtest(backtest_panel, spec, lasso_config=tiny_config())
+        fore = JointModelAdapter(tiny_config()).fit(backtest_panel, 4000).forecaster
+        horizons = np.array(spec.horizons)
+        abs_err = np.empty((report.origins.size, horizons.size, 2))
+        for oi, origin in enumerate(report.origins):
+            fc = fore.point(int(origin), 48)
+            abs_err[oi] = np.abs(backtest_panel.power[origin + horizons]
+                                 - fc.power_point[horizons - 1])
+        expect = abs_err.mean(axis=0).T.mean(axis=0)
+        np.testing.assert_allclose(report.mae_mean["lasso"], expect, rtol=1e-12, atol=0)
+
+    def test_lasso_origin_without_history_recorded(self, backtest_panel, monkeypatch):
+        # origin 1 has 2 rows of history for the lasso's lag 3; persistence
+        # needs none
+        config = tiny_config(sets=tiny_sets(ar_own=(1, 3)))
+        spec = BacktestSpec(n_origins=6, horizons=(1, 6, 12), in_sample=4200,
+                            seed=5, models=("persistence", "lasso"))
+        origins = np.concatenate([[1], sample_origins(backtest_panel.n, spec)])
+        monkeypatch.setattr(evaluation, "sample_origins", lambda n, spec: origins)
+        fore = JointModelAdapter(config).fit(backtest_panel, 4200).forecaster
+        with pytest.raises(ForecastError, match="history") as expected:
+            fore.point(1, 12)
+        reports = []
+        for workers in (1, 2):
+            with pytest.warns(UserWarning, match="lasso: 1 origin"):
+                reports.append(run_backtest(backtest_panel, spec,
+                                            lasso_config=config, workers=workers))
+        r1, r2 = reports
+        assert r1.failures["lasso"] == [(1, str(expected.value))]
+        assert r1.failures == r2.failures
+        for name in ("persistence", "lasso"):
+            assert np.array_equal(r1.mae_mean[name], r2.mae_mean[name])
+            assert np.array_equal(r1.sd_mean[name], r2.sd_mean[name])
 
     def test_report_files(self, backtest_panel, tmp_path):
         spec = BacktestSpec(n_origins=6, horizons=tuple(range(1, 25)),

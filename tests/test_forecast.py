@@ -131,6 +131,17 @@ class TestPointForecast:
         with pytest.raises(ForecastError, match="history"):
             point_forecast(model, panel, 2, 4)
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_non_positive_horizon_rejected(self, horizon):
+        panel = flat_panel()
+        fore = Forecaster(model_from_terms(const_model_terms(), panel), panel)
+        with pytest.raises(ForecastError, match=f"horizon must be >= 1, got {horizon}"):
+            fore.point(200, horizon)
+        with pytest.raises(ForecastError, match=f"horizon must be >= 1, got {horizon}"):
+            fore.bootstrap(200, horizon, 100)
+        with pytest.raises(ForecastError, match=f"horizon must be >= 1, got {horizon}"):
+            fore.point_batch([200, 210], horizon)
+
     def test_lag_beyond_history_rejected(self):
         # a lag longer than the model's history window must not read
         # another variable's rows
@@ -180,6 +191,13 @@ class TestBootstrapForecast:
     def test_volatility_paths_nonnegative(self, small_panel, small_model):
         fc = bootstrap_forecast(small_model, small_panel, 5990, 8, 300, seed=5)
         assert np.all(np.isfinite(fc.power_quantiles))
+
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_non_positive_path_count_rejected(self, n_paths):
+        panel = flat_panel()
+        fore = Forecaster(model_from_terms(const_model_terms(), panel), panel)
+        with pytest.raises(ForecastError, match=f"n_paths must be >= 1, got {n_paths}"):
+            fore.bootstrap(200, 4, n_paths)
 
     def test_empty_pool_rejected(self):
         panel = flat_panel()
@@ -491,6 +509,42 @@ class TestEngineReference:
         assert_close(fc.power_point, p.mean(axis=0))
         assert_close(fc.speed_quantiles, np.sort(w, axis=0)[idx].transpose(1, 2, 0))
         assert_close(fc.power_quantiles, np.sort(p, axis=0)[idx].transpose(1, 2, 0))
+
+    @pytest.mark.parametrize("fold_elems", [200, pf._FOLD_ELEMS])
+    def test_batch_matches_point_per_origin(self, monkeypatch, fold_elems):
+        monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
+        panel, model = every_family_setup()
+        # different times of day, overlapping windows, one origin repeated,
+        # and the first two filtered by the batch itself
+        origins, horizon = [650, 320, 333, 401, 400, 320, 599], 60
+        batch = Forecaster(model, panel).point_batch(origins, horizon)
+        for origin, fc in zip(origins, batch):
+            ref = Forecaster(model, panel).point(origin, horizon)
+            assert fc.origin_index == origin
+            assert fc.origin_timestamp == ref.origin_timestamp
+            assert fc.horizon == horizon
+            assert_close(fc.speed_point, ref.speed_point)
+            assert_close(fc.power_point, ref.power_point)
+
+    def test_one_origin_batch_is_point(self):
+        panel, model = every_family_setup()
+        fore = Forecaster(model, panel)
+        (fc,) = fore.point_batch([410], 50)
+        ref = fore.point(410, 50)
+        assert np.array_equal(fc.speed_point, ref.speed_point)
+        assert np.array_equal(fc.power_point, ref.power_point)
+
+    @pytest.mark.parametrize("bad", [3, 700])
+    def test_bad_origin_fails_alone_in_batch(self, bad):
+        panel, model = every_family_setup()
+        fore = Forecaster(model, panel)
+        with pytest.raises(ForecastError) as expected:
+            fore.point(bad, 30)
+        batch = fore.point_batch([400, bad, 500], 30)
+        assert isinstance(batch[1], ForecastError)
+        assert str(batch[1]) == str(expected.value)
+        for origin, fc in zip((400, 500), batch[::2]):
+            assert_close(fc.power_point, fore.point(origin, 30).power_point)
 
     def test_unknown_family_rejected(self):
         panel, model = every_family_setup()
