@@ -266,6 +266,8 @@ class ColumnInfo:
 
 @dataclass
 class DesignMatrix:
+    """Columns and metadata; ``build_design``'s values are F-ordered stacked rows."""
+
     values: np.ndarray  # (n_effective, p)
     columns: list[ColumnInfo]
     row_offset: int
@@ -321,7 +323,9 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
     """Design and response of ``equation`` for turbine i: the intercept
     columns, then every family of ``EQUATIONS[equation]`` in order, each over
     source turbines, lags, thresholds ("thr" families, -inf first) and basis
-    columns (time-varying lags)."""
+    columns (time-varying lags). Both are written in place as the rows of one
+    C-ordered (p + 1) x m buffer, response last, the rows the lasso's syrk
+    reads: the design is the F-ordered view ``buf[:p].T``."""
     if ctx.trim >= ctx.n:
         raise ValueError(
             f"panel too short: need more than {ctx.trim} rows for the "
@@ -329,9 +333,9 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
         )
     spec = EQUATIONS[equation]
     basis = ctx.basis(spec.basis)[ctx.trim :]
-    cols = [basis[:, l] for l in range(basis.shape[1])]
-    metas = [ColumnInfo(equation, "const", i, -1, 0, _NO_THRESHOLD, l, True)
-             for l in range(basis.shape[1])]
+    nb = basis.shape[1]
+    metas = [ColumnInfo(equation, "const", i, -1, 0, _NO_THRESHOLD, l, True) for l in range(nb)]
+    regs = []  # (first row, lagged source, threshold, time varying) per block
     for family, var, transform, field in spec.families:
         source = _APPLY[transform](ctx.state(var))
         lags = getattr(sets, field)
@@ -343,21 +347,26 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
                         f"lag {k} exceeds the shared trim {ctx.trim}; need at "
                         f"least {k} leading rows"
                     )
-                base = _lagged(source, j, k, ctx.trim)
-                if transform == "thr" and thresholds is not None:
-                    cs = thresholds.get(family, j, k)
-                else:
-                    cs = [_NO_THRESHOLD]
+                cs = (thresholds.get(family, j, k) if transform == "thr" and thresholds is not None
+                      else [_NO_THRESHOLD])
                 tv = k in lags.tv_lags(own)
                 for c in cs:
-                    reg = base if np.isnan(c) else threshold_regressor(base, c)
-                    for l in (range(basis.shape[1]) if tv else (-1,)):
-                        cols.append(reg * basis[:, l] if tv else reg)
-                        metas.append(ColumnInfo(equation, family, i, j, k, c, l, tv))
+                    regs.append((len(metas), _lagged(source, j, k, ctx.trim), c, tv))
+                    metas.extend(ColumnInfo(equation, family, i, j, k, c, l, tv)
+                                 for l in (range(nb) if tv else (-1,)))
+    buf = np.empty((len(metas) + 1, basis.shape[0]))
+    buf[:nb] = basis.T
+    for r, base, c, tv in regs:
+        rows = buf[r : r + (nb if tv else 1)]
+        # the regressor goes to the block's last row, scaled last; max(x, -inf)
+        # is x, so linear terms and families without thresholds copy exactly
+        np.maximum(base, -np.inf if np.isnan(c) else c, out=rows[-1])
+        if tv:
+            np.multiply(rows[-1], basis[:, :-1].T, out=rows[:-1])
+            rows[-1] *= basis[:, -1]
     var, transform = spec.response
-    # stacked as rows: an F-ordered design, as the lasso's syrk reads it
-    return (DesignMatrix(np.array(cols).T, metas, ctx.trim),
-            _APPLY[transform](ctx.state(var)[ctx.trim :, i]))
+    buf[-1] = _APPLY[transform](ctx.state(var)[ctx.trim :, i])
+    return DesignMatrix(buf[:-1].T, metas, ctx.trim), buf[-1]
 
 
 # one builder per equation, by name: the fit loop looks them up at call time

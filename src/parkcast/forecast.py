@@ -327,6 +327,8 @@ class Forecaster:
     # -- filtering --------------------------------------------------------
 
     def ensure_state(self, row: int) -> None:
+        if row >= self.panel.n:
+            raise ForecastError(f"row {row} beyond the panel ({self.panel.n} rows)")
         if row <= self.covered_through:
             return
         lo = self.covered_through + 1

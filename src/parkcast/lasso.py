@@ -44,6 +44,7 @@ class LassoProblem:
     ``weights`` holds the diagonal heteroscedasticity weights (all ones for
     the volatility regressions); ``penalize_mask`` marks which coefficients
     the L1 term applies to (the single constant basis column is exempt).
+    Float arrays are kept as handed in: stacked rows (``build_design``) stay views.
     """
 
     response: np.ndarray
@@ -126,17 +127,23 @@ class _Work:
     coefficients stay 0): a pair is flagged when ||x_i - x_j||^2_W =
     G_ii + G_jj - 2 G_ij <= 1e-8 max(G_ii, G_jj) and confirmed by an exact
     column compare, so a near-copy stays usable. Such a pair's norms agree
-    to 1e-4, so only neighbours in norm order are tested. Memory beyond the
-    design is the (p+1) x m buffer until the syrk is done, then A and G:
-    O(p^2), about 650 MB each at p = 9,000.
+    to 1e-4, so only neighbours in norm order are tested. With unit weights
+    the syrk reads a design and response stacked as the rows of one C-ordered
+    buffer (as ``build_design`` returns them) in place; otherwise memory beyond
+    the design is the sqrt(w)-scaled (p+1) x m copy until the syrk is done.
+    Then A and G: O(p^2), about 650 MB each at p = 9,000.
     """
 
     def __init__(self, problem: LassoProblem):
         self.problem = problem
-        X, sw, y, p = problem.design, np.sqrt(problem.weights), problem.response, problem.p
-        Z = np.empty((p + 1, problem.m))
-        np.multiply(X.T, sw, out=Z[:p])
-        np.multiply(y, sw, out=Z[p])
+        X, y, p, Z = problem.design, problem.response, problem.p, problem.design.base
+        # unit weights on the rows build_design stacks (X's columns, then y): no copy
+        if not (np.all(problem.weights == 1.0) and isinstance(Z, np.ndarray)
+                and Z.flags.c_contiguous and Z[:-1].T.__array_interface__ == X.__array_interface__
+                and Z[-1].__array_interface__ == y.__array_interface__):
+            sw, Z = np.sqrt(problem.weights), np.empty((p + 1, problem.m))
+            np.multiply(X.T, sw, out=Z[:p])
+            np.multiply(y, sw, out=Z[p])
         A = Z @ Z.T  # a syrk: Z times its own transpose
         del Z
         diag = A.diagonal()[:p]
@@ -406,7 +413,8 @@ def _segment(work: _Work, active: np.ndarray, s: np.ndarray, lambdas: np.ndarray
     half = 0.5 * work.pen_scale
     wv = np.array([work.c[active], half[active] * s]).T
     w, v = (lapack.dpotrs(chol, wv)[0] if active.size else wv).T
-    q0, dq = work.c - work.G[:, active] @ w, work.G[:, active] @ v
+    g_a = work.G[:, active]
+    q0, dq = work.c - g_a @ w, g_a @ v
     dq[active] -= half[active] * s
     free = np.ones(work.cols.size, dtype=bool)
     free[active] = False

@@ -12,6 +12,7 @@ from parkcast.design import (
     IndexSets,
     build_design,
     compute_threshold_set,
+    regressor_from_meta,
 )
 from parkcast.forecast import (
     ForecastError,
@@ -559,6 +560,17 @@ class TestEngineReference:
                            match=r"power_vol\[0\]: volatility terms need lag >= 1"):
             Forecaster(model, panel)
 
+    @pytest.mark.parametrize("row", [700, 900])
+    def test_state_past_panel_end_rejected(self, row):
+        panel, model = every_family_setup()
+        fore = Forecaster(model, panel)
+        covered = fore.covered_through
+        with pytest.raises(ForecastError, match="beyond the panel"):
+            fore.ensure_state(row)
+        assert fore.covered_through == covered
+        fore.ensure_state(panel.n - 1)
+        assert fore.covered_through == panel.n - 1
+
 
 # ---------------------------------------------------------------------------
 # the fit's design columns against the regressors the engine applies
@@ -620,6 +632,33 @@ class TestFitForecastAgreement:
             assert np.array_equal(got, col)
         else:
             assert np.array_equal(got, getattr(fore, observed)[covered:, 0] - col)
+
+    def test_design_rows_stack_columns_then_response(self):
+        """Every equation's design is the F-ordered view of one C-ordered
+        buffer whose rows are the rebuilt columns and, last, the response."""
+        panel, model = every_family_setup()
+        fore = Forecaster(model, panel)
+        fore.ensure_state(panel.n - 1)
+        trim = model.trim
+        sets = IndexSets(**{field: FamilySpec((1, 2), (2,), (2,), (2,), (1, 2))
+                            for field in IndexSets.__dataclass_fields__})
+        thresholds = compute_threshold_set(panel.speed, panel.power, sets)
+        basis = reference_basis(model, panel.timestamps)
+        ctx = DesignContext(fore.W, fore.P, fore.E, fore.Ep, fore.Sv, fore.Pv,
+                            basis["cumulative"], basis["plain"], trim)
+        responses = {"speed_mean": fore.W, "power_mean": fore.P,
+                     "speed_vol": np.abs(fore.E), "power_vol": np.cbrt(np.abs(fore.Ep))}
+        for equation in EQUATIONS:
+            for i in range(2):
+                dm, y = build_design(ctx, equation, i, sets, thresholds)
+                buf = dm.values.base
+                assert buf.shape == (dm.p + 1, panel.n - trim) and buf.flags.c_contiguous
+                assert np.shares_memory(dm.values, buf) and np.shares_memory(y, buf)
+                assert np.array_equal(dm.values, buf[:-1].T) and dm.values.flags.f_contiguous
+                for r, info in enumerate(dm.columns):
+                    assert np.array_equal(buf[r], regressor_from_meta(info, ctx)), info
+                assert np.array_equal(buf[-1], responses[equation][trim:, i])
+                assert np.array_equal(y, buf[-1])
 
 
 @pytest.mark.parametrize("seed, n_paths", [(0, 3), (9, 40), (123456789, 7)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -422,6 +424,52 @@ class TestGramSetup:
         r = y - X[:, :1] @ beta
         expect = 2.0 * np.abs((w * r) @ X[:, 1:]).max()
         assert grid[0] == pytest.approx(expect, rel=1e-12)
+
+
+class TestStackedRows:
+    """A unit-weight problem whose design and response are the rows of one
+    C-ordered buffer, as ``build_design`` returns them, is read in place."""
+
+    @staticmethod
+    def stacked(rng, m, p):
+        buf = rng.standard_normal((p + 1, m))
+        buf[3] = buf[1]  # an exact duplicate and a zero column
+        buf[5] = 0.0
+        return buf, buf[:-1].T, buf[-1]
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("mask", [None, "first"])
+    def test_setup_matches_a_plain_copy(self, weighted, mask):
+        rng = np.random.default_rng(57)
+        m, p = 300, 12
+        buf, X, y = self.stacked(rng, m, p)
+        w = rng.uniform(0.5, 2.0, m) if weighted else np.ones(m)
+        pen = None if mask is None else np.arange(p) > 0
+        a = _Work(LassoProblem(y, X, weights=w, penalize_mask=pen))
+        b = _Work(LassoProblem(y.copy(), X.copy(), weights=w.copy(), penalize_mask=pen))
+        assert np.shares_memory(a.problem.design, buf)
+        assert a.cols.tolist() == [j for j in range(p) if j not in (3, 5)]
+        for name in ("scale", "cols", "G", "c", "pen_scale", "sign_fixed"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.yy == b.yy
+
+    def test_unit_weights_read_the_rows_in_place(self):
+        rng = np.random.default_rng(58)
+        m, p = 20_000, 40
+        buf, X, y = self.stacked(rng, m, p)
+        problem = LassoProblem(y, X)
+        gram_bytes = (p + 1) ** 2 * 8  # A = [X y]'[X y]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            work = _Work(problem)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak - gram_bytes < buf.nbytes / 4
+        assert work.yy == pytest.approx(float(y @ y), rel=1e-12)
+        # the same rows handed in as a copy are scaled into a new buffer
+        assert np.array_equal(_Work(LassoProblem(y.copy(), X)).G, work.G)
 
 
 class TestValidation:
