@@ -28,7 +28,7 @@ from .design import (
     index_sets_from,
 )
 from .evaluation import BacktestSpec, run_backtest, write_report
-from .forecast import Forecaster, simulate_synthetic
+from .forecast import ForecastError, Forecaster, check_seed, simulate_synthetic
 from .lasso import LassoSettings
 from .model import ModelConfig, ModelFormatError, fit_joint_model, load_model, save_model
 from .panel import (
@@ -161,6 +161,13 @@ def _positive(cfg: dict, section: str, key: str) -> int:
     return value
 
 
+def _seed(cfg: dict) -> int:
+    try:
+        return check_seed(cfg["seed"])
+    except ForecastError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _infer_turbines(path: str, timestamp: str) -> tuple[str, ...]:
     """Read turbine labels off the header: every <label>_speed/<label>_power
     column pair, in order of appearance."""
@@ -255,12 +262,12 @@ def cmd_simulate(cfg: dict, args) -> int:
     from .panel import parse_timestamp
     from .presets import demo_config
 
-    sim = cfg["simulate"]
-    n, d = int(sim["n"]), int(sim["d"])
-    start = parse_timestamp(str(sim["start"]), 0)
+    n, d = _positive(cfg, "simulate", "n"), _positive(cfg, "simulate", "d")
+    seed = _seed(cfg)
+    start = parse_timestamp(str(cfg["simulate"]["start"]), 0)
     gen_cfg = demo_config(n)
     labels = tuple(chr(ord("A") + i) for i in range(d))
-    panel = simulate_synthetic(gen_cfg, example_generator(d), n, int(cfg["seed"]),
+    panel = simulate_synthetic(gen_cfg, example_generator(d), n, seed,
                                labels=labels, start_epoch=start)
     out = os.path.join(cfg["output_dir"], "panel.csv")
     write_panel_csv(panel, out)
@@ -375,7 +382,7 @@ def cmd_forecast(cfg: dict, args) -> int:
         origin = panel.n + origin
     fore = Forecaster(model, panel)
     if fcfg["bootstrap"]:
-        result = fore.bootstrap(origin, horizon, n_paths, int(cfg["seed"]))
+        result = fore.bootstrap(origin, horizon, n_paths, _seed(cfg))
     else:
         result = fore.point(origin, horizon)
     out = os.path.join(cfg["output_dir"], "forecast.csv")
@@ -395,7 +402,7 @@ def cmd_backtest(cfg: dict, args) -> int:
         n_origins=n_origins,
         horizons=tuple(range(1, max_horizon + 1)),
         in_sample=int(b["in_sample"]),
-        seed=int(cfg["seed"]),
+        seed=_seed(cfg),
         models=tuple(str(m) for m in b["models"]),
     )
     report = run_backtest(panel, spec, lasso_config=model_config_from(cfg),

@@ -10,11 +10,16 @@ generator keyed by (seed, path), so results do not depend on worker count.
 One compiled engine steps the recursions for point forecasts, bootstrap
 paths, filtering of observed data beyond the training sample (to obtain
 residual state at backtest origins) and synthetic simulation from known
-coefficients. Its state is one time-major array (variable, time, turbine,
-path), so every read is a contiguous vector over paths. A step runs three
-stages: both volatilities of every turbine, then the speed means, then the
-power means (power loads on the current speed). Each stage gathers its
-distinct regressors (variable, turbine, lag, transform) with one fancy index,
+coefficients. Its state is one array (variable, time, turbine, path), so
+every read is a contiguous vector over paths. Time positions are addressed
+modulo the state's length: filtering and simulation keep a state as long as
+the panel, while point forecasts, backtest batches and bootstrap fans step a
+ring of the last trim + 1 rows, which holds every lag a step reads, and
+copy each step's W and P out into (horizon, turbine, path) arrays. A step
+runs three stages: both volatilities of every turbine, then the speed means,
+then the power means (power loads on the current speed). Each stage gathers
+its distinct regressors (variable, turbine, lag, transform) with one fancy
+index into a table of flat state rows built once per block of steps,
 transforms them on contiguous row ranges and takes one product with an
 (outputs x regressors) coefficient matrix. When every path steps through
 the same timestamps, time-varying coefficients and intercepts are folded
@@ -161,23 +166,33 @@ class _Stage:
         when the stage has none."""
         return (basis[self.kind] @ self.tv).T.copy() if self.tv_at.size else None
 
-    def __call__(self, flat: np.ndarray, rows: np.ndarray, coef: np.ndarray,
-                 x: np.ndarray, out: np.ndarray, tv: np.ndarray | None = None) -> None:
-        """``out = coef @ x`` after gathering ``flat[rows]`` into the leading
-        rows of ``x`` (regressors + 1, paths; its last row is 1) and
-        transforming them. ``tv`` (entries, paths), each path's time-varying
-        coefficient values, adds their products; it is overwritten."""
-        flat.take(rows, axis=0, out=x[:-1], mode="clip")
-        if self.neg:
-            np.negative(x[self.neg], out=x[self.neg])
-        if self.low:
-            np.maximum(x[self.low], self.lower[self.low], out=x[self.low])
-        if self.cbrt:
-            np.cbrt(x[self.cbrt], out=x[self.cbrt])
-        np.matmul(coef, x, out=out)
-        if tv is not None:
-            tv *= x.take(self.tv_reg, axis=0)
-            out += self.tv_out @ tv
+    def bind(self, flat: np.ndarray):
+        """This stage on the flat state ``flat`` (rows, paths):
+        ``apply(rows, coef, out, tv)`` sets ``out = coef @ x`` after gathering
+        ``flat[rows]`` into the leading rows of ``x`` (regressors + 1, paths;
+        its last row is 1) and transforming them. ``tv`` (entries, paths),
+        each path's time-varying coefficient values, adds their products; it
+        is overwritten. The views of ``x`` are built here, once per run."""
+        x = np.ones((self.coef.shape[1], flat.shape[1]))
+        head = x[:-1]
+        neg = x[self.neg] if self.neg else None
+        low, lower = (x[self.low], self.lower[self.low]) if self.low else (None, None)
+        cbrt = x[self.cbrt] if self.cbrt else None
+
+        def apply(rows, coef, out, tv=None):
+            flat.take(rows, axis=0, out=head, mode="clip")
+            if neg is not None:
+                np.negative(neg, out=neg)
+            if low is not None:
+                np.maximum(low, lower, out=low)
+            if cbrt is not None:
+                np.cbrt(cbrt, out=cbrt)
+            np.matmul(coef, x, out=out)
+            if tv is not None:
+                tv *= x.take(self.tv_reg, axis=0)
+                out += self.tv_out @ tv
+
+        return apply
 
 
 class _Engine:
@@ -201,9 +216,16 @@ class _Engine:
                 for kind in kinds}
 
     def run(self, state: np.ndarray, first: int, timestamps: np.ndarray,
-            shocks=None, observed: bool = False, check: bool = False) -> None:
+            shocks=None, observed: bool = False, check: bool = False,
+            out: np.ndarray | None = None) -> None:
         """Step positions ``first, first + 1, ...`` (one per timestamp) of
         ``state`` (variables x time x turbines x paths, C-contiguous).
+
+        Positions are addressed modulo the state's time length, so the state
+        may be a ring: with ``max_lag + 1`` rows it holds every lag a step
+        reads. A state as long as the run keeps every step's values.
+        ``out`` (2, steps, turbines, paths), if given, receives each step's
+        W and P as it is taken.
 
         ``timestamps`` is one row shared by every path, or (paths, steps):
         one row per path, each path folding its own calendar rows (rows that
@@ -217,6 +239,7 @@ class _Engine:
         """
         _, T, d, paths = state.shape
         flat = state.reshape(-1, paths)
+        at = state.transpose(1, 0, 2, 3)  # at[pos % T]: (variables, d, paths)
         step_vol = observed or shocks is not None
         stages = self.stages[not step_vol:]
         if first < max(st.lag.max(initial=0) for st in stages):
@@ -235,42 +258,53 @@ class _Engine:
         else:
             basis = self.basis_rows(timestamps, kinds)
             block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
-        base = [(st.var * T - st.lag) * d + st.j for st in stages]
-        xs = [np.ones((st.coef.shape[1], paths)) for st in stages]
+        apply = [st.bind(flat) for st in stages]
         vol = np.empty((2, d, paths))
+        vol_rows = vol.reshape(2 * d, paths)
         fitted = np.empty((d, paths))
         tvs = [None] * len(stages)
         zs = zp = 0.0
         for b0 in range(0, n_steps, block):
             steps = min(block, n_steps - b0)
+            # flat state rows each step gathers: (steps, regressors) per stage
+            pos = first + b0 + np.arange(steps)[:, None]
+            rows = [(st.var * T + (pos - st.lag) % T) * d + st.j for st in stages]
             if per_path:
                 coefs = [np.broadcast_to(st.coef, (steps,) + st.coef.shape) for st in stages]
             else:
                 coefs = [st.fold(basis, b0, steps) for st in stages]
             for k in range(steps):
-                pos = first + b0 + k
+                s = b0 + k
+                now = at[(first + s) % T]
                 if per_path:
-                    tvs = [None if f is None else f.take(inverse[b0 + k], axis=1)
+                    tvs = [None if f is None else f.take(inverse[s], axis=1)
                            for f in folded]
                 if step_vol:
-                    stages[0](flat, base[0] + pos * d, coefs[0][k], xs[0],
-                              vol.reshape(2 * d, paths), tvs[0])
-                    np.maximum(vol, self.floors, out=state[_SV:, pos])
+                    apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
+                    np.maximum(vol, self.floors, out=now[_SV:])
                 if shocks is not None:
-                    zs, zp = shocks(b0 + k, state[_SV, pos], state[_PV, pos])
+                    zs, zp = shocks(s, now[_SV], now[_PV])
                 for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
                     if observed:
-                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n], fitted,
-                                  tvs[n])
-                        np.subtract(state[y, pos], fitted, out=state[e, pos])
+                        apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
+                        np.subtract(now[y], fitted, out=now[e])
                     else:
-                        stages[n](flat, base[n] + pos * d, coefs[n][k], xs[n],
-                                  state[y, pos], tvs[n])
-                        state[e, pos] = z
+                        value = now[y]
+                        apply[n](rows[n][k], coefs[n][k], value, tvs[n])
+                        now[e] = z
                         if shocks is not None:
-                            state[y, pos] += z
-                if check and np.abs(state[_W:_P + 1, pos]).max() > 1e9:
-                    raise ForecastError(f"unstable recursion at step {b0 + k}")
+                            value += z
+                if out is not None:
+                    out[:, s] = now[_W:_P + 1]
+                if check and np.abs(now[_W:_P + 1]).max() > 1e9:
+                    raise ForecastError(f"unstable recursion at step {s}")
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int, if it is a Philox key: an integer in [0, 2**64)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+        raise ForecastError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 def _path_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
@@ -345,10 +379,11 @@ class Forecaster:
             raise ForecastError("origin beyond the panel")
 
     def _window(self, origins, horizon: int, n_paths: int):
-        """State (variables, trim + horizon, d, n_paths) holding, for every
-        path, the ``trim`` rows up to its origin, and the future timestamps
-        (origins, horizon). ``origins`` is one origin for all paths or one
-        origin per path."""
+        """A ring state (variables, trim + 1, d, n_paths) holding, for every
+        path, the ``trim`` rows up to its origin in its first rows, the
+        (2, horizon, d, n_paths) W and P arrays the run fills, and the future
+        timestamps (origins, horizon). ``origins`` is one origin for all
+        paths or one origin per path."""
         if horizon < 1:
             raise ForecastError(f"horizon must be >= 1, got {horizon}")
         if n_paths < 1:
@@ -358,31 +393,30 @@ class Forecaster:
             self._check_origin(int(origin))
         self.ensure_state(int(origins.max()))
         trim = self.model.trim
-        state = np.zeros((len(_VARS), trim + horizon, self.panel.d, n_paths))
+        state = np.zeros((len(_VARS), trim + 1, self.panel.d, n_paths))
         rows = origins + np.arange(1 - trim, 1)[:, None]  # (trim, origins)
         state[:, :trim] = self.state[..., 0][:, rows].transpose(0, 1, 3, 2)
         ts_future = (self.panel.timestamps[origins][:, None]
                      + STEP_SECONDS * np.arange(1, horizon + 1))
-        return state, ts_future
+        return state, np.empty((2, horizon, self.panel.d, n_paths)), ts_future
 
     # -- forecasts --------------------------------------------------------
 
-    def _point_result(self, state: np.ndarray, origin: int, path: int) -> ForecastResult:
-        trim = self.model.trim
+    def _point_result(self, wp: np.ndarray, origin: int, path: int) -> ForecastResult:
         return ForecastResult(
             origin_index=origin,
             origin_timestamp=int(self.panel.timestamps[origin]),
-            horizon=state.shape[1] - trim,
+            horizon=wp.shape[1],
             labels=self.panel.labels,
-            speed_point=state[_W, trim:, :, path].copy(),
-            power_point=state[_P, trim:, :, path].copy(),
+            speed_point=wp[0, :, :, path].copy(),
+            power_point=wp[1, :, :, path].copy(),
         )
 
     def point(self, origin: int, horizon: int) -> ForecastResult:
         """Plug-in recursion with future shocks at zero."""
-        state, ts_future = self._window(origin, horizon, 1)
-        self.engine.run(state, self.model.trim, ts_future)
-        return self._point_result(state, origin, 0)
+        state, wp, ts_future = self._window(origin, horizon, 1)
+        self.engine.run(state, self.model.trim, ts_future, out=wp)
+        return self._point_result(wp, origin, 0)
 
     def point_batch(self, origins, horizon: int) -> list[ForecastResult | ForecastError]:
         """``point`` at every origin, run as the paths of one engine call. An
@@ -397,17 +431,18 @@ class Forecaster:
                 results[k] = exc
         good = [k for k, r in enumerate(results) if r is None]
         if good:
-            state, ts_future = self._window([origins[k] for k in good], horizon, len(good))
-            self.engine.run(state, self.model.trim, ts_future)
+            state, wp, ts = self._window([origins[k] for k in good], horizon, len(good))
+            self.engine.run(state, self.model.trim, ts, out=wp)
             for path, k in enumerate(good):
-                results[k] = self._point_result(state, origins[k], path)
+                results[k] = self._point_result(wp, origins[k], path)
         return results
 
     def bootstrap(self, origin: int, horizon: int, n_paths: int = 1000,
                   seed: int = 0) -> ForecastResult:
         """Joint sample paths from resampled standardized residual rows."""
         model = self.model
-        state, ts_future = self._window(origin, horizon, n_paths)
+        check_seed(seed)
+        state, wp, ts_future = self._window(origin, horizon, n_paths)
         pool_m = model.speed_pool.shape[0]
         if pool_m == 0:
             raise ForecastError("empty standardized residual pool")
@@ -421,12 +456,10 @@ class Forecaster:
             return (sv * z_pool.take(draws[s], axis=1),
                     pv ** 3 * u_pool.take(draws[s], axis=1))
 
-        trim = model.trim
-        self.engine.run(state, trim, ts_future, shocks)
-        w_paths = state[_W, trim:]  # (horizon, d, n_paths)
-        p_paths = state[_P, trim:]
+        self.engine.run(state, model.trim, ts_future, shocks, out=wp)
+        w_paths, p_paths = wp  # (horizon, d, n_paths)
         means = w_paths.mean(axis=2), p_paths.mean(axis=2)
-        w_paths.sort(axis=2)  # in place: the state is not needed any more
+        w_paths.sort(axis=2)  # in place: the paths are not needed any more
         p_paths.sort(axis=2)
         idx = np.ceil(PERCENTILES / 100.0 * n_paths).astype(int) - 1
         return ForecastResult(
@@ -482,6 +515,10 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     volatility terms drive the true conditional scales directly. ``config``
     supplies the basis specs used for any time-varying coefficients.
     """
+    if n < 1 or burn_in < 0 or not labels:
+        raise ForecastError(f"need n >= 1, burn_in >= 0 and a turbine label, got n={n}, "
+                            f"burn_in={burn_in}, labels={tuple(labels)}")
+    seed = check_seed(seed)
     d = len(labels)
     anchor = CalendarIndex.from_timestamps([start_epoch]).anchor_epoch
     model = _SyntheticModel(labels, config.diurnal, config.annual, anchor,

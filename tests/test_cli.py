@@ -174,6 +174,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: config: {section}.{key} must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "backtest"])
+    def test_negative_seed_is_config_error(self, workdir, capsys, command):
+        (workdir / "tiny.csv").write_text(
+            "ts,A_speed,A_power\n" + "\n".join(
+                f"{600*i},1.0,10.0" for i in range(20)) + "\n")
+        assert run(command, "cfg.yaml", "--panel", "tiny.csv", "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert "error: config: seed must be an integer in [0, 2**64), got -1" in err
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_non_positive_simulate_size_is_config_error(self, workdir, capsys, key):
+        cfg = yaml.safe_load(CONFIG)
+        cfg["simulate"][key] = 0
+        (workdir / "zero.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("simulate", "zero.yaml", "--out-dir", "out") == 2
+        err = capsys.readouterr().err
+        assert f"error: config: simulate.{key} must be >= 1, got 0" in err
+        assert not (workdir / "out" / "panel.csv").exists()
+
     def test_malformed_model_file(self, workdir, capsys):
         (workdir / "bad_model.txt").write_text("parkcast-model 1\n")
         assert run("forecast", "cfg.yaml", "--model", "bad_model.txt") == 4

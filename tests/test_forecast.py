@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config, two_turbine_truth
@@ -23,6 +25,7 @@ from parkcast.forecast import (
 )
 from parkcast.model import FittedJointModel, Term
 from parkcast.panel import CalendarIndex, TurbinePanel
+from parkcast.presets import example_generator
 
 
 def const_model_terms(d=1, speed_ar=0.0, intercept=0.0, power_terms=()):
@@ -200,6 +203,11 @@ class TestBootstrapForecast:
         with pytest.raises(ForecastError, match=f"n_paths must be >= 1, got {n_paths}"):
             fore.bootstrap(200, 4, n_paths)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+    def test_bad_seed_rejected(self, small_panel, small_model, seed):
+        with pytest.raises(ForecastError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            bootstrap_forecast(small_model, small_panel, 5000, 4, 100, seed)
+
     def test_empty_pool_rejected(self):
         panel = flat_panel()
         model = model_from_terms(const_model_terms(), panel)
@@ -238,8 +246,9 @@ class TestSimulate:
 
     def test_ar1_autocorrelation(self):
         terms = const_model_terms(speed_ar=0.9)
-        panel = simulate_synthetic(tiny_config(), terms, n=50000, seed=2,
-                                   labels=("A",))
+        with pytest.warns(UserWarning, match="negative wind speed readings"):
+            panel = simulate_synthetic(tiny_config(), terms, n=50000, seed=2,
+                                       labels=("A",))
         w = panel.speed[:, 0]
         lag1 = np.corrcoef(w[1:], w[:-1])[0, 1]
         assert lag1 == pytest.approx(0.9, abs=0.02)
@@ -255,6 +264,31 @@ class TestSimulate:
         terms = const_model_terms(speed_ar=1.2, intercept=5.0)
         with pytest.raises(ForecastError, match="unstable"):
             simulate_synthetic(tiny_config(), terms, n=4000, seed=3, labels=("A",))
+
+    @pytest.mark.parametrize("fold_elems", [200, pf._FOLD_ELEMS])
+    def test_instability_names_first_step(self, monkeypatch, fold_elems):
+        # 200 elements folds 100 steps per block here, so the step lies three
+        # blocks in; speed never reads the power shocks, whose draws depend on n
+        monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
+        terms = const_model_terms(speed_ar=1.05, intercept=5.0)
+        with pytest.raises(ForecastError, match="unstable recursion at step 330$"):
+            simulate_synthetic(tiny_config(), terms, n=4000, seed=3, labels=("A",),
+                               burn_in=0)
+        # steps 0 .. 329 stay inside +-1e9
+        panel = simulate_synthetic(tiny_config(), terms, n=330, seed=3, labels=("A",),
+                                   burn_in=0)
+        assert np.abs(panel.speed).max() <= 1e9
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ForecastError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_synthetic(tiny_config(), two_turbine_truth(), n=10, seed=seed)
+
+    @pytest.mark.parametrize("size", [{"n": 0}, {"n": -5}, {"burn_in": -1}, {"labels": ()}])
+    def test_bad_size_rejected(self, size):
+        kwargs = {"n": 10, "burn_in": 0, **size}
+        with pytest.raises(ForecastError, match="need n >= 1, burn_in >= 0"):
+            simulate_synthetic(tiny_config(), two_turbine_truth(), seed=1, **kwargs)
 
 
 class TestForecasterAlignment:
@@ -570,6 +604,59 @@ class TestEngineReference:
         assert fore.covered_through == covered
         fore.ensure_state(panel.n - 1)
         assert fore.covered_through == panel.n - 1
+
+
+# ---------------------------------------------------------------------------
+# forecasts from a ring of trim + 1 lag rows
+
+
+def full_length_window(window):
+    """``Forecaster._window`` with a state of trim + horizon rows in place of
+    the ring: the layout every step wrote to its own row."""
+    def full(self, origins, horizon, n_paths):
+        ring, wp, ts_future = window(self, origins, horizon, n_paths)
+        trim = ring.shape[1] - 1
+        state = np.zeros((ring.shape[0], trim + horizon) + ring.shape[2:])
+        state[:, :trim] = ring[:, :trim]
+        return state, wp, ts_future
+    return full
+
+
+class TestRing:
+    # the largest lag of every_family_terms is 2: trim 2 makes a ring of
+    # three rows, one more than the lags read
+    @pytest.mark.parametrize("trim", [2, 5])
+    def test_ring_equals_full_length_state(self, monkeypatch, trim):
+        panel, model = every_family_setup(trim=trim)
+        assert max(t.lag for terms in model.terms.values() for t in terms) == 2
+
+        def forecasts():
+            fore = Forecaster(model, panel)
+            return [fore.point(650, 40), fore.bootstrap(333, 30, 120, seed=9),
+                    *fore.point_batch([320, 401, 650, 333], 50)]
+
+        ring = forecasts()
+        monkeypatch.setattr(Forecaster, "_window", full_length_window(Forecaster._window))
+        full = forecasts()
+        for a, b in zip(ring, full):
+            for field in ("speed_point", "power_point", "speed_quantiles",
+                          "power_quantiles"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_bootstrap_allocates_under_half_a_full_length_state(self):
+        panel = flat_panel(n=300, d=2)
+        model = model_from_terms(example_generator(2), panel, trim=3)
+        fore = Forecaster(model, panel)
+        fore.point(250, 5)
+        horizon, n_paths = 288, 1000
+        full_state = 6 * (model.trim + horizon) * 2 * n_paths * 8  # 27.9 MB
+        tracemalloc.start()
+        try:
+            fore.bootstrap(250, horizon, n_paths, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_state / 2
 
 
 # ---------------------------------------------------------------------------

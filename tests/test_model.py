@@ -130,7 +130,8 @@ class TestFitJointModel:
         power = np.full((n, 1), 50.0)
         panel = TurbinePanel(ts, speed, power, ("A",),
                              np.zeros((n, 1), bool), np.zeros((n, 1), bool))
-        with pytest.warns(UserWarning, match="zero residual"):
+        with pytest.warns(UserWarning, match="zero residual"), \
+                pytest.warns(UserWarning, match=r"speed_vol\[0\]: degenerate volatility"):
             model = fit_joint_model(panel, tiny_config(k_max=1))
         fit = model.fits[("speed_mean", 0)]
         nz = np.flatnonzero(fit.coefficients)

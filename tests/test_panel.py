@@ -105,7 +105,12 @@ class TestFillGaps:
         vals = np.arange(n, dtype=float)
         speed = vals.copy()
         speed[200:786] = np.nan  # 586-long interior run
-        f = fill_gaps_linear(make_panel(speed))
+        # power is ten times speed: the observed and then the filled readings
+        # pass the 1542 kW bound
+        with pytest.warns(UserWarning, match=r"^259 power readings outside"):
+            panel = make_panel(speed)
+        with pytest.warns(UserWarning, match=r"^845 power readings outside"):
+            f = fill_gaps_linear(panel)
         assert np.allclose(f.speed[:, 0], vals)
 
     def test_edges_extend_nearest(self):
@@ -206,7 +211,9 @@ class TestSeasonalProfile:
             ph = np.vectorize(shift.get)(month)
             return np.cos(2 * np.pi * (tod - ph) / 144.0)
 
-        prof = seasonal_mean_profile(year_panel(gen))
+        with pytest.warns(UserWarning, match="negative wind speed readings"):
+            panel = year_panel(gen)
+        prof = seasonal_mean_profile(panel)
         for s, expected in enumerate((0, 12, 24, 36)):
             peak = int(np.argmax(prof[s, :, 0, 0]))
             assert abs(peak - expected) <= 1
