@@ -2,8 +2,12 @@
 by conditional Gaussian likelihood, and the dynamic-regression power curve
 models (plain least squares and its two-sided censored generalization).
 
-An iterated AR/BVAR/VAR forecast is linear in the last ``order`` centred rows:
-each ``VarFit`` keeps that map, and a forecast is one product per origin.
+A Yule-Walker fit builds one block-Toeplitz system and one lag matrix at the
+largest order, and every smaller order reads its own from their leading
+blocks. An iterated AR/BVAR/VAR forecast is linear in the last ``order``
+centred rows: each ``VarFit`` keeps that map, and a forecast is one product
+per origin. The ARMA(1,1) fit runs L-BFGS-B on the exact gradient of the
+profiled likelihood.
 
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
@@ -59,23 +63,27 @@ def _autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-def _yw_solve(gam: np.ndarray, p: int) -> np.ndarray:
-    m = gam.shape[1]
-    big = np.empty((p * m, p * m))
-    for r in range(p):
-        for c in range(p):
-            h = r - c
-            big[r * m : (r + 1) * m, c * m : (c + 1) * m] = (
-                gam[h] if h >= 0 else gam[-h].T
-            )
-    rhs = np.hstack([gam[k + 1] for k in range(p)])  # (m, p*m)
+def _yw_system(gam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The max-order Yule-Walker system: the block-Toeplitz matrix with block
+    (r, c) = gam[r - c] (gam[c - r].T above the diagonal) and the (m, q * m)
+    right-hand side [gam[1], ..., gam[q]]. Order p's are their leading p * m
+    rows and columns."""
+    q, m = gam.shape[0] - 1, gam.shape[1]
+    blocks = np.concatenate([gam[q - 1 : 0 : -1].swapaxes(1, 2), gam[:q]])  # 1-q..q-1
+    lag = np.subtract.outer(np.arange(q), np.arange(q)) + q - 1
+    big = blocks[lag].swapaxes(1, 2).reshape(q * m, q * m)
+    return big, gam[1:].swapaxes(0, 1).reshape(m, q * m)
+
+
+def _yw_solve(big: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked (m, p * m) coefficients [A_1, ..., A_p] of one order's system."""
     try:
         sol = np.linalg.solve(big.T, rhs.T).T
     except np.linalg.LinAlgError:
         warnings.warn("singular Yule-Walker system; ridge-regularized")
         ridge = 1e-10 * np.trace(big) / big.shape[0] + 1e-300
         sol = np.linalg.solve(big.T + ridge * np.eye(big.shape[0]), rhs.T).T
-    return sol.reshape(m, p, m).swapaxes(0, 1)  # (p, m, m)
+    return sol
 
 
 def _companion(coefs: np.ndarray) -> np.ndarray:
@@ -94,7 +102,10 @@ def _companion_radius(coefs: np.ndarray) -> float:
 def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
     """Yule-Walker VAR fit at the AIC-minimizing order (univariate series are
     a one-column special case). The series is demeaned internally; the mean
-    is re-added at forecast time."""
+    is re-added at forecast time. Every order 0..max_order solves the leading
+    blocks of one block-Toeplitz system, and its residuals over the rows after
+    max_order, whose covariance gives its AIC, are one product of its stacked
+    coefficients with the leading rows of one lag matrix."""
     x = np.asarray(series, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -105,23 +116,21 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
         raise BenchmarkError("series too short for the requested order")
     mean = x.mean(axis=0)
     xc = x - mean
-    gam = _autocov(xc, max_order)
+    big, rhs = _yw_system(_autocov(xc, max_order))
+    xt = np.ascontiguousarray(xc.T)  # lags column t: x_{t-1}, ..., x_{t-max_order}
+    lags = np.vstack([xt[:, max_order - k : n - k] for k in range(1, max_order + 1)])
     n_eff = n - max_order
-    aic = np.full(max_order + 1, np.inf)
-    fits, sigmas = [np.zeros((0, m, m))], []
+    sols, sigmas = [], np.empty((max_order + 1, m, m))
     for p in range(max_order + 1):
-        if p:
-            fits.append(_yw_solve(gam, p))
-        pred = np.zeros((n_eff, m))
-        for k in range(1, p + 1):
-            pred += xc[max_order - k : n - k] @ fits[p][k - 1].T
-        resid = xc[max_order:] - pred
-        sigmas.append(resid.T @ resid / n_eff)
-        sign, logdet = np.linalg.slogdet(sigmas[p])
-        if sign > 0:
-            aic[p] = n_eff * logdet + 2.0 * p * m * m
+        k = p * m
+        sols.append(_yw_solve(big[:k, :k], rhs[:, :k]))
+        resid = xt[:, max_order:] - sols[p] @ lags[:k]
+        sigmas[p] = resid @ resid.T / n_eff
+    sign, logdet = np.linalg.slogdet(sigmas)
+    aic = np.where(sign > 0, n_eff * logdet + 2.0 * np.arange(max_order + 1) * m * m,
+                   np.inf)
     best = int(np.argmin(aic))
-    coefs = fits[best]
+    coefs = sols[best].reshape(m, best, m).swapaxes(0, 1)  # (order, m, m)
     radius = _companion_radius(coefs) if best else 0.0
     stationary = radius < 1.0
     if not stationary:
@@ -181,35 +190,45 @@ class Arma11Fit:
 
 def _arma11_profiled(y: np.ndarray, phi: float, theta: float):
     """Exact profile of the mean for fixed (phi, theta) with zero-initialized
-    innovations; returns (mu, sse, e_base, b) for reuse."""
-    u = y[1:] - phi * y[:-1]
-    a = signal.lfilter([1.0], [1.0, theta], u)
-    b = signal.lfilter([1.0], [1.0, theta], np.full(u.size, 1.0 - phi))
+    innovations; returns (mu, sse, e), e the innovations at t = 1..n-1."""
+    a, b = signal.lfilter([1.0], [1.0, theta],
+                          np.stack([y[1:] - phi * y[:-1], np.full(y.size - 1, 1.0 - phi)]))
     denom = float(np.dot(b, b))
     mu = float(np.dot(a, b) / denom) if denom > 0 else float(y.mean())
     e = a - mu * b
     return mu, float(np.dot(e, e)), e
 
 
+def _arma11_nll(params, y: np.ndarray):
+    """Profiled negative log-likelihood (up to constants) of (phi, theta) and
+    its exact gradient. The mean is profiled out, so only the direct
+    derivatives of the innovations count: de/dphi and de/dtheta are
+    mu - y_{t-1} and -e_{t-1} through the same 1 / (1 + theta B) filter."""
+    phi, theta = params
+    mu, sse, e = _arma11_profiled(y, phi, theta)
+    n1 = y.size - 1
+    if sse <= 1e-300 * n1:
+        return n1 * np.log(1e-300), np.zeros(2)
+    de = signal.lfilter([1.0], [1.0, theta],
+                        np.stack([mu - y[:-1], np.concatenate(([0.0], -e[:-1]))]))
+    return n1 * np.log(sse / n1), 2.0 * n1 / sse * (de @ e)
+
+
 def fit_arma11_mle(series) -> Arma11Fit:
     """Maximize the conditional Gaussian likelihood over (ar, ma) in
-    (-1, 1)^2; mean and innovation variance are profiled out exactly."""
+    (-1, 1)^2; mean and innovation variance are profiled out exactly.
+    L-BFGS-B runs from three starts on the exact gradient (``_arma11_nll``);
+    the best end point wins."""
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 100:
         raise BenchmarkError(f"need at least 100 observations, got {n}")
     if np.std(y) == 0.0:
         raise BenchmarkError("constant series")
-
-    def nll(params):
-        phi, theta = params
-        _, sse, _ = _arma11_profiled(y, phi, theta)
-        return (n - 1) * np.log(max(sse / (n - 1), 1e-300))
-
     best = None
     for x0 in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5)):
-        res = optimize.minimize(nll, x0, method="L-BFGS-B",
-                                bounds=[(-0.999, 0.999)] * 2)
+        res = optimize.minimize(_arma11_nll, x0, args=(y,), jac=True,
+                                method="L-BFGS-B", bounds=[(-0.999, 0.999)] * 2)
         if best is None or res.fun < best.fun:
             best = res
     phi, theta = best.x
@@ -223,9 +242,9 @@ def fit_arma11_mle(series) -> Arma11Fit:
 
 def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.ndarray:
     y = np.asarray(history, dtype=float)
-    # innovations under the fitted parameters, zero-initialized
+    # innovations under the fitted parameters, from a zero one at the first row
     u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
-    e = signal.lfilter([1.0], [1.0, fit.ma], u)
+    e = signal.lfilter([1.0], [1.0, fit.ma], np.r_[0.0, u])
     one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e[-1]
     return fit.mean + fit.ar ** np.arange(horizon) * (one - fit.mean)
 
@@ -380,8 +399,9 @@ def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origin: int) -> float:
 
 
 def _window(origin: int, max_order: int) -> slice:
-    """The rows a VAR forecast at ``origin`` reads: the last max(order, 1)."""
-    return slice(origin - max(max_order, 1) + 1, origin + 1)
+    """The rows a VAR forecast at ``origin`` reads: the last max(order, 1),
+    or all rows up to the origin when there are fewer."""
+    return slice(max(origin - max(max_order, 1) + 1, 0), origin + 1)
 
 
 def _power_paths(fits, histories, horizons, col) -> np.ndarray:

@@ -308,13 +308,13 @@ def check_seed(seed) -> int:
 
 
 def _path_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
-    """Pool rows (horizon, n_paths): path ``p`` draws from a Philox stream
-    keyed by (seed, p) at counter 0. One bit generator is re-keyed for every
-    path, which draws exactly what a fresh generator per path would."""
+    """Pool rows (horizon, n_paths), stored as int32: path ``p`` draws from a
+    Philox stream keyed by (seed, p) at counter 0. One bit generator is
+    re-keyed for every path, which draws exactly what a fresh one would."""
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0, empty buffer, no cached half-word
-    draws = np.empty((horizon, n_paths), dtype=np.int64)
+    draws = np.empty((horizon, n_paths), dtype=np.int32)
     for p in range(n_paths):
         fresh["state"]["key"] = np.array([seed, p], dtype=np.uint64)
         bitgen.state = fresh

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from parkcast.benchmarks import (
     BENCHMARKS,
     Arma11Fit,
     BenchmarkError,
     VarFit,
+    _arma11_nll,
+    _arma11_profiled,
+    _autocov,
+    _yw_solve,
+    _yw_system,
     arma11_forecast,
     censored_mean,
     fit_ar_yule_walker,
@@ -46,6 +52,31 @@ class TestPersistence:
         assert np.all(fc == 30.0)
 
 
+def yw_reference(gam, p):
+    """Reference: order p's block-Toeplitz system built block by block and
+    solved on its own; (p, m, m) lag matrices."""
+    m = gam.shape[1]
+    if p == 0:
+        return np.zeros((0, m, m))
+    big = np.empty((p * m, p * m))
+    for r in range(p):
+        for c in range(p):
+            h = r - c
+            big[r * m : (r + 1) * m, c * m : (c + 1) * m] = (
+                gam[h] if h >= 0 else gam[-h].T)
+    rhs = np.hstack([gam[k + 1] for k in range(p)])
+    sol = np.linalg.solve(big.T, rhs.T).T
+    return sol.reshape(m, p, m).swapaxes(0, 1)
+
+
+def yw_sample(m, seed, n=3000):
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, m))
+    for t in range(1, n):
+        x[t] = 0.6 * x[t - 1] + 0.2 * x[t - 1, ::-1] + rng.standard_normal(m)
+    return x
+
+
 class TestYuleWalker:
     def test_ar2_recovery(self):
         rng = np.random.default_rng(1)
@@ -61,22 +92,41 @@ class TestYuleWalker:
 
     def test_sigma_and_aic_at_chosen_order(self):
         # sigma is the residual covariance of the chosen order over the rows
-        # after max_order, and aic its Gaussian AIC
-        rng = np.random.default_rng(5)
-        x = np.zeros((3000, 2))
-        for t in range(1, x.shape[0]):
-            x[t] = 0.6 * x[t - 1] + 0.2 * x[t - 1, ::-1] + rng.standard_normal(2)
-        q = 5
+        # after max_order, and aic at every order is the Gaussian AIC of
+        # that order's residual covariance over the same rows
+        x = yw_sample(2, 5)
+        n, q = x.shape[0], 5
         fit = fit_ar_yule_walker(x, max_order=q)
         assert fit.order >= 1
         xc = x - fit.mean
-        n_eff = x.shape[0] - q
-        resid = xc[q:] - sum(xc[q - k : x.shape[0] - k] @ fit.coefs[k - 1].T
+        n_eff = n - q
+        resid = xc[q:] - sum(xc[q - k : n - k] @ fit.coefs[k - 1].T
                              for k in range(1, fit.order + 1))
         np.testing.assert_allclose(fit.sigma, resid.T @ resid / n_eff, rtol=1e-12)
-        aic = n_eff * np.linalg.slogdet(fit.sigma)[1] + 2.0 * fit.order * 4
-        assert fit.aic[fit.order] == pytest.approx(aic, rel=1e-12)
+        gam = _autocov(xc, q)
+        assert np.isfinite(fit.aic).all()
+        for p in range(q + 1):
+            coefs = yw_reference(gam, p)
+            resid = xc[q:] - sum((xc[q - k : n - k] @ coefs[k - 1].T
+                                  for k in range(1, p + 1)), np.zeros((n_eff, 2)))
+            logdet = np.linalg.slogdet(resid.T @ resid / n_eff)[1]
+            assert fit.aic[p] == pytest.approx(n_eff * logdet + 2.0 * p * 4, rel=1e-12)
         assert fit.order == int(np.argmin(fit.aic))
+
+    @pytest.mark.parametrize("m, q", [(1, 20), (2, 12), (3, 6)])
+    def test_every_order_solves_its_own_system(self, m, q):
+        # each order's coefficients, read from the leading blocks of the
+        # max-order system, are bit-identical to a solve of that order alone
+        x = yw_sample(m, 20 + m)
+        fit = fit_ar_yule_walker(x, max_order=q)
+        gam = _autocov(x - fit.mean, q)
+        big, rhs = _yw_system(gam)
+        for p in range(1, q + 1):
+            k = p * m
+            got = _yw_solve(big[:k, :k], rhs[:, :k]).reshape(m, p, m).swapaxes(0, 1)
+            assert np.array_equal(got, yw_reference(gam, p))
+        assert fit.order >= 1
+        assert np.array_equal(fit.coefs, yw_reference(gam, fit.order))
 
     def test_white_noise_selects_low_order(self):
         rng = np.random.default_rng(2)
@@ -87,9 +137,14 @@ class TestYuleWalker:
     def test_identical_series_exercises_ridge(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)
-        with pytest.warns(UserWarning, match="singular|radius"):
+        with pytest.warns(UserWarning, match="singular") as caught:
             fit = fit_ar_yule_walker(np.column_stack([x, x]), max_order=2)
-        assert fit.coefs.shape[1] == 2
+        assert [str(w.message) for w in caught] == [
+            "singular Yule-Walker system; ridge-regularized"] * 2
+        # the ridge solutions predict both columns alike, so from order 1 on
+        # the residual covariance is exactly singular and its AIC infinite
+        assert np.isinf(fit.aic[1:]).all()
+        assert fit.order == 0 and fit.coefs.shape == (0, 2, 2)
 
     def test_forecast_converges_to_mean(self):
         rng = np.random.default_rng(4)
@@ -215,13 +270,62 @@ class TestArma11:
     def test_forecast_tail_matches_recursion(self, ar):
         fit = Arma11Fit("arma11", ar, 0.3, 12.0, 1.0)
         y = np.random.default_rng(9).standard_normal(300) + 14.0
-        e = 0.0  # innovations, zero-initialized
-        for t in range(1, y.size):
-            e = (y[t] - fit.mean) - fit.ar * (y[t - 1] - fit.mean) - fit.ma * e
-        ref = [fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e]
-        for _ in range(287):
-            ref.append(fit.mean + fit.ar * (ref[-1] - fit.mean))
-        np.testing.assert_allclose(arma11_forecast(fit, y, 288), ref, rtol=1e-12)
+        np.testing.assert_allclose(arma11_forecast(fit, y, 288),
+                                   arma_recursion(fit, y, 288), rtol=1e-12)
+
+    def test_one_row_history(self):
+        # the only innovation is the zero initial one
+        fit = Arma11Fit("arma11", 0.93, 0.3, 12.0, 1.0)
+        got = arma11_forecast(fit, np.array([14.5]), 288)
+        np.testing.assert_allclose(got, arma_recursion(fit, [14.5], 288), rtol=1e-12)
+        assert got[0] == pytest.approx(12.0 + 0.93 * 2.5, rel=1e-15)
+
+    @pytest.mark.parametrize("phi, theta", [(0.3, -0.4), (0.8, 0.2), (-0.5, 0.6),
+                                            (0.95, -0.9)])
+    def test_gradient_matches_finite_differences(self, phi, theta):
+        y = arma_series(0.7, -0.4)
+        x = np.array([phi, theta])
+        _, grad = _arma11_nll(x, y)
+        fd = optimize.approx_fprime(x, lambda v: _arma11_nll(v, y)[0])
+        np.testing.assert_allclose(grad, fd, rtol=1e-5)
+
+    @pytest.mark.parametrize("ar, ma", [(0.7, -0.4), (0.9, 0.3)])
+    def test_fit_matches_finite_difference_fit(self, ar, ma):
+        y = arma_series(ar, ma)
+        n = y.size
+
+        def nll(params):  # the profiled likelihood alone, differenced by L-BFGS-B
+            _, sse, _ = _arma11_profiled(y, *params)
+            return (n - 1) * np.log(max(sse / (n - 1), 1e-300))
+
+        ref = min((optimize.minimize(nll, x0, method="L-BFGS-B",
+                                     bounds=[(-0.999, 0.999)] * 2)
+                   for x0 in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5))),
+                  key=lambda res: res.fun)
+        fit = fit_arma11_mle(y)
+        np.testing.assert_allclose([fit.ar, fit.ma, fit.mean],
+                                   [*ref.x, _arma11_profiled(y, *ref.x)[0]],
+                                   rtol=0, atol=1e-6)
+
+
+def arma_recursion(fit, y, horizon):
+    """Reference: the innovations and the forecast one step at a time."""
+    e = 0.0  # innovations, zero-initialized
+    for t in range(1, len(y)):
+        e = (y[t] - fit.mean) - fit.ar * (y[t - 1] - fit.mean) - fit.ma * e
+    out = [fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e]
+    for _ in range(horizon - 1):
+        out.append(fit.mean + fit.ar * (out[-1] - fit.mean))
+    return np.array(out)
+
+
+def arma_series(ar, ma, n=3000, seed=12):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(n + 1)
+    x = np.zeros(n + 1)
+    for t in range(1, n + 1):
+        x[t] = ar * x[t - 1] + e[t] + ma * e[t - 1]
+    return x[1:] + 5.0
 
 
 def wppt_panel(n=4000, seed=9):
@@ -400,6 +504,54 @@ class TestAdapterValues:
         got = model.forecast_power(p, self.ORIGIN, self.HORIZONS)
         assert got.shape == (self.HORIZONS.size, 2)
         np.testing.assert_array_equal(got, self.direct(p, name))
+
+    @staticmethod
+    def with_stable_fits(name, d, order):
+        """The adapter, holding stable VAR fits of ``order`` in place of its own."""
+        model = make_benchmark(name)
+        if name == "var":
+            model.fit_ = stable_var(2 * d, order, 3)
+        else:
+            model.fits = [stable_var(1 if name == "ar" else 2, order, 4 + i)
+                          for i in range(d)]
+        return model
+
+    @pytest.mark.parametrize("name, order, origin", [
+        ("ar", 3, 5), ("ar", 3, 2), ("bvar", 1, 3), ("var", 1, 3), ("var", 1, 0)])
+    def test_origin_before_max_order(self, name, order, origin):
+        # origin < max_order - 1: the forecast reads every row up to the origin
+        p = two_turbine_panel()
+        model = self.with_stable_fits(name, p.d, order)
+        steps, horizon = self.HORIZONS - 1, int(self.HORIZONS.max())
+        r = slice(0, origin + 1)
+        if name == "var":
+            hist = np.hstack([p.speed[r], p.power[r]])
+            want = var_forecast(model.fit_, hist, horizon)[steps, p.d :]
+        else:
+            hists = [p.power[r, i] if name == "ar"
+                     else np.column_stack([p.speed[r, i], p.power[r, i]])
+                     for i in range(p.d)]
+            want = np.column_stack([var_forecast(f, h, horizon)[steps, -1]
+                                    for f, h in zip(model.fits, hists)])
+        got = model.forecast_power(p, origin, self.HORIZONS)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["ar", "bvar", "var"])
+    def test_origin_with_fewer_rows_than_order(self, name):
+        model = self.with_stable_fits(name, 2, 3)
+        with pytest.raises(BenchmarkError, match="need 3 rows of history, got 2"):
+            model.forecast_power(two_turbine_panel(), 1, self.HORIZONS)
+
+    def test_arma11_at_origin_zero(self):
+        p = two_turbine_panel()
+        model = make_benchmark("arma11")
+        model.fits = [Arma11Fit("arma11", 0.8, -0.3, 60.0, 1.0),
+                      Arma11Fit("arma11", -0.4, 0.5, 70.0, 1.0)]
+        want = np.column_stack([
+            arma_recursion(f, p.power[:1, i], int(self.HORIZONS.max()))[self.HORIZONS - 1]
+            for i, f in enumerate(model.fits)])
+        got = model.forecast_power(p, 0, self.HORIZONS)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("name, kwargs", [
         ("wppt", {}),

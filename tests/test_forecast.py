@@ -752,6 +752,7 @@ class TestFitForecastAgreement:
 def test_path_draws_match_fresh_generator_per_path(seed, n_paths):
     horizon, pool = 50, 37
     draws = pf._path_draws(seed, n_paths, horizon, pool)
+    assert draws.dtype == np.int32  # half the bytes of the generator's int64
     for path in range(n_paths):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, path], dtype=np.uint64)))
