@@ -9,10 +9,10 @@ rolling-origin backtest harness.
 from .basis import ANNUAL_STEPS, DIURNAL_STEPS, BSplineSpec, BasisSet
 from .benchmarks import BENCHMARKS, make_benchmark
 from .design import (
-    ColumnInfo,
     DesignMatrix,
     FamilySpec,
     IndexSets,
+    Term,
     ThresholdSet,
     compute_thresholds,
     default_index_sets,
@@ -43,13 +43,11 @@ from .lasso import (
     coordinate_descent,
     fit_path_bic,
     lambda_grid,
-    soft_threshold,
     weighted_bic,
 )
 from .model import (
     FittedJointModel,
     ModelConfig,
-    Term,
     compute_residuals,
     fit_joint_model,
     load_model,

@@ -23,14 +23,20 @@ from .design import (
     EQUATIONS,
     DesignContext,
     build_design,
-    compute_threshold_set,
     dump_columns_csv,
     index_sets_from,
 )
 from .evaluation import BacktestSpec, run_backtest, write_report
 from .forecast import ForecastError, Forecaster, check_seed, simulate_synthetic
 from .lasso import LassoSettings
-from .model import ModelConfig, ModelFormatError, fit_joint_model, load_model, save_model
+from .model import (
+    ModelConfig,
+    ModelFormatError,
+    design_inputs,
+    fit_joint_model,
+    load_model,
+    save_model,
+)
 from .panel import (
     CalendarIndex,
     PanelError,
@@ -289,19 +295,14 @@ def _analyze_design(cfg, panel, outdir) -> str:
     if equation not in EQUATIONS:
         raise ConfigError(f"analyze.equation must be one of {', '.join(EQUATIONS)}")
     label, i = _analyze_turbine(cfg, panel)
-    cal = CalendarIndex.from_timestamps(panel.timestamps)
-    mean_b = interaction_basis(cal.time_of_day, cal.time_of_year,
-                               config.diurnal, config.annual, "cumulative")
-    vol_b = interaction_basis(cal.time_of_day, cal.time_of_year,
-                              config.diurnal, config.annual, "plain")
-    thresholds = compute_threshold_set(panel.speed, panel.power, config.sets,
-                                       config.threshold_policy)
+    _, bases, thresholds = design_inputs(panel, config)
     ones = np.ones((panel.n, panel.d))
     ctx = DesignContext(panel.speed, panel.power, ones, ones, ones, ones,
-                        mean_b.values, vol_b.values, config.sets.max_lag())
+                        bases["cumulative"].values, bases["plain"].values,
+                        config.sets.max_lag())
     dm, _ = build_design(ctx, equation, i, config.sets, thresholds)
     out = os.path.join(outdir, f"design_{equation}_{label}.csv")
-    dump_columns_csv(dm.columns, out)
+    dump_columns_csv(equation, i, dm.columns, out)
     return out
 
 
@@ -377,9 +378,11 @@ def cmd_forecast(cfg: dict, args) -> int:
     if panel.has_missing():
         panel = fill_gaps_linear(panel)
     fcfg = cfg["forecast"]
-    origin = int(fcfg["origin"])
-    if origin < 0:
-        origin = panel.n + origin
+    origin, n = int(fcfg["origin"]), panel.n
+    if not -n <= origin < n:
+        raise ConfigError(f"forecast.origin must lie in [{-n}, {n}) for this panel, "
+                          f"got {origin}")
+    origin %= n  # a negative origin counts back from the panel's end
     fore = Forecaster(model, panel)
     if fcfg["bootstrap"]:
         result = fore.bootstrap(origin, horizon, n_paths, _seed(cfg))
@@ -394,6 +397,7 @@ def cmd_forecast(cfg: dict, args) -> int:
 def cmd_backtest(cfg: dict, args) -> int:
     n_origins = _positive(cfg, "backtest", "n_origins")
     max_horizon = _positive(cfg, "backtest", "max_horizon")
+    in_sample = _positive(cfg, "backtest", "in_sample")
     panel = _read_panel(args.panel, cfg)
     if panel.has_missing():
         panel = fill_gaps_linear(panel)
@@ -401,7 +405,7 @@ def cmd_backtest(cfg: dict, args) -> int:
     spec = BacktestSpec(
         n_origins=n_origins,
         horizons=tuple(range(1, max_horizon + 1)),
-        in_sample=int(b["in_sample"]),
+        in_sample=in_sample,
         seed=_seed(cfg),
         models=tuple(str(m) for m in b["models"]),
     )

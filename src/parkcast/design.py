@@ -17,8 +17,9 @@ rebuild, the thresholds, the fit loop and the forecast engine all read it.
 Coefficients flagged time varying are expanded against the seasonal
 interaction basis (cumulative set for the mean equations, plain set with a
 constant column for the volatility equations); everything else gets a single
-constant column. Every column carries metadata sufficient to rebuild its
-values from the raw inputs.
+constant column. Every column is a ``Term``, the one record of a coefficient
+instance that the fit, the saved model and the forecast engine also keep; it
+carries enough to rebuild its values from the raw inputs.
 """
 
 from __future__ import annotations
@@ -129,9 +130,12 @@ class Equation:
     families: tuple[tuple[str, str, str, str], ...]
 
 
-# State variables carry the forecast engine's names: W speed, P power, E and
-# Ep the mean equations' shocks, Sv and Pv the volatility proxies (Pv on the
-# cube-root scale). A "thr" family gets one column per decile threshold.
+# The state variables, in the order of the forecast engine's state array:
+# W speed, P power, E and Ep the mean equations' shocks, Sv and Pv the
+# volatility proxies (Pv on the cube-root scale).
+VARS = ("W", "P", "E", "Ep", "Sv", "Pv")
+
+# A "thr" family gets one column per decile threshold.
 EQUATIONS = {
     "speed_mean": Equation("cumulative", ("W", "id"), (
         ("speed_ar", "W", "thr", "speed_ar"),
@@ -162,12 +166,6 @@ EQUATIONS = {
 FAMILY_SOURCE = {(eq, family): (var, transform)
                  for eq, spec in EQUATIONS.items()
                  for family, var, transform, _ in spec.families}
-
-# thresholded family -> (state variable, IndexSets field)
-_THRESHOLDED = {family: (var, field)
-                for spec in EQUATIONS.values()
-                for family, var, transform, field in spec.families
-                if transform == "thr"}
 
 # transform -> its action on a state array; "thr" thresholds per column
 _APPLY = {
@@ -205,26 +203,19 @@ def threshold_regressor(x, c: float):
 
 @dataclass
 class ThresholdSet:
-    """Threshold values per source turbine for the "thr" families of
-    ``EQUATIONS``: speed deciles for families on W, power deciles on P.
-
-    ``get`` always returns -inf first; decile values are appended only at
-    the family's configured threshold lags.
-    """
+    """Decile thresholds per source turbine for the "thr" families of
+    ``EQUATIONS``: speed deciles for families on W, power deciles on P."""
 
     speed_deciles: list[np.ndarray]  # per source turbine j
     power_deciles: list[np.ndarray]
-    threshold_lags: dict[str, tuple[int, ...]]
 
-    def get(self, family: str, j: int, k: int) -> list[float]:
-        if k not in self.threshold_lags.get(family, ()):
-            return [-np.inf]
-        var, _ = _THRESHOLDED[family]
+    def get(self, var: str, j: int) -> list[float]:
+        """-inf (the linear term), then the deciles of ``var`` at turbine j."""
         dec = self.speed_deciles[j] if var == "W" else self.power_deciles[j]
         return [-np.inf] + [float(c) for c in dec]
 
 
-def compute_threshold_set(W, P, sets: IndexSets, policy="deciles") -> ThresholdSet:
+def compute_threshold_set(W, P, policy="deciles") -> ThresholdSet:
     """Build the thresholds used by the designs.
 
     ``policy`` is "deciles" (in-sample deciles per source series), "none"
@@ -232,45 +223,41 @@ def compute_threshold_set(W, P, sets: IndexSets, policy="deciles") -> ThresholdS
     "power" threshold value lists applied to every turbine.
     """
     d = W.shape[1]
-    lags = {family: getattr(sets, field).threshold_lags
-            for family, (_, field) in _THRESHOLDED.items()}
     if policy == "none":
         empty = [np.empty(0) for _ in range(d)]
-        return ThresholdSet(empty, [np.empty(0) for _ in range(d)], lags)
+        return ThresholdSet(empty, [np.empty(0) for _ in range(d)])
     if policy == "deciles":
         return ThresholdSet(
             [compute_thresholds(W[:, j]) for j in range(d)],
             [compute_thresholds(P[:, j]) for j in range(d)],
-            lags,
         )
     if isinstance(policy, dict):
         spd = np.asarray(policy.get("speed", ()), dtype=float)
         pwr = np.asarray(policy.get("power", ()), dtype=float)
-        return ThresholdSet([spd] * d, [pwr] * d, lags)
+        return ThresholdSet([spd] * d, [pwr] * d)
     raise ValueError(f"unknown threshold policy {policy!r}")
 
 
 @dataclass(frozen=True)
-class ColumnInfo:
-    """Ties one design column back to a single coefficient instance."""
+class Term:
+    """One coefficient instance: a design column, and with its ``value`` a
+    fitted coefficient. Carries enough to rebuild its regressor."""
 
-    equation: str
     family: str
-    i: int
     j: int  # source turbine; -1 for the intercept
     lag: int
     threshold: float  # -inf = linear term, NaN = family without thresholds
     basis_index: int  # column of the interaction basis; -1 = constant coefficient
     time_varying: bool
+    value: float = 0.0
 
 
 @dataclass
 class DesignMatrix:
-    """Columns and metadata; ``build_design``'s values are F-ordered stacked rows."""
+    """Columns and their terms; ``build_design``'s values are F-ordered stacked rows."""
 
     values: np.ndarray  # (n_effective, p)
-    columns: list[ColumnInfo]
-    row_offset: int
+    columns: list[Term]
 
     @property
     def p(self) -> int:
@@ -279,18 +266,18 @@ class DesignMatrix:
 
 @dataclass
 class DesignContext:
-    """Shared inputs for the four builders: raw series, current residual and
-    volatility proxies (all-ones at the first pass), and the two evaluated
-    interaction bases aligned with the panel rows."""
+    """Shared inputs for the four builders: the state variables of ``VARS``
+    (residuals and volatility proxies all-ones at the first pass) and the
+    two evaluated interaction bases by kind, aligned with the panel rows."""
 
     W: np.ndarray
     P: np.ndarray
-    speed_resid: np.ndarray
-    power_resid: np.ndarray
-    speed_vol: np.ndarray
-    power_vol: np.ndarray  # cube-root-scale proxy
-    basis_mean: np.ndarray  # cumulative interaction values (n, Nb)
-    basis_vol: np.ndarray  # plain interaction values with constant column
+    E: np.ndarray
+    Ep: np.ndarray
+    Sv: np.ndarray
+    Pv: np.ndarray  # cube-root-scale proxy
+    cumulative: np.ndarray  # cumulative interaction values (n, Nb)
+    plain: np.ndarray  # plain interaction values with constant column
     trim: int
 
     @property
@@ -300,17 +287,6 @@ class DesignContext:
     @property
     def d(self) -> int:
         return self.W.shape[1]
-
-    def state(self, var: str) -> np.ndarray:
-        """The (n, d) values of a state variable of ``EQUATIONS``."""
-        return getattr(self, _CONTEXT_FIELDS[var])
-
-    def basis(self, kind: str) -> np.ndarray:
-        return self.basis_mean if kind == "cumulative" else self.basis_vol
-
-
-_CONTEXT_FIELDS = {"W": "W", "P": "P", "E": "speed_resid", "Ep": "power_resid",
-                   "Sv": "speed_vol", "Pv": "power_vol"}
 
 
 def _lagged(arr: np.ndarray, j: int, k: int, trim: int) -> np.ndarray:
@@ -322,7 +298,8 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
                  thresholds: ThresholdSet | None = None):
     """Design and response of ``equation`` for turbine i: the intercept
     columns, then every family of ``EQUATIONS[equation]`` in order, each over
-    source turbines, lags, thresholds ("thr" families, -inf first) and basis
+    source turbines, lags, thresholds ("thr" families: -inf, then the deciles
+    at the family's threshold lags; NaN without ``thresholds``) and basis
     columns (time-varying lags). Both are written in place as the rows of one
     C-ordered (p + 1) x m buffer, response last, the rows the lasso's syrk
     reads: the design is the F-ordered view ``buf[:p].T``."""
@@ -332,12 +309,12 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
             f"configured maximum lag"
         )
     spec = EQUATIONS[equation]
-    basis = ctx.basis(spec.basis)[ctx.trim :]
+    basis = getattr(ctx, spec.basis)[ctx.trim :]
     nb = basis.shape[1]
-    metas = [ColumnInfo(equation, "const", i, -1, 0, _NO_THRESHOLD, l, True) for l in range(nb)]
+    metas = [Term("const", -1, 0, _NO_THRESHOLD, l, True) for l in range(nb)]
     regs = []  # (first row, lagged source, threshold, time varying) per block
     for family, var, transform, field in spec.families:
-        source = _APPLY[transform](ctx.state(var))
+        source = _APPLY[transform](getattr(ctx, var))
         lags = getattr(sets, field)
         for j in range(ctx.d):
             own = j == i
@@ -347,12 +324,13 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
                         f"lag {k} exceeds the shared trim {ctx.trim}; need at "
                         f"least {k} leading rows"
                     )
-                cs = (thresholds.get(family, j, k) if transform == "thr" and thresholds is not None
-                      else [_NO_THRESHOLD])
+                cs = [_NO_THRESHOLD]
+                if transform == "thr" and thresholds is not None:
+                    cs = thresholds.get(var, j) if k in lags.threshold_lags else [-np.inf]
                 tv = k in lags.tv_lags(own)
                 for c in cs:
                     regs.append((len(metas), _lagged(source, j, k, ctx.trim), c, tv))
-                    metas.extend(ColumnInfo(equation, family, i, j, k, c, l, tv)
+                    metas.extend(Term(family, j, k, c, l, tv)
                                  for l in (range(nb) if tv else (-1,)))
     buf = np.empty((len(metas) + 1, basis.shape[0]))
     buf[:nb] = basis.T
@@ -365,8 +343,8 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
             np.multiply(rows[-1], basis[:, :-1].T, out=rows[:-1])
             rows[-1] *= basis[:, -1]
     var, transform = spec.response
-    buf[-1] = _APPLY[transform](ctx.state(var)[ctx.trim :, i])
-    return DesignMatrix(buf[:-1].T, metas, ctx.trim), buf[-1]
+    buf[-1] = _APPLY[transform](getattr(ctx, var)[ctx.trim :, i])
+    return DesignMatrix(buf[:-1].T, metas), buf[-1]
 
 
 # one builder per equation, by name: the fit loop looks them up at call time
@@ -388,27 +366,27 @@ def build_power_vol_design(ctx: DesignContext, i: int, sets: IndexSets):
     return build_design(ctx, "power_vol", i, sets)
 
 
-def regressor_from_meta(info: ColumnInfo, ctx: DesignContext) -> np.ndarray:
-    """Rebuild a design column from its metadata; used to verify that column
-    metadata round-trips exactly."""
-    basis = ctx.basis(EQUATIONS[info.equation].basis)[ctx.trim :]
-    if info.family == "const":
-        return basis[:, info.basis_index].copy()
-    var, transform = FAMILY_SOURCE[(info.equation, info.family)]
-    reg = _lagged(_APPLY[transform](ctx.state(var)), info.j, info.lag, ctx.trim)
-    if not np.isnan(info.threshold):
-        reg = threshold_regressor(reg, info.threshold)
-    if info.time_varying:
-        return reg * basis[:, info.basis_index]
+def regressor_from_meta(equation: str, term: Term, ctx: DesignContext) -> np.ndarray:
+    """Rebuild a column of ``equation``'s design from its term; used to
+    verify that the terms round-trip exactly."""
+    basis = getattr(ctx, EQUATIONS[equation].basis)[ctx.trim :]
+    if term.family == "const":
+        return basis[:, term.basis_index].copy()
+    var, transform = FAMILY_SOURCE[(equation, term.family)]
+    reg = _lagged(_APPLY[transform](getattr(ctx, var)), term.j, term.lag, ctx.trim)
+    if not np.isnan(term.threshold):
+        reg = threshold_regressor(reg, term.threshold)
+    if term.time_varying:
+        return reg * basis[:, term.basis_index]
     return reg.copy()
 
 
-def dump_columns_csv(columns: list[ColumnInfo], path) -> None:
-    """Write column metadata as CSV (family, i, j, lag, threshold, basis, tv)."""
+def dump_columns_csv(equation: str, i: int, columns: list[Term], path) -> None:
+    """Write the columns of turbine i's ``equation`` design as CSV, one row each."""
     with open(path, "w") as fh:
         fh.write("equation,family,i,j,lag,threshold,basis,tv\n")
         for c in columns:
             fh.write(
-                f"{c.equation},{c.family},{c.i},{c.j},{c.lag},"
+                f"{equation},{c.family},{i},{c.j},{c.lag},"
                 f"{c.threshold!r},{c.basis_index},{int(c.time_varying)}\n"
             )

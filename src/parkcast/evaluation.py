@@ -44,6 +44,8 @@ class BacktestSpec:
     def __post_init__(self) -> None:
         if self.n_origins < 1:
             raise ValueError("n_origins must be >= 1")
+        if self.in_sample < 1:
+            raise ValueError(f"in_sample must be >= 1, got {self.in_sample}")
         if not self.horizons or min(self.horizons) < 1:
             raise ValueError("horizons must be positive")
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import interaction_basis
-from .design import EQUATIONS, FAMILY_SOURCE
+from .design import EQUATIONS, FAMILY_SOURCE, VARS
 from .model import FittedJointModel
 from .panel import STEP_SECONDS, CalendarIndex, TurbinePanel
 
@@ -75,8 +75,7 @@ class ForecastResult:
 
 
 # the first axis of the engine's state array
-_VARS = ("W", "P", "E", "Ep", "Sv", "Pv")
-_W, _P, _E, _EP, _SV, _PV = range(len(_VARS))
+_W, _P, _E, _EP, _SV, _PV = range(len(VARS))
 
 # the transforms of EQUATIONS -> (class, lower bound); "thr" takes the
 # term's threshold, and no threshold makes it "id". A stage sorts its
@@ -116,7 +115,7 @@ class _Stage:
                 source = FAMILY_SOURCE.get((eq, t.family))
                 if source is None:
                     raise ForecastError(f"unknown family {t.family!r} in {eq}")
-                var = _VARS.index(source[0])
+                var = VARS.index(source[0])
                 if t.lag < 1 and var not in now:
                     what = "volatility" if eq.endswith("_vol") else t.family
                     raise ForecastError(f"{eq}[{i}]: {what} terms need lag >= 1")
@@ -347,7 +346,7 @@ class Forecaster:
         self.start = _locate(model, panel)
         n, d = panel.n, panel.d
         # the engine state with one path; W .. Pv are (n, d) views of it
-        self.state = np.zeros((len(_VARS), n, d, 1))
+        self.state = np.zeros((len(VARS), n, d, 1))
         self.W, self.P, self.E, self.Ep, self.Sv, self.Pv = self.state[..., 0]
         self.W[:], self.P[:] = panel.speed, panel.power
         self.Sv[:], self.Pv[:] = model.speed_floors, model.power_floors
@@ -393,7 +392,7 @@ class Forecaster:
             self._check_origin(int(origin))
         self.ensure_state(int(origins.max()))
         trim = self.model.trim
-        state = np.zeros((len(_VARS), trim + 1, self.panel.d, n_paths))
+        state = np.zeros((len(VARS), trim + 1, self.panel.d, n_paths))
         rows = origins + np.arange(1 - trim, 1)[:, None]  # (trim, origins)
         state[:, :trim] = self.state[..., 0][:, rows].transpose(0, 1, 3, 2)
         ts_future = (self.panel.timestamps[origins][:, None]
@@ -528,7 +527,7 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     lead = 160  # flat pre-history so max-lag reads stay in bounds
     ts = start_epoch + STEP_SECONDS * (np.arange(total + lead) - burn_in - lead)
     T = total + lead
-    state = np.zeros((len(_VARS), T, d, 1))
+    state = np.zeros((len(VARS), T, d, 1))
     state[_SV:] = 1.0
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = rng.standard_normal((T, d))[lead:, :, None]

@@ -108,11 +108,6 @@ class LassoFit:
         return self.coef_path[self.selected_index]
 
 
-def soft_threshold(z, g):
-    """sign(z) * max(|z| - g, 0); g = 0 is the identity."""
-    return np.sign(z) * np.maximum(np.abs(z) - g, 0.0)
-
-
 def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> float:
     r = problem.response - problem.design @ coefficients
     rss = float(np.dot(problem.weights * r, r))

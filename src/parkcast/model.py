@@ -17,16 +17,16 @@ bootstrap both use the proxies consistently, so that scale cancels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from .design import (
     EQUATIONS,
-    ColumnInfo,
     DesignContext,
     IndexSets,
+    Term,
     ThresholdSet,
     build_power_mean_design,
     build_power_vol_design,
@@ -70,19 +70,6 @@ class ModelConfig:
             raise ValueError("k_max must be >= 1")
         if not 0.0 < self.vol_floor_fraction < 1.0:
             raise ValueError("vol_floor_fraction must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class Term:
-    """One nonzero coefficient with enough metadata to rebuild its regressor."""
-
-    family: str
-    j: int
-    lag: int
-    threshold: float
-    basis_index: int  # -1 for a constant coefficient
-    time_varying: bool
-    value: float
 
 
 @dataclass
@@ -176,14 +163,15 @@ def _proxy_or_unit(equation: str, i: int, fitted: np.ndarray, config: ModelConfi
         return np.ones_like(fitted), 1.0
 
 
-def _terms_from_fit(columns: list[ColumnInfo], coefficients: np.ndarray) -> list[Term]:
-    out = []
-    for c, info in enumerate(columns):
-        v = coefficients[c]
-        if v != 0.0:
-            out.append(Term(info.family, info.j, info.lag, info.threshold,
-                            info.basis_index, info.time_varying, float(v)))
-    return out
+def design_inputs(panel: TurbinePanel, config: ModelConfig):
+    """What every design of ``panel`` reads besides the state variables: the
+    calendar, the two interaction bases keyed by kind, and the thresholds."""
+    cal = CalendarIndex.from_timestamps(panel.timestamps)
+    bases = {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
+                                     config.diurnal, config.annual, kind)
+             for kind in ("cumulative", "plain")}
+    return cal, bases, compute_threshold_set(panel.speed, panel.power,
+                                             config.threshold_policy)
 
 
 # the state variable each equation fills, by its response variable: a mean
@@ -206,12 +194,8 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
             f"(max lag {trim} + min sample {config.min_rows}), got {n}"
         )
 
-    cal = CalendarIndex.from_timestamps(panel.timestamps)
-    mean_set = interaction_basis(cal.time_of_day, cal.time_of_year,
-                                 config.diurnal, config.annual, "cumulative")
-    vol_set = interaction_basis(cal.time_of_day, cal.time_of_year,
-                                config.diurnal, config.annual, "plain")
-    thresholds = compute_threshold_set(W, P, sets, config.threshold_policy)
+    cal, bases, thresholds = design_inputs(panel, config)
+    basis_values = {kind: b.values for kind, b in bases.items()}
 
     m = n - trim
     state = {var: np.ones((n, d)) for var in _FILLS.values()}
@@ -230,12 +214,11 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
             # mean designs see the last pass's state; volatility designs see
             # this pass's residuals and the last pass's proxies
             seen = state if mean else {**state, "E": fresh["E"], "Ep": fresh["Ep"]}
-            ctx = DesignContext(W, P, seen["E"], seen["Ep"], seen["Sv"], seen["Pv"],
-                                mean_set.values, vol_set.values, trim)
+            ctx = DesignContext(W, P, **seen, **basis_values, trim=trim)
             # looked up by name at call time, so a wrapped builder is the one called
             build = globals()[f"build_{eq}_design"]
             # the one unpenalized column: the basis's constant
-            const = ("const", (mean_set if mean else vol_set).constant_column)
+            const = ("const", bases[spec.basis].constant_column)
             out = np.zeros((n, d)) if mean else np.empty((n, d))
             for i in range(d):
                 dm, y = build(ctx, i, sets, thresholds) if mean else build(ctx, i, sets)
@@ -246,7 +229,8 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                                                             for c in dm.columns]))
                 fit = _fit_equation(eq, i, prob, config.lasso)
                 fits[(eq, i)] = fit
-                terms[(eq, i)] = _terms_from_fit(dm.columns, fit.coefficients)
+                terms[(eq, i)] = [replace(c, value=float(v))
+                                  for c, v in zip(dm.columns, fit.coefficients) if v != 0.0]
                 if mean:
                     out[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
                     continue
@@ -454,7 +438,6 @@ def _read_model(r: _Reader) -> FittedJointModel:
     thresholds = ThresholdSet(
         [row[~np.isnan(row)] for row in dec_speed],
         [row[~np.isnan(row)] for row in dec_power],
-        threshold_lags={},
     )
     return FittedJointModel(
         labels=labels,

@@ -293,19 +293,16 @@ def smoothed_periodogram(series, span: int = 1):
     x = x - x.mean()
     spec = np.abs(np.fft.rfft(x)) ** 2 / n**2
     nk = n // 2
-    raw = np.empty(nk)
-    for k in range(1, nk + 1):
-        raw[k - 1] = spec[k] if (n % 2 == 0 and k == nk) else 2.0 * spec[k]
+    raw = 2.0 * spec[1 : nk + 1]
+    if n % 2 == 0:
+        raw[-1] = spec[nk]  # the Nyquist ordinate has no mirror image
     freqs = np.arange(1, nk + 1) / n
     if span == 1:
         return freqs, raw
-    half = span // 2
     csum = np.concatenate(([0.0], np.cumsum(raw)))
-    out = np.empty(nk)
-    for k in range(nk):
-        lo, hi = max(0, k - half), min(nk, k + half + 1)
-        out[k] = (csum[hi] - csum[lo]) / (hi - lo)
-    return freqs, out
+    k = np.arange(nk)
+    lo, hi = np.maximum(k - span // 2, 0), np.minimum(k + span // 2 + 1, nk)
+    return freqs, (csum[hi] - csum[lo]) / (hi - lo)
 
 
 DEFAULT_SEASONS = ((12, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11))

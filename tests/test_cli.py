@@ -1,11 +1,14 @@
 import os
+from copy import deepcopy
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from parkcast.cli import main
+from parkcast.cli import DEFAULT_CONFIG, main, model_config_from
 from parkcast.design import EQUATIONS
+from parkcast.model import ModelConfig
 
 CONFIG = """
 simulate:
@@ -45,6 +48,31 @@ def run(*argv):
     return main(list(argv))
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """A directory with a simulated 2,500-row panel and the model fitted on it."""
+    d = tmp_path_factory.mktemp("fitted")
+    (d / "cfg.yaml").write_text(CONFIG)
+    assert run("simulate", str(d / "cfg.yaml"), "--out-dir", str(d), "--seed", "4") == 0
+    assert run("fit", str(d / "cfg.yaml"), "--panel", str(d / "panel.csv"),
+               "--out-dir", str(d)) == 0
+    return d
+
+
+def forecast_at(workdir, fitted, origin):
+    cfg = yaml.safe_load(CONFIG)
+    cfg["forecast"]["origin"] = origin
+    (workdir / "origin.yaml").write_text(yaml.safe_dump(cfg))
+    return run("forecast", "origin.yaml", "--panel", str(fitted / "panel.csv"),
+               "--model", str(fitted / "model.txt"), "--out-dir", "out")
+
+
+def test_default_model_config_matches_library_defaults():
+    # the CLI schema restates ModelConfig's, LassoSettings' and
+    # index_sets_from's defaults; the two declarations must not drift apart
+    assert model_config_from(deepcopy(DEFAULT_CONFIG)) == ModelConfig()
+
+
 class TestPipeline:
     def test_simulate_fit_forecast_backtest(self, workdir):
         assert run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "4") == 0
@@ -56,26 +84,26 @@ class TestPipeline:
         assert run("forecast", "cfg.yaml", "--panel", "out/panel.csv",
                    "--model", "out/model.txt", "--out-dir", "out",
                    "--seed", "4") == 0
-        head = open("out/forecast.csv").readline().strip()
+        head = Path("out/forecast.csv").read_text().splitlines()[0].strip()
         assert head.startswith("origin_ts,horizon,turbine,variable,point,p01")
         assert head.endswith("p99")
         assert run("backtest", "cfg.yaml", "--panel", "out/panel.csv",
                    "--out-dir", "out") == 0
         # persistence-only backtest: dmae identically zero
-        rows = [ln.split(",") for ln in open("out/dmae.csv").read().splitlines()[1:]]
+        rows = [ln.split(",") for ln in Path("out/dmae.csv").read_text().splitlines()[1:]]
         assert all(float(r[-1]) == 0.0 for r in rows if r[0] == "persistence")
 
     def test_determinism_byte_identical(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "a", "--seed", "11")
         run("simulate", "cfg.yaml", "--out-dir", "b", "--seed", "11")
-        assert open("a/panel.csv").read() == open("b/panel.csv").read()
+        assert Path("a/panel.csv").read_text() == Path("b/panel.csv").read_text()
         run("fit", "cfg.yaml", "--panel", "a/panel.csv", "--out-dir", "a")
         run("fit", "cfg.yaml", "--panel", "b/panel.csv", "--out-dir", "b")
         run("forecast", "cfg.yaml", "--panel", "a/panel.csv",
             "--model", "a/model.txt", "--out-dir", "a", "--seed", "2")
         run("forecast", "cfg.yaml", "--panel", "b/panel.csv",
             "--model", "b/model.txt", "--out-dir", "b", "--seed", "2")
-        assert open("a/forecast.csv").read() == open("b/forecast.csv").read()
+        assert Path("a/forecast.csv").read_text() == Path("b/forecast.csv").read_text()
 
     def test_analyze_outputs(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
@@ -84,7 +112,7 @@ class TestPipeline:
                        "--out-dir", "out", "--what", what) == 0
         assert os.path.exists("out/periodogram_A_speed.csv")
         assert os.path.exists("out/design_speed_mean_A.csv")
-        head = open("out/design_speed_mean_A.csv").readline().strip()
+        head = Path("out/design_speed_mean_A.csv").read_text().splitlines()[0].strip()
         assert head == "equation,family,i,j,lag,threshold,basis,tv"
 
     @pytest.mark.parametrize("equation", list(EQUATIONS))
@@ -94,7 +122,7 @@ class TestPipeline:
         (workdir / "eq.yaml").write_text(CONFIG + f"  equation: {equation}\n")
         assert run("analyze", "eq.yaml", "--panel", "out/panel.csv",
                    "--out-dir", "out", "--what", "design") == 0
-        lines = open(f"out/design_{equation}_A.csv").read().splitlines()
+        lines = Path(f"out/design_{equation}_A.csv").read_text().splitlines()
         assert lines[0] == "equation,family,i,j,lag,threshold,basis,tv"
         assert {ln.split(",")[0] for ln in lines[1:]} == {equation}
         families = {ln.split(",")[1] for ln in lines[1:]}
@@ -121,12 +149,12 @@ class TestPipeline:
 
     def test_ingest_round_trip(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "3")
-        raw = open("out/panel.csv").read().splitlines()
+        raw = Path("out/panel.csv").read_text().splitlines()
         raw[10] = raw[10].rsplit(",", 1)[0] + ","  # punch a hole
         (workdir / "raw.csv").write_text("\n".join(raw) + "\n")
         assert run("ingest", "cfg.yaml", "--input", "raw.csv",
                    "--out-dir", "ing") == 0
-        filled = open("ing/panel.csv").read().splitlines()
+        filled = Path("ing/panel.csv").read_text().splitlines()
         assert "," + "," not in filled[10]  # gap filled
 
 
@@ -160,6 +188,7 @@ class TestExitCodes:
         ("forecast", "forecast", "n_paths"),
         ("backtest", "backtest", "max_horizon"),
         ("backtest", "backtest", "n_origins"),
+        ("backtest", "backtest", "in_sample"),
     ])
     def test_non_positive_size_is_config_error(self, workdir, capsys, command,
                                                section, key):
@@ -192,6 +221,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: config: simulate.{key} must be >= 1, got 0" in err
         assert not (workdir / "out" / "panel.csv").exists()
+
+    @pytest.mark.parametrize("origin", [2500, 99999, -2501, -99999])
+    def test_origin_outside_panel_is_config_error(self, workdir, capsys, fitted, origin):
+        assert forecast_at(workdir, fitted, origin) == 2
+        err = capsys.readouterr().err
+        assert (f"error: config: forecast.origin must lie in [-2500, 2500) for this "
+                f"panel, got {origin}") in err
+
+    @pytest.mark.parametrize("origin, code", [(2499, 0), (-1, 0), (0, 5), (-2500, 5)])
+    def test_origin_inside_panel(self, workdir, capsys, fitted, origin, code):
+        # the saved model covers only the panel's last rows: an early origin
+        # lacks history, which is a property of the model, not of the config
+        assert forecast_at(workdir, fitted, origin) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "error: runtime: ForecastError: origin 0 leaves less than" in err
 
     def test_malformed_model_file(self, workdir, capsys):
         (workdir / "bad_model.txt").write_text("parkcast-model 1\n")

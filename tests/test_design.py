@@ -88,7 +88,7 @@ class TestSpeedMeanDesign:
     def test_ar1_layout(self):
         ctx = context()
         sets = minimal_sets()
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "none")
+        thr = compute_threshold_set(ctx.W, ctx.P, "none")
         dm, y = build_speed_mean_design(ctx, 0, sets, thr)
         # 48 basis intercept columns plus the single lag-1 regressor
         assert dm.p == 49
@@ -98,14 +98,14 @@ class TestSpeedMeanDesign:
     def test_time_varying_lag_expands_to_48(self):
         ctx = context()
         sets = minimal_sets(speed_ar=FamilySpec((1,), (), tv_own=(1,)))
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "none")
+        thr = compute_threshold_set(ctx.W, ctx.P, "none")
         dm, _ = build_speed_mean_design(ctx, 0, sets, thr)
         assert dm.p == 48 + 48
 
     def test_threshold_set_gives_ten_columns(self):
         ctx = context()
         sets = minimal_sets(speed_ar=FamilySpec((1,), (), threshold_lags=(1,)))
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "deciles")
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
         dm, _ = build_speed_mean_design(ctx, 0, sets, thr)
         ar_cols = [c for c in dm.columns if c.family == "speed_ar"]
         assert len(ar_cols) == 10
@@ -119,14 +119,14 @@ class TestSpeedMeanDesign:
             speed_ar=FamilySpec((1, 2), (1,)),
             speed_ma=FamilySpec((1,), (1,)),
         )
-        thr = compute_threshold_set(ctx.W, ctx.P, small, "deciles")
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
         dm, _ = build_speed_mean_design(context(d=2, trim=2), 0, small, thr)
         assert {c.family for c in dm.columns} <= {"const", "speed_ar", "speed_ma"}
 
     def test_insufficient_history(self):
         ctx = context(n=100, trim=2)
         sets = minimal_sets(speed_ar=FamilySpec((5,), ()))
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "none")
+        thr = compute_threshold_set(ctx.W, ctx.P, "none")
         with pytest.raises(ValueError, match="lag 5"):
             build_speed_mean_design(ctx, 0, sets, thr)
 
@@ -135,7 +135,7 @@ class TestPowerMeanDesign:
     def test_contemporaneous_speed_present(self):
         ctx = context()
         sets = minimal_sets()
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "none")
+        thr = compute_threshold_set(ctx.W, ctx.P, "none")
         dm, y = build_power_mean_design(ctx, 0, sets, thr)
         reg = [c for c in dm.columns if c.family == "speed_reg"]
         assert reg and reg[0].lag == 0
@@ -156,7 +156,7 @@ class TestPowerMeanDesign:
             cross_vol_lag=FamilySpec((), ()),
         )
         thr = compute_threshold_set(
-            ctx.W, ctx.P, sets, {"speed": list(range(17)), "power": []})
+            ctx.W, ctx.P, {"speed": list(range(17)), "power": []})
         dm, _ = build_power_mean_design(ctx, 0, sets, thr)
         reg = [c for c in dm.columns if c.family == "speed_reg"]
         assert len(reg) == 18  # -inf baseline plus thresholds 0..16
@@ -166,7 +166,7 @@ class TestPowerMeanDesign:
 class TestVolDesigns:
     def test_sign_split_values(self):
         ctx = context()
-        ctx.speed_resid[:, 0] = -2.0
+        ctx.E[:, 0] = -2.0
         sets = minimal_sets()
         dm, y = build_speed_vol_design(ctx, 0, sets)
         pos = dm.values[:, [i for i, c in enumerate(dm.columns)
@@ -178,7 +178,7 @@ class TestVolDesigns:
 
     def test_zero_residual_gives_zero_split(self):
         ctx = context()
-        ctx.speed_resid[:] = 0.0
+        ctx.E[:] = 0.0
         dm, _ = build_speed_vol_design(ctx, 0, minimal_sets())
         fams = {c.family for c in dm.columns}
         for fam in ("pos_shock", "neg_shock"):
@@ -187,7 +187,7 @@ class TestVolDesigns:
 
     def test_cube_root_scale_in_power_vol(self):
         ctx = context()
-        ctx.power_resid[:, 0] = -8.0
+        ctx.Ep[:, 0] = -8.0
         dm, y = build_power_vol_design(ctx, 0, minimal_sets())
         neg = dm.values[:, [i for i, c in enumerate(dm.columns)
                             if c.family == "neg_shock"][0]]
@@ -198,7 +198,7 @@ class TestVolDesigns:
 
     def test_all_ones_proxies_give_constant_columns(self):
         ctx = context()
-        ctx.speed_vol[:] = 1.0
+        ctx.Sv[:] = 1.0
         sets = minimal_sets(speed_vol_lag=FamilySpec((1,), ()))
         dm, _ = build_speed_vol_design(ctx, 0, sets)
         cols = [i for i, c in enumerate(dm.columns) if c.family == "vol_lag"]
@@ -210,7 +210,7 @@ class TestVolDesigns:
         fams = {c.family for c in dm.columns}
         assert "speed_pos_shock" in fams and "speed_vol_lag" in fams
         svl = [i for i, c in enumerate(dm.columns) if c.family == "speed_vol_lag"][0]
-        assert np.allclose(dm.values[:, svl], np.cbrt(ctx.speed_vol[1:-1, 0]))
+        assert np.allclose(dm.values[:, svl], np.cbrt(ctx.Sv[1:-1, 0]))
 
 
 class TestMetadataRoundTrip:
@@ -232,11 +232,12 @@ class TestMetadataRoundTrip:
             speed_vol_lag=FamilySpec((1,), ()),
             power_vol_lag=FamilySpec((1,), ()),
         )
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "deciles")
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
         args = (ctx, 1, sets, thr) if needs_thr else (ctx, 1, sets)
         dm, _ = builder(*args)
+        equation = builder.__name__.removeprefix("build_").removesuffix("_design")
         for idx in range(dm.p):
-            rebuilt = regressor_from_meta(dm.columns[idx], ctx)
+            rebuilt = regressor_from_meta(equation, dm.columns[idx], ctx)
             assert np.array_equal(rebuilt, dm.values[:, idx]), dm.columns[idx]
 
     def test_column_count_formula(self):
@@ -246,7 +247,7 @@ class TestMetadataRoundTrip:
                                 threshold_lags=(1, 2)),
             speed_ma=FamilySpec((1,), (1,)),
         )
-        thr = compute_threshold_set(ctx.W, ctx.P, sets, "deciles")
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
         dm, _ = build_speed_mean_design(ctx, 0, sets, thr)
         nb = 48
         own = (10 * nb) + (10 * nb)  # lags 1,2: thresholded and time varying
@@ -262,7 +263,7 @@ class TestNoLookahead:
         cut = 150
         ctx_b.W[cut:] += 100.0  # perturb the future
         sets = minimal_sets(speed_ar=FamilySpec((1, 2), ()))
-        thr = compute_threshold_set(ctx_a.W, ctx_a.P, sets, "none")
+        thr = compute_threshold_set(ctx_a.W, ctx_a.P, "none")
         dm_a, _ = build_speed_mean_design(ctx_a, 0, sets, thr)
         dm_b, _ = build_speed_mean_design(ctx_b, 0, sets, thr)
         # design row t uses data strictly before t (speed mean has no lag 0)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import tiny_config, tiny_sets, two_turbine_truth
@@ -119,6 +121,12 @@ class TestSampleOrigins:
         spec = BacktestSpec(n_origins=10, horizons=(1, 12), in_sample=50, seed=9)
         assert np.array_equal(sample_origins(300, spec), sample_origins(300, spec))
 
+    @pytest.mark.parametrize("in_sample", [0, -2500])
+    def test_non_positive_in_sample(self, in_sample):
+        # a negative window would index origins and fits from the panel's end
+        with pytest.raises(ValueError, match=f"in_sample must be >= 1, got {in_sample}"):
+            BacktestSpec(n_origins=10, horizons=(1, 12), in_sample=in_sample)
+
     def test_too_short_panel(self):
         spec = BacktestSpec(n_origins=10, horizons=(1, 288), in_sample=100)
         with pytest.raises(BacktestError, match="too short"):
@@ -234,7 +242,7 @@ class TestRunBacktest:
         names = {f.split("/")[-1] for f in files}
         assert {"mae.csv", "dmae.csv", "summary.csv", "density_1.csv",
                 "density_24.csv", "run_info.csv"} <= names
-        header = open(files[0]).readline().strip()
+        header = Path(files[0]).read_text().splitlines()[0].strip()
         assert header == "model,turbine,k,mae,sd"
 
     def test_timings_recorded(self, backtest_panel):

@@ -701,7 +701,7 @@ class TestFitForecastAgreement:
         tv = (lag,) if time_varying else ()
         sets = IndexSets(**{field: FamilySpec((lag,), (lag,), tv, tv, (lag,))
                             for field in IndexSets.__dataclass_fields__})
-        thresholds = compute_threshold_set(panel.speed, panel.power, sets,
+        thresholds = compute_threshold_set(panel.speed, panel.power,
                                            {"speed": [6.0], "power": [60.0]})
         basis = reference_basis(model, panel.timestamps)
         ctx = DesignContext(fore.W, fore.P, fore.E, fore.Ep, fore.Sv, fore.Pv,
@@ -729,7 +729,7 @@ class TestFitForecastAgreement:
         trim = model.trim
         sets = IndexSets(**{field: FamilySpec((1, 2), (2,), (2,), (2,), (1, 2))
                             for field in IndexSets.__dataclass_fields__})
-        thresholds = compute_threshold_set(panel.speed, panel.power, sets)
+        thresholds = compute_threshold_set(panel.speed, panel.power)
         basis = reference_basis(model, panel.timestamps)
         ctx = DesignContext(fore.W, fore.P, fore.E, fore.Ep, fore.Sv, fore.Pv,
                             basis["cumulative"], basis["plain"], trim)
@@ -743,7 +743,7 @@ class TestFitForecastAgreement:
                 assert np.shares_memory(dm.values, buf) and np.shares_memory(y, buf)
                 assert np.array_equal(dm.values, buf[:-1].T) and dm.values.flags.f_contiguous
                 for r, info in enumerate(dm.columns):
-                    assert np.array_equal(buf[r], regressor_from_meta(info, ctx)), info
+                    assert np.array_equal(buf[r], regressor_from_meta(equation, info, ctx)), info
                 assert np.array_equal(buf[-1], responses[equation][trim:, i])
                 assert np.array_equal(y, buf[-1])
 

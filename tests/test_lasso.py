@@ -15,7 +15,6 @@ from parkcast.lasso import (
     kkt_residuals,
     lambda_grid,
     objective_value,
-    soft_threshold,
     weighted_bic,
 )
 
@@ -39,17 +38,6 @@ def collinear_design(rng, m=60):
     X[:, 3] = X[:, 0] * (1 + 1e-9)
     X[:, 4] = 1.0
     return X
-
-
-class TestSoftThreshold:
-    def test_values(self):
-        assert soft_threshold(3.0, 1.0) == 2.0
-        assert soft_threshold(-0.5, 1.0) == 0.0
-        assert soft_threshold(-3.0, 1.0) == -2.0
-
-    def test_zero_gap_is_identity(self):
-        z = np.linspace(-2, 2, 11)
-        assert np.array_equal(soft_threshold(z, 0.0), z)
 
 
 class TestLambdaGrid:

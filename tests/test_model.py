@@ -111,8 +111,7 @@ class TestFitJointModel:
         ones = np.ones((n, d))
         ctx = DesignContext(small_panel.speed, small_panel.power, ones, ones,
                             ones, ones, mean_b.values, vol_b.values, trim)
-        thr = compute_threshold_set(small_panel.speed, small_panel.power,
-                                    cfg.sets, "none")
+        thr = compute_threshold_set(small_panel.speed, small_panel.power, "none")
         dm, y = build_speed_mean_design(ctx, 0, cfg.sets, thr)
         mask = np.ones(dm.p, dtype=bool)
         for c, info in enumerate(dm.columns):

@@ -138,6 +138,26 @@ class TestFillGaps:
             fill_gaps_linear(make_panel([np.nan, np.nan, np.nan], [1.0, 2.0, 3.0]))
 
 
+def periodogram_loops(x, span):
+    """Reference: the one-sided ordinates and their moving average, bin by bin."""
+    n = x.size
+    spec = np.abs(np.fft.rfft(x - x.mean())) ** 2 / n**2
+    nk = n // 2
+    raw = np.empty(nk)
+    for k in range(1, nk + 1):
+        raw[k - 1] = spec[k] if (n % 2 == 0 and k == nk) else 2.0 * spec[k]
+    freqs = np.arange(1, nk + 1) / n
+    if span == 1:
+        return freqs, raw
+    half = span // 2
+    csum = np.concatenate(([0.0], np.cumsum(raw)))
+    out = np.empty(nk)
+    for k in range(nk):
+        lo, hi = max(0, k - half), min(nk, k + half + 1)
+        out[k] = (csum[hi] - csum[lo]) / (hi - lo)
+    return freqs, out
+
+
 class TestSmoothedPeriodogram:
     def test_sinusoid_peaks_at_its_bin(self):
         n = 14400
@@ -168,6 +188,14 @@ class TestSmoothedPeriodogram:
         _, d1 = smoothed_periodogram(x, span=5)
         _, d2 = smoothed_periodogram(x + 123.4, span=5)
         assert np.allclose(d1, d2, atol=1e-12)
+
+    @pytest.mark.parametrize("n, span", [(n, span) for n in (20, 21, 1000, 1001, 10000)
+                                         for span in (1, 3, 7, 51) if n >= 2 * span])
+    def test_matches_loop_reference(self, n, span):
+        x = np.random.default_rng(n + span).standard_normal(n)
+        freqs, dens = smoothed_periodogram(x, span)
+        ref_freqs, ref_dens = periodogram_loops(x, span)
+        assert np.array_equal(freqs, ref_freqs) and np.array_equal(dens, ref_dens)
 
     def test_parameter_errors(self):
         x = np.arange(64.0)
