@@ -163,7 +163,9 @@ def interaction_basis(
     toy = np.asarray(time_of_year, dtype=float)
     if tod.shape != toy.shape:
         raise ValueError("time_of_day and time_of_year must have equal length")
-    dmat = periodic_basis_matrix(tod, diurnal)
+    # one evaluation per distinct clock slot (144 at 10-minute steps), gathered
+    slots, slot_of = np.unique(tod, return_inverse=True)
+    dmat = periodic_basis_matrix(slots, diurnal)[slot_of]
     amat = periodic_basis_matrix(toy, annual)
     if kind == "cumulative":
         dmat = np.cumsum(dmat, axis=1)

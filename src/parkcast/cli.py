@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import yaml
 
-from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
+from .basis import ANNUAL_STEPS, BSplineSpec
 from .design import (
     EQUATIONS,
     DesignContext,
@@ -32,13 +32,13 @@ from .lasso import LassoSettings
 from .model import (
     ModelConfig,
     ModelFormatError,
+    calendar_bases,
     design_inputs,
     fit_joint_model,
     load_model,
     save_model,
 )
 from .panel import (
-    CalendarIndex,
     PanelError,
     PanelSchema,
     TurbinePanel,
@@ -338,9 +338,8 @@ def cmd_analyze(cfg: dict, args) -> int:
     elif what == "basis":
         config = model_config_from(cfg)
         kind = cfg["analyze"]["basis_kind"]
-        cal = CalendarIndex.from_timestamps(panel.timestamps)
-        bs = interaction_basis(cal.time_of_day, cal.time_of_year,
-                               config.diurnal, config.annual, kind)
+        _, bases = calendar_bases(panel, config, (kind,))
+        bs = bases[kind]
         out = os.path.join(outdir, f"basis_{kind}.csv")
         with open(out, "w") as fh:
             names = [f"b{a}_{b}" for a, b in bs.pairs]

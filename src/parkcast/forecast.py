@@ -6,6 +6,10 @@ in-sample residuals (preserving the dependence across turbines and between
 speed and power), re-scale them by the recursion's current volatility and
 collect empirical percentiles. Path draws come from a counter-based
 generator keyed by (seed, path), so results do not depend on worker count.
+Each path's draws are what NumPy's ``integers`` returns from a fresh Philox
+with that key, computed for a block of paths at once: one raw-word call per
+path, then Lemire's multiply-shift on whole arrays; the rare path with a
+draw that NumPy's sampler rejects and redraws is recomputed by ``integers``.
 
 One compiled engine steps the recursions for point forecasts, bootstrap
 paths, filtering of observed data beyond the training sample (to obtain
@@ -306,18 +310,56 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+# paths drawn per raw-word block: bounds the scratch to a few hundred kB
+_DRAW_CHUNK = 128
+
+
 def _path_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
-    """Pool rows (horizon, n_paths), stored as int32: path ``p`` draws from a
-    Philox stream keyed by (seed, p) at counter 0. One bit generator is
-    re-keyed for every path, which draws exactly what a fresh one would."""
+    """Pool rows (horizon, n_paths), stored as int32: column ``p`` is exactly
+    ``Generator(Philox(key=(seed, p))).integers(0, pool_m, horizon)``.
+
+    One bit generator is re-keyed for every path (counter 0, empty buffer),
+    which draws what a fresh one would, and hands out ceil(horizon / 2) raw
+    64-bit words. NumPy's ``integers`` serves each draw from the low, then
+    the high 32 bits of a word, mapped by Lemire's multiply-shift
+    ``(u * pool_m) >> 32``; it redraws only when the product's low word is
+    below ``(2**32 - pool_m) % pool_m``. So a block of paths is mapped as
+    whole arrays, and a path with such a draw is recomputed by ``integers``
+    itself. Exactness rests on that NumPy algorithm; the per-path tests
+    against fresh generators pin it."""
+    if not 1 <= pool_m < 1 << 31:
+        raise ForecastError(f"pool size must be in [1, 2**31) for int32 draws, got {pool_m}")
     bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state  # counter 0, empty buffer, no cached half-word
-    draws = np.empty((horizon, n_paths), dtype=np.int32)
-    for p in range(n_paths):
+
+    def rekey(p):
         fresh["state"]["key"] = np.array([seed, p], dtype=np.uint64)
         bitgen.state = fresh
-        draws[:, p] = rng.integers(0, pool_m, size=horizon)
+
+    n_words = (horizon + 1) // 2
+    chunk = min(_DRAW_CHUNK, n_paths)
+    words = np.empty((chunk, n_words), dtype=np.uint64)
+    halves = np.empty((chunk, 2 * n_words), dtype=np.uint64)
+    mapped = np.empty((chunk, horizon), dtype=np.int32)
+    threshold = ((1 << 32) - pool_m) % pool_m
+    draws = np.empty((horizon, n_paths), dtype=np.int32)
+    for start in range(0, n_paths, chunk):
+        k = min(chunk, n_paths - start)
+        for p in range(k):
+            rekey(start + p)
+            words[p] = bitgen.random_raw(n_words)
+        # shifts and masks, not a uint32 view: independent of byte order
+        np.bitwise_and(words[:k], 0xFFFFFFFF, out=halves[:k, 0::2])
+        np.right_shift(words[:k], 32, out=halves[:k, 1::2])
+        u = halves[:k, :horizon]
+        u *= pool_m  # < 2**63: exact in uint64
+        np.right_shift(u, 32, out=mapped[:k], casting="unsafe")
+        draws[:, start:start + k] = mapped[:k].T  # faster than a transposed ufunc out
+        u &= 0xFFFFFFFF  # the low word the rejection test reads
+        for p in np.flatnonzero(u.min(axis=1) < threshold):
+            rekey(start + p)
+            draws[:, start + p] = rng.integers(0, pool_m, size=horizon)
     return draws
 
 

@@ -27,6 +27,7 @@ from scipy.linalg import lapack
 
 _OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
 _WINDOW = 32  # grid penalties checked at once along a path segment
+_PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
 
 
 class DegenerateGridError(ValueError):
@@ -145,10 +146,17 @@ class _Work:
         usable = diag > 0.0
         order = np.argsort(diag)
         ends = np.searchsorted(diag[order], diag[order] * (1.0 + 4e-4), side="right")
-        for a in np.flatnonzero(usable[order] & (ends > np.arange(p) + 1)):
-            i, js = order[a], order[a + 1:ends[a]]
-            near = diag[i] + diag[js] - 2.0 * A[i, js] <= 1e-8 * np.maximum(diag[i], diag[js])
-            for lo, hi in zip(np.minimum(i, js[near]), np.maximum(i, js[near])):
+        # each pair of norm-order positions a < b < ends[a], ordered by a, then b; in blocks
+        cand = np.flatnonzero(usable[order] & (ends > np.arange(p) + 1))
+        last = np.cumsum(ends[cand] - cand - 1)  # one past each candidate's last pair
+        offset = last - ends[cand]  # pair k of candidate c sits at position k - offset[c]
+        n_pairs = int(last[-1]) if cand.size else 0
+        for k0 in range(0, n_pairs, _PAIR_BLOCK):
+            k = np.arange(k0, min(k0 + _PAIR_BLOCK, n_pairs))
+            c = np.searchsorted(last, k, side="right")
+            i, j = order[cand[c]], order[k - offset[c]]
+            near = diag[i] + diag[j] - 2.0 * A[i, j] <= 1e-8 * np.maximum(diag[i], diag[j])
+            for lo, hi in zip(np.minimum(i, j)[near], np.maximum(i, j)[near]):
                 if usable[hi] and np.array_equal(X[:, lo], X[:, hi]):
                     usable[hi] = False  # the later of two equal columns
         self.scale = np.sqrt(diag)

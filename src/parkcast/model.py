@@ -163,13 +163,19 @@ def _proxy_or_unit(equation: str, i: int, fitted: np.ndarray, config: ModelConfi
         return np.ones_like(fitted), 1.0
 
 
+def calendar_bases(panel: TurbinePanel, config: ModelConfig,
+                   kinds=("cumulative", "plain")):
+    """The calendar of ``panel`` and its interaction bases keyed by kind."""
+    cal = CalendarIndex.from_timestamps(panel.timestamps)
+    return cal, {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
+                                         config.diurnal, config.annual, kind)
+                 for kind in kinds}
+
+
 def design_inputs(panel: TurbinePanel, config: ModelConfig):
     """What every design of ``panel`` reads besides the state variables: the
     calendar, the two interaction bases keyed by kind, and the thresholds."""
-    cal = CalendarIndex.from_timestamps(panel.timestamps)
-    bases = {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
-                                     config.diurnal, config.annual, kind)
-             for kind in ("cumulative", "plain")}
+    cal, bases = calendar_bases(panel, config)
     return cal, bases, compute_threshold_set(panel.speed, panel.power,
                                              config.threshold_policy)
 

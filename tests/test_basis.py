@@ -134,6 +134,17 @@ class TestInteractionBasis:
         with pytest.raises(ValueError):
             interaction_basis(self.tod, self.toy, DIURNAL, ANNUAL, "fourier")
 
+    @pytest.mark.parametrize("kind", ["cumulative", "plain"])
+    def test_repeated_slots_equal_rowwise_evaluation(self, kind):
+        # the diurnal factor is evaluated once per distinct slot and gathered
+        rng = np.random.default_rng(3)
+        tod = rng.permutation(np.repeat(rng.choice(144, 40, replace=False), 4))
+        toy = rng.uniform(0.0, ANNUAL_STEPS, tod.size)
+        whole = interaction_basis(tod, toy, DIURNAL, ANNUAL, kind).values
+        rows = [interaction_basis(tod[r:r + 1], toy[r:r + 1], DIURNAL, ANNUAL, kind).values[0]
+                for r in range(tod.size)]
+        assert np.array_equal(whole, np.array(rows))
+
 
 class TestSpecValidation:
     def test_even_degree_rejected(self):

@@ -757,3 +757,35 @@ def test_path_draws_match_fresh_generator_per_path(seed, n_paths):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([seed, path], dtype=np.uint64)))
         assert np.array_equal(draws[:, path], rng.integers(0, pool, size=horizon))
+
+
+# 1.5e9 and 1.6e9 reject about 30 % and 25 % of raw draws: most paths take the
+# per-path fallback; 1 consumes no words, 2**31 - 1 is the largest int32 pool
+@pytest.mark.parametrize("pool", [1, 1_500_000_000, 1_600_000_000, 2**31 - 1])
+@pytest.mark.parametrize("horizon", [1, 7, 288])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_path_draws_match_per_path_integers_across_chunks(pool, horizon, seed):
+    n_paths = pf._DRAW_CHUNK + 3  # a last chunk of 3 paths
+    draws = pf._path_draws(seed, n_paths, horizon, pool)
+    assert draws.shape == (horizon, n_paths) and draws.dtype == np.int32
+    for path in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, path], dtype=np.uint64)))
+        assert np.array_equal(draws[:, path], rng.integers(0, pool, size=horizon))
+
+
+def test_path_draws_reject_pools_beyond_int32():
+    with pytest.raises(ForecastError, match="pool size"):
+        pf._path_draws(0, 4, 10, 2**31)
+
+
+def test_path_draws_scratch_stays_small():
+    horizon, n_paths = 288, 1000
+    pf._path_draws(1, n_paths, horizon, 5990)
+    tracemalloc.start()
+    try:
+        pf._path_draws(1, n_paths, horizon, 5990)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # the int32 result alone is 1.15 MB

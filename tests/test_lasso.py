@@ -381,6 +381,44 @@ class TestGramSetup:
         Xs = X[:, expect] / np.sqrt((X[:, expect] ** 2).sum(axis=0))
         np.testing.assert_allclose(work.G, Xs.T @ Xs, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("block", [7, lasso._PAIR_BLOCK])
+    def test_equal_group_among_near_copies_matches_loop_screen(self, monkeypatch, block):
+        # 30 equal columns and 30 near-copies of one vector, all of one norm
+        # (the near-copies swap two entries 1e-7 apart), in shuffled order;
+        # a block of 7 pairs splits candidates across blocks
+        monkeypatch.setattr(lasso, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(56)
+        m = 80
+        v = rng.standard_normal(m)
+        v[1::2] = v[0::2] + 1e-7
+        swaps = []
+        for k in rng.choice(m // 2, 30, replace=False):
+            c = v.copy()
+            c[[2 * k, 2 * k + 1]] = c[[2 * k + 1, 2 * k]]
+            swaps.append(c)
+        X = np.column_stack([v] * 30 + swaps + [rng.standard_normal(m) for _ in range(4)])
+        X = X[:, rng.permutation(X.shape[1])]
+        y = rng.standard_normal(m)
+        work = _Work(LassoProblem(y, X, weights=np.ones(m)))
+
+        # the screen as a loop over each candidate's norm neighbours
+        Z = np.vstack([X.T, y])
+        A = Z @ Z.T
+        p = X.shape[1]
+        diag = A.diagonal()[:p]
+        usable = diag > 0.0
+        order = np.argsort(diag)
+        ends = np.searchsorted(diag[order], diag[order] * (1.0 + 4e-4), side="right")
+        for a in np.flatnonzero(usable[order] & (ends > np.arange(p) + 1)):
+            i, js = order[a], order[a + 1:ends[a]]
+            near = diag[i] + diag[js] - 2.0 * A[i, js] <= 1e-8 * np.maximum(diag[i], diag[js])
+            for lo, hi in zip(np.minimum(i, js[near]), np.maximum(i, js[near])):
+                if usable[hi] and np.array_equal(X[:, lo], X[:, hi]):
+                    usable[hi] = False
+        assert work.cols.tolist() == np.flatnonzero(usable).tolist()
+        first = min(j for j in range(p) if np.array_equal(X[:, j], v))
+        assert work.cols.size == p - 29 and first in work.cols
+
     @pytest.mark.parametrize("p, copy", [(6, False), (6, True), (1100, False), (1100, True)])
     def test_gram_matches_direct_products(self, p, copy):
         # wider than one scaling block, with and without an excluded column
