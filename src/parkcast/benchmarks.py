@@ -126,9 +126,17 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
         sols.append(_yw_solve(big[:k, :k], rhs[:, :k]))
         resid = xt[:, max_order:] - sols[p] @ lags[:k]
         sigmas[p] = resid @ resid.T / n_eff
+    # An order whose residual covariance is numerically singular gets an AIC
+    # of +inf: its smallest eigenvalue is at most n_eff * eps times its largest,
+    # the rounding of the n_eff-term sums it is made of. Exactly collinear
+    # series (a series and its copy) are singular at every order.
     sign, logdet = np.linalg.slogdet(sigmas)
-    aic = np.where(sign > 0, n_eff * logdet + 2.0 * np.arange(max_order + 1) * m * m,
-                   np.inf)
+    eig = np.linalg.eigvalsh(sigmas)
+    usable = (sign > 0) & (eig[:, 0] > n_eff * np.finfo(float).eps * eig[:, -1])
+    if not usable.any():
+        raise BenchmarkError("residual covariance numerically singular at every order: "
+                             "the series are collinear")
+    aic = np.where(usable, n_eff * logdet + 2.0 * np.arange(max_order + 1) * m * m, np.inf)
     best = int(np.argmin(aic))
     coefs = sols[best].reshape(m, best, m).swapaxes(0, 1)  # (order, m, m)
     radius = _companion_radius(coefs) if best else 0.0

@@ -1,4 +1,4 @@
-"""Weighted (optionally nonnegative) lasso by an active-set method, BIC-tuned.
+"""Weighted (optionally nonnegative) lasso path, walked knot to knot, BIC-tuned.
 
 The objective is exactly
 
@@ -8,17 +8,19 @@ on the raw coefficient scale, solved from the sufficient statistics of one
 weighted syrk per problem. Columns are rescaled to unit weighted norm
 internally (per-coordinate thresholds carry the scale back), and returned
 coefficients are on the raw scale. On a fixed support and signs the path is
-affine in the penalty and is filled exactly, on supports guessed where the
-last segment ended; where a guess fails, an active-set method warm-started
-from the path takes over: exact sign-fixed KKT solves on the support, a step
-back to the first zero crossing, and one vectorized gradient to find the
-columns that must enter (the homotopy view of the lasso, Osborne, Presnell &
-Turlach 2000; Efron et al. 2004). Nonnegative problems hold every sign at +,
-as in Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
+affine in the penalty, so it is walked exactly from knot to knot, where one
+column enters or leaves (the lasso homotopy: Osborne, Presnell & Turlach
+2000; Efron et al. 2004). At a degenerate knot an active-set method takes
+the next grid penalty from the path: exact sign-fixed KKT solves on the
+support, a step back to the first zero crossing, and one vectorized gradient
+to find the columns that must enter. Nonnegative problems hold every sign
+at +, as in Lawson & Hanson's NNLS, which keeps volatility recursions well
+defined.
 """
 
 from __future__ import annotations
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 _OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
-_WINDOW = 32  # grid penalties checked at once along a path segment
+_TIE = 1e-12  # relative gap within which two knots, or a knot and a grid penalty, coincide
 _PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
 
 
@@ -94,7 +96,9 @@ class LassoFit:
     coef_path: np.ndarray  # (n_lambda, p), raw scale
     bic_path: np.ndarray
     selected_index: int
-    sweeps: np.ndarray  # active-set iterations per lambda
+    # per lambda: knots crossed since the previous one, plus one; or, where
+    # the active-set solve ran, its iterations
+    sweeps: np.ndarray
     converged: np.ndarray
     objective: float
     zero_rss: bool = False
@@ -398,80 +402,120 @@ class LassoSettings:
     grid_count: int = 100
     grid_ratio: float = 1e-4
     tol: float = 1e-7
-    max_sweeps: int = 10_000  # cap on active-set iterations per lambda
+    max_sweeps: int = 10_000  # cap on active-set iterations, or knots, per lambda
 
 
-def _segment(work: _Work, active: np.ndarray, s: np.ndarray, lambdas: np.ndarray,
-             li: int, path: np.ndarray, rss: np.ndarray, tol: float):
-    """Fill the path from lambdas[li] on with the exact solution on support
-    ``active`` with signs ``s``, b_A = w - lam v with G_AA [w v] = [c_A, pen_A s_A / 2],
-    while it meets KKT (<= ``tol``) and keeps its signs above the dust floor,
-    checking ``_WINDOW`` penalties at a time. q = gradient - lam pen s / 2 is
-    affine in lam too. Returns the index of the first penalty that fails with
-    b_A, q and the KKT residuals off the support there (None when the support
-    is dependent or the grid is done)."""
-    chol = _cholesky(work.gram(active))
-    if chol is None:
-        return li, None, None, None
-    half = 0.5 * work.pen_scale
-    wv = np.array([work.c[active], half[active] * s]).T
-    w, v = (lapack.dpotrs(chol, wv)[0] if active.size else wv).T
-    g_a = work.G[:, active]
-    q0, dq = work.c - g_a @ w, g_a @ v
-    dq[active] -= half[active] * s
-    free = np.ones(work.cols.size, dtype=bool)
-    free[active] = False
-    off = np.where(free, half, 0.0)
-    # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
-    cw, vgv = work.c[active] @ w, half[active] * s @ v
-    while li < lambdas.size:
-        lw = lambdas[li:li + _WINDOW, None]
-        q = q0 + lw * dq
-        # |q| on the support; off it |q| - lam pen / 2 (q - lam pen / 2 if nonnegative)
-        res = np.where(free, q, np.abs(q)) if work.problem.nonnegative else np.abs(q)
-        res -= lw * off
-        ba = w - lw * v
-        ok = (res.max(axis=1) <= tol) & (ba * s > 1e-3 * tol).all(axis=1)
-        n = lw.size if ok.all() else int(np.argmin(ok))
-        path[li:li + n, active] = ba[:n]
-        rss[li:li + n] = work.yy - cw + lw[:n, 0] ** 2 * vgv
-        li += n
-        if n < lw.size:
-            res[n, active] = 0.0
-            return li, ba[n], q[n], res[n]
-    return li, None, None, None
+def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndarray,
+          s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
+          sweeps: np.ndarray, tol: float, cap: int) -> int:
+    """Fill the path from lambdas[li] on, walking down from penalty ``lam`` on
+    support ``active`` with signs ``s``; return the first grid index it leaves
+    to ``_solve``, or the grid's size. Between knots b_A = w - lam v, with
+    G_AA [w v] = [c_A, pen_A s_A / 2], and q = gradient - lam pen s / 2 =
+    q0 + lam dq. The next knot is the largest penalty where a free column's
+    |q_j| (q_j if nonnegative) reaches lam pen_j / 2 or a sign-fixed b_j
+    reaches 0. The grid penalties above it, or within ``_TIE`` below, are
+    filled while they meet KKT and the dust floor; then the column enters (the
+    Cholesky factor grows by a triangular solve) or leaves (refactored). A
+    knot is degenerate at a Schur complement on the ``_cholesky`` floor (the
+    column stays ``blocked`` until one leaves), at two events within ``_TIE``,
+    at a failed check above it, or past ``cap`` knots between grid penalties."""
+    G, c, half, fixed = work.G, work.c, 0.5 * work.pen_scale, work.sign_fixed
+    nonneg, nlam, k, na = work.problem.nonnegative, lambdas.size, work.c.size, active.size
+    # the support, its signs and [c_A, pen_A s_A / 2]; a column enters at the end
+    act, sg, rhs = np.empty(k, dtype=np.intp), np.empty(k), np.empty((k, 2), order="F")
+    act[:na], sg[:na], rhs[:na, 0], rhs[:na, 1] = active, s, c[active], half[active] * s
+    free = np.isin(np.arange(k), active, invert=True)
+    enter, off = free & ~blocked, np.where(free, half, 0.0)  # off: KKT threshold per unit lam
+    sides = np.array([[1.0]]) if nonneg else np.array([[1.0], [-1.0]])
+    rising, chol = (-lambdas).tolist(), _cholesky(work.gram(active))
+    crossed, at_knot = 0, False  # knots since the last grid penalty; whether lam is one
+    while li < nlam and chol is not None and crossed <= cap:
+        active, s = act[:na], sg[:na]
+        sol = lapack.dpotrs(chol, rhs[:na])[0] if na else rhs[:0]
+        (w, v), qd = sol.T, sol.T @ G[active]  # rows = columns: G is symmetric
+        q0, dq = c - qd[0], qd[1]
+        dq[active] -= rhs[:na, 1]
+        # each column's event: +-q crosses lam pen / 2 or b_A s reaches 0; at most lam
+        den = half - sides * dq
+        events = np.full(den.shape, -np.inf)
+        np.divide(sides * q0, den, out=events, where=enter & (den > 0.0))
+        on = fixed[active]
+        drop = on & (v * s < 0.0)
+        events[0, active[drop]] = w[drop] / v[drop]
+        np.minimum(events, lam, out=events)
+        side, j = divmod(int(np.argmax(events)), k)
+        knot, events[:, j] = max(float(events[side, j]), 0.0), -np.inf
+        tie = knot > 0.0 and (events.max() >= knot * (1.0 - _TIE)
+                              or at_knot and lam <= knot * (1.0 + _TIE))
+        n_try = bisect.bisect_right(rising, -knot * (1.0 - _TIE), li) - li
+        if n_try:
+            lw = lambdas[li:li + n_try, None]
+            q = q0 + lw * dq
+            # |q| on the support; off it |q| - lam pen / 2 (q - lam pen / 2 if nonnegative)
+            res = (np.where(free, q, np.abs(q)) if nonneg else np.abs(q)) - lw * off
+            ba = w - lw * v
+            ok = (res.max(axis=1) <= tol) & (ba[:, on] * s[on] > 1e-3 * tol).all(axis=1)
+            n = n_try if ok.all() else int(np.argmin(ok))
+            path[li:li + n, active] = ba[:n]
+            # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
+            rss[li:li + n] = work.yy - rhs[:na, 0] @ w + lw[:n, 0] ** 2 * (rhs[:na, 1] @ v)
+            if n:
+                sweeps[li], crossed = crossed + 1, 0
+            li += n
+            if n < n_try and lambdas[li] >= knot * (1.0 + _TIE):
+                break  # a grid check failed inside the segment
+        if knot == 0.0 or tie or li == nlam:
+            break
+        if free[j]:  # R' r = G_Aj; the new pivot is the Schur complement
+            r = lapack.dtrtrs(chol, G[j, active], trans=1)[0] if na else rhs[:0, 0]
+            schur = G[j, j] - float(r @ r)
+            if schur <= 1e-10:  # the _cholesky floor: j lies in the span of the support
+                blocked[j] = True
+                break
+            chol, grown = np.zeros((na + 1, na + 1), order="F"), chol
+            chol[:na, :na], chol[:na, na], chol[na, na] = grown, r, np.sqrt(schur)
+            act[na], sg[na] = j, 1.0 - 2.0 * side
+            rhs[na] = c[j], half[j] * sg[na]
+            na += 1
+        else:
+            at = int(np.flatnonzero(active == j)[0])
+            for buf in act, sg, rhs:
+                buf[at:na - 1] = buf[at + 1:na]
+            na -= 1
+            chol = _cholesky(work.gram(act[:na]))
+            blocked[:] = False  # the span shrank
+        free[j], off[j] = not free[j], half[j] * (not free[j])
+        enter = free & ~blocked
+        lam, at_knot, crossed = knot, True, crossed + 1
+    return li
 
 
 def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -> LassoFit:
-    """Exact path segments along the descending grid; pick the BIC minimizer,
-    breaking ties toward the larger penalty (sparser model). Each segment
-    (``_segment``, one iteration per penalty) runs on a support guessed from
-    where the last one ended; where a guess fails, ``_solve`` finds it."""
+    """Exact lasso path along the descending grid; pick the BIC minimizer,
+    breaking ties toward the larger penalty (sparser model). ``_walk`` starts
+    above the grid with the unpenalized columns active; after a degenerate
+    knot ``_solve`` takes the next grid penalty from the last grid point, and
+    the walk restarts from its support if it converged."""
     settings = settings or LassoSettings()
     tol, work = settings.tol, _Work(problem)
     lambdas = _grid(work, settings.grid_count, settings.grid_ratio)
     nlam = lambdas.size
     path, rss = np.zeros((nlam, work.cols.size)), np.empty(nlam)  # path on the standardized scale
     sweeps, converged = np.ones(nlam, dtype=int), np.ones(nlam, dtype=bool)
-    b, li = np.zeros(work.cols.size), 0
-    while li < nlam:
-        b, sweeps[li], converged[li], rss[li] = _solve(work, float(lambdas[li]), b, tol,
-                                                       settings.max_sweeps)
-        path[li] = b
-        li += 1
-        active = b.nonzero()[0]
+    active = np.flatnonzero(work.pen_scale == 0.0)
+    lam, s, li = np.inf, np.ones(active.size), 0
+    blocked = np.zeros(work.cols.size, dtype=bool)  # refused as dependent on the support
+    while True:
+        if li == 0 or converged[li - 1]:
+            li = _walk(work, lambdas, li, lam, active, s, blocked, path, rss, sweeps, tol,
+                       settings.max_sweeps)
+        if li == nlam:
+            break
+        lam, b = float(lambdas[li]), path[li - 1].copy() if li else np.zeros(work.cols.size)
+        b, sweeps[li], converged[li], rss[li] = _solve(work, lam, b, tol, settings.max_sweeps)
+        path[li], li, active = b, li + 1, b.nonzero()[0]
         s = np.ones(active.size) if problem.nonnegative else np.sign(b[active])
-        while li < nlam and converged[li - 1]:
-            start = li
-            li, b, g, res = _segment(work, active, s, lambdas, li, path, rss, tol)
-            if li == start or b is None:
-                break
-            # guess the next support: drop what crossed zero, add every violator
-            keep = b * s > 1e-3 * tol
-            j = np.flatnonzero(res > tol)
-            active = np.concatenate((active[keep], j))
-            s = np.concatenate((s[keep], np.sign(g[j])))  # + when nonnegative
-        b = path[li - 1].copy()
     m = problem.m
     zero = rss <= 1e-20 * max(work.yy, 1.0)
     df = np.count_nonzero(path, axis=1)
@@ -484,14 +528,5 @@ def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -
     objective = float(rss[selected]) + lam_sel * float(np.dot(work.pen_scale, np.abs(b_sel)))
     kkt_max = float(np.max(_kkt_std(work, b_sel, work.gradient(b_sel)[0], lam_sel),
                            initial=0.0))
-    return LassoFit(
-        lambdas=lambdas,
-        coef_path=coef_path,
-        bic_path=bic_path,
-        selected_index=selected,
-        sweeps=sweeps,
-        converged=converged,
-        objective=objective,
-        zero_rss=bool(zero.any()),
-        kkt_max=kkt_max,
-    )
+    return LassoFit(lambdas, coef_path, bic_path, selected, sweeps, converged, objective,
+                    zero_rss=bool(zero.any()), kkt_max=kkt_max)

@@ -103,12 +103,19 @@ class FittedJointModel:
         return len(self.labels)
 
 
+def _fitted_values(design_values: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """design @ coefficients over the support only: the rows of the transposed
+    design that ``build_design`` stacks are contiguous, so this reads m x nnz."""
+    support = np.flatnonzero(coefficients)
+    return coefficients[support] @ design_values.T[support]
+
+
 def compute_residuals(design_values: np.ndarray, coefficients: np.ndarray,
                       response: np.ndarray) -> np.ndarray:
     """response - design @ coefficients, elementwise on the effective sample."""
     if design_values.shape[0] != response.shape[0]:
         raise ValueError("design and response lengths disagree")
-    return response - design_values @ coefficients
+    return response - _fitted_values(design_values, coefficients)
 
 
 def volatility_proxy(fitted_abs_values: np.ndarray, floor_fraction: float):
@@ -242,7 +249,7 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                     continue
                 if np.any(fit.coefficients < 0.0):
                     raise AssertionError("nonnegative fit returned a negative coefficient")
-                fv = dm.values @ fit.coefficients
+                fv = _fitted_values(dm.values, fit.coefficients)
                 proxy, floors[filled][i] = _proxy_or_unit(eq, i, fv, config)
                 out[trim:, i] = proxy
                 out[:trim, i] = np.median(proxy)

@@ -137,14 +137,20 @@ class TestYuleWalker:
     def test_identical_series_exercises_ridge(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(2000)
-        with pytest.warns(UserWarning, match="singular") as caught:
-            fit = fit_ar_yule_walker(np.column_stack([x, x]), max_order=2)
+        # the ridge solutions predict both columns alike, and order 0's
+        # covariance is singular up to rounding: no order is usable
+        with pytest.warns(UserWarning, match="singular") as caught, \
+                pytest.raises(BenchmarkError, match="collinear"):
+            fit_ar_yule_walker(np.column_stack([x, x]), max_order=2)
         assert [str(w.message) for w in caught] == [
             "singular Yule-Walker system; ridge-regularized"] * 2
-        # the ridge solutions predict both columns alike, so from order 1 on
-        # the residual covariance is exactly singular and its AIC infinite
-        assert np.isinf(fit.aic[1:]).all()
-        assert fit.order == 0 and fit.coefs.shape == (0, 2, 2)
+
+    def test_nearly_collinear_series_keep_their_orders(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(2000)
+        fit = fit_ar_yule_walker(np.column_stack([x, x + 1e-3 * rng.standard_normal(2000)]),
+                                 max_order=2)
+        assert np.isfinite(fit.aic).all()
 
     def test_forecast_converges_to_mean(self):
         rng = np.random.default_rng(4)

@@ -253,7 +253,7 @@ class TestFitPathBic:
 
 
 class TestPathSegments:
-    """The path follows exact linear segments between support changes; every
+    """The path is walked knot to knot along exact linear segments; every
     grid penalty must still match a cold solve at that penalty alone."""
 
     def check_against_cold(self, prob, monkeypatch):
@@ -318,29 +318,62 @@ class TestPathSegments:
                                 nonnegative=nonneg, penalize_mask=mask)
             self.check_against_cold(prob, monkeypatch)
 
-    def test_guessed_supports_take_most_changes(self, monkeypatch):
+    def test_knot_walk_needs_at_most_one_solve(self, monkeypatch):
         # correlated columns, so that coefficients also leave the support
         rng = np.random.default_rng(45)
-        solves = changes = 0
         for _ in range(4):
             Z = rng.standard_normal((120, 4))
             X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
             y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
             _, n_solves, n_changes = self.check_against_cold(LassoProblem(y, X), monkeypatch)
-            solves += n_solves
-            changes += n_changes
-        assert solves <= changes / 3
+            assert n_changes >= 5 and n_solves <= 1
 
-    def test_segment_refuses_dependent_support(self):
-        rng = np.random.default_rng(44)
-        X = collinear_design(rng)
-        work = _Work(LassoProblem(X[:, :3].sum(axis=1) + rng.standard_normal(60), X))
-        lambdas = lasso._grid(work, 20, 1e-2)
-        path, rss = np.zeros((20, 8)), np.zeros(20)
-        # x0 with its near-copy x3: no segment, and nothing written
-        li, b, _, _ = lasso._segment(work, np.array([0, 3]), np.ones(2), lambdas, 1,
-                                     path, rss, 1e-7)
-        assert li == 1 and b is None and not path.any()
+    @staticmethod
+    def orthogonal_problem(rng, inner, nonneg=False):
+        """Orthogonal columns with squared norms d2 and X'y = inner, so that the
+        lasso solution is the soft threshold (inner -+ lam / 2) / d2."""
+        Q, _ = np.linalg.qr(rng.standard_normal((80, inner.size + 1)))
+        d = rng.uniform(0.5, 3.0, inner.size)
+        y = Q[:, :-1] @ (inner / d) + 2.0 * Q[:, -1]
+        return LassoProblem(y, Q[:, :-1] * d, nonnegative=nonneg), d * d
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_orthogonal_design_is_the_soft_threshold(self, nonneg, monkeypatch):
+        rng = np.random.default_rng(47)
+        inner = np.array([9.0, -7.5, 6.0, 4.2, -3.1, 2.0, -1.3, 0.7])
+        prob, d2 = self.orthogonal_problem(rng, inner, nonneg)
+        fit, n_solves, _ = self.check_against_cold(prob, monkeypatch)
+        assert n_solves == 0
+        for lam, coef in zip(fit.lambdas, fit.coef_path):
+            shrunk = (inner if nonneg else np.abs(inner)) - 0.5 * lam
+            expected = np.where(shrunk > 0.0, np.sign(inner) * shrunk, 0.0) / d2
+            np.testing.assert_allclose(coef, expected, rtol=1e-10, atol=1e-12)
+        # one knot per column that entered, and no column ever left
+        assert (fit.sweeps - 1).sum() == np.count_nonzero(fit.coef_path[-1])
+
+    def test_two_columns_entering_at_one_knot(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        # columns 1 and 2 both reach the threshold at lam = 12, below column 0's 18
+        prob, _ = self.orthogonal_problem(rng, np.array([9.0, 6.0, -6.0, 2.5, -1.0]))
+        fit, n_solves, _ = self.check_against_cold(prob, monkeypatch)
+        assert n_solves >= 1  # the tie is degenerate: _solve takes the next grid penalty
+        on = fit.coef_path != 0.0
+        assert np.array_equal(on[:, 1], on[:, 2]) and on[:, 1].any() and not on[:, 1].all()
+
+    def test_dependent_entry_falls_back_to_solve(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        X = rng.standard_normal((60, 8))
+        X[:, 3] = X[:, 0] + 1e-7 * rng.standard_normal(60)  # a near-copy of x0
+        y = X[:, 0] + 0.5 * X[:, 1] + 2e6 * (X[:, 3] - X[:, 0]) + rng.standard_normal(60)
+        refused = []
+        walk = lasso._walk
+        monkeypatch.setattr(lasso, "_walk",
+                            lambda *a: (walk(*a), refused.append(a[6].copy()))[0])
+        fit, n_solves, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+        # the pair's Schur complement is below the floor: the entering column
+        # is refused, _solve takes the next grid penalty, and the walk goes on
+        assert any(r[[0, 3]].any() for r in refused)
+        assert 1 <= n_solves < fit.lambdas.size / 2
 
     def test_objective_is_the_path_objective(self):
         rng = np.random.default_rng(43)
