@@ -267,15 +267,16 @@ class DesignMatrix:
 @dataclass
 class DesignContext:
     """Shared inputs for the four builders: the state variables of ``VARS``
-    (residuals and volatility proxies all-ones at the first pass) and the
-    two evaluated interaction bases by kind, aligned with the panel rows."""
+    and the two evaluated interaction bases by kind, aligned with the panel
+    rows. A state variable not estimated yet is None, and the builders leave
+    out the families that read it (the first pass has no shocks or proxies)."""
 
     W: np.ndarray
     P: np.ndarray
-    E: np.ndarray
-    Ep: np.ndarray
-    Sv: np.ndarray
-    Pv: np.ndarray  # cube-root-scale proxy
+    E: np.ndarray | None
+    Ep: np.ndarray | None
+    Sv: np.ndarray | None
+    Pv: np.ndarray | None  # cube-root-scale proxy
     cumulative: np.ndarray  # cumulative interaction values (n, Nb)
     plain: np.ndarray  # plain interaction values with constant column
     trim: int
@@ -295,14 +296,17 @@ def _lagged(arr: np.ndarray, j: int, k: int, trim: int) -> np.ndarray:
 
 
 def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
-                 thresholds: ThresholdSet | None = None):
+                 thresholds: ThresholdSet | None = None, scale: np.ndarray | None = None):
     """Design and response of ``equation`` for turbine i: the intercept
-    columns, then every family of ``EQUATIONS[equation]`` in order, each over
+    columns, then every family of ``EQUATIONS[equation]`` whose state
+    variable ``ctx`` holds (is not None), in order, each over
     source turbines, lags, thresholds ("thr" families: -inf, then the deciles
     at the family's threshold lags; NaN without ``thresholds``) and basis
     columns (time-varying lags). Both are written in place as the rows of one
     C-ordered (p + 1) x m buffer, response last, the rows the lasso's syrk
-    reads: the design is the F-ordered view ``buf[:p].T``."""
+    reads: the design is the F-ordered view ``buf[:p].T``. ``scale`` (m,)
+    multiplies every row: with sqrt(w) it gives the weighted problem as an
+    unweighted one, so the syrk reads the rows in place."""
     if ctx.trim >= ctx.n:
         raise ValueError(
             f"panel too short: need more than {ctx.trim} rows for the "
@@ -314,6 +318,8 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
     metas = [Term("const", -1, 0, _NO_THRESHOLD, l, True) for l in range(nb)]
     regs = []  # (first row, lagged source, threshold, time varying) per block
     for family, var, transform, field in spec.families:
+        if getattr(ctx, var) is None:
+            continue
         source = _APPLY[transform](getattr(ctx, var))
         lags = getattr(sets, field)
         for j in range(ctx.d):
@@ -344,18 +350,20 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
             rows[-1] *= basis[:, -1]
     var, transform = spec.response
     buf[-1] = _APPLY[transform](getattr(ctx, var)[ctx.trim :, i])
+    if scale is not None:
+        buf *= scale
     return DesignMatrix(buf[:-1].T, metas), buf[-1]
 
 
 # one builder per equation, by name: the fit loop looks them up at call time
 def build_speed_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
-                            thresholds: ThresholdSet):
-    return build_design(ctx, "speed_mean", i, sets, thresholds)
+                            thresholds: ThresholdSet, scale: np.ndarray | None = None):
+    return build_design(ctx, "speed_mean", i, sets, thresholds, scale)
 
 
 def build_power_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
-                            thresholds: ThresholdSet):
-    return build_design(ctx, "power_mean", i, sets, thresholds)
+                            thresholds: ThresholdSet, scale: np.ndarray | None = None):
+    return build_design(ctx, "power_mean", i, sets, thresholds, scale)
 
 
 def build_speed_vol_design(ctx: DesignContext, i: int, sets: IndexSets):

@@ -211,12 +211,14 @@ class _Engine:
 
     def basis_rows(self, timestamps: np.ndarray, kinds) -> dict[str, np.ndarray]:
         """Interaction basis rows of each kind ("cumulative" for the means,
-        "plain" for the volatilities) at the timestamps."""
+        "plain" for the volatilities) at the timestamps, from one evaluation
+        of the diurnal and annual factors."""
+        if not kinds:
+            return {}
         cal = CalendarIndex.from_timestamps(timestamps, self.model.anchor_epoch)
-        return {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
-                                        self.model.diurnal, self.model.annual,
-                                        kind).values
-                for kind in kinds}
+        bases = interaction_basis(cal.time_of_day, cal.time_of_year, self.model.diurnal,
+                                  self.model.annual, tuple(kinds))
+        return {kind: b.values for kind, b in bases.items()}
 
     def run(self, state: np.ndarray, first: int, timestamps: np.ndarray,
             shocks=None, observed: bool = False, check: bool = False,

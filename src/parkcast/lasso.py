@@ -405,6 +405,34 @@ class LassoSettings:
     max_sweeps: int = 10_000  # cap on active-set iterations, or knots, per lambda
 
 
+def _fill(work: _Work, lambdas: np.ndarray, segs: list, path: np.ndarray,
+          rss: np.ndarray, sweeps: np.ndarray, tol: float) -> int:
+    """Fill the grid penalties of the segments ``_walk`` recorded, segment
+    (lo, hi, knots since the previous one, ...) holding lambdas[lo:hi]. All
+    are checked at once (KKT, and the dust floor on the sign-fixed support);
+    the penalties before the first failure are written and counted."""
+    lo, hi, crossed, q0, dq, free, sup, sfix, w, v, a, bq, _ = zip(*segs)
+    at = np.repeat(np.arange(len(segs)), np.subtract(hi, lo))
+    lw, free = lambdas[lo[0]:lo[0] + at.size, None], np.array(free)[at]
+    q = np.array(q0)[at] + lw * np.array(dq)[at]
+    # |q| on the support; off it |q| - lam pen / 2 (q - lam pen / 2 if nonnegative)
+    res = ((np.where(free, q, np.abs(q)) if work.problem.nonnegative else np.abs(q))
+           - lw * np.where(free, 0.5 * work.pen_scale, 0.0))
+    # b_A = w - lam v, scattered to full width; sf: the sign of a sign-fixed b_j, else 0
+    wf, vf, sf = np.zeros((3, len(segs), work.c.size))
+    rows, cols = np.repeat(np.arange(len(segs)), [x.size for x in sup]), np.concatenate(sup)
+    wf[rows, cols], vf[rows, cols], sf[rows, cols] = map(np.concatenate, (w, v, sfix))
+    ba, sb = wf[at] - lw * vf[at], sf[at]
+    ok = (res.max(axis=1) <= tol) & ((ba * sb > 1e-3 * tol) | (sb == 0.0)).all(axis=1)
+    n = at.size if ok.all() else int(np.argmin(ok))
+    path[lo[0]:lo[0] + n] = ba[:n]
+    # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
+    rss[lo[0]:lo[0] + n] = np.array(a)[at[:n]] + lw[:n, 0] ** 2 * np.array(bq)[at[:n]]
+    first = np.array(lo) < lo[0] + n  # segments with a penalty filled
+    sweeps[np.array(lo)[first]] = np.array(crossed)[first] + 1
+    return n
+
+
 def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndarray,
           s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
           sweeps: np.ndarray, tol: float, cap: int) -> int:
@@ -414,23 +442,28 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     G_AA [w v] = [c_A, pen_A s_A / 2], and q = gradient - lam pen s / 2 =
     q0 + lam dq. The next knot is the largest penalty where a free column's
     |q_j| (q_j if nonnegative) reaches lam pen_j / 2 or a sign-fixed b_j
-    reaches 0. The grid penalties above it, or within ``_TIE`` below, are
-    filled while they meet KKT and the dust floor; then the column enters (the
-    Cholesky factor grows by a triangular solve) or leaves (refactored). A
-    knot is degenerate at a Schur complement on the ``_cholesky`` floor (the
-    column stays ``blocked`` until one leaves), at two events within ``_TIE``,
-    at a failed check above it, or past ``cap`` knots between grid penalties."""
+    reaches 0; then the column enters (the Cholesky factor grows by a
+    triangular solve) or leaves (refactored). A knot is degenerate at a Schur
+    complement on the ``_cholesky`` floor (the column stays ``blocked`` until
+    one leaves), at two events within ``_TIE``, or past ``cap`` knots between
+    grid penalties. The grid penalties above a knot, or within ``_TIE`` below,
+    belong to its segment, whose (q0, dq, w, v, support, signs, knot count)
+    is recorded; once the walk stops, ``_fill`` checks every recorded penalty
+    in one pass. The first that fails goes to ``_solve``, with ``blocked`` as
+    it stood at its segment."""
     G, c, half, fixed = work.G, work.c, 0.5 * work.pen_scale, work.sign_fixed
     nonneg, nlam, k, na = work.problem.nonnegative, lambdas.size, work.c.size, active.size
     # the support, its signs and [c_A, pen_A s_A / 2]; a column enters at the end
     act, sg, rhs = np.empty(k, dtype=np.intp), np.empty(k), np.empty((k, 2), order="F")
     act[:na], sg[:na], rhs[:na, 0], rhs[:na, 1] = active, s, c[active], half[active] * s
     free = np.isin(np.arange(k), active, invert=True)
-    enter, off = free & ~blocked, np.where(free, half, 0.0)  # off: KKT threshold per unit lam
+    enter = free & ~blocked
     sides = np.array([[1.0]]) if nonneg else np.array([[1.0], [-1.0]])
+    events = np.empty((sides.size, k))
     rising, chol = (-lambdas).tolist(), _cholesky(work.gram(active))
     crossed, at_knot = 0, False  # knots since the last grid penalty; whether lam is one
-    while li < nlam and chol is not None and crossed <= cap:
+    segs, end = [], li  # the segments holding grid penalties; the grid index they reach
+    while end < nlam and chol is not None and crossed <= cap:
         active, s = act[:na], sg[:na]
         sol = lapack.dpotrs(chol, rhs[:na])[0] if na else rhs[:0]
         (w, v), qd = sol.T, sol.T @ G[active]  # rows = columns: G is symmetric
@@ -438,34 +471,23 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
         dq[active] -= rhs[:na, 1]
         # each column's event: +-q crosses lam pen / 2 or b_A s reaches 0; at most lam
         den = half - sides * dq
-        events = np.full(den.shape, -np.inf)
+        events.fill(-np.inf)
         np.divide(sides * q0, den, out=events, where=enter & (den > 0.0))
-        on = fixed[active]
-        drop = on & (v * s < 0.0)
-        events[0, active[drop]] = w[drop] / v[drop]
+        drop = fixed[active] & (v * s < 0.0)
+        if drop.any():
+            events[0, active[drop]] = w[drop] / v[drop]
         np.minimum(events, lam, out=events)
-        side, j = divmod(int(np.argmax(events)), k)
+        side, j = divmod(int(events.argmax()), k)
         knot, events[:, j] = max(float(events[side, j]), 0.0), -np.inf
         tie = knot > 0.0 and (events.max() >= knot * (1.0 - _TIE)
                               or at_knot and lam <= knot * (1.0 + _TIE))
-        n_try = bisect.bisect_right(rising, -knot * (1.0 - _TIE), li) - li
-        if n_try:
-            lw = lambdas[li:li + n_try, None]
-            q = q0 + lw * dq
-            # |q| on the support; off it |q| - lam pen / 2 (q - lam pen / 2 if nonnegative)
-            res = (np.where(free, q, np.abs(q)) if nonneg else np.abs(q)) - lw * off
-            ba = w - lw * v
-            ok = (res.max(axis=1) <= tol) & (ba[:, on] * s[on] > 1e-3 * tol).all(axis=1)
-            n = n_try if ok.all() else int(np.argmin(ok))
-            path[li:li + n, active] = ba[:n]
-            # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
-            rss[li:li + n] = work.yy - rhs[:na, 0] @ w + lw[:n, 0] ** 2 * (rhs[:na, 1] @ v)
-            if n:
-                sweeps[li], crossed = crossed + 1, 0
-            li += n
-            if n < n_try and lambdas[li] >= knot * (1.0 + _TIE):
-                break  # a grid check failed inside the segment
-        if knot == 0.0 or tie or li == nlam:
+        stop = bisect.bisect_right(rising, -knot * (1.0 - _TIE), end)
+        if stop > end:
+            segs.append((end, stop, crossed, q0, dq, free.copy(), active.copy(),
+                         s * fixed[active], w, v, work.yy - rhs[:na, 0] @ w,
+                         rhs[:na, 1] @ v, blocked.copy()))
+            crossed, end = 0, stop
+        if knot == 0.0 or tie or end == nlam:
             break
         if free[j]:  # R' r = G_Aj; the new pivot is the Schur complement
             r = lapack.dtrtrs(chol, G[j, active], trans=1)[0] if na else rhs[:0, 0]
@@ -485,9 +507,12 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
             na -= 1
             chol = _cholesky(work.gram(act[:na]))
             blocked[:] = False  # the span shrank
-        free[j], off[j] = not free[j], half[j] * (not free[j])
+        free[j] = not free[j]
         enter = free & ~blocked
         lam, at_knot, crossed = knot, True, crossed + 1
+    li += _fill(work, lambdas, segs, path, rss, sweeps, tol) if segs else 0
+    if li < end:  # a check failed inside a segment
+        blocked[:] = next(seg[-1] for seg in segs if seg[0] <= li < seg[1])
     return li
 
 

@@ -1,11 +1,12 @@
 """Iteratively re-weighted estimation of the joint speed/power model.
 
-One fit runs the boxed scheme: initialize every residual and volatility
-proxy at 1 with identity weights (the first pass therefore estimates
-threshold AR / power-ARCH models); fit the two mean equations per turbine by
-weighted lasso; fit the two volatility equations by nonnegative lasso on the
-fresh residuals; floor the fitted volatilities, turn them into inverse-
-variance weights and rebuild the proxy-dependent columns; repeat up to
+One fit runs the boxed scheme: start with identity weights and no
+residuals or volatility proxies, so the first pass builds no moving-average,
+speed-shock or volatility-lag columns and estimates threshold AR /
+power-ARCH models; fit the two mean equations per turbine by weighted lasso;
+fit the two volatility equations by nonnegative lasso on the fresh
+residuals; floor the fitted volatilities, turn them into inverse-variance
+weights and build the residual- and proxy-dependent columns; repeat up to
 ``k_max`` times (two passes are enough in practice).
 
 Scale caveat: the moment factors E|Z| and E|Z|^(1/3) multiply every
@@ -172,11 +173,11 @@ def _proxy_or_unit(equation: str, i: int, fitted: np.ndarray, config: ModelConfi
 
 def calendar_bases(panel: TurbinePanel, config: ModelConfig,
                    kinds=("cumulative", "plain")):
-    """The calendar of ``panel`` and its interaction bases keyed by kind."""
+    """The calendar of ``panel`` and its interaction bases keyed by kind, all
+    from one evaluation of the diurnal and annual factors."""
     cal = CalendarIndex.from_timestamps(panel.timestamps)
-    return cal, {kind: interaction_basis(cal.time_of_day, cal.time_of_year,
-                                         config.diurnal, config.annual, kind)
-                 for kind in kinds}
+    return cal, interaction_basis(cal.time_of_day, cal.time_of_year,
+                                  config.diurnal, config.annual, tuple(kinds))
 
 
 def design_inputs(panel: TurbinePanel, config: ModelConfig):
@@ -211,14 +212,14 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
     basis_values = {kind: b.values for kind, b in bases.items()}
 
     m = n - trim
-    state = {var: np.ones((n, d)) for var in _FILLS.values()}
+    state = dict.fromkeys(_FILLS.values())  # nothing estimated yet: no MA or GARCH families
     floors = {"Sv": np.ones(d), "Pv": np.ones(d)}
     weights = {"W": np.ones((m, d)), "P": np.ones((m, d))}  # by response variable
 
     fits: dict[tuple[str, int], LassoFit] = {}
     terms: dict[tuple[str, int], list[Term]] = {}
 
-    for _ in range(config.k_max):
+    for npass in range(config.k_max):
         fresh: dict[str, np.ndarray] = {}
         for eq, spec in EQUATIONS.items():
             y_var = spec.response[0]
@@ -234,10 +235,11 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
             const = ("const", bases[spec.basis].constant_column)
             out = np.zeros((n, d)) if mean else np.empty((n, d))
             for i in range(d):
-                dm, y = build(ctx, i, sets, thresholds) if mean else build(ctx, i, sets)
-                prob = LassoProblem(y, dm.values,
-                                    weights=weights[y_var][:, i] if mean else None,
-                                    nonnegative=not mean,
+                # re-weighted mean rows are built scaled by sqrt(w): the weighted
+                # fit as an unweighted one, whose residuals are divided back
+                sw = np.sqrt(weights[y_var][:, i]) if mean and npass else None
+                dm, y = build(ctx, i, sets, thresholds, sw) if mean else build(ctx, i, sets)
+                prob = LassoProblem(y, dm.values, nonnegative=not mean,
                                     penalize_mask=np.array([(c.family, c.basis_index) != const
                                                             for c in dm.columns]))
                 fit = _fit_equation(eq, i, prob, config.lasso)
@@ -246,13 +248,16 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                                   for c, v in zip(dm.columns, fit.coefficients) if v != 0.0]
                 if mean:
                     out[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
-                    continue
-                if np.any(fit.coefficients < 0.0):
-                    raise AssertionError("nonnegative fit returned a negative coefficient")
-                fv = _fitted_values(dm.values, fit.coefficients)
-                proxy, floors[filled][i] = _proxy_or_unit(eq, i, fv, config)
-                out[trim:, i] = proxy
-                out[:trim, i] = np.median(proxy)
+                    if sw is not None:
+                        out[trim:, i] /= sw
+                else:
+                    if np.any(fit.coefficients < 0.0):
+                        raise AssertionError("nonnegative fit returned a negative coefficient")
+                    fv = _fitted_values(dm.values, fit.coefficients)
+                    proxy, floors[filled][i] = _proxy_or_unit(eq, i, fv, config)
+                    out[trim:, i] = proxy
+                    out[:trim, i] = np.median(proxy)
+                del dm, y, prob  # free this design before the next is built
             fresh[filled] = out
 
         state = fresh

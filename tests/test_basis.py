@@ -88,6 +88,43 @@ class TestPeriodicBasis:
         assert np.linalg.svd(vals, compute_uv=False)[-1] > 0.0
 
 
+class TestLocalPieces:
+    """Each column is the base spline's local polynomial piece at its own
+    reduced argument; it must match the de Boor recurrence on the knots
+    shifted by (j - 1) h, summed over the two season shifts."""
+
+    @pytest.mark.parametrize("degree", [1, 3, 5])
+    @pytest.mark.parametrize("season,n_basis", [(144.0, 12), (ANNUAL_STEPS, 6), (30.0, 6)],
+                             ids=["integer", "annual", "short"])
+    def test_matches_de_boor_on_shifted_knots(self, degree, season, n_basis):
+        spec = BSplineSpec(degree, season, n_basis)
+        h = spec.knot_spacing
+        t = np.concatenate([
+            np.linspace(-2.5 * season, 3.5 * season, 4001),  # t < 0 and several seasons
+            h * np.arange(-2 * n_basis, 3 * n_basis),  # exactly on the knots
+            [1e6 * season + 0.37 * h, 123456789.0 * h],  # t far beyond S
+        ])
+        values = periodic_basis_matrix(t, spec)
+        knots = h * (np.arange(degree + 2) - (degree + 1) / 2)  # the base spline's, centred at 0
+        for j in range(1, n_basis + 1):
+            u = np.mod(t - (j - 1) * h, season)
+            ref = bspline_eval(u, knots, degree) + bspline_eval(u - season, knots, degree)
+            assert np.max(np.abs(values[:, j - 1] - ref)) <= 1e-14, j
+
+    def test_both_kinds_from_one_evaluation(self):
+        rng = np.random.default_rng(5)
+        tod = rng.integers(0, 144, 900)
+        toy = rng.uniform(-ANNUAL_STEPS, 3 * ANNUAL_STEPS, tod.size)
+        both = interaction_basis(tod, toy, DIURNAL, ANNUAL, ("cumulative", "plain"))
+        assert set(both) == {"cumulative", "plain"}
+        for kind, bs in both.items():
+            single = interaction_basis(tod, toy, DIURNAL, ANNUAL, kind)
+            assert bs.kind == kind and np.array_equal(bs.values, single.values)
+            assert (bs.pairs, bs.constant_column) == (single.pairs, single.constant_column)
+        with pytest.raises(ValueError):
+            interaction_basis(tod, toy, DIURNAL, ANNUAL, ("plain", "fourier"))
+
+
 class TestCumulativeBasis:
     def test_first_column_matches_plain(self):
         t = np.linspace(0.0, 144.0, 500)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from parkcast.cli import DEFAULT_CONFIG, main, model_config_from
-from parkcast.design import EQUATIONS
-from parkcast.model import ModelConfig
+from parkcast.cli import DEFAULT_CONFIG, _read_panel, load_config, main, model_config_from
+from parkcast.design import EQUATIONS, DesignContext, build_design, dump_columns_csv
+from parkcast.model import ModelConfig, design_inputs
 
 CONFIG = """
 simulate:
@@ -115,18 +115,33 @@ class TestPipeline:
         head = Path("out/design_speed_mean_A.csv").read_text().splitlines()[0].strip()
         assert head == "equation,family,i,j,lag,threshold,basis,tv"
 
-    @pytest.mark.parametrize("equation", list(EQUATIONS))
-    def test_analyze_design_every_equation(self, workdir, equation):
+    @pytest.mark.parametrize("equation,rows", [("speed_mean", 45), ("power_mean", 68),
+                                               ("speed_vol", 29), ("power_vol", 34)])
+    def test_analyze_design_every_equation(self, workdir, equation, rows):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
         # CONFIG ends inside its analyze block
         (workdir / "eq.yaml").write_text(CONFIG + f"  equation: {equation}\n")
         assert run("analyze", "eq.yaml", "--panel", "out/panel.csv",
                    "--out-dir", "out", "--what", "design") == 0
-        lines = Path(f"out/design_{equation}_A.csv").read_text().splitlines()
+        text = Path(f"out/design_{equation}_A.csv").read_text()
+        lines = text.splitlines()
         assert lines[0] == "equation,family,i,j,lag,threshold,basis,tv"
         assert {ln.split(",")[0] for ln in lines[1:]} == {equation}
+        # every family, also those a fit's first pass leaves out: the columns
+        # of a design on all-ones shocks and proxies, byte for byte
         families = {ln.split(",")[1] for ln in lines[1:]}
-        assert families <= {"const"} | {f[0] for f in EQUATIONS[equation].families}
+        assert families == {"const"} | {f[0] for f in EQUATIONS[equation].families}
+        assert len(lines) - 1 == rows
+        cfg = load_config("eq.yaml")
+        config, panel = model_config_from(cfg), _read_panel("out/panel.csv", cfg)
+        _, bases, thresholds = design_inputs(panel, config)
+        ones = np.ones((panel.n, panel.d))
+        ctx = DesignContext(panel.speed, panel.power, ones, ones, ones, ones,
+                            bases["cumulative"].values, bases["plain"].values,
+                            config.sets.max_lag())
+        dump_columns_csv(equation, 0, build_design(ctx, equation, 0, config.sets,
+                                                   thresholds)[0].columns, "direct.csv")
+        assert Path("direct.csv").read_text() == text
 
     def test_analyze_unknown_equation(self, workdir, capsys):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")

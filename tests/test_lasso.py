@@ -252,9 +252,60 @@ class TestFitPathBic:
         assert fit.selected_index == ties[0]
 
 
+# LassoFit.sweeps wherever it is not 1, per fit of each test below, as the
+# walk left them when it checked the grid penalties segment by segment;
+# checking them all in one pass once the walk stops must not move them
+PINNED_SWEEPS = {
+    "test_signed_with_unpenalized_intercept": [
+        {1: 2, 2: 2, 9: 2, 11: 2, 16: 2, 23: 2, 39: 3, 42: 2, 48: 2, 59: 2},
+        {1: 2, 10: 2, 21: 2, 31: 2, 33: 2, 43: 2, 44: 2, 46: 2, 49: 2, 50: 2, 51: 2},
+        {1: 2, 12: 2, 14: 2, 18: 2, 25: 2, 29: 2, 32: 2, 46: 2, 51: 2, 54: 2, 57: 2},
+    ],
+    "test_nonnegative": [
+        {1: 4, 2: 2, 3: 2, 4: 2, 9: 3, 13: 2, 17: 2},
+        {1: 2, 2: 4, 8: 2, 9: 2, 12: 2, 15: 2, 27: 2, 38: 2},
+        {1: 3, 2: 3, 7: 2, 9: 2, 14: 2, 16: 2, 18: 2, 23: 2},
+    ],
+    "test_nonnegative_unpenalized_column_held_at_zero": [
+        {0: 8, 12: 2},
+    ],
+    "test_near_collinear_columns": [
+        {1: 2, 38: 2, 41: 2, 64: 2, 83: 2},
+        {1: 2, 14: 2, 37: 2, 38: 2, 48: 2},
+    ],
+    "test_knot_walk_needs_at_most_one_solve": [
+        {1: 2, 5: 2, 11: 2, 14: 2, 26: 2, 28: 2, 38: 2, 49: 2, 50: 2, 63: 2, 76: 2,
+         81: 3, 82: 2, 98: 2},
+        {1: 2, 11: 3, 19: 2, 33: 2, 50: 2, 55: 2, 75: 2, 77: 2, 79: 2, 83: 2, 92: 2,
+         96: 2},
+        {1: 2, 2: 2, 4: 2, 15: 2, 35: 2, 41: 2, 49: 2, 53: 2, 76: 2, 81: 2, 83: 2,
+         85: 2},
+        {1: 2, 16: 2, 42: 2, 49: 2, 58: 2, 74: 2, 90: 3, 91: 2, 93: 2},
+    ],
+    "test_orthogonal_design_is_the_soft_threshold[False]": [
+        {1: 2, 3: 2, 6: 2, 11: 2, 16: 2, 22: 2, 28: 2, 37: 2},
+    ],
+    "test_orthogonal_design_is_the_soft_threshold[True]": [
+        {1: 2, 6: 2, 11: 2, 22: 2, 37: 2},
+    ],
+    "test_two_columns_entering_at_one_knot": [
+        {1: 2, 6: 3, 19: 2, 32: 2},
+    ],
+    "test_dependent_entry_falls_back_to_solve": [
+        {1: 2, 6: 2, 18: 2, 31: 2, 36: 2, 40: 2, 85: 2},
+    ],
+}
+
+
 class TestPathSegments:
     """The path is walked knot to knot along exact linear segments; every
     grid penalty must still match a cold solve at that penalty alone."""
+
+    @pytest.fixture(autouse=True)
+    def pinned(self, request):
+        self.pinned = iter(PINNED_SWEEPS.get(request.node.name, ()))
+        yield
+        assert next(self.pinned, None) is None  # every pinned fit was checked
 
     def check_against_cold(self, prob, monkeypatch):
         settings = LassoSettings(grid_count=100, grid_ratio=1e-3)
@@ -264,6 +315,9 @@ class TestPathSegments:
         fit = fit_path_bic(prob, settings)
         monkeypatch.undo()
         assert fit.converged.all() and (fit.sweeps >= 1).all()
+        pinned = next(self.pinned, None)
+        if pinned is not None:
+            assert {i: int(x) for i, x in enumerate(fit.sweeps) if x != 1} == pinned
         assert len(solves) < fit.lambdas.size  # the rest lie on segments
         for lam, coef, bic in zip(fit.lambdas, fit.coef_path, fit.bic_path):
             assert kkt_residuals(prob, coef, lam).max() <= 10 * settings.tol
@@ -374,6 +428,53 @@ class TestPathSegments:
         # is refused, _solve takes the next grid penalty, and the walk goes on
         assert any(r[[0, 3]].any() for r in refused)
         assert 1 <= n_solves < fit.lambdas.size / 2
+
+    def test_failed_deferred_check_goes_to_solve(self, monkeypatch):
+        # the walk checks its grid penalties in one pass once it stops; a
+        # failure there hands that index to _solve, and the walk goes on after it
+        rng = np.random.default_rng(45)
+        Z = rng.standard_normal((120, 4))
+        X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
+        y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
+        fill, solve, failed, solved = lasso._fill, lasso._solve, [], []
+
+        def failing_fill(work, lambdas, segs, *rest):
+            if not failed and segs[-1][1] - segs[0][0] > 10:
+                failed.append(segs[0][0] + 7)  # its check fails at the eighth penalty
+                segs = [(lo, min(hi, failed[0]), *more) for lo, hi, *more in segs
+                        if lo < failed[0]]
+            return fill(work, lambdas, segs, *rest)
+
+        monkeypatch.setattr(lasso, "_fill", failing_fill)
+        monkeypatch.setattr(lasso, "_solve",
+                            lambda work, lam, *a: solved.append(lam) or solve(work, lam, *a))
+        fit, n_solves, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+        # only the failed penalty was solved; the walk filled the rest
+        assert failed and n_solves == 1 and solved == [fit.lambdas[failed[0]]]
+
+    def test_failed_check_restores_the_blocked_columns_of_its_segment(self, monkeypatch):
+        # column 1, refused before the walk, is freed by a drop further down;
+        # a check failing above that drop hands _solve the state it had there
+        rng = np.random.default_rng(45)
+        Z = rng.standard_normal((120, 4))
+        X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
+        work = _Work(LassoProblem(X[:, 0] - X[:, 1] + rng.standard_normal(120), X))
+        lambdas, k, fill = lasso._grid(work, 100, 1e-3), work.cols.size, lasso._fill
+
+        def walk(fail_at):
+            monkeypatch.setattr(lasso, "_fill", lambda work, lambdas, segs, *rest: fill(
+                work, lambdas, [(lo, min(hi, fail_at), *more) for lo, hi, *more in segs
+                                if lo < fail_at], *rest))
+            blocked = np.arange(k) == 1
+            li = lasso._walk(work, lambdas, 0, np.inf, np.zeros(0, dtype=np.intp), np.ones(0),
+                             blocked, np.zeros((100, k)), np.empty(100),
+                             np.ones(100, dtype=int), 1e-7, 10_000)
+            return li, blocked
+
+        li, blocked = walk(100)
+        assert li == 100 and not blocked.any()
+        li, blocked = walk(3)
+        assert li == 3 and np.array_equal(blocked, np.arange(k) == 1)
 
     def test_objective_is_the_path_objective(self):
         rng = np.random.default_rng(43)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config, tiny_sets, two_turbine_truth
 
+from parkcast import model as model_module
 from parkcast.basis import BSplineSpec, interaction_basis
 from parkcast.design import (
+    EQUATIONS,
     DesignContext,
     build_speed_mean_design,
     compute_threshold_set,
+    index_sets_from,
 )
 from parkcast.forecast import point_forecast, simulate_synthetic
 from parkcast.lasso import LassoProblem, LassoSettings, fit_path_bic, objective_value
@@ -158,6 +161,33 @@ class TestFitJointModel:
         assert np.array_equal(z, small_model.speed_pool)
         u = small_model.power_resid[trim:] / small_model.power_vol[trim:] ** 3
         assert np.array_equal(u, small_model.power_pool)
+
+    @pytest.mark.parametrize("k_max", [1, 2])
+    def test_first_pass_builds_no_ma_or_garch_columns(self, small_panel, monkeypatch, k_max):
+        # the first pass has no shocks or proxies yet, so it builds no columns
+        # from them (no all-ones placeholders); every later pass builds them all
+        later = {"speed_mean": {"speed_ma"}, "power_mean": {"power_ma", "speed_err"},
+                 "speed_vol": {"vol_lag"}, "power_vol": {"vol_lag", "speed_vol_lag"}}
+        built = []  # (equation, families) per design, in build order
+
+        def recording(eq, build):
+            def wrapped(ctx, i, *rest):
+                dm, y = build(ctx, i, *rest)
+                built.append((eq, {c.family for c in dm.columns}))
+                return dm, y
+            return wrapped
+
+        for eq in EQUATIONS:
+            name = f"build_{eq}_design"
+            monkeypatch.setattr(model_module, name, recording(eq, getattr(model_module, name)))
+        sets = index_sets_from(own_short_max=2, own_long_band=None, cross_max=1,
+                               time_varying=False)
+        fit_joint_model(small_panel, tiny_config(k_max=k_max, sets=sets))
+        per_pass = len(EQUATIONS) * small_panel.d
+        assert len(built) == k_max * per_pass
+        for n, (eq, families) in enumerate(built):
+            every = {"const"} | {f[0] for f in EQUATIONS[eq].families}
+            assert families == (every - later[eq] if n < per_pass else every), (n, eq)
 
     def test_standardized_residuals_stable_across_iterations(self, small_panel):
         # diagnostic: mean |standardized residual| is O(1) and moves little
