@@ -117,6 +117,13 @@ class TestLocalPieces:
         toy = rng.uniform(-ANNUAL_STEPS, 3 * ANNUAL_STEPS, tod.size)
         both = interaction_basis(tod, toy, DIURNAL, ANNUAL, ("cumulative", "plain"))
         assert set(both) == {"cumulative", "plain"}
+        d, a = periodic_basis_matrix(tod, DIURNAL), periodic_basis_matrix(toy, ANNUAL)
+        for kind, (dk, ak) in (("plain", (d, a)),
+                               ("cumulative", (np.cumsum(d, axis=1), np.cumsum(a, axis=1)))):
+            products = (ak[:, :, None] * dk[:, None, :]).reshape(tod.size, -1)
+            if kind == "plain":
+                products[:, 0] = 1.0
+            assert np.array_equal(both[kind].values, products)
         for kind, bs in both.items():
             single = interaction_basis(tod, toy, DIURNAL, ANNUAL, kind)
             assert bs.kind == kind and np.array_equal(bs.values, single.values)

@@ -252,9 +252,9 @@ class TestFitPathBic:
         assert fit.selected_index == ties[0]
 
 
-# LassoFit.sweeps wherever it is not 1, per fit of each test below, as the
-# walk left them when it checked the grid penalties segment by segment;
-# checking them all in one pass once the walk stops must not move them
+# LassoFit.sweeps wherever it is not 1 (knots crossed since the previous grid
+# penalty, plus one, or _solve's iterations), per fit of each test below; when
+# and in what groups the grid penalties are checked must not move them
 PINNED_SWEEPS = {
     "test_signed_with_unpenalized_intercept": [
         {1: 2, 2: 2, 9: 2, 11: 2, 16: 2, 23: 2, 39: 3, 42: 2, 48: 2, 59: 2},
