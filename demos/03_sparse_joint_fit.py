@@ -60,6 +60,6 @@ show("speed_mean", "speed mean coefficients (turbine A; fitted thresholds "
 show("speed_vol", f"speed volatility (targets are E|Z| x truth = "
                   f"{gamma:.3f} x truth):", scale=gamma)
 
-resid = model.speed_pool[:, 0]
+resid = model.pools["E"][:, 0]
 print(f"\nstandardized speed residuals: mean |z| = {np.abs(resid).mean():.3f} "
       "(the proxy scale absorbs E|Z|, so this sits near 1)")

@@ -204,15 +204,13 @@ def threshold_regressor(x, c: float):
 @dataclass
 class ThresholdSet:
     """Decile thresholds per source turbine for the "thr" families of
-    ``EQUATIONS``: speed deciles for families on W, power deciles on P."""
+    ``EQUATIONS``, keyed by the family's variable: "W" or "P"."""
 
-    speed_deciles: list[np.ndarray]  # per source turbine j
-    power_deciles: list[np.ndarray]
+    deciles: dict[str, list[np.ndarray]]  # variable -> per source turbine j
 
     def get(self, var: str, j: int) -> list[float]:
         """-inf (the linear term), then the deciles of ``var`` at turbine j."""
-        dec = self.speed_deciles[j] if var == "W" else self.power_deciles[j]
-        return [-np.inf] + [float(c) for c in dec]
+        return [-np.inf] + [float(c) for c in self.deciles[var][j]]
 
 
 def compute_threshold_set(W, P, policy="deciles") -> ThresholdSet:
@@ -224,17 +222,13 @@ def compute_threshold_set(W, P, policy="deciles") -> ThresholdSet:
     """
     d = W.shape[1]
     if policy == "none":
-        empty = [np.empty(0) for _ in range(d)]
-        return ThresholdSet(empty, [np.empty(0) for _ in range(d)])
+        return ThresholdSet({v: [np.empty(0) for _ in range(d)] for v in ("W", "P")})
     if policy == "deciles":
-        return ThresholdSet(
-            [compute_thresholds(W[:, j]) for j in range(d)],
-            [compute_thresholds(P[:, j]) for j in range(d)],
-        )
+        return ThresholdSet({v: [compute_thresholds(x[:, j]) for j in range(d)]
+                             for v, x in (("W", W), ("P", P))})
     if isinstance(policy, dict):
-        spd = np.asarray(policy.get("speed", ()), dtype=float)
-        pwr = np.asarray(policy.get("power", ()), dtype=float)
-        return ThresholdSet([spd] * d, [pwr] * d)
+        return ThresholdSet({v: [np.asarray(policy.get(key, ()), dtype=float)] * d
+                             for v, key in (("W", "speed"), ("P", "power"))})
     raise ValueError(f"unknown threshold policy {policy!r}")
 
 

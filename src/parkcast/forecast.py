@@ -204,7 +204,7 @@ class _Engine:
 
     def __init__(self, model: FittedJointModel):
         self.model = model
-        self.floors = np.stack([model.speed_floors, model.power_floors])[:, :, None]
+        self.floors = np.stack([model.floors[v] for v in VARS[_SV:]])[:, :, None]
         self.stages = (_Stage(model, ("speed_vol", "power_vol"), ()),
                        _Stage(model, ("speed_mean",), (_SV, _PV)),
                        _Stage(model, ("power_mean",), (_W, _E, _SV, _PV)))
@@ -393,12 +393,11 @@ class Forecaster:
         self.state = np.zeros((len(VARS), n, d, 1))
         self.W, self.P, self.E, self.Ep, self.Sv, self.Pv = self.state[..., 0]
         self.W[:], self.P[:] = panel.speed, panel.power
-        self.Sv[:], self.Pv[:] = model.speed_floors, model.power_floors
         k = model.timestamps.shape[0]
-        self.E[self.start:self.start + k] = model.speed_resid
-        self.Ep[self.start:self.start + k] = model.power_resid
-        self.Sv[self.start:self.start + k] = model.speed_vol
-        self.Pv[self.start:self.start + k] = model.power_vol
+        for var, floor in model.floors.items():
+            getattr(self, var)[:] = floor
+        for var, tail in model.state.items():
+            getattr(self, var)[self.start:self.start + k] = tail
         self.covered_through = self.start + k - 1
 
     # -- filtering --------------------------------------------------------
@@ -486,14 +485,14 @@ class Forecaster:
         model = self.model
         check_seed(seed)
         state, wp, ts_future = self._window(origin, horizon, n_paths)
-        pool_m = model.speed_pool.shape[0]
+        pool_m = model.pools["E"].shape[0]
         if pool_m == 0:
             raise ForecastError("empty standardized residual pool")
         if n_paths < 100:
             warnings.warn(f"n_paths={n_paths} < 100: quantiles will be noisy")
         draws = _path_draws(seed, n_paths, horizon, pool_m)
         # (d, pool) copies: one step's jointly drawn rows are a (d, paths) take
-        z_pool, u_pool = model.speed_pool.T.copy(), model.power_pool.T.copy()
+        z_pool, u_pool = (model.pools[v].T.copy() for v in ("E", "Ep"))
 
         def shocks(s, sv, pv):
             return (sv * z_pool.take(draws[s], axis=1),
@@ -544,8 +543,7 @@ class _SyntheticModel:
         self.anchor_epoch = anchor_epoch
         self.terms = terms
         self.d = len(self.labels)
-        self.speed_floors = np.zeros(self.d)
-        self.power_floors = np.zeros(self.d)
+        self.floors = {v: np.zeros(self.d) for v in VARS[_SV:]}
 
 
 def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,

@@ -76,8 +76,8 @@ class ModelConfig:
 @dataclass
 class FittedJointModel:
     """Sparse coefficients for all four equations plus the state needed to
-    forecast: in-sample residuals, floored volatility proxies (power on the
-    cube-root scale) and standardized residual pools."""
+    forecast, keyed by ``VARS``: residuals E, Ep and their standardized pools,
+    floored volatility proxies Sv, Pv (power on the cube-root scale) and their floors."""
 
     labels: tuple[str, ...]
     trim: int
@@ -87,15 +87,10 @@ class FittedJointModel:
     annual: BSplineSpec
     anchor_epoch: int
     terms: dict[tuple[str, int], list[Term]]
-    timestamps: np.ndarray  # rows covered by the state matrices below
-    speed_resid: np.ndarray
-    power_resid: np.ndarray
-    speed_vol: np.ndarray
-    power_vol: np.ndarray
-    speed_floors: np.ndarray  # per turbine
-    power_floors: np.ndarray
-    speed_pool: np.ndarray  # standardized residual rows (m, d)
-    power_pool: np.ndarray
+    timestamps: np.ndarray  # rows covered by ``state``
+    state: dict[str, np.ndarray]  # E, Ep, Sv, Pv: (rows, d)
+    floors: dict[str, np.ndarray]  # Sv, Pv: one value per turbine
+    pools: dict[str, np.ndarray]  # E, Ep: standardized residual rows (m, d)
     thresholds: ThresholdSet | None = None
     fits: dict[tuple[str, int], LassoFit] | None = None
 
@@ -279,14 +274,10 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
         anchor_epoch=cal.anchor_epoch,
         terms=terms,
         timestamps=panel.timestamps.copy(),
-        speed_resid=state["E"],
-        power_resid=state["Ep"],
-        speed_vol=state["Sv"],
-        power_vol=state["Pv"],
-        speed_floors=floors["Sv"],
-        power_floors=floors["Pv"],
-        speed_pool=state["E"][trim:] / state["Sv"][trim:],
-        power_pool=state["Ep"][trim:] / state["Pv"][trim:] ** 3,
+        state=state,
+        floors=floors,
+        pools={"E": state["E"][trim:] / state["Sv"][trim:],
+               "Ep": state["Ep"][trim:] / state["Pv"][trim:] ** 3},
         thresholds=thresholds,
         fits=fits,
     )
@@ -298,6 +289,16 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
 
 _FORMAT_TAG = "parkcast-model"
 _FORMAT_VERSION = 1
+
+# the file's section names for the model's mappings, in file order within
+# each; the mappings are keyed as ``VARS`` and ``ThresholdSet.deciles`` are
+_SECTIONS = {
+    "floors": {"Sv": "speed_floors", "Pv": "power_floors"},
+    "deciles": {"W": "deciles.speed", "P": "deciles.power"},
+    "state": {"E": "tail.speed_resid", "Ep": "tail.power_resid",
+              "Sv": "tail.speed_vol", "Pv": "tail.power_vol"},
+    "pools": {"E": "pool.speed", "Ep": "pool.power"},
+}
 
 
 def _hex(x: float) -> str:
@@ -330,14 +331,12 @@ def save_model(model: FittedJointModel, path, tail_rows: int = 150) -> None:
         for name, spec in (("diurnal", model.diurnal), ("annual", model.annual)):
             fh.write(f"{name} {spec.degree} {_hex(spec.season_length)} "
                      f"{spec.n_basis} {int(spec.strict_partition)}\n")
-        fh.write("speed_floors " + " ".join(_hex(v) for v in model.speed_floors) + "\n")
-        fh.write("power_floors " + " ".join(_hex(v) for v in model.power_floors) + "\n")
+        for var, key in _SECTIONS["floors"].items():
+            fh.write(key + " " + " ".join(_hex(v) for v in model.floors[var]) + "\n")
         thr = model.thresholds
-        for name, rows in (("deciles.speed", thr.speed_deciles if thr else []),
-                           ("deciles.power", thr.power_deciles if thr else [])):
-            rows = list(rows) or [np.empty(0)] * model.d
-            width = max(v.size for v in rows)
-            padded = np.full((len(rows), width), np.nan)
+        for var, name in _SECTIONS["deciles"].items():
+            rows = thr.deciles[var] if thr else [np.empty(0)] * model.d
+            padded = np.full((len(rows), max(v.size for v in rows)), np.nan)
             for k, v in enumerate(rows):
                 padded[k, : v.size] = v
             _write_matrix(fh, name, padded)
@@ -351,12 +350,10 @@ def save_model(model: FittedJointModel, path, tail_rows: int = 150) -> None:
         ts = model.timestamps[-tail:]
         fh.write(f"[tail.timestamps] {ts.size}\n")
         fh.write(" ".join(str(int(v)) for v in ts) + "\n")
-        _write_matrix(fh, "tail.speed_resid", model.speed_resid[-tail:])
-        _write_matrix(fh, "tail.power_resid", model.power_resid[-tail:])
-        _write_matrix(fh, "tail.speed_vol", model.speed_vol[-tail:])
-        _write_matrix(fh, "tail.power_vol", model.power_vol[-tail:])
-        _write_matrix(fh, "pool.speed", model.speed_pool)
-        _write_matrix(fh, "pool.power", model.power_pool)
+        for var, name in _SECTIONS["state"].items():
+            _write_matrix(fh, name, model.state[var][-tail:])
+        for var, name in _SECTIONS["pools"].items():
+            _write_matrix(fh, name, model.pools[var])
         fh.write("end\n")
 
 
@@ -376,11 +373,13 @@ class _Reader:
             raise ModelFormatError("unexpected end of model file") from None
         return line
 
-    def keyed(self, key: str) -> list[str]:
+    def keyed(self, key: str, count: int | None = None) -> list[str]:
         line = self.next()
         parts = line.split()
         if not parts or parts[0] != key:
             raise ModelFormatError(f"expected {key!r}, found {line!r}")
+        if count is not None and len(parts) - 1 != count:
+            raise ModelFormatError(f"{key}: {len(parts) - 1} values, expected {count}")
         return parts[1:]
 
     def section(self, name: str) -> list[str]:
@@ -389,8 +388,12 @@ class _Reader:
             raise ModelFormatError(f"expected section {name!r}, found {line!r}")
         return line[len(name) + 2 :].split()
 
-    def matrix(self, name: str) -> np.ndarray:
+    def matrix(self, name: str, shape=(None, None)) -> np.ndarray:
+        """Section ``name``, whose header must match ``shape`` where not None."""
         rows, cols = (int(v) for v in self.section(name))
+        if any(want not in (None, got) for want, got in zip(shape, (rows, cols))):
+            expected = " x ".join("*" if v is None else str(v) for v in shape)
+            raise ModelFormatError(f"section {name} is {rows} x {cols}, expected {expected}")
         out = np.empty((rows, cols))
         for r in range(rows):
             vals = self.next().split()
@@ -417,6 +420,7 @@ def _read_model(r: _Reader) -> FittedJointModel:
     if head != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
         raise ModelFormatError(f"not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
     labels = tuple(r.keyed("labels")[0].split(","))
+    d = len(labels)
     trim = int(r.keyed("trim")[0])
     k_max = int(r.keyed("k_max")[0])
     floor_frac = float.fromhex(r.keyed("vol_floor_fraction")[0])
@@ -426,13 +430,13 @@ def _read_model(r: _Reader) -> FittedJointModel:
         deg, s, nb, strict = r.keyed(name)
         specs[name] = BSplineSpec(int(deg), float.fromhex(s), int(nb),
                                   strict_partition=bool(int(strict)))
-    speed_floors = np.array([float.fromhex(v) for v in r.keyed("speed_floors")])
-    power_floors = np.array([float.fromhex(v) for v in r.keyed("power_floors")])
-    dec_speed = r.matrix("deciles.speed")
-    dec_power = r.matrix("deciles.power")
+    floors = {var: np.array([float.fromhex(v) for v in r.keyed(key, d)])
+              for var, key in _SECTIONS["floors"].items()}
+    deciles = {var: [row[~np.isnan(row)] for row in r.matrix(name, (d, None))]
+               for var, name in _SECTIONS["deciles"].items()}
     terms: dict[tuple[str, int], list[Term]] = {}
     for eq in EQUATIONS:
-        for i in range(len(labels)):
+        for i in range(d):
             (count,) = r.section(f"terms {eq} {i}")
             lst = []
             for _ in range(int(count)):
@@ -444,19 +448,12 @@ def _read_model(r: _Reader) -> FittedJointModel:
     ts = np.array([int(v) for v in r.next().split()], dtype=np.int64)
     if ts.size != int(n_ts):
         raise ModelFormatError("tail timestamp count mismatch")
-    speed_resid = r.matrix("tail.speed_resid")
-    power_resid = r.matrix("tail.power_resid")
-    speed_vol = r.matrix("tail.speed_vol")
-    power_vol = r.matrix("tail.power_vol")
-    pool_speed = r.matrix("pool.speed")
-    pool_power = r.matrix("pool.power")
+    state = {var: r.matrix(name, (ts.size, d)) for var, name in _SECTIONS["state"].items()}
+    pools = {"E": r.matrix(_SECTIONS["pools"]["E"], (None, d))}
+    pools["Ep"] = r.matrix(_SECTIONS["pools"]["Ep"], (pools["E"].shape[0], d))
     if r.next() != "end":
         raise ModelFormatError("missing end marker")
 
-    thresholds = ThresholdSet(
-        [row[~np.isnan(row)] for row in dec_speed],
-        [row[~np.isnan(row)] for row in dec_power],
-    )
     return FittedJointModel(
         labels=labels,
         trim=trim,
@@ -467,14 +464,9 @@ def _read_model(r: _Reader) -> FittedJointModel:
         anchor_epoch=anchor,
         terms=terms,
         timestamps=ts,
-        speed_resid=speed_resid,
-        power_resid=power_resid,
-        speed_vol=speed_vol,
-        power_vol=power_vol,
-        speed_floors=speed_floors,
-        power_floors=power_floors,
-        speed_pool=pool_speed,
-        power_pool=pool_power,
-        thresholds=thresholds,
+        state=state,
+        floors=floors,
+        pools=pools,
+        thresholds=ThresholdSet(deciles),
         fits=None,
     )

@@ -58,14 +58,10 @@ def model_from_terms(terms, panel, trim=5):
         anchor_epoch=1262304000,
         terms=terms,
         timestamps=panel.timestamps.copy(),
-        speed_resid=np.zeros((n, d)),
-        power_resid=np.zeros((n, d)),
-        speed_vol=np.ones((n, d)),
-        power_vol=np.ones((n, d)),
-        speed_floors=np.full(d, 1e-6),
-        power_floors=np.full(d, 1e-6),
-        speed_pool=pool,
-        power_pool=pool.copy(),
+        state={"E": np.zeros((n, d)), "Ep": np.zeros((n, d)),
+               "Sv": np.ones((n, d)), "Pv": np.ones((n, d))},
+        floors={"Sv": np.full(d, 1e-6), "Pv": np.full(d, 1e-6)},
+        pools={"E": pool, "Ep": pool.copy()},
     )
 
 
@@ -161,8 +157,8 @@ class TestBootstrapForecast:
     def test_degenerate_pool_gives_flat_fan(self):
         panel = flat_panel()
         model = model_from_terms(const_model_terms(intercept=2.0), panel)
-        model.speed_pool[:] = 0.5  # every draw identical
-        model.power_pool[:] = 0.5
+        model.pools["E"][:] = 0.5  # every draw identical
+        model.pools["Ep"][:] = 0.5
         with pytest.warns(UserWarning, match="n_paths"):
             fc = bootstrap_forecast(model, panel, 200, 6, n_paths=99, seed=1)
         for h in range(6):
@@ -211,7 +207,7 @@ class TestBootstrapForecast:
     def test_empty_pool_rejected(self):
         panel = flat_panel()
         model = model_from_terms(const_model_terms(), panel)
-        model.speed_pool = model.speed_pool[:0]
+        model.pools["E"] = model.pools["E"][:0]
         with pytest.raises(ForecastError, match="pool"):
             bootstrap_forecast(model, panel, 200, 4, 200, seed=0)
 
@@ -221,8 +217,8 @@ class TestBootstrapForecast:
         panel = flat_panel()
         model = model_from_terms(const_model_terms(speed_ar=0.7, intercept=1.0),
                                  panel)
-        model.speed_pool = np.repeat([[0.6], [-0.6]], 25, axis=0)
-        model.power_pool = np.zeros_like(model.speed_pool)
+        model.pools["E"] = np.repeat([[0.6], [-0.6]], 25, axis=0)
+        model.pools["Ep"] = np.zeros_like(model.pools["E"])
         n_paths = 4000
         bs = bootstrap_forecast(model, panel, 250, 8, n_paths, seed=2)
         pt = point_forecast(model, panel, 250, 8)
@@ -422,12 +418,12 @@ def every_family_setup(n=700, covered=300, trim=5):
         labels=panel.labels, trim=trim, k_max=1, vol_floor_fraction=1e-3,
         diurnal=cfg.diurnal, annual=cfg.annual, anchor_epoch=1262304000,
         terms=every_family_terms(), timestamps=ts[:covered].copy(),
-        speed_resid=rng.standard_normal((covered, 2)),
-        power_resid=rng.standard_normal((covered, 2)),
-        speed_vol=rng.uniform(0.5, 1.5, (covered, 2)),
-        power_vol=rng.uniform(0.5, 1.5, (covered, 2)),
-        speed_floors=np.array([0.3, 0.4]), power_floors=np.array([0.6, 0.7]),
-        speed_pool=rng.standard_normal((40, 2)), power_pool=rng.standard_normal((40, 2)),
+        state={"E": rng.standard_normal((covered, 2)),
+               "Ep": rng.standard_normal((covered, 2)),
+               "Sv": rng.uniform(0.5, 1.5, (covered, 2)),
+               "Pv": rng.uniform(0.5, 1.5, (covered, 2))},
+        floors={"Sv": np.array([0.3, 0.4]), "Pv": np.array([0.6, 0.7])},
+        pools={"E": rng.standard_normal((40, 2)), "Ep": rng.standard_normal((40, 2))},
     )
     return panel, model
 
@@ -459,8 +455,8 @@ def reference_step(model, st, pos, basis, k, shocks=None):
     for i in range(d):
         sv = reference_value(model, "speed_vol", i, st, pos, vol_row)
         pv = reference_value(model, "power_vol", i, st, pos, vol_row)
-        st["Sv"][pos, i] = max(sv, model.speed_floors[i])
-        st["Pv"][pos, i] = max(pv, model.power_floors[i])
+        st["Sv"][pos, i] = max(sv, model.floors["Sv"][i])
+        st["Pv"][pos, i] = max(pv, model.floors["Pv"][i])
     for eq, y, e, scale in (("speed_mean", "W", "E", lambda i: st["Sv"][pos, i]),
                             ("power_mean", "P", "Ep", lambda i: st["Pv"][pos, i] ** 3)):
         fitted = [reference_value(model, eq, i, st, pos, mean_row) for i in range(d)]
@@ -476,10 +472,8 @@ def reference_step(model, st, pos, basis, k, shocks=None):
 def reference_filter(model, panel, start, through):
     k = model.timestamps.size
     st = {"W": panel.speed.copy(), "P": panel.power.copy()}
-    for name, arr, floors in (("E", model.speed_resid, 0.0), ("Ep", model.power_resid, 0.0),
-                              ("Sv", model.speed_vol, model.speed_floors),
-                              ("Pv", model.power_vol, model.power_floors)):
-        st[name] = np.zeros_like(st["W"]) + floors
+    for name, arr in model.state.items():
+        st[name] = np.zeros_like(st["W"]) + model.floors.get(name, 0.0)
         st[name][start:start + k] = arr
     lo = start + k
     basis = reference_basis(model, panel.timestamps[lo:through + 1])
@@ -531,13 +525,13 @@ class TestEngineReference:
         for path in range(n_paths):
             rng = np.random.Generator(np.random.Philox(
                 key=np.array([seed, path], dtype=np.uint64)))
-            draws = rng.integers(0, model.speed_pool.shape[0], size=horizon)
+            draws = rng.integers(0, model.pools["E"].shape[0], size=horizon)
             st = {k: np.concatenate([v[:origin + 1], np.zeros((horizon, 2))])
                   for k, v in ref.items()}
             for s in range(horizon):
                 pos = origin + 1 + s
                 reference_step(model, st, pos, basis, s,
-                               (model.speed_pool[draws[s]], model.power_pool[draws[s]]))
+                               (model.pools["E"][draws[s]], model.pools["Ep"][draws[s]]))
             w[path], p[path] = st["W"][origin + 1:], st["P"][origin + 1:]
         idx = np.ceil(np.arange(1, 100) / 100.0 * n_paths).astype(int) - 1
         assert_close(fc.speed_point, w.mean(axis=0))
@@ -694,7 +688,7 @@ class TestFitForecastAgreement:
                     time_varying, 1.0)
         model.terms = {(eq, i): BACKGROUND[eq](i) for eq in EQUATIONS for i in range(2)}
         model.terms[(equation, 0)] = [term]
-        model.speed_floors = model.power_floors = np.zeros(2)
+        model.floors = dict.fromkeys(("Sv", "Pv"), np.zeros(2))
         fore = Forecaster(model, panel)
         fore.ensure_state(panel.n - 1)
 

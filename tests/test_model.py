@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,15 +74,15 @@ class TestFitJointModel:
                 assert not np.signbit(fit.coefficients).any()
 
     def test_proxies_floored_positive(self, small_model):
-        assert small_model.speed_vol.min() > 0.0
-        assert small_model.power_vol.min() > 0.0
+        assert small_model.state["Sv"].min() > 0.0
+        assert small_model.state["Pv"].min() > 0.0
 
     def test_residuals_cover_effective_sample(self, small_panel, small_model):
         trim = small_model.trim
-        resid = small_model.speed_resid[trim:, 0]
+        resid = small_model.state["E"][trim:, 0]
         assert resid.shape == small_panel.speed[trim:, 0].shape
         assert np.all(np.isfinite(resid))
-        assert np.all(small_model.speed_resid[:trim] == 0.0)  # backfilled
+        assert np.all(small_model.state["E"][:trim] == 0.0)  # backfilled
 
     def test_missing_panel_rejected(self, small_panel):
         bad = TurbinePanel(
@@ -157,10 +158,10 @@ class TestFitJointModel:
 
     def test_standardized_pools_consistent(self, small_model):
         trim = small_model.trim
-        z = small_model.speed_resid[trim:] / small_model.speed_vol[trim:]
-        assert np.array_equal(z, small_model.speed_pool)
-        u = small_model.power_resid[trim:] / small_model.power_vol[trim:] ** 3
-        assert np.array_equal(u, small_model.power_pool)
+        z = small_model.state["E"][trim:] / small_model.state["Sv"][trim:]
+        assert np.array_equal(z, small_model.pools["E"])
+        u = small_model.state["Ep"][trim:] / small_model.state["Pv"][trim:] ** 3
+        assert np.array_equal(u, small_model.pools["Ep"])
 
     @pytest.mark.parametrize("k_max", [1, 2])
     def test_first_pass_builds_no_ma_or_garch_columns(self, small_panel, monkeypatch, k_max):
@@ -194,8 +195,8 @@ class TestFitJointModel:
         # between the first and second pass on well-specified data
         m1 = fit_joint_model(small_panel, tiny_config(k_max=1))
         m2 = fit_joint_model(small_panel, tiny_config(k_max=2))
-        a1 = np.abs(m1.speed_pool).mean()
-        a2 = np.abs(m2.speed_pool).mean()
+        a1 = np.abs(m1.pools["E"]).mean()
+        a2 = np.abs(m2.pools["E"]).mean()
         assert 0.5 <= a1 <= 2.0 and 0.5 <= a2 <= 2.0
         assert abs(a2 - a1) / a1 < 0.25
 
@@ -241,8 +242,15 @@ def terms_equal(a, b):
     return True
 
 
+def with_deciles(model, panel):
+    """``model`` carrying the panel's speed and power deciles, so that the
+    deciles sections hold values (the small model is fitted without them)."""
+    return replace(model, thresholds=compute_threshold_set(panel.speed, panel.power))
+
+
 class TestSerialization:
-    def test_round_trip_fields(self, small_model, tmp_path):
+    def test_round_trip_fields(self, small_panel, small_model, tmp_path):
+        small_model = with_deciles(small_model, small_panel)
         path = tmp_path / "model.txt"
         save_model(small_model, path)
         back = load_model(path)
@@ -253,11 +261,30 @@ class TestSerialization:
         assert back.annual == small_model.annual
         for key, terms in small_model.terms.items():
             assert terms_equal(back.terms[key], terms)
-        assert np.array_equal(back.speed_pool, small_model.speed_pool)
-        assert np.array_equal(back.power_pool, small_model.power_pool)
         tail = back.timestamps.size
-        assert np.array_equal(back.speed_vol,
-                              small_model.speed_vol[-tail:])
+        assert np.array_equal(back.timestamps, small_model.timestamps[-tail:])
+        assert back.state.keys() == small_model.state.keys() == {"E", "Ep", "Sv", "Pv"}
+        for var, values in small_model.state.items():
+            assert np.array_equal(back.state[var], values[-tail:]), var
+        assert back.floors.keys() == small_model.floors.keys() == {"Sv", "Pv"}
+        assert back.pools.keys() == small_model.pools.keys() == {"E", "Ep"}
+        for name in ("floors", "pools"):
+            for var, values in getattr(small_model, name).items():
+                assert np.array_equal(getattr(back, name)[var], values), (name, var)
+        deciles = small_model.thresholds.deciles
+        assert back.thresholds.deciles.keys() == deciles.keys() == {"W", "P"}
+        for var, rows in deciles.items():
+            assert len(back.thresholds.deciles[var]) == len(rows) == small_model.d
+            for got, want in zip(back.thresholds.deciles[var], rows):
+                assert got.size and np.array_equal(got, want), var
+
+    @pytest.mark.parametrize("deciles", [False, True])
+    def test_resave_is_byte_identical(self, small_panel, small_model, tmp_path, deciles):
+        model = with_deciles(small_model, small_panel) if deciles else small_model
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_model(model, first)
+        save_model(load_model(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_round_trip_forecast_bit_exact(self, small_panel, small_model, tmp_path):
         path = tmp_path / "model.txt"
@@ -270,23 +297,36 @@ class TestSerialization:
         assert np.array_equal(a.power_point, b.power_point)
 
     @pytest.mark.parametrize("kind", ["no-version", "non-integer-version",
-                                      "bad-hex-float", "short-terms-line"])
+                                      "bad-hex-float", "short-terms-line",
+                                      "short-tail", "narrow-pool"])
     def test_malformed_file_raises_format_error(self, small_model, tmp_path, kind):
         path = tmp_path / "model.txt"
         save_model(small_model, path)
         lines = path.read_text().splitlines()
         term = 1 + next(k for k, ln in enumerate(lines)
                         if ln.startswith("[terms") and not ln.endswith("] 0"))
-        k, line = {
-            "no-version": (0, "parkcast-model"),
-            "non-integer-version": (0, "parkcast-model one"),
-            "bad-hex-float": (4, "vol_floor_fraction 0x1.zzp-10"),
-            "short-terms-line": (term, lines[term].rsplit(" ", 1)[0]),
+        tail = next(k for k, ln in enumerate(lines) if ln.startswith("[tail.speed_resid]"))
+        rows, d = (int(v) for v in lines[tail].split()[1:])
+        pool = next(k for k, ln in enumerate(lines) if ln.startswith("[pool.power]"))
+        m = int(lines[pool].split()[1])
+        # (first line, lines replaced, new lines, section named in the message)
+        k, span, new, section = {
+            "no-version": (0, 1, ["parkcast-model"], ""),
+            "non-integer-version": (0, 1, ["parkcast-model one"], ""),
+            "bad-hex-float": (4, 1, ["vol_floor_fraction 0x1.zzp-10"], ""),
+            "short-terms-line": (term, 1, [lines[term].rsplit(" ", 1)[0]], ""),
+            # one row dropped, and the header says so
+            "short-tail": (tail, 2, [f"[tail.speed_resid] {rows - 1} {d}"],
+                           "section tail.speed_resid"),
+            # one turbine's column only, and the header says so
+            "narrow-pool": (pool, 1 + m, [f"[pool.power] {m} 1"]
+                            + [ln.split()[0] for ln in lines[pool + 1:pool + 1 + m]],
+                            "section pool.power"),
         }[kind]
-        lines[k] = line
+        lines[k:k + span] = new
         path.write_text("\n".join(lines) + "\n")
         from parkcast.model import ModelFormatError
-        message = "not a parkcast-model v1 file" if k == 0 else f"line {k + 1}: "
+        message = "not a parkcast-model v1 file" if k == 0 else f"line {k + 1}: {section}"
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
