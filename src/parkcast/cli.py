@@ -46,6 +46,8 @@ from .panel import (
     load_panel,
     seasonal_mean_profile,
     smoothed_periodogram,
+    write_csv,
+    write_panel,
 )
 from .presets import example_generator
 
@@ -174,77 +176,25 @@ def _seed(cfg: dict) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _infer_turbines(path: str, timestamp: str) -> tuple[str, ...]:
-    """Read turbine labels off the header: every <label>_speed/<label>_power
-    column pair, in order of appearance."""
-    with open(path) as fh:
-        header = [h.strip() for h in fh.readline().split(",")]
-    cols = set(header)
-    labels = []
-    for name in header:
-        if name.endswith("_speed"):
-            label = name[: -len("_speed")]
-            if f"{label}_power" in cols:
-                labels.append(label)
-    if not labels:
-        raise PanelError(f"{path}: no <label>_speed/<label>_power column pairs")
-    return tuple(labels)
-
-
-def panel_schema_from(cfg: dict, path: str | None = None) -> PanelSchema:
-    s = cfg["schema"]
-    turbines = s["turbines"]
-    if turbines in ("auto", None, []):
-        if path is None:
-            raise ConfigError("schema.turbines is 'auto' but no panel to inspect")
-        turbines = _infer_turbines(path, str(s["timestamp"]))
-    return PanelSchema(str(s["timestamp"]), tuple(str(t) for t in turbines))
-
-
 def _read_panel(path: str | None, cfg: dict) -> TurbinePanel:
     if not path:
         raise ConfigError("a panel CSV is required; pass --panel PATH")
     if not os.path.exists(path):
         raise FileNotFoundError(f"panel file {path!r} not found")
-    return load_panel(path, panel_schema_from(cfg, path))
-
-
-def write_panel_csv(panel: TurbinePanel, path: str) -> None:
-    """Canonical panel CSV: ISO timestamps, <label>_speed/<label>_power pairs,
-    empty cells for masked values."""
-    from datetime import datetime, timezone
-
-    with open(path, "w") as fh:
-        cols = ["ts"]
-        for lab in panel.labels:
-            cols += [f"{lab}_speed", f"{lab}_power"]
-        fh.write(",".join(cols) + "\n")
-        for r in range(panel.n):
-            ts = datetime.fromtimestamp(int(panel.timestamps[r]), tz=timezone.utc)
-            cells = [ts.strftime("%Y-%m-%dT%H:%M:%S")]
-            for i in range(panel.d):
-                cells.append("" if panel.speed_mask[r, i]
-                             else repr(float(panel.speed[r, i])))
-                cells.append("" if panel.power_mask[r, i]
-                             else repr(float(panel.power[r, i])))
-            fh.write(",".join(cells) + "\n")
+    s = cfg["schema"]
+    turbines = () if s["turbines"] in ("auto", None) else s["turbines"]
+    return load_panel(path, PanelSchema(str(s["timestamp"]),
+                                        tuple(str(t) for t in turbines)))
 
 
 def _write_forecast_csv(result, path: str) -> None:
-    qcols = ",".join(f"p{q:02d}" for q in range(1, 100))
-    with open(path, "w") as fh:
-        fh.write(f"origin_ts,horizon,turbine,variable,point,{qcols}\n")
+    header = ["origin_ts", "horizon", "turbine", "variable", "point"]
+    write_csv(path, header + [f"p{q:02d}" for q in range(1, 100)], (
+        [result.origin_timestamp, h + 1, result.labels[i], var, x]
+        + ([""] * 99 if quant is None else list(quant[h, i]))
         for var, point, quant in (("speed", result.speed_point, result.speed_quantiles),
-                                  ("power", result.power_point, result.power_quantiles)):
-            for h in range(result.horizon):
-                for i, lab in enumerate(result.labels):
-                    row = [str(result.origin_timestamp), str(h + 1), lab, var,
-                           repr(float(point[h, i]))]
-                    if quant is None:
-                        row += [""] * 99
-                    else:
-                        row += [repr(float(v)) for v in quant[h, i]]
-                    fh.write(",".join(row) + "\n")
+                                  ("power", result.power_point, result.power_quantiles))
+        for (h, i), x in np.ndenumerate(point)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +209,7 @@ def cmd_ingest(cfg: dict, args) -> int:
     if cfg["ingest"]["fill_gaps"]:
         panel = fill_gaps_linear(panel)
     out = os.path.join(cfg["output_dir"], "panel.csv")
-    write_panel_csv(panel, out)
+    write_panel(panel, out)
     print(f"wrote {out}: {panel.n} rows x {panel.d} turbines")
     return 0
 
@@ -276,7 +226,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     panel = simulate_synthetic(gen_cfg, example_generator(d), n, seed,
                                labels=labels, start_epoch=start)
     out = os.path.join(cfg["output_dir"], "panel.csv")
-    write_panel_csv(panel, out)
+    write_panel(panel, out)
     print(f"wrote {out}: {panel.n} rows x {panel.d} turbines (seed {cfg['seed']})")
     return 0
 
@@ -310,29 +260,19 @@ def cmd_analyze(cfg: dict, args) -> int:
     what = args.what or cfg["analyze"]["what"]
     panel = _read_panel(args.panel, cfg)
     outdir = cfg["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
     if what == "periodogram":
         label, i = _analyze_turbine(cfg, panel)
         var = cfg["analyze"]["variable"]
         series = panel.speed[:, i] if var == "speed" else panel.power[:, i]
         freqs, dens = smoothed_periodogram(series, int(cfg["analyze"]["span"]))
         out = os.path.join(outdir, f"periodogram_{label}_{var}.csv")
-        with open(out, "w") as fh:
-            fh.write("frequency,density\n")
-            for f, v in zip(freqs, dens):
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
+        write_csv(out, ["frequency", "density"], zip(freqs, dens))
     elif what == "profiles":
         prof = seasonal_mean_profile(panel)
         out = os.path.join(outdir, "profiles.csv")
-        with open(out, "w") as fh:
-            fh.write("season,tod,turbine,variable,mean\n")
-            for s in range(prof.shape[0]):
-                for tau in range(prof.shape[1]):
-                    for i, lab in enumerate(panel.labels):
-                        fh.write(f"{s},{tau},{lab},speed,"
-                                 f"{float(prof[s, tau, i, 0])!r}\n")
-                        fh.write(f"{s},{tau},{lab},power,"
-                                 f"{float(prof[s, tau, i, 1])!r}\n")
+        write_csv(out, ["season", "tod", "turbine", "variable", "mean"],
+                  ([s, tau, panel.labels[i], ("speed", "power")[v], x]
+                   for (s, tau, i, v), x in np.ndenumerate(prof)))
     elif what == "design":
         out = _analyze_design(cfg, panel, outdir)
     elif what == "basis":
@@ -341,12 +281,8 @@ def cmd_analyze(cfg: dict, args) -> int:
         _, bases = calendar_bases(panel, config, (kind,))
         bs = bases[kind]
         out = os.path.join(outdir, f"basis_{kind}.csv")
-        with open(out, "w") as fh:
-            names = [f"b{a}_{b}" for a, b in bs.pairs]
-            fh.write("ts," + ",".join(names) + "\n")
-            for r in range(panel.n):
-                fh.write(str(int(panel.timestamps[r])) + ","
-                         + ",".join(repr(float(v)) for v in bs.values[r]) + "\n")
+        write_csv(out, ["ts"] + [f"b{a}_{b}" for a, b in bs.pairs],
+                  ([t] + list(row) for t, row in zip(panel.timestamps, bs.values)))
     else:
         raise ConfigError(
             "analyze.what must be one of periodogram, profiles, design, basis")
@@ -355,9 +291,7 @@ def cmd_analyze(cfg: dict, args) -> int:
 
 
 def cmd_fit(cfg: dict, args) -> int:
-    panel = _read_panel(args.panel, cfg)
-    if panel.has_missing():
-        panel = fill_gaps_linear(panel)
+    panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     model = fit_joint_model(panel, model_config_from(cfg))
     out = os.path.join(cfg["output_dir"], "model.txt")
     save_model(model, out)
@@ -373,9 +307,7 @@ def cmd_forecast(cfg: dict, args) -> int:
     if not args.model or not os.path.exists(args.model):
         raise FileNotFoundError(f"model file {args.model!r} not found")
     model = load_model(args.model)
-    panel = _read_panel(args.panel, cfg)
-    if panel.has_missing():
-        panel = fill_gaps_linear(panel)
+    panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     fcfg = cfg["forecast"]
     origin, n = int(fcfg["origin"]), panel.n
     if not -n <= origin < n:
@@ -397,9 +329,7 @@ def cmd_backtest(cfg: dict, args) -> int:
     n_origins = _positive(cfg, "backtest", "n_origins")
     max_horizon = _positive(cfg, "backtest", "max_horizon")
     in_sample = _positive(cfg, "backtest", "in_sample")
-    panel = _read_panel(args.panel, cfg)
-    if panel.has_missing():
-        panel = fill_gaps_linear(panel)
+    panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     b = cfg["backtest"]
     spec = BacktestSpec(
         n_origins=n_origins,

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .panel import write_csv
+
 SHORT = tuple(range(1, 7))
 SHORT0 = tuple(range(0, 7))
 LONG = tuple(range(1, 41)) + tuple(range(140, 151))
@@ -385,10 +387,6 @@ def regressor_from_meta(equation: str, term: Term, ctx: DesignContext) -> np.nda
 
 def dump_columns_csv(equation: str, i: int, columns: list[Term], path) -> None:
     """Write the columns of turbine i's ``equation`` design as CSV, one row each."""
-    with open(path, "w") as fh:
-        fh.write("equation,family,i,j,lag,threshold,basis,tv\n")
-        for c in columns:
-            fh.write(
-                f"{equation},{c.family},{i},{c.j},{c.lag},"
-                f"{c.threshold!r},{c.basis_index},{int(c.time_varying)}\n"
-            )
+    write_csv(path, ["equation", "family", "i", "j", "lag", "threshold", "basis", "tv"],
+              ([equation, c.family, i, c.j, c.lag, c.threshold, c.basis_index,
+                int(c.time_varying)] for c in columns))

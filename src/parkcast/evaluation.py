@@ -21,7 +21,7 @@ import numpy as np
 from .benchmarks import make_benchmark
 from .forecast import ForecastError, Forecaster
 from .model import ModelConfig, fit_joint_model
-from .panel import TurbinePanel
+from .panel import TurbinePanel, write_csv
 
 DENSITY_HORIZONS = (1, 24, 144, 288)
 SUMMARY_HORIZONS = (1, 6, 24, 48, 72, 144, 288)
@@ -259,57 +259,32 @@ def write_report(report: BacktestReport, outdir) -> list[str]:
     os.makedirs(outdir, exist_ok=True)
     written = []
 
-    path = os.path.join(outdir, "mae.csv")
-    with open(path, "w") as fh:
-        fh.write("model,turbine,k,mae,sd\n")
-        for name, table in report.mae_turbine.items():
-            sd = report.sd_turbine[name]
-            for ti, label in enumerate(report.labels):
-                for hi, k in enumerate(report.horizons):
-                    fh.write(f"{name},{label},{k},{float(table[ti, hi])!r},"
-                             f"{float(sd[ti, hi])!r}\n")
-    written.append(path)
-
-    path = os.path.join(outdir, "dmae.csv")
-    with open(path, "w") as fh:
-        fh.write("model,k,mae,sd,dmae\n")
-        for name, vals in report.dmae_mean.items():
-            for hi, k in enumerate(report.horizons):
-                fh.write(f"{name},{k},{float(report.mae_mean[name][hi])!r},"
-                         f"{float(report.sd_mean[name][hi])!r},"
-                         f"{float(vals[hi])!r}\n")
-    written.append(path)
-
-    for k in report.spec.density_horizons:
-        rows = [(name, d[k]) for name, d in report.densities.items() if k in d]
-        if not rows:
-            continue
-        path = os.path.join(outdir, f"density_{k}.csv")
-        with open(path, "w") as fh:
-            fh.write("model,error,density\n")
-            for name, (grid, dens) in rows:
-                for g, v in zip(grid, dens):
-                    fh.write(f"{name},{float(g)!r},{float(v)!r}\n")
+    def write(name, header, rows):
+        path = os.path.join(outdir, name)
+        write_csv(path, header, rows)
         written.append(path)
 
+    write("mae.csv", ["model", "turbine", "k", "mae", "sd"], (
+        [name, report.labels[ti], report.horizons[hi], x, report.sd_turbine[name][ti, hi]]
+        for name, table in report.mae_turbine.items()
+        for (ti, hi), x in np.ndenumerate(table)))
+    write("dmae.csv", ["model", "k", "mae", "sd", "dmae"], (
+        [name, k, report.mae_mean[name][hi], report.sd_mean[name][hi], vals[hi]]
+        for name, vals in report.dmae_mean.items()
+        for hi, k in enumerate(report.horizons)))
+    for k in report.spec.density_horizons:
+        rows = [(name, d[k]) for name, d in report.densities.items() if k in d]
+        if rows:
+            write(f"density_{k}.csv", ["model", "error", "density"],
+                  ([name, g, v] for name, (grid, dens) in rows
+                   for g, v in zip(grid, dens)))
     cols = [k for k in report.spec.summary_horizons
             if k in set(report.horizons.tolist())]
-    path = os.path.join(outdir, "summary.csv")
-    with open(path, "w") as fh:
-        fh.write("model," + ",".join(str(k) for k in cols) + "\n")
-        for name in report.mae_mean:
-            cells = []
-            for k in cols:
-                hi = int(np.searchsorted(report.horizons, k))
-                cells.append(f"{report.mae_mean[name][hi]:.2f}"
-                             f"({report.sd_mean[name][hi]:.2f})")
-            fh.write(f"{name}," + ",".join(cells) + "\n")
-    written.append(path)
-
-    path = os.path.join(outdir, "run_info.csv")
-    with open(path, "w") as fh:
-        fh.write("model,seconds,failures\n")
-        for name, secs in report.timings.items():
-            fh.write(f"{name},{float(secs)!r},{len(report.failures[name])}\n")
-    written.append(path)
+    at = np.searchsorted(report.horizons, cols)
+    write("summary.csv", ["model"] + cols, (
+        [name] + [f"{report.mae_mean[name][hi]:.2f}({report.sd_mean[name][hi]:.2f})"
+                  for hi in at]
+        for name in report.mae_mean))
+    write("run_info.csv", ["model", "seconds", "failures"], (
+        [name, secs, len(report.failures[name])] for name, secs in report.timings.items()))
     return written

@@ -25,6 +25,7 @@ import numpy as np
 from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from .design import (
     EQUATIONS,
+    FAMILY_SOURCE,
     DesignContext,
     IndexSets,
     Term,
@@ -289,6 +290,8 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
 
 _FORMAT_TAG = "parkcast-model"
 _FORMAT_VERSION = 1
+# the fewest state rows saved; a loaded model cannot forecast from before them
+_TAIL_ROWS = 150
 
 # the file's section names for the model's mappings, in file order within
 # each; the mappings are keyed as ``VARS`` and ``ThresholdSet.deciles`` are
@@ -312,7 +315,7 @@ def _write_matrix(fh, name: str, arr: np.ndarray) -> None:
         fh.write(" ".join(_hex(v) for v in row) + "\n")
 
 
-def save_model(model: FittedJointModel, path, tail_rows: int = 150) -> None:
+def save_model(model: FittedJointModel, path) -> None:
     """Serialize to a self-describing flat text file.
 
     Stores the config scalars, basis specs, thresholds, sparse coefficient
@@ -320,7 +323,7 @@ def save_model(model: FittedJointModel, path, tail_rows: int = 150) -> None:
     recursions, and the full standardized residual pools so bootstrap
     forecasts also round-trip bit-exactly.
     """
-    tail = min(model.timestamps.shape[0], max(tail_rows, model.trim))
+    tail = min(model.timestamps.shape[0], max(_TAIL_ROWS, model.trim))
     with open(path, "w") as fh:
         fh.write(f"{_FORMAT_TAG} {_FORMAT_VERSION}\n")
         fh.write(f"labels {','.join(model.labels)}\n")
@@ -415,6 +418,22 @@ def load_model(path) -> FittedJointModel:
             raise ModelFormatError(f"{path}, line {r.lineno}: {exc}") from exc
 
 
+def _checked(eq: str, t: Term, d: int, trim: int, n_basis: int) -> Term:
+    """``t`` if the forecast engine can evaluate it in ``eq``: its gathers
+    clip out-of-range indices instead of raising."""
+    const = t.family == "const"
+    if not const and (eq, t.family) not in FAMILY_SOURCE:
+        raise ModelFormatError(f"{eq} has no family {t.family!r}")
+    for what, value, (lo, hi) in (
+            ("source turbine", t.j, (-1, -1) if const else (0, d - 1)),
+            ("lag", t.lag, (0, trim)),
+            ("basis index", t.basis_index, (0, n_basis - 1) if t.time_varying else (-1, -1))):
+        if not lo <= value <= hi:
+            raise ModelFormatError(f"{eq} {t.family} term, time-varying {int(t.time_varying)}: "
+                                   f"{what} {value} is not in [{lo}, {hi}]")
+    return t
+
+
 def _read_model(r: _Reader) -> FittedJointModel:
     head = r.next().split()
     if head != [_FORMAT_TAG, str(_FORMAT_VERSION)]:
@@ -434,6 +453,7 @@ def _read_model(r: _Reader) -> FittedJointModel:
               for var, key in _SECTIONS["floors"].items()}
     deciles = {var: [row[~np.isnan(row)] for row in r.matrix(name, (d, None))]
                for var, name in _SECTIONS["deciles"].items()}
+    n_basis = specs["diurnal"].n_basis * specs["annual"].n_basis
     terms: dict[tuple[str, int], list[Term]] = {}
     for eq in EQUATIONS:
         for i in range(d):
@@ -441,8 +461,9 @@ def _read_model(r: _Reader) -> FittedJointModel:
             lst = []
             for _ in range(int(count)):
                 fam, j, lag, thr, bidx, tv, val = r.next().split()
-                lst.append(Term(fam, int(j), int(lag), float.fromhex(thr),
-                                int(bidx), bool(int(tv)), float.fromhex(val)))
+                t = Term(fam, int(j), int(lag), float.fromhex(thr), int(bidx),
+                         bool(int(tv)), float.fromhex(val))
+                lst.append(_checked(eq, t, d, trim, n_basis))
             terms[(eq, i)] = lst
     (n_ts,) = r.section("tail.timestamps")
     ts = np.array([int(v) for v in r.next().split()], dtype=np.int64)

@@ -1,4 +1,5 @@
-"""Turbine panel ingestion, validation, gap repair and characterization.
+"""Turbine panel CSV reading and writing, validation, gap repair and
+characterization, and the one CSV writer every output file goes through.
 
 A panel is the aligned 10-minute multivariate record of wind speed (m/s) and
 wind power (kW) for d turbines. Timestamps are kept as epoch seconds on the
@@ -9,6 +10,7 @@ nothing is resampled and nothing is clamped, only warned about.
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,7 +47,8 @@ class UnrecoverableSeriesError(PanelError):
 @dataclass(frozen=True)
 class PanelSchema:
     """Column mapping for the input CSV: one timestamp column plus
-    ``<label>_speed`` / ``<label>_power`` pairs per turbine."""
+    ``<label>_speed`` / ``<label>_power`` pairs per turbine. No turbines
+    means every label that has both columns in the file's header."""
 
     timestamp: str
     turbines: tuple[str, ...]
@@ -55,6 +58,11 @@ class PanelSchema:
 
     def power_column(self, label: str) -> str:
         return f"{label}_power"
+
+    def columns(self) -> list[str]:
+        """The timestamp column, then each turbine's speed and power columns."""
+        return [self.timestamp] + [name for label in self.turbines for name in
+                                   (self.speed_column(label), self.power_column(label))]
 
 
 @dataclass
@@ -179,10 +187,16 @@ def load_panel(path, schema: PanelSchema) -> TurbinePanel:
         except StopIteration:
             raise PanelSchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if not schema.turbines:
+            # every label with both columns, in the order of its speed column
+            suffix = schema.speed_column("")
+            labels = [h[: -len(suffix)] for h in header if h.endswith(suffix)]
+            schema = PanelSchema(schema.timestamp, tuple(
+                label for label in labels if schema.power_column(label) in header))
+            if not schema.turbines:
+                raise PanelSchemaError(f"{path}: no turbine speed/power column pairs")
         col_index = {name: i for i, name in enumerate(header)}
-        needed = [schema.timestamp]
-        for label in schema.turbines:
-            needed += [schema.speed_column(label), schema.power_column(label)]
+        needed = schema.columns()
         missing = [c for c in needed if c not in col_index]
         if missing:
             raise PanelSchemaError(f"{path}: missing columns {missing}")
@@ -235,6 +249,28 @@ def load_panel(path, schema: PanelSchema) -> TurbinePanel:
         speed_mask=np.isnan(speed),
         power_mask=np.isnan(power),
     )
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one comma-joined line.
+    A float cell (NumPy's too) is written as its ``repr``, so it reads back
+    exactly; any other cell with ``str``, so ``""`` is an empty cell."""
+    with open(path, "w") as fh:
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                              for c in row) + "\n")
+
+
+def write_panel(panel: TurbinePanel, path) -> None:
+    """Write ``panel`` as the panel CSV :func:`load_panel` reads: ISO
+    timestamps in a ``ts`` column, then each turbine's speed and power
+    columns, with empty cells where masked."""
+    values = np.dstack([panel.speed, panel.power]).reshape(panel.n, -1)
+    masks = np.dstack([panel.speed_mask, panel.power_mask]).reshape(panel.n, -1)
+    write_csv(path, PanelSchema("ts", panel.labels).columns(), (
+        [datetime.fromtimestamp(int(t), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")]
+        + ["" if m else v for v, m in zip(row, mask)]
+        for t, row, mask in zip(panel.timestamps, values, masks)))
 
 
 def _fill_column(values: np.ndarray, mask: np.ndarray, what: str) -> np.ndarray:

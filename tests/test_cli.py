@@ -162,6 +162,13 @@ class TestPipeline:
         assert ("error: config: analyze.turbine 'ZZ' is not in the panel; "
                 "its turbines are A") in err
 
+    def test_fit_infers_turbines_from_a_quoted_header(self, workdir, fitted):
+        lines = (fitted / "panel.csv").read_text().splitlines()
+        lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))
+        (workdir / "quoted.csv").write_text("\n".join(lines) + "\n")
+        assert run("fit", "cfg.yaml", "--panel", "quoted.csv", "--out-dir", "out") == 0
+        assert Path("out/model.txt").read_bytes() == (fitted / "model.txt").read_bytes()
+
     def test_ingest_round_trip(self, workdir):
         run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "3")
         raw = Path("out/panel.csv").read_text().splitlines()

@@ -298,7 +298,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("kind", ["no-version", "non-integer-version",
                                       "bad-hex-float", "short-terms-line",
-                                      "short-tail", "narrow-pool"])
+                                      "short-tail", "narrow-pool", "bad-turbine",
+                                      "bad-family", "bad-lag", "bad-basis",
+                                      "bad-tv-flag"])
     def test_malformed_file_raises_format_error(self, small_model, tmp_path, kind):
         path = tmp_path / "model.txt"
         save_model(small_model, path)
@@ -309,7 +311,20 @@ class TestSerialization:
         rows, d = (int(v) for v in lines[tail].split()[1:])
         pool = next(k for k, ln in enumerate(lines) if ln.startswith("[pool.power]"))
         m = int(lines[pool].split()[1])
-        # (first line, lines replaced, new lines, section named in the message)
+        trim = int(lines[2].split()[1])
+        n_basis = int(lines[6].split()[3]) * int(lines[7].split()[3])
+        # a speed_mean term: family j lag threshold basis tv value
+        ar = next(k for k, ln in enumerate(lines) if ln.startswith("speed_ar "))
+        fields = lines[ar].split()
+        tv = int(fields[5])
+
+        def edited(message, **cells):
+            out = list(fields)
+            for name, value in cells.items():
+                out[("family", "j", "lag", "threshold", "basis", "tv").index(name)] = str(value)
+            return ar, 1, [" ".join(out)], "speed_mean " + message
+
+        # (first line, lines replaced, new lines, text after the line number)
         k, span, new, section = {
             "no-version": (0, 1, ["parkcast-model"], ""),
             "non-integer-version": (0, 1, ["parkcast-model one"], ""),
@@ -322,6 +337,16 @@ class TestSerialization:
             "narrow-pool": (pool, 1 + m, [f"[pool.power] {m} 1"]
                             + [ln.split()[0] for ln in lines[pool + 1:pool + 1 + m]],
                             "section pool.power"),
+            # terms the forecast engine would gather out of range
+            "bad-turbine": edited(f"speed_ar term, time-varying {tv}: "
+                                  f"source turbine {d} is not in", j=d),
+            "bad-family": edited("has no family 'power_ar'", family="power_ar"),
+            "bad-lag": edited(f"speed_ar term, time-varying {tv}: "
+                              f"lag {trim + 1} is not in", lag=trim + 1),
+            "bad-basis": edited("speed_ar term, time-varying 1: "
+                                f"basis index {n_basis} is not in", basis=n_basis, tv=1),
+            "bad-tv-flag": edited(f"speed_ar term, time-varying {1 - tv}: basis index",
+                                  tv=1 - tv),
         }[kind]
         lines[k:k + span] = new
         path.write_text("\n".join(lines) + "\n")

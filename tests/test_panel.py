@@ -15,6 +15,8 @@ from parkcast.panel import (
     load_panel,
     seasonal_mean_profile,
     smoothed_periodogram,
+    write_csv,
+    write_panel,
 )
 
 SCHEMA = PanelSchema("ts", ("A",))
@@ -81,16 +83,52 @@ class TestLoadPanel:
             SCHEMA)
         assert p.timestamps[1] - p.timestamps[0] == 600
 
-    def test_missing_column_rejected(self, tmp_path):
+    @pytest.mark.parametrize("schema, message", [
+        (SCHEMA, "A_power"),
+        (PanelSchema("ts", ()), "no turbine speed/power column pairs"),
+    ])
+    def test_missing_column_rejected(self, tmp_path, schema, message):
         path = write(tmp_path, "ts,A_speed\n0,1\n")
-        with pytest.raises(PanelSchemaError, match="A_power"):
-            load_panel(path, SCHEMA)
+        with pytest.raises(PanelSchemaError, match=message):
+            load_panel(path, schema)
 
     def test_out_of_range_power_warns(self, tmp_path):
         path = write(tmp_path, "ts,A_speed,A_power\n0,1,9000\n600,2,20\n")
         with pytest.warns(UserWarning, match="outside"):
             p = load_panel(path, SCHEMA)
         assert p.power[0, 0] == 9000.0  # warned, never clamped
+
+
+    @pytest.mark.parametrize("header", ["as-written", "quoted", "unpaired-column"])
+    def test_write_panel_round_trip(self, tmp_path, header):
+        rng = np.random.default_rng(1)
+        speed, power = rng.uniform(0, 20, (50, 2)), rng.uniform(0, 1500, (50, 2))
+        speed[3:6, 0] = np.nan
+        power[[10, 40], 1] = np.nan
+        panel = make_panel(speed, power, labels=("B", "A"))
+        path = tmp_path / "panel.csv"
+        write_panel(panel, path)
+        lines = path.read_text().splitlines()
+        cells = [c for ln in lines[1:] for c in ln.split(",")]
+        assert cells.count("") == panel.speed_mask.sum() + panel.power_mask.sum() == 5
+        if header == "quoted":
+            lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))
+        elif header == "unpaired-column":  # a speed column alone is no turbine
+            lines = [ln + (",1.0" if k else ",C_speed") for k, ln in enumerate(lines)]
+        path.write_text("\n".join(lines) + "\n")
+        back = load_panel(path, PanelSchema("ts", ()))
+        assert back.labels == ("B", "A")
+        assert np.array_equal(back.timestamps, panel.timestamps)
+        for name in ("speed", "power"):
+            assert getattr(back, name).tobytes() == getattr(panel, name).tobytes()
+            assert np.array_equal(getattr(back, f"{name}_mask"), getattr(panel, f"{name}_mask"))
+
+
+def test_write_csv_cells(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["a", "b", "c", "d", "e", 6],
+              [[np.nan, -np.inf, np.float64(1 / 3), np.int64(7), "", 0.1]])
+    assert path.read_text() == "a,b,c,d,e,6\nnan,-inf,0.3333333333333333,7,,0.1\n"
 
 
 class TestFillGaps:
