@@ -83,14 +83,12 @@ class TestLoadPanel:
             SCHEMA)
         assert p.timestamps[1] - p.timestamps[0] == 600
 
-    @pytest.mark.parametrize("schema, message", [
-        (SCHEMA, "A_power"),
-        (PanelSchema("ts", ()), "no turbine speed/power column pairs"),
-    ])
-    def test_missing_column_rejected(self, tmp_path, schema, message):
+    def test_missing_column_rejected(self, tmp_path):
         path = write(tmp_path, "ts,A_speed\n0,1\n")
-        with pytest.raises(PanelSchemaError, match=message):
-            load_panel(path, schema)
+        with pytest.raises(PanelSchemaError, match="A_power"):
+            load_panel(path, SCHEMA)
+        with pytest.raises(PanelSchemaError, match="no turbine speed/power column pairs"):
+            load_panel(path, PanelSchema("ts", ()))
 
     def test_out_of_range_power_warns(self, tmp_path):
         path = write(tmp_path, "ts,A_speed,A_power\n0,1,9000\n600,2,20\n")
