@@ -209,7 +209,7 @@ def cmd_ingest(cfg: dict, args) -> int:
     if cfg["ingest"]["fill_gaps"]:
         panel = fill_gaps_linear(panel)
     out = os.path.join(cfg["output_dir"], "panel.csv")
-    write_panel(panel, out)
+    write_panel(panel, out, str(cfg["schema"]["timestamp"]))
     print(f"wrote {out}: {panel.n} rows x {panel.d} turbines")
     return 0
 
@@ -226,7 +226,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     panel = simulate_synthetic(gen_cfg, example_generator(d), n, seed,
                                labels=labels, start_epoch=start)
     out = os.path.join(cfg["output_dir"], "panel.csv")
-    write_panel(panel, out)
+    write_panel(panel, out, str(cfg["schema"]["timestamp"]))
     print(f"wrote {out}: {panel.n} rows x {panel.d} turbines (seed {cfg['seed']})")
     return 0
 

@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .panel import write_csv
 
@@ -249,18 +250,6 @@ class Term:
 
 
 @dataclass
-class DesignMatrix:
-    """Columns and their terms; ``build_design``'s values are F-ordered stacked rows."""
-
-    values: np.ndarray  # (n_effective, p)
-    columns: list[Term]
-
-    @property
-    def p(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class DesignContext:
     """Shared inputs for the four builders: the state variables of ``VARS``
     and the two evaluated interaction bases by kind, aligned with the panel
@@ -286,37 +275,80 @@ class DesignContext:
         return self.W.shape[1]
 
 
-def _lagged(arr: np.ndarray, j: int, k: int, trim: int) -> np.ndarray:
-    n = arr.shape[0]
-    return arr[trim - k : n - k, j]
+@dataclass
+class DesignPlan:
+    """An equation's (m, p) design, never materialized: ``rows`` writes any
+    block of rows, one NumPy call per run, and ``plan[:, k]`` builds whole
+    columns; both give the columns ``regressor_from_meta`` rebuilds, bit for bit."""
+
+    equation: str
+    ctx: DesignContext
+    terms: list[Term]
+    runs: list[tuple]  # (first row, lag windows (lags, m), thresholds (c, 1) or None, tv)
+    shape: tuple[int, int]  # (m, p)
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write rows lo..hi transposed into the C-ordered ``out`` (p, hi - lo)."""
+        head = getattr(self.ctx, EQUATIONS[self.equation].basis)[self.ctx.trim:][lo:hi].T
+        basis = out[:head.shape[0]]  # the intercept rows, which time-varying runs multiply
+        basis[...] = head
+        for r, x, cs, tv in self.runs:  # rows max(x, c), times each basis row if tv
+            if cs is None:  # consecutive plain lags: one strided copy
+                out[r:r + len(x)] = x[:, lo:hi]
+            elif tv:
+                np.multiply(np.maximum(x[0, lo:hi], cs)[:, None], basis,
+                            out=out[r:r + cs.size * len(basis)].reshape(cs.size, -1, hi - lo))
+            else:
+                np.maximum(x[0, lo:hi], cs, out=out[r:r + cs.size])
+
+    def __getitem__(self, key) -> np.ndarray:
+        """Whole columns, ``plan[:, k]`` or ``plan[:, indices]``, as an array gives them."""
+        rows, cols = key
+        if rows != slice(None):
+            raise IndexError("a design plan gives whole columns only")
+        out = np.empty((np.size(cols), self.shape[0]))
+        for q, k in enumerate(np.atleast_1d(cols)):
+            out[q] = regressor_from_meta(self.equation, self.terms[k], self.ctx)
+        return out[0] if np.ndim(cols) == 0 else out.T
+
+
+@dataclass
+class DesignMatrix:
+    """Columns and their terms; ``values`` is the plan that writes them."""
+
+    values: DesignPlan  # (n_effective, p)
+    columns: list[Term]
+
+    @property
+    def p(self) -> int:
+        return len(self.columns)
 
 
 def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
-                 thresholds: ThresholdSet | None = None, scale: np.ndarray | None = None):
+                 thresholds: ThresholdSet | None = None):
     """Design and response of ``equation`` for turbine i: the intercept
     columns, then every family of ``EQUATIONS[equation]`` whose state
     variable ``ctx`` holds (is not None), in order, each over
     source turbines, lags, thresholds ("thr" families: -inf, then the deciles
     at the family's threshold lags; NaN without ``thresholds``) and basis
-    columns (time-varying lags). Both are written in place as the rows of one
-    C-ordered (p + 1) x m buffer, response last, the rows the lasso's syrk
-    reads: the design is the F-ordered view ``buf[:p].T``. ``scale`` (m,)
-    multiplies every row: with sqrt(w) it gives the weighted problem as an
-    unweighted one, so the syrk reads the rows in place."""
+    columns (time-varying lags). The design is a ``DesignPlan``: the terms and
+    a short list of runs, each written by one NumPy call per row block; no
+    design value is written here."""
     if ctx.trim >= ctx.n:
         raise ValueError(
             f"panel too short: need more than {ctx.trim} rows for the "
             f"configured maximum lag"
         )
     spec = EQUATIONS[equation]
-    basis = getattr(ctx, spec.basis)[ctx.trim :]
-    nb = basis.shape[1]
+    nb = getattr(ctx, spec.basis).shape[1]
     metas = [Term("const", -1, 0, _NO_THRESHOLD, l, True) for l in range(nb)]
-    regs = []  # (first row, lagged source, threshold, time varying) per block
+    runs = []
     for family, var, transform, field in spec.families:
         if getattr(ctx, var) is None:
             continue
-        source = _APPLY[transform](getattr(ctx, var))
+        source, tail = np.asfortranarray(_APPLY[transform](getattr(ctx, var))), None
+        win = as_strided(source, (ctx.trim + 1, ctx.d, ctx.n - ctx.trim),  # win[u, j]: lag trim - u
+                         source.strides + source.strides[:1], writeable=False)
         lags = getattr(sets, field)
         for j in range(ctx.d):
             own = j == i
@@ -330,36 +362,31 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
                 if transform == "thr" and thresholds is not None:
                     cs = thresholds.get(var, j) if k in lags.threshold_lags else [-np.inf]
                 tv = k in lags.tv_lags(own)
-                for c in cs:
-                    regs.append((len(metas), _lagged(source, j, k, ctx.trim), c, tv))
-                    metas.extend(Term(family, j, k, c, l, tv)
-                                 for l in (range(nb) if tv else (-1,)))
-    buf = np.empty((len(metas) + 1, basis.shape[0]))
-    buf[:nb] = basis.T
-    for r, base, c, tv in regs:
-        rows = buf[r : r + (nb if tv else 1)]
-        # the regressor goes to the block's last row, scaled last; max(x, -inf)
-        # is x, so linear terms and families without thresholds copy exactly
-        np.maximum(base, -np.inf if np.isnan(c) else c, out=rows[-1])
-        if tv:
-            np.multiply(rows[-1], basis[:, :-1].T, out=rows[:-1])
-            rows[-1] *= basis[:, -1]
+                plain = len(cs) == 1 and not tv  # consecutive plain lags share a run
+                if plain and tail == (j, k):
+                    runs[-1][4] += 1
+                else:  # max(x, -inf) is x, so a linear term copies exactly
+                    runs.append([len(metas), win, j, k, 1, None if plain else
+                                 np.fmax(cs, -np.inf)[:, None], tv])
+                tail = (j, k + 1) if plain else None
+                metas.extend(Term(family, j, k, c, l, tv)
+                             for c in cs for l in (range(nb) if tv else (-1,)))
+    runs = [(r, win[ctx.trim - k - count + 1:ctx.trim - k + 1, j][::-1], cs, tv)
+            for r, win, j, k, count, cs, tv in runs]  # lags k..k + count - 1 of column j
     var, transform = spec.response
-    buf[-1] = _APPLY[transform](getattr(ctx, var)[ctx.trim :, i])
-    if scale is not None:
-        buf *= scale
-    return DesignMatrix(buf[:-1].T, metas), buf[-1]
+    plan = DesignPlan(equation, ctx, metas, runs, (ctx.n - ctx.trim, len(metas)))
+    return DesignMatrix(plan, metas), _APPLY[transform](getattr(ctx, var))[ctx.trim :, i].copy()
 
 
 # one builder per equation, by name: the fit loop looks them up at call time
 def build_speed_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
-                            thresholds: ThresholdSet, scale: np.ndarray | None = None):
-    return build_design(ctx, "speed_mean", i, sets, thresholds, scale)
+                            thresholds: ThresholdSet):
+    return build_design(ctx, "speed_mean", i, sets, thresholds)
 
 
 def build_power_mean_design(ctx: DesignContext, i: int, sets: IndexSets,
-                            thresholds: ThresholdSet, scale: np.ndarray | None = None):
-    return build_design(ctx, "power_mean", i, sets, thresholds, scale)
+                            thresholds: ThresholdSet):
+    return build_design(ctx, "power_mean", i, sets, thresholds)
 
 
 def build_speed_vol_design(ctx: DesignContext, i: int, sets: IndexSets):
@@ -377,7 +404,7 @@ def regressor_from_meta(equation: str, term: Term, ctx: DesignContext) -> np.nda
     if term.family == "const":
         return basis[:, term.basis_index].copy()
     var, transform = FAMILY_SOURCE[(equation, term.family)]
-    reg = _lagged(_APPLY[transform](getattr(ctx, var)), term.j, term.lag, ctx.trim)
+    reg = _APPLY[transform](getattr(ctx, var)[ctx.trim - term.lag : ctx.n - term.lag, term.j])
     if not np.isnan(term.threshold):
         reg = threshold_regressor(reg, term.threshold)
     if term.time_varying:

@@ -4,8 +4,8 @@ The objective is exactly
 
     f(b) = (y - X b)' diag(w) (y - X b) + lambda * sum_j penalized_j |b_j|
 
-on the raw coefficient scale, solved from the sufficient statistics of one
-weighted syrk per problem. Columns are rescaled to unit weighted norm
+on the raw coefficient scale, solved from [X y]' W [X y] summed over row blocks
+(Friedman, Hastie & Tibshirani 2010's covariance form). Columns are rescaled to unit weighted norm
 internally (per-coordinate thresholds carry the scale back), and returned
 coefficients are on the raw scale. On a fixed support and signs the path is
 affine in the penalty, so it is walked exactly from knot to knot, where one
@@ -25,11 +25,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 _OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
 _TIE = 1e-12  # relative gap within which two knots, or a knot and a grid penalty, coincide
 _PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
+_BLOCK_BYTES = 1 << 21  # one row block of [X y]' as _Work accumulates it
+_BLOCK_ROWS = 1024  # the fewest rows per block, so a wide one amortizes its (p+1)^2 update
 
 
 class DegenerateGridError(ValueError):
@@ -47,7 +49,8 @@ class LassoProblem:
     ``weights`` holds the diagonal heteroscedasticity weights (all ones for
     the volatility regressions); ``penalize_mask`` marks which coefficients
     the L1 term applies to (the single constant basis column is exempt).
-    Float arrays are kept as handed in: stacked rows (``build_design``) stay views.
+    ``design`` is an (m, p) array or a plan with its ``shape``, ``rows`` and ``[:, k]``
+    (``design.DesignPlan``): the fit reads blocks of rows and a few whole columns.
     """
 
     response: np.ndarray
@@ -58,9 +61,10 @@ class LassoProblem:
 
     def __post_init__(self) -> None:
         self.response = np.asarray(self.response, dtype=float)
-        self.design = np.asarray(self.design, dtype=float)
+        if not hasattr(self.design, "rows"):  # an array, not a plan
+            self.design = np.asarray(self.design, dtype=float)
         m = self.response.shape[0]
-        if self.design.ndim != 2 or self.design.shape[0] != m:
+        if len(self.design.shape) != 2 or self.design.shape[0] != m:
             raise ValueError("design must be (m, p) aligned with the response")
         if m == 0 or self.design.shape[1] == 0:
             raise ValueError("empty problem")
@@ -82,6 +86,16 @@ class LassoProblem:
     @property
     def m(self) -> int:
         return self.response.shape[0]
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> None:
+        """Rows lo..hi of [X y] times sqrt(w), transposed into C-ordered ``out``."""
+        if isinstance(self.design, np.ndarray):
+            out[:-1] = self.design[lo:hi].T
+        else:
+            self.design.rows(lo, hi, out[:-1])
+        out[-1] = self.response[lo:hi]
+        if not np.all(self.weights[lo:hi] == 1.0):
+            out *= np.sqrt(self.weights[lo:hi])
 
     @property
     def p(self) -> int:
@@ -114,7 +128,8 @@ class LassoFit:
 
 
 def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> float:
-    r = problem.response - problem.design @ coefficients
+    support = np.flatnonzero(coefficients)
+    r = problem.response - problem.design[:, support] @ coefficients[support]
     rss = float(np.dot(problem.weights * r, r))
     pen = float(np.abs(coefficients[problem.penalize_mask]).sum())
     return rss + lam * pen
@@ -122,30 +137,28 @@ def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float)
 
 class _Work:
     """Scales, G = X'WX, c = X'Wy and y'Wy on the standardized columns, all
-    from one syrk A = [X y]' W [X y], the only pass over the m rows. Zero
+    from A = [X y]' W [X y], the only pass over the m rows: one syrk per row
+    block of ``_BLOCK_BYTES`` (at least ``_BLOCK_ROWS`` rows) adds into A's
+    upper triangle in place, and G is made symmetric as it is scaled. Zero
     columns and exact duplicates of earlier columns are excluded (their
     coefficients stay 0): a pair is flagged when ||x_i - x_j||^2_W =
     G_ii + G_jj - 2 G_ij <= 1e-8 max(G_ii, G_jj) and confirmed by an exact
     column compare, so a near-copy stays usable. Such a pair's norms agree
-    to 1e-4, so only neighbours in norm order are tested. With unit weights
-    the syrk reads a design and response stacked as the rows of one C-ordered
-    buffer (as ``build_design`` returns them) in place; otherwise memory beyond
-    the design is the sqrt(w)-scaled (p+1) x m copy until the syrk is done.
-    Then A and G: O(p^2), about 650 MB each at p = 9,000.
+    to 1e-4, so only neighbours in norm order are tested. Memory: one block,
+    then A and G, O(p^2) each, about 650 MB each at p = 9,000.
     """
 
     def __init__(self, problem: LassoProblem):
         self.problem = problem
-        X, y, p, Z = problem.design, problem.response, problem.p, problem.design.base
-        # unit weights on the rows build_design stacks (X's columns, then y): no copy
-        if not (np.all(problem.weights == 1.0) and isinstance(Z, np.ndarray)
-                and Z.flags.c_contiguous and Z[:-1].T.__array_interface__ == X.__array_interface__
-                and Z[-1].__array_interface__ == y.__array_interface__):
-            sw, Z = np.sqrt(problem.weights), np.empty((p + 1, problem.m))
-            np.multiply(X.T, sw, out=Z[:p])
-            np.multiply(y, sw, out=Z[p])
-        A = Z @ Z.T  # a syrk: Z times its own transpose
-        del Z
+        X, p, m = problem.design, problem.p, problem.m
+        rows = min(m, max(_BLOCK_BYTES // (8 * (p + 1)), _BLOCK_ROWS))
+        buf, A = np.empty((p + 1) * rows), np.zeros((p + 1, p + 1))
+        for lo in range(0, m, rows):
+            Z = buf[:(p + 1) * (min(lo + rows, m) - lo)].reshape(p + 1, -1)
+            problem.rows(lo, lo + Z.shape[1], Z)
+            # A += Z Z' on the upper triangle, in place: A' is the F-ordered C
+            blas.dsyrk(1.0, Z.T, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
+        del buf
         diag = A.diagonal()[:p]
         usable = diag > 0.0
         order = np.argsort(diag)
@@ -159,17 +172,21 @@ class _Work:
             k = np.arange(k0, min(k0 + _PAIR_BLOCK, n_pairs))
             c = np.searchsorted(last, k, side="right")
             i, j = order[cand[c]], order[k - offset[c]]
+            i, j = np.minimum(i, j), np.maximum(i, j)  # A's upper triangle
             near = diag[i] + diag[j] - 2.0 * A[i, j] <= 1e-8 * np.maximum(diag[i], diag[j])
-            for lo, hi in zip(np.minimum(i, j)[near], np.maximum(i, j)[near]):
+            for lo, hi in zip(i[near], j[near]):
                 if usable[hi] and np.array_equal(X[:, lo], X[:, hi]):
                     usable[hi] = False  # the later of two equal columns
         self.scale = np.sqrt(diag)
         self.cols = np.flatnonzero(usable)
         s = self.scale[self.cols]
         self.c = A[self.cols, p] / s
-        self.G = A[np.ix_(self.cols, self.cols)]
+        self.G = G = A[np.ix_(self.cols, self.cols)]  # upper triangle: cols ascend
         for r in range(0, s.size, 512):  # in row blocks: no k x k temporary
-            self.G[r:r + 512] /= np.outer(s[r:r + 512], s)
+            rs = slice(r, r + 512)
+            G[rs, :r] = G[:r, rs].T  # from rows already scaled
+            G[rs, r:] /= np.outer(s[rs], s[r:])
+            G[rs, rs] += np.triu(G[rs, rs], 1).T  # that block's lower part is still 0
         self.yy = float(A[p, p])
         # per-coordinate threshold back on the raw-objective scale
         self.pen_scale = np.where(problem.penalize_mask[self.cols], 1.0 / s, 0.0)

@@ -100,16 +100,15 @@ class FittedJointModel:
         return len(self.labels)
 
 
-def _fitted_values(design_values: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """design @ coefficients over the support only: the rows of the transposed
-    design that ``build_design`` stacks are contiguous, so this reads m x nnz."""
+def _fitted_values(design_values, coefficients: np.ndarray) -> np.ndarray:
+    """design @ coefficients from the support's columns alone, all a plan builds."""
     support = np.flatnonzero(coefficients)
-    return coefficients[support] @ design_values.T[support]
+    return design_values[:, support] @ coefficients[support]
 
 
-def compute_residuals(design_values: np.ndarray, coefficients: np.ndarray,
+def compute_residuals(design_values, coefficients: np.ndarray,
                       response: np.ndarray) -> np.ndarray:
-    """response - design @ coefficients, elementwise on the effective sample."""
+    """response - design @ coefficients (an array or a ``DesignPlan``), elementwise."""
     if design_values.shape[0] != response.shape[0]:
         raise ValueError("design and response lengths disagree")
     return response - _fitted_values(design_values, coefficients)
@@ -231,11 +230,9 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
             const = ("const", bases[spec.basis].constant_column)
             out = np.zeros((n, d)) if mean else np.empty((n, d))
             for i in range(d):
-                # re-weighted mean rows are built scaled by sqrt(w): the weighted
-                # fit as an unweighted one, whose residuals are divided back
-                sw = np.sqrt(weights[y_var][:, i]) if mean and npass else None
-                dm, y = build(ctx, i, sets, thresholds, sw) if mean else build(ctx, i, sets)
-                prob = LassoProblem(y, dm.values, nonnegative=not mean,
+                dm, y = build(ctx, i, sets, thresholds) if mean else build(ctx, i, sets)
+                prob = LassoProblem(y, dm.values, weights[y_var][:, i] if mean else None,
+                                    nonnegative=not mean,
                                     penalize_mask=np.array([(c.family, c.basis_index) != const
                                                             for c in dm.columns]))
                 fit = _fit_equation(eq, i, prob, config.lasso)
@@ -244,8 +241,6 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                                   for c, v in zip(dm.columns, fit.coefficients) if v != 0.0]
                 if mean:
                     out[trim:, i] = compute_residuals(dm.values, fit.coefficients, y)
-                    if sw is not None:
-                        out[trim:, i] /= sw
                 else:
                     if np.any(fit.coefficients < 0.0):
                         raise AssertionError("nonnegative fit returned a negative coefficient")
@@ -253,7 +248,7 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                     proxy, floors[filled][i] = _proxy_or_unit(eq, i, fv, config)
                     out[trim:, i] = proxy
                     out[:trim, i] = np.median(proxy)
-                del dm, y, prob  # free this design before the next is built
+                del dm, y, prob  # free this plan's source copies before the next is built
             fresh[filled] = out
 
         state = fresh

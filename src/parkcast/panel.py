@@ -261,13 +261,13 @@ def write_csv(path, header, rows) -> None:
                               for c in row) + "\n")
 
 
-def write_panel(panel: TurbinePanel, path) -> None:
+def write_panel(panel: TurbinePanel, path, timestamp: str = "ts") -> None:
     """Write ``panel`` as the panel CSV :func:`load_panel` reads: ISO
-    timestamps in a ``ts`` column, then each turbine's speed and power
-    columns, with empty cells where masked."""
+    timestamps in the ``timestamp`` column, then each turbine's speed and
+    power columns, with empty cells where masked."""
     values = np.dstack([panel.speed, panel.power]).reshape(panel.n, -1)
     masks = np.dstack([panel.speed_mask, panel.power_mask]).reshape(panel.n, -1)
-    write_csv(path, PanelSchema("ts", panel.labels).columns(), (
+    write_csv(path, PanelSchema(timestamp, panel.labels).columns(), (
         [datetime.fromtimestamp(int(t), tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S")]
         + ["" if m else v for v, m in zip(row, mask)]
         for t, row, mask in zip(panel.timestamps, values, masks)))

@@ -179,6 +179,17 @@ class TestPipeline:
         filled = Path("ing/panel.csv").read_text().splitlines()
         assert "," + "," not in filled[10]  # gap filled
 
+    def test_outputs_name_the_configured_timestamp_column(self, workdir):
+        """``simulate`` and ``ingest`` write ``schema.timestamp``, so their
+        outputs read back under the same config."""
+        (workdir / "time.yaml").write_text(CONFIG + "schema: {timestamp: time}\n")
+        assert run("simulate", "time.yaml", "--out-dir", "sim", "--seed", "3") == 0
+        assert Path("sim/panel.csv").read_text().startswith("time,A_speed,A_power\n")
+        assert run("fit", "time.yaml", "--panel", "sim/panel.csv", "--out-dir", "sim") == 0
+        assert run("ingest", "time.yaml", "--input", "sim/panel.csv", "--out-dir", "a") == 0
+        assert run("ingest", "time.yaml", "--input", "a/panel.csv", "--out-dir", "b") == 0
+        assert Path("b/panel.csv").read_bytes() == Path("sim/panel.csv").read_bytes()
+
 
 class TestExitCodes:
     def test_missing_config(self, workdir):

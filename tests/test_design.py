@@ -3,6 +3,7 @@ import pytest
 
 from parkcast.basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from parkcast.design import (
+    EQUATIONS,
     DesignContext,
     FamilySpec,
     IndexSets,
@@ -16,6 +17,7 @@ from parkcast.design import (
     regressor_from_meta,
     threshold_regressor,
 )
+from parkcast.lasso import LassoProblem
 
 DIURNAL = BSplineSpec(3, 144.0, 12, strict_partition=True)
 ANNUAL = BSplineSpec(3, ANNUAL_STEPS, 4)
@@ -214,31 +216,54 @@ class TestVolDesigns:
 
 
 class TestMetadataRoundTrip:
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("shape", ["minimal", "paper"])
     @pytest.mark.parametrize("builder,needs_thr", [
         (build_speed_mean_design, True),
         (build_power_mean_design, True),
         (build_speed_vol_design, False),
         (build_power_vol_design, False),
     ])
-    def test_columns_rebuild_exactly(self, builder, needs_thr):
-        ctx = context(n=300, d=2, trim=3, seed=5)
-        sets = minimal_sets(
-            speed_ar=FamilySpec((1, 3), (1,), tv_own=(1,), threshold_lags=(1,)),
-            power_ar=FamilySpec((1,), (1,), threshold_lags=(1,)),
-            speed_reg=FamilySpec((0, 1), (0,), tv_own=(0,), threshold_lags=(0,)),
-            speed_ma=FamilySpec((1,), ()),
-            power_ma=FamilySpec((1,), ()),
-            speed_err=FamilySpec((0,), ()),
-            speed_vol_lag=FamilySpec((1,), ()),
-            power_vol_lag=FamilySpec((1,), ()),
-        )
+    def test_columns_rebuild_exactly(self, builder, needs_thr, shape, weighted):
+        """Every column, taken whole and in the lasso's row blocks of 37
+        (blocks that start mid-panel, and a last partial one), is its rebuilt
+        regressor bit for bit; a weighted block's rows are those times sqrt(w),
+        and its last row is the response's."""
+        if shape == "paper":  # time-varying thresholded lags, the previous-day band
+            ctx, sets = context(n=420, d=2, trim=150, seed=5), default_index_sets()
+        else:
+            ctx = context(n=300, d=2, trim=3, seed=5)
+            sets = minimal_sets(
+                speed_ar=FamilySpec((1, 3), (1,), tv_own=(1,), threshold_lags=(1,)),
+                power_ar=FamilySpec((1,), (1,), threshold_lags=(1,)),
+                speed_reg=FamilySpec((0, 1), (0,), tv_own=(0,), threshold_lags=(0,)),
+                speed_ma=FamilySpec((1,), ()),
+                power_ma=FamilySpec((1,), ()),
+                speed_err=FamilySpec((0,), ()),
+                speed_vol_lag=FamilySpec((1,), ()),
+                power_vol_lag=FamilySpec((1,), ()),
+            )
         thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
         args = (ctx, 1, sets, thr) if needs_thr else (ctx, 1, sets)
-        dm, _ = builder(*args)
+        dm, y = builder(*args)
         equation = builder.__name__.removeprefix("build_").removesuffix("_design")
+        m = ctx.n - ctx.trim
+        assert dm.values.shape == (m, dm.p) and m % 37 != 0
+        whole = dm.values[:, np.arange(dm.p)]
         for idx in range(dm.p):
             rebuilt = regressor_from_meta(equation, dm.columns[idx], ctx)
             assert np.array_equal(rebuilt, dm.values[:, idx]), dm.columns[idx]
+            assert np.array_equal(rebuilt, whole[:, idx]), dm.columns[idx]
+        response = {"W": ctx.W, "P": ctx.P, "E": np.abs(ctx.E), "Ep": np.cbrt(np.abs(ctx.Ep))}
+        assert np.array_equal(y, response[EQUATIONS[equation].response[0]][ctx.trim:, 1])
+        w = np.random.default_rng(6).uniform(0.5, 2.0, m) if weighted else None
+        problem = LassoProblem(y, dm.values, weights=w)
+        stacked = np.vstack([whole.T, y]) * (1.0 if w is None else np.sqrt(w))
+        for lo in range(0, m, 37):
+            hi = min(lo + 37, m)
+            block = np.empty((dm.p + 1, hi - lo))
+            problem.rows(lo, hi, block)
+            assert np.array_equal(block, stacked[:, lo:hi]), (lo, hi)
 
     def test_column_count_formula(self):
         ctx = context(n=300, d=2, trim=3)
@@ -268,7 +293,8 @@ class TestNoLookahead:
         dm_b, _ = build_speed_mean_design(ctx_b, 0, sets, thr)
         # design row t uses data strictly before t (speed mean has no lag 0)
         upto = cut - ctx_a.trim
-        assert np.array_equal(dm_a.values[:upto], dm_b.values[:upto])
+        cols = np.arange(dm_a.p)
+        assert np.array_equal(dm_a.values[:, cols][:upto], dm_b.values[:, cols][:upto])
 
 
 class TestDefaultIndexSets:

@@ -23,6 +23,7 @@ from parkcast.forecast import (
     point_forecast,
     simulate_synthetic,
 )
+from parkcast.lasso import LassoProblem
 from parkcast.model import FittedJointModel, Term
 from parkcast.panel import CalendarIndex, TurbinePanel
 from parkcast.presets import example_generator
@@ -705,7 +706,7 @@ class TestFitForecastAgreement:
         c = [c for c, info in enumerate(dm.columns)
              if (info.family, info.j, info.lag, info.basis_index) == key][-1]
         np.testing.assert_equal(dm.columns[c].threshold, threshold)  # -inf comes first
-        col = dm.values[covered - trim:, c]
+        col = dm.values[:, c][covered - trim:]
         assert np.ptp(col) > 0.0
         written, observed = WRITES[equation]
         got = getattr(fore, written)[covered:, 0]
@@ -715,8 +716,8 @@ class TestFitForecastAgreement:
             assert np.array_equal(got, getattr(fore, observed)[covered:, 0] - col)
 
     def test_design_rows_stack_columns_then_response(self):
-        """Every equation's design is the F-ordered view of one C-ordered
-        buffer whose rows are the rebuilt columns and, last, the response."""
+        """Every equation's problem, written as one row block of [X y]', has
+        the rebuilt columns as its rows and, last, the response."""
         panel, model = every_family_setup()
         fore = Forecaster(model, panel)
         fore.ensure_state(panel.n - 1)
@@ -732,10 +733,9 @@ class TestFitForecastAgreement:
         for equation in EQUATIONS:
             for i in range(2):
                 dm, y = build_design(ctx, equation, i, sets, thresholds)
-                buf = dm.values.base
-                assert buf.shape == (dm.p + 1, panel.n - trim) and buf.flags.c_contiguous
-                assert np.shares_memory(dm.values, buf) and np.shares_memory(y, buf)
-                assert np.array_equal(dm.values, buf[:-1].T) and dm.values.flags.f_contiguous
+                assert dm.values.shape == (panel.n - trim, dm.p)
+                buf = np.empty((dm.p + 1, panel.n - trim))
+                LassoProblem(y, dm.values).rows(0, panel.n - trim, buf)
                 for r, info in enumerate(dm.columns):
                     assert np.array_equal(buf[r], regressor_from_meta(equation, info, ctx)), info
                 assert np.array_equal(buf[-1], responses[equation][trim:, i])

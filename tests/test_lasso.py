@@ -587,8 +587,8 @@ class TestGramSetup:
 
 
 class TestStackedRows:
-    """A unit-weight problem whose design and response are the rows of one
-    C-ordered buffer, as ``build_design`` returns them, is read in place."""
+    """A design and response stacked as the rows of one C-ordered buffer:
+    ``_Work`` accumulates their Gram from bounded row blocks."""
 
     @staticmethod
     def stacked(rng, m, p):
@@ -613,12 +613,16 @@ class TestStackedRows:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert a.yy == b.yy
 
-    def test_unit_weights_read_the_rows_in_place(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_memory_beyond_the_gram_is_one_block(self, weighted):
         rng = np.random.default_rng(58)
         m, p = 20_000, 40
         buf, X, y = self.stacked(rng, m, p)
-        problem = LassoProblem(y, X)
-        gram_bytes = (p + 1) ** 2 * 8  # A = [X y]'[X y]
+        w = rng.uniform(0.5, 2.0, m) if weighted else None
+        problem = LassoProblem(y, X, weights=w)
+        rows = max(lasso._BLOCK_BYTES // (8 * (p + 1)), lasso._BLOCK_ROWS)
+        assert 3 * rows < m  # the design spans more than three blocks
+        gram_bytes = 2 * (p + 1) ** 2 * 8  # A = [X y]' W [X y], and G
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -626,10 +630,42 @@ class TestStackedRows:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak - gram_bytes < buf.nbytes / 4
-        assert work.yy == pytest.approx(float(y @ y), rel=1e-12)
-        # the same rows handed in as a copy are scaled into a new buffer
-        assert np.array_equal(_Work(LassoProblem(y.copy(), X)).G, work.G)
+        # one block, and far less than a (p + 1) x m sqrt(w)-scaled copy
+        assert peak - gram_bytes < 8 * (p + 1) * rows + buf.nbytes / 8
+        ww = np.ones(m) if w is None else w
+        assert work.yy == pytest.approx(float(ww * y @ y), rel=1e-12)
+        # the same rows handed in as a copy give the same Gram
+        assert np.array_equal(_Work(LassoProblem(y.copy(), X.copy(), weights=w)).G, work.G)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("rows", ["1", "7", "m-1", "m", "2m"])
+    def test_uneven_blocks_match_one_block(self, rows, weighted, monkeypatch):
+        """Blocks of 1, 7 and m - 1 rows give the one-block Gram to 1e-13 of
+        its largest entry, and the same path, supports and selected index."""
+        rng = np.random.default_rng(59)
+        m, p = 300, 12
+        buf, X, y = self.stacked(rng, m, p)
+        X[:, 0] = 1.0
+        y += X[:, 1] * 2.0 - X[:, 4]
+        w = rng.uniform(0.5, 2.0, m) if weighted else None
+        problem = LassoProblem(y, X, weights=w, penalize_mask=np.arange(p) > 0)
+        settings = LassoSettings(grid_count=30, grid_ratio=1e-3)
+        monkeypatch.setattr(lasso, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(lasso, "_BLOCK_ROWS", 2 * m)
+        one, fit_one = _Work(problem), fit_path_bic(problem, settings)
+        monkeypatch.setattr(lasso, "_BLOCK_ROWS", {"1": 1, "7": 7, "m-1": m - 1,
+                                                   "m": m, "2m": 2 * m}[rows])
+        work, fit = _Work(problem), fit_path_bic(problem, settings)
+        assert work.cols.tolist() == one.cols.tolist() == [j for j in range(p) if j not in (3, 5)]
+        top = np.abs(one.G).max()
+        assert np.abs(work.G - one.G).max() <= 1e-13 * top
+        assert np.array_equal(work.G, work.G.T)
+        np.testing.assert_allclose(work.c, one.c, rtol=0, atol=1e-13 * np.abs(one.c).max())
+        assert work.yy == pytest.approx(one.yy, rel=1e-13)
+        np.testing.assert_allclose(work.scale, one.scale, rtol=1e-13)
+        assert fit.selected_index == fit_one.selected_index
+        assert np.array_equal(fit.coef_path != 0.0, fit_one.coef_path != 0.0)
+        np.testing.assert_allclose(fit.coef_path, fit_one.coef_path, rtol=1e-9, atol=1e-12)
 
 
 class TestValidation:

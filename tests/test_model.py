@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config, tiny_sets, two_turbine_truth
 
+from parkcast import lasso
 from parkcast import model as model_module
 from parkcast.basis import BSplineSpec, interaction_basis
 from parkcast.design import (
@@ -189,6 +191,36 @@ class TestFitJointModel:
         for n, (eq, families) in enumerate(built):
             every = {"const"} | {f[0] for f in EQUATIONS[eq].families}
             assert families == (every - later[eq] if n < per_pass else every), (n, eq)
+
+    def test_fit_peak_memory_below_half_the_widest_design(self, monkeypatch):
+        """No design is materialized: the tracemalloc peak of a whole fit
+        stays below half of its widest (p + 1) x m design, which spans many
+        row blocks."""
+        cfg = tiny_config(sets=index_sets_from(own_short_max=40, own_long_band=None,
+                                               cross_max=40, time_varying=False))
+        panel = simulate_synthetic(tiny_config(), two_turbine_truth(), n=20_000, seed=3)
+        shapes = []
+
+        def recording(build):
+            def wrapped(*args):
+                dm, y = build(*args)
+                shapes.append(dm.values.shape)
+                return dm, y
+            return wrapped
+
+        for eq in EQUATIONS:
+            name = f"build_{eq}_design"
+            monkeypatch.setattr(model_module, name, recording(getattr(model_module, name)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_joint_model(panel, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        m, p = max(shapes, key=lambda shape: shape[1])
+        assert peak < 0.5 * (p + 1) * m * 8
+        assert 4 * max(lasso._BLOCK_BYTES // (8 * (p + 1)), lasso._BLOCK_ROWS) <= m
 
     def test_standardized_residuals_stable_across_iterations(self, small_panel):
         # diagnostic: mean |standardized residual| is O(1) and moves little
