@@ -9,6 +9,10 @@ centred rows: each ``VarFit`` keeps that map, and a forecast is one product
 per origin. The ARMA(1,1) fit runs L-BFGS-B on the exact gradient of the
 profiled likelihood.
 
+SciPy's ``optimize``, ``signal`` and ``special`` are imported inside the
+ARMA(1,1) and censored power-curve functions that call them, so a process
+that never fits or forecasts with those two models does not load them.
+
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
 square, and four diurnal Fourier terms of the time of day at t+k. The speed
@@ -27,8 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, signal
-from scipy.special import log_ndtr, ndtr
 
 from .panel import STEP_SECONDS, TurbinePanel
 
@@ -199,6 +201,8 @@ class Arma11Fit:
 def _arma11_profiled(y: np.ndarray, phi: float, theta: float):
     """Exact profile of the mean for fixed (phi, theta) with zero-initialized
     innovations; returns (mu, sse, e), e the innovations at t = 1..n-1."""
+    from scipy import signal
+
     a, b = signal.lfilter([1.0], [1.0, theta],
                           np.stack([y[1:] - phi * y[:-1], np.full(y.size - 1, 1.0 - phi)]))
     denom = float(np.dot(b, b))
@@ -212,6 +216,8 @@ def _arma11_nll(params, y: np.ndarray):
     its exact gradient. The mean is profiled out, so only the direct
     derivatives of the innovations count: de/dphi and de/dtheta are
     mu - y_{t-1} and -e_{t-1} through the same 1 / (1 + theta B) filter."""
+    from scipy import signal
+
     phi, theta = params
     mu, sse, e = _arma11_profiled(y, phi, theta)
     n1 = y.size - 1
@@ -227,6 +233,8 @@ def fit_arma11_mle(series) -> Arma11Fit:
     (-1, 1)^2; mean and innovation variance are profiled out exactly.
     L-BFGS-B runs from three starts on the exact gradient (``_arma11_nll``);
     the best end point wins."""
+    from scipy import optimize
+
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 100:
@@ -249,6 +257,8 @@ def fit_arma11_mle(series) -> Arma11Fit:
 
 
 def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.ndarray:
+    from scipy import signal
+
     y = np.asarray(history, dtype=float)
     # innovations under the fitted parameters, from a zero one at the first row
     u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
@@ -330,6 +340,8 @@ class GwpptFit:
 
 
 def _tobit_negloglik(params, X, y, lower, upper, is_left, is_right, is_mid):
+    from scipy.special import log_ndtr
+
     beta, log_sigma = params[:-1], params[-1]
     sigma = np.exp(log_sigma)
     xb = X @ beta
@@ -357,6 +369,8 @@ def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
     """Two-sided censored (Tobit) maximum likelihood on the power-curve
     regressor set: observations at or outside the power range are treated as
     censored at the range bounds."""
+    from scipy import optimize
+
     if not lower < upper:
         raise ValueError("need lower < upper")
     X, y = _wppt_data(panel, turbine, k, end_row)
@@ -384,6 +398,8 @@ def censored_mean(latent, sigma, lower: float, upper: float):
     term is included so the identity is exact for lower != 0). Elementwise
     over ``latent`` and ``sigma``; where sigma <= 0 it is the clipped latent.
     Scalar arguments give a float."""
+    from scipy.special import ndtr
+
     latent, sigma = np.broadcast_arrays(np.asarray(latent, dtype=float),
                                         np.asarray(sigma, dtype=float))
     spread = sigma > 0.0

@@ -142,7 +142,7 @@ def model_config_from(cfg: dict) -> ModelConfig:
     band = m["own_long_band"]
     sets = index_sets_from(int(m["own_short_max"]),
                            None if band in (None, []) else (int(band[0]), int(band[1])),
-                           int(m["cross_max"]), bool(m["time_varying"]))
+                           int(m["cross_max"]), _flag(cfg, "model", "time_varying"))
     return ModelConfig(
         sets=sets,
         threshold_policy=m["threshold_policy"],
@@ -166,6 +166,14 @@ def _positive(cfg: dict, section: str, key: str) -> int:
     value = int(cfg[section][key])
     if value < 1:
         raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
+    return value
+
+
+def _flag(cfg: dict, section: str, key: str) -> bool:
+    """A YAML boolean; a quoted "false" is truthy, so strings are refused."""
+    value = cfg[section][key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
     return value
 
 
@@ -205,8 +213,9 @@ def cmd_ingest(cfg: dict, args) -> int:
     src = args.input or cfg["ingest"]["input"]
     if not src:
         raise ConfigError("ingest.input (or --input) is required")
+    fill_gaps = _flag(cfg, "ingest", "fill_gaps")
     panel = _read_panel(src, cfg)
-    if cfg["ingest"]["fill_gaps"]:
+    if fill_gaps:
         panel = fill_gaps_linear(panel)
     out = os.path.join(cfg["output_dir"], "panel.csv")
     write_panel(panel, out, str(cfg["schema"]["timestamp"]))
@@ -304,6 +313,7 @@ def cmd_fit(cfg: dict, args) -> int:
 def cmd_forecast(cfg: dict, args) -> int:
     horizon = _positive(cfg, "forecast", "horizon")
     n_paths = _positive(cfg, "forecast", "n_paths")
+    bootstrap = _flag(cfg, "forecast", "bootstrap")
     if not args.model or not os.path.exists(args.model):
         raise FileNotFoundError(f"model file {args.model!r} not found")
     model = load_model(args.model)
@@ -315,7 +325,7 @@ def cmd_forecast(cfg: dict, args) -> int:
                           f"got {origin}")
     origin %= n  # a negative origin counts back from the panel's end
     fore = Forecaster(model, panel)
-    if fcfg["bootstrap"]:
+    if bootstrap:
         result = fore.bootstrap(origin, horizon, n_paths, _seed(cfg))
     else:
         result = fore.point(origin, horizon)
@@ -329,15 +339,20 @@ def cmd_backtest(cfg: dict, args) -> int:
     n_origins = _positive(cfg, "backtest", "n_origins")
     max_horizon = _positive(cfg, "backtest", "max_horizon")
     in_sample = _positive(cfg, "backtest", "in_sample")
+    models = cfg["backtest"]["models"]
+    if not isinstance(models, list):
+        raise ConfigError(f"backtest.models must be a list of model names, got {models!r}")
+    try:
+        spec = BacktestSpec(
+            n_origins=n_origins,
+            horizons=tuple(range(1, max_horizon + 1)),
+            in_sample=in_sample,
+            seed=_seed(cfg),
+            models=tuple(str(m) for m in models),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"backtest.{exc}") from None
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
-    b = cfg["backtest"]
-    spec = BacktestSpec(
-        n_origins=n_origins,
-        horizons=tuple(range(1, max_horizon + 1)),
-        in_sample=in_sample,
-        seed=_seed(cfg),
-        models=tuple(str(m) for m in b["models"]),
-    )
     report = run_backtest(panel, spec, lasso_config=model_config_from(cfg),
                           workers=int(cfg["workers"]))
     files = write_report(report, cfg["output_dir"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmarks import make_benchmark
+from .benchmarks import BENCHMARKS, make_benchmark
 from .forecast import ForecastError, Forecaster
 from .model import ModelConfig, fit_joint_model
 from .panel import TurbinePanel, write_csv
@@ -48,6 +48,10 @@ class BacktestSpec:
             raise ValueError(f"in_sample must be >= 1, got {self.in_sample}")
         if not self.horizons or min(self.horizons) < 1:
             raise ValueError("horizons must be positive")
+        unknown = [m for m in self.models if m != "lasso" and m not in BENCHMARKS]
+        if unknown:
+            raise ValueError(f"models: unknown model(s) {', '.join(map(repr, unknown))}; "
+                             f"valid: {', '.join(sorted([*BENCHMARKS, 'lasso']))}")
 
 
 def mae(forecasts: np.ndarray, actuals: np.ndarray):

@@ -306,8 +306,10 @@ class _Engine:
 
 
 def check_seed(seed) -> int:
-    """``seed`` as an int, if it is a Philox key: an integer in [0, 2**64)."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 64):
+    """``seed`` as an int, if it is a Philox key: an integer in [0, 2**64).
+    A bool is refused, though Python counts it as an int."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+            and 0 <= seed < 1 << 64):
         raise ForecastError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 

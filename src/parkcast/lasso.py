@@ -32,6 +32,7 @@ _TIE = 1e-12  # relative gap within which two knots, or a knot and a grid penalt
 _PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
 _BLOCK_BYTES = 1 << 21  # one row block of [X y]' as _Work accumulates it
 _BLOCK_ROWS = 1024  # the fewest rows per block, so a wide one amortizes its (p+1)^2 update
+_CHECK_EVERY = 16  # segments a path walk records between checks of their grid penalties
 
 
 class DegenerateGridError(ValueError):
@@ -450,6 +451,17 @@ def _fill(work: _Work, lambdas: np.ndarray, segs: list, path: np.ndarray,
     return n
 
 
+def _check(work: _Work, lambdas: np.ndarray, segs: list, li: int, blocked: np.ndarray,
+           path: np.ndarray, rss: np.ndarray, sweeps: np.ndarray, tol: float) -> int:
+    """Fill the segments ``_walk`` recorded from grid index ``li`` on
+    (``_fill``); return the first index not filled. On a failure ``blocked``
+    is restored as it stood at the failing segment."""
+    li += _fill(work, lambdas, segs, path, rss, sweeps, tol)
+    if li < segs[-1][1]:  # a check failed inside a segment
+        blocked[:] = next(seg[-1] for seg in segs if seg[0] <= li < seg[1])
+    return li
+
+
 def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndarray,
           s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
           sweeps: np.ndarray, tol: float, cap: int) -> int:
@@ -465,9 +477,9 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     one leaves), at two events within ``_TIE``, or past ``cap`` knots between
     grid penalties. The grid penalties above a knot, or within ``_TIE`` below,
     belong to its segment, whose (q0, dq, w, v, support, signs, knot count)
-    is recorded; once the walk stops, ``_fill`` checks every recorded penalty
-    in one pass. The first that fails goes to ``_solve``, with ``blocked`` as
-    it stood at its segment."""
+    is recorded. Every ``_CHECK_EVERY`` segments, and once the walk stops,
+    ``_check`` checks the recorded penalties in one pass; the walk stops at the
+    first that fails, which goes to ``_solve``."""
     G, c, half, fixed = work.G, work.c, 0.5 * work.pen_scale, work.sign_fixed
     nonneg, nlam, k, na = work.problem.nonnegative, lambdas.size, work.c.size, active.size
     # the support, its signs and [c_A, pen_A s_A / 2]; a column enters at the end
@@ -504,6 +516,10 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
                          s * fixed[active], w, v, work.yy - rhs[:na, 0] @ w,
                          rhs[:na, 1] @ v, blocked.copy()))
             crossed, end = 0, stop
+            if len(segs) == _CHECK_EVERY:
+                li, segs = _check(work, lambdas, segs, li, blocked, path, rss, sweeps, tol), []
+                if li < end:
+                    return li
         if knot == 0.0 or tie or end == nlam:
             break
         if free[j]:  # R' r = G_Aj; the new pivot is the Schur complement
@@ -527,10 +543,7 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
         free[j] = not free[j]
         enter = free & ~blocked
         lam, at_knot, crossed = knot, True, crossed + 1
-    li += _fill(work, lambdas, segs, path, rss, sweeps, tol) if segs else 0
-    if li < end:  # a check failed inside a segment
-        blocked[:] = next(seg[-1] for seg in segs if seg[0] <= li < seg[1])
-    return li
+    return _check(work, lambdas, segs, li, blocked, path, rss, sweeps, tol) if segs else li
 
 
 def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -> LassoFit:

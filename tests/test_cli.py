@@ -255,6 +255,50 @@ class TestExitCodes:
         assert f"error: config: simulate.{key} must be >= 1, got 0" in err
         assert not (workdir / "out" / "panel.csv").exists()
 
+    @pytest.mark.parametrize("models, message", [
+        (["lasso", "arma"], "backtest.models: unknown model(s) 'arma'; valid: ar, arma11, "
+                            "bvar, gwppt, lasso, persistence, var, wppt"),
+        ("ar", "backtest.models must be a list of model names, got 'ar'"),
+    ])
+    def test_unknown_backtest_model_is_config_error(self, workdir, capsys, fitted,
+                                                    monkeypatch, models, message):
+        # rejected before any model is fitted, and no report is written
+        monkeypatch.setattr("parkcast.evaluation.fit_joint_model",
+                            lambda *a, **k: pytest.fail("a model was fitted"))
+        cfg = yaml.safe_load(CONFIG)
+        cfg["backtest"]["models"] = models
+        (workdir / "models.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("backtest", "models.yaml", "--panel", str(fitted / "panel.csv"),
+                   "--out-dir", "out") == 2
+        assert f"error: config: {message}\n" in capsys.readouterr().err
+        assert os.listdir(workdir / "out") == ["effective-config.yaml"]
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("fit", "model", "time_varying"),
+        ("ingest", "ingest", "fill_gaps"),
+        ("forecast", "forecast", "bootstrap"),
+    ])
+    def test_non_boolean_flag_is_config_error(self, workdir, capsys, fitted,
+                                              command, section, key):
+        # a quoted "false" is a non-empty string, which Python reads as true
+        cfg = yaml.safe_load(CONFIG)
+        cfg.setdefault(section, {})[key] = "false"
+        (workdir / "flag.yaml").write_text(yaml.safe_dump(cfg))
+        panel = str(fitted / "panel.csv")
+        extra = {"fit": ["--panel", panel], "ingest": ["--input", panel],
+                 "forecast": ["--panel", panel, "--model", str(fitted / "model.txt")]}
+        assert run(command, "flag.yaml", "--out-dir", "out", *extra[command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: {section}.{key} must be true or false, got 'false'" in err
+
+    def test_boolean_seed_is_config_error(self, workdir, capsys):
+        cfg = yaml.safe_load(CONFIG)
+        cfg["seed"] = True
+        (workdir / "seed.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("simulate", "seed.yaml", "--out-dir", "out") == 2
+        err = capsys.readouterr().err
+        assert "error: config: seed must be an integer in [0, 2**64), got True" in err
+
     @pytest.mark.parametrize("origin", [2500, 99999, -2501, -99999])
     def test_origin_outside_panel_is_config_error(self, workdir, capsys, fitted, origin):
         assert forecast_at(workdir, fitted, origin) == 2

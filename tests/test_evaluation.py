@@ -127,6 +127,12 @@ class TestSampleOrigins:
         with pytest.raises(ValueError, match=f"in_sample must be >= 1, got {in_sample}"):
             BacktestSpec(n_origins=10, horizons=(1, 12), in_sample=in_sample)
 
+    def test_unknown_model_rejected(self):
+        # "lasso" is valid though it is no registered benchmark
+        with pytest.raises(ValueError, match="models: unknown model\\(s\\) 'arma'; valid: "
+                           "ar, arma11, bvar, gwppt, lasso, persistence, var, wppt$"):
+            BacktestSpec(models=("lasso", "arma"))
+
     def test_too_short_panel(self):
         spec = BacktestSpec(n_origins=10, horizons=(1, 288), in_sample=100)
         with pytest.raises(BacktestError, match="too short"):

@@ -200,7 +200,7 @@ class TestBootstrapForecast:
         with pytest.raises(ForecastError, match=f"n_paths must be >= 1, got {n_paths}"):
             fore.bootstrap(200, 4, n_paths)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, True])
     def test_bad_seed_rejected(self, small_panel, small_model, seed):
         with pytest.raises(ForecastError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             bootstrap_forecast(small_model, small_panel, 5000, 4, 100, seed)
@@ -276,7 +276,7 @@ class TestSimulate:
                                    burn_in=0)
         assert np.abs(panel.speed).max() <= 1e9
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ForecastError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             simulate_synthetic(tiny_config(), two_turbine_truth(), n=10, seed=seed)

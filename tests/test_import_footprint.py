@@ -1,0 +1,96 @@
+"""SciPy's optimize, signal and special load only with the reference
+forecasters that call them. The test process has imported them already, so
+each check runs in a fresh interpreter."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import parkcast
+
+SRC = str(Path(parkcast.__file__).resolve().parents[1])
+
+SCRIPT = r"""
+import hashlib, json, os, sys, tempfile
+if sys.argv[1] == "preload":
+    import scipy.optimize, scipy.signal, scipy.special
+import numpy as np
+
+LAZY = ("scipy.optimize", "scipy.signal", "scipy.special")
+loaded = {}
+
+def step(name):
+    loaded[name] = [m for m in LAZY if m in sys.modules]
+
+import parkcast
+from parkcast.benchmarks import Arma11Model, GwpptModel
+from parkcast.evaluation import BacktestSpec, run_backtest
+from parkcast.forecast import Forecaster, simulate_synthetic
+from parkcast.model import fit_joint_model, load_model, save_model
+from parkcast.presets import demo_config, example_generator
+step("import")
+
+cfg = demo_config(4000)
+panel = simulate_synthetic(cfg, example_generator(2), n=4000, seed=5)
+with tempfile.TemporaryDirectory() as tmp:
+    save_model(fit_joint_model(panel, cfg), os.path.join(tmp, "model.txt"))
+    fore = Forecaster(load_model(os.path.join(tmp, "model.txt")), panel)
+step("fit, save, load")
+fore.point(panel.n - 1, 12)
+fore.bootstrap(panel.n - 1, 12, n_paths=100, seed=1)
+fore.point_batch([panel.n - 50, panel.n - 1], 12)
+step("point, bootstrap, point_batch")
+spec = BacktestSpec(n_origins=5, horizons=(1, 2, 6), in_sample=3000,
+                    models=("persistence", "ar", "var", "bvar"))
+run_backtest(panel, spec)
+step("backtest")
+
+digest = hashlib.sha256()
+arma = Arma11Model().fit(panel, 3000)
+digest.update(arma.forecast_power(panel, 3500, np.array([1, 6])).tobytes())
+for f in arma.fits:
+    digest.update(np.array([f.ar, f.ma, f.mean, f.sigma2]).tobytes())
+step("arma11")
+gw = GwpptModel().fit(panel, 3000)
+digest.update(gw.forecast_power(panel, 3500, np.array([1, 2])).tobytes())
+for f in gw._cache.values():
+    digest.update(np.append(f.coefs, f.sigma).tobytes())
+step("gwppt")
+print(json.dumps({"loaded": loaded, "digest": digest.hexdigest()}))
+"""
+
+
+def run_fresh(mode: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-W", "error", "-c", SCRIPT, mode], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def lazy():
+    return run_fresh("lazy")
+
+
+@pytest.mark.parametrize("step", ["import", "fit, save, load",
+                                  "point, bootstrap, point_batch", "backtest"])
+def test_pipeline_loads_none_of_them(lazy, step):
+    assert lazy["loaded"][step] == []
+
+
+def test_arma11_and_gwppt_load_them(lazy):
+    # scipy.optimize imports scipy.special itself
+    assert lazy["loaded"]["arma11"] == ["scipy.optimize", "scipy.signal", "scipy.special"]
+    assert lazy["loaded"]["gwppt"] == ["scipy.optimize", "scipy.signal", "scipy.special"]
+
+
+def test_results_equal_those_with_scipy_imported_up_front(lazy):
+    eager = run_fresh("preload")
+    assert eager["loaded"]["import"] == ["scipy.optimize", "scipy.signal", "scipy.special"]
+    assert lazy["digest"] == eager["digest"]

@@ -430,17 +430,20 @@ class TestPathSegments:
         assert 1 <= n_solves < fit.lambdas.size / 2
 
     def test_failed_deferred_check_goes_to_solve(self, monkeypatch):
-        # the walk checks its grid penalties in one pass once it stops; a
-        # failure there hands that index to _solve, and the walk goes on after it
+        # the walk checks its grid penalties in one pass every _CHECK_EVERY
+        # segments and once it stops; a failure there stops the walk and hands
+        # that index to _solve, and the walk goes on after it
         rng = np.random.default_rng(45)
         Z = rng.standard_normal((120, 4))
-        X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
+        X = Z @ rng.standard_normal((4, 40)) + 0.3 * rng.standard_normal((120, 40))
         y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
-        fill, solve, failed, solved = lasso._fill, lasso._solve, [], []
+        fill, solve, failed, solved, past, starts = lasso._fill, lasso._solve, [], [], [], []
 
         def failing_fill(work, lambdas, segs, *rest):
+            starts.extend(lo for lo, *_ in segs)
             if not failed and segs[-1][1] - segs[0][0] > 10:
                 failed.append(segs[0][0] + 7)  # its check fails at the eighth penalty
+                past.append(sum(lo > failed[0] for lo, *_ in segs))
                 segs = [(lo, min(hi, failed[0]), *more) for lo, hi, *more in segs
                         if lo < failed[0]]
             return fill(work, lambdas, segs, *rest)
@@ -451,6 +454,9 @@ class TestPathSegments:
         fit, n_solves, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
         # only the failed penalty was solved; the walk filled the rest
         assert failed and n_solves == 1 and solved == [fit.lambdas[failed[0]]]
+        # the failing walk recorded fewer than _CHECK_EVERY segments past the
+        # failure, though the path has more than that many there
+        assert past[0] < lasso._CHECK_EVERY < sum(lo > failed[0] for lo in starts) - past[0]
 
     def test_failed_check_restores_the_blocked_columns_of_its_segment(self, monkeypatch):
         # column 1, refused before the walk, is freed by a drop further down;
