@@ -259,7 +259,7 @@ class TestExitCodes:
         (["lasso", "arma"], "backtest.models: unknown model(s) 'arma'; valid: ar, arma11, "
                             "bvar, gwppt, lasso, persistence, var, wppt"),
         ("ar", "backtest.models must be a list of model names, got 'ar'"),
-    ])
+    ], ids=["unknown-name", "not-a-list"])
     def test_unknown_backtest_model_is_config_error(self, workdir, capsys, fitted,
                                                     monkeypatch, models, message):
         # rejected before any model is fitted, and no report is written
