@@ -6,19 +6,24 @@ A Yule-Walker fit builds one block-Toeplitz system and one lag matrix at the
 largest order, and every smaller order reads its own from their leading
 blocks. An iterated AR/BVAR/VAR forecast is linear in the last ``order``
 centred rows: each ``VarFit`` keeps that map, and a forecast is one product
-per origin. The ARMA(1,1) fit runs L-BFGS-B on the exact gradient of the
-profiled likelihood.
+per origin.
 
-SciPy's ``optimize``, ``signal`` and ``special`` are imported inside the
-ARMA(1,1) and censored power-curve functions that call them, so a process
-that never fits or forecasts with those two models does not load them.
+The ARMA(1,1) model needs NumPy alone. Its filter 1 / (1 + theta B) is a
+blocked scan (``_recurse``); the fit is Levenberg-Marquardt on the
+conditional sum of squares, with first and second derivatives taken
+through the same scan; a forecast reads the last innovation as one dot
+product with the powers of -theta. SciPy's ``optimize`` and ``special`` are
+imported inside the censored power-curve functions that call them, so a
+process that never fits or forecasts with that model does not load them.
 
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
 square, and four diurnal Fourier terms of the time of day at t+k. The speed
-at t+k is the observed speed at t carried forward (persistence). A forecast
-builds one (horizons, 9) matrix per turbine and takes all horizons in one
-product.
+at t+k is the observed speed at t carried forward (persistence). The
+adapter builds each turbine's horizon-free regressors once, and every
+horizon's fit reads their leading rows and the Fourier terms of the 144
+slots of the day. A forecast builds one (horizons, 9) matrix per turbine
+and takes all horizons in one product.
 
 Every benchmark registers under a string id and exposes the same adapter
 surface as the joint model for the backtest harness: ``fit(panel, end_row)``
@@ -196,74 +201,181 @@ class Arma11Fit:
     mean: float
     sigma2: float
     boundary: bool = False
+    iterations: int = 0  # Levenberg-Marquardt iterations, over every start run
+    fallback: bool = False  # the three fixed starts were run too
+    # (-ma)^j, j = 0, 1, ..., for the longest history forecast from so far
+    decay: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+
+# block length of the blocked scan in ``_recurse``
+_SCAN = 16
+_SCAN_LAG = np.subtract.outer(np.arange(_SCAN), np.arange(_SCAN))
+
+
+def _recurse(x, c: float) -> np.ndarray:
+    """The first-order recursion y_t = x_t - c y_{t-1} from y_{-1} = 0 (the
+    filter 1 / (1 + cB)) along the last axis of a 1-D or stacked 2-D array.
+
+    A blocked scan: one product with the lower-triangular matrix of
+    (-c)^(i-j) runs every block of ``_SCAN`` values from a zero start; the
+    same recursion over the block ends, with coefficient -(-c)^_SCAN, gives
+    each block's true end, and the previous block's end decays into the next
+    block as (-c)^(i+1)."""
+    x = np.asarray(x, dtype=float)
+    n, lead = x.shape[-1], x.shape[:-1]
+    pw = np.power(-c, np.arange(_SCAN + 1.0))
+    tri = np.where(_SCAN_LAG >= 0, pw[np.abs(_SCAN_LAG)], 0.0)
+    if n <= _SCAN:
+        return x @ tri[:n, :n].T
+    nb = -(-n // _SCAN)
+    y = np.zeros(lead + (nb * _SCAN,))
+    y[..., :n] = x
+    y = (y.reshape(-1, _SCAN) @ tri.T).reshape(lead + (nb, _SCAN))
+    ends = _recurse(y[..., -1], -pw[_SCAN])
+    y[..., 1:, :] += ends[..., :-1, None] * pw[1:]
+    return y.reshape(lead + (nb * _SCAN,))[..., :n]
 
 
 def _arma11_profiled(y: np.ndarray, phi: float, theta: float):
     """Exact profile of the mean for fixed (phi, theta) with zero-initialized
     innovations; returns (mu, sse, e), e the innovations at t = 1..n-1."""
-    from scipy import signal
-
-    a, b = signal.lfilter([1.0], [1.0, theta],
-                          np.stack([y[1:] - phi * y[:-1], np.full(y.size - 1, 1.0 - phi)]))
+    a, b = _recurse(np.stack([y[1:] - phi * y[:-1], np.full(y.size - 1, 1.0 - phi)]), theta)
     denom = float(np.dot(b, b))
     mu = float(np.dot(a, b) / denom) if denom > 0 else float(y.mean())
     e = a - mu * b
     return mu, float(np.dot(e, e)), e
 
 
-def _arma11_nll(params, y: np.ndarray):
-    """Profiled negative log-likelihood (up to constants) of (phi, theta) and
-    its exact gradient. The mean is profiled out, so only the direct
-    derivatives of the innovations count: de/dphi and de/dtheta are
-    mu - y_{t-1} and -e_{t-1} through the same 1 / (1 + theta B) filter."""
-    from scipy import signal
+def _arma11_innovations(y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The zero-initialized innovations at t = 1..n-1 under p = (phi, theta, mu):
+    e = F(y_t - mu - phi (y_{t-1} - mu)), F = 1 / (1 + theta B)."""
+    phi, theta, mu = p
+    return _recurse(y[1:] - mu - phi * (y[:-1] - mu), theta)
 
-    phi, theta = params
-    mu, sse, e = _arma11_profiled(y, phi, theta)
-    n1 = y.size - 1
-    if sse <= 1e-300 * n1:
-        return n1 * np.log(1e-300), np.zeros(2)
-    de = signal.lfilter([1.0], [1.0, theta],
-                        np.stack([mu - y[:-1], np.concatenate(([0.0], -e[:-1]))]))
-    return n1 * np.log(sse / n1), 2.0 * n1 / sse * (de @ e)
+
+def _arma11_derivatives(y: np.ndarray, p: np.ndarray, e: np.ndarray):
+    """The Jacobian J (3, n-1) of the innovations ``e`` in p = (phi, theta, mu),
+    de/dphi = F(mu - y_{t-1}), de/dtheta = F(-e_{t-1}), de/dmu = F(phi - 1),
+    and S, the second-order part sum_t e_t d2e_t of the Hessian of e'e / 2
+    (which is J J' + S). Every second derivative is F of a lagged first one
+    (F(-v_{t-1}) for v = de/dphi, de/dmu, 2 de/dtheta) or F(1) for phi and mu,
+    so its product with e is read through z = F'e, the filter run backward in
+    time: e . F(v) = z . v."""
+    phi, theta, mu = p
+    n1 = e.size
+    d_phi, d_mu = _recurse(np.stack([mu - y[:-1], np.full(n1, phi - 1.0)]), theta)
+    d_theta, z = _recurse(np.stack([np.r_[0.0, -e[:-1]], e[::-1]]), theta)
+    z = z[::-1]
+    # e . F(-v_{t-1}) = -z[1:] . v[:-1]
+    s_phi, s_mu, s_theta = -(np.stack([d_phi, d_mu, 2.0 * d_theta])[:, :-1] @ z[1:])
+    s_cross = float(z.sum())
+    S = np.array([[0.0, s_phi, s_cross], [s_phi, s_theta, s_mu], [s_cross, s_mu, 0.0]])
+    return np.stack([d_phi, d_theta, d_mu]), S
+
+
+_ARMA_BOUND = 0.999
+_ARMA_LOWER = np.array([-_ARMA_BOUND, -_ARMA_BOUND, -np.inf])
+
+
+def _arma11_moments(y: np.ndarray) -> np.ndarray:
+    """(phi, theta, mu) that match the lag-1 and lag-2 autocorrelations:
+    phi = r2 / r1, and theta the invertible root of a theta^2 + b theta + a,
+    a = phi - r1, b = 1 + phi^2 - 2 r1 phi (the real part of the pair when no
+    root is real); both clipped to +-0.99."""
+    x = y - y.mean()
+    g0, g1, g2 = (float(np.dot(x[k:], x[: x.size - k])) for k in range(3))
+    phi = min(max(g2 / g1, -0.99), 0.99) if g1 else 0.0
+    a, b = phi - g1 / g0, 1.0 + phi * phi - 2.0 * phi * g1 / g0
+    theta = -2.0 * a / (b + np.sqrt(max(b * b - 4.0 * a * a, 0.0)))
+    return np.array([phi, min(max(theta, -0.99), 0.99), y.mean()])
+
+
+def _arma11_lm(y: np.ndarray, p: np.ndarray, max_iter: int = 50):
+    """Levenberg-Marquardt on the conditional sum of squares e'e in
+    (phi, theta, mu) from ``p``, with |phi|, |theta| <= _ARMA_BOUND.
+
+    Each iteration solves (J J' + S + lam diag(J J')) step = -J e over the
+    coordinates that the gradient does not hold at a bound, and clips the
+    step to the box. The Hessian is exact: the Gauss-Newton J J' alone
+    converges linearly along the flat common-factor line phi = -theta (about
+    90 iterations on white noise, against ten). A step that does not lower
+    e'e is retried with lam ten times larger; an accepted one divides lam by
+    ten. The run converges when a step moves no coordinate by more than
+    1e-10 relative, or when no damping finds a lower e'e. Returns
+    (p, sse, iterations, converged)."""
+    e = _arma11_innovations(y, p)
+    sse, lam = float(e @ e), 0.1
+    for it in range(1, max_iter + 1):
+        J, S = _arma11_derivatives(y, p, e)
+        G = J @ J.T
+        g = J @ e
+        free = ~(((p <= _ARMA_LOWER) & (g > 0)) | ((p >= -_ARMA_LOWER) & (g < 0)))
+        H, D = (G + S)[np.ix_(free, free)], np.diag(np.diag(G)[free])
+        while lam <= 1e10:
+            q = p.copy()
+            try:
+                q[free] -= np.linalg.solve(H + lam * D, g[free])
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            q = np.clip(q, _ARMA_LOWER, -_ARMA_LOWER)
+            e_q = _arma11_innovations(y, q)
+            sse_q = float(e_q @ e_q)
+            if sse_q <= sse:
+                break
+            lam *= 10.0
+        else:
+            return p, sse, it, True
+        moved = float(np.max(np.abs(q - p) / (1.0 + np.abs(p))))
+        p, e, sse, lam = q, e_q, sse_q, max(lam / 10.0, 1e-12)
+        if moved <= 1e-10:
+            return p, sse, it, True
+    return p, sse, max_iter, False
 
 
 def fit_arma11_mle(series) -> Arma11Fit:
     """Maximize the conditional Gaussian likelihood over (ar, ma) in
-    (-1, 1)^2; mean and innovation variance are profiled out exactly.
-    L-BFGS-B runs from three starts on the exact gradient (``_arma11_nll``);
-    the best end point wins."""
-    from scipy import optimize
-
+    [-0.999, 0.999]^2; mean and innovation variance are profiled out exactly.
+    That is the least conditional sum of squares in (ar, ma, mean), which
+    ``_arma11_lm`` finds from the moment estimate. The run is repeated from
+    the three fixed starts (0.5, 0), (0.9, -0.3) and (0, 0.5), and the lowest
+    sum of squares kept, when it does not converge, ends within 0.005 of the
+    bound, or ends within 0.1 of the common-factor line ar = -ma: there the
+    model is nearly white noise, the sum of squares is flat along the line,
+    and it has several minima."""
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 100:
         raise BenchmarkError(f"need at least 100 observations, got {n}")
     if np.std(y) == 0.0:
         raise BenchmarkError("constant series")
-    best = None
-    for x0 in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5)):
-        res = optimize.minimize(_arma11_nll, x0, args=(y,), jac=True,
-                                method="L-BFGS-B", bounds=[(-0.999, 0.999)] * 2)
-        if best is None or res.fun < best.fun:
-            best = res
-    phi, theta = best.x
+    p, sse, iterations, converged = _arma11_lm(y, _arma11_moments(y))
+    fallback = (not converged or np.abs(p[:2]).max() > _ARMA_BOUND - 0.005
+                or abs(p[0] + p[1]) < 0.1)
+    if fallback:
+        for start in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5)):
+            q, sse_q, its, _ = _arma11_lm(y, np.array([*start, y.mean()]))
+            iterations += its
+            if sse_q < sse:
+                p, sse = q, sse_q
+    phi, theta = float(p[0]), float(p[1])
     mu, sse, _ = _arma11_profiled(y, phi, theta)
-    boundary = bool(max(abs(phi), abs(theta)) > 0.995)
+    boundary = max(abs(phi), abs(theta)) > 0.995
     if boundary:
         warnings.warn("ARMA(1,1) estimate at the stationarity boundary")
-    return Arma11Fit("arma11", float(phi), float(theta), mu,
-                     sse / (n - 1), boundary)
+    return Arma11Fit("arma11", phi, theta, mu, sse / (n - 1), boundary,
+                     iterations, bool(fallback))
 
 
 def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.ndarray:
-    from scipy import signal
-
     y = np.asarray(history, dtype=float)
-    # innovations under the fitted parameters, from a zero one at the first row
+    # the last innovation under the fitted parameters, from a zero one at the
+    # first row: sum_j (-ma)^j u_{t-j}
     u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
-    e = signal.lfilter([1.0], [1.0, fit.ma], np.r_[0.0, u])
-    one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e[-1]
+    if fit.decay is None or fit.decay.size < u.size:
+        fit.decay = np.power(-fit.ma, np.arange(float(u.size)))
+    e = float(u[::-1] @ fit.decay[: u.size])
+    one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e
     return fit.mean + fit.ar ** np.arange(horizon) * (one - fit.mean)
 
 
@@ -283,25 +395,39 @@ def _fourier(day_index) -> np.ndarray:
     return np.column_stack([np.cos(ang), np.cos(2 * ang), np.sin(ang), np.sin(2 * ang)])
 
 
-def _wppt_matrix(panel: TurbinePanel, rows: np.ndarray, turbine: int, k) -> np.ndarray:
-    """The 9 regressors at origins ``rows`` for horizon k (a scalar, or one
-    horizon per row): intercept, power at t and t-1, speed at t+k (the
-    observed speed at t carried forward) and its square, and the diurnal
-    Fourier terms of the 10-minute slot at t+k."""
+# the Fourier regressors at each 10-minute slot of the day
+_FOURIER = _fourier(np.arange(144))
+
+
+def _wppt_regressors(panel: TurbinePanel, rows: np.ndarray, turbine: int):
+    """The horizon-free part of the regressors at origins ``rows``: the first
+    five columns (intercept, power at t and t-1, the speed at t, carried
+    forward to t+k, and its square) and the 10-minute slot of the day at t."""
     P = panel.power[:, turbine]
     w = panel.speed[rows, turbine]
-    day = ((panel.timestamps[rows] % 86400) // STEP_SECONDS + k) % 144
-    return np.column_stack([np.ones(rows.size), P[rows], P[rows - 1], w, w * w,
-                            _fourier(day)])
+    cols = np.column_stack([np.ones(rows.size), P[rows], P[rows - 1], w, w * w])
+    return cols, (panel.timestamps[rows] % 86400) // STEP_SECONDS
 
 
-def _wppt_data(panel: TurbinePanel, turbine: int, k: int, end_row: int | None):
-    """Regressors and horizon-k targets at every usable origin before end_row."""
+def _wppt_matrix(panel: TurbinePanel, rows: np.ndarray, turbine: int, k) -> np.ndarray:
+    """The 9 regressors at origins ``rows`` for horizon k (a scalar, or one
+    horizon per row): the horizon-free columns and the diurnal Fourier terms
+    of the 10-minute slot at t+k."""
+    cols, slot = _wppt_regressors(panel, rows, turbine)
+    return np.column_stack([cols, _FOURIER[(slot + k) % 144]])
+
+
+def _wppt_data(panel: TurbinePanel, turbine: int, k: int, end_row: int | None, base=None):
+    """Regressors and horizon-k targets at every usable origin before end_row.
+    ``base``, the turbine's ``_wppt_regressors`` at origins 1, 2, ... (at
+    least end_row - k - 1 of them), saves building them for each horizon."""
     end = panel.n if end_row is None else end_row
-    rows = np.arange(1, end - k)
-    if rows.size < 20:
+    m = end - k - 1
+    if m < 20:
         raise BenchmarkError("too few rows to fit")
-    return _wppt_matrix(panel, rows, turbine, k), panel.power[rows + k, turbine]
+    cols, slot = _wppt_regressors(panel, np.arange(1, end - k), turbine) if base is None else base
+    X = np.column_stack([cols[:m], _FOURIER[(slot[:m] + k) % 144]])
+    return X, panel.power[1 + k : end, turbine]
 
 
 @dataclass
@@ -313,9 +439,10 @@ class WpptFit:
 
 
 def fit_wppt(panel: TurbinePanel, turbine: int, k: int,
-             end_row: int | None = None) -> WpptFit:
-    """Per-horizon direct least squares on the 9-regressor power-curve model."""
-    X, y = _wppt_data(panel, turbine, k, end_row)
+             end_row: int | None = None, base=None) -> WpptFit:
+    """Per-horizon direct least squares on the 9-regressor power-curve model
+    (``base`` as in ``_wppt_data``)."""
+    X, y = _wppt_data(panel, turbine, k, end_row, base)
     coefs, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         raise BenchmarkError(f"rank-deficient regressor matrix (rank {rank})")
@@ -365,15 +492,15 @@ def _tobit_negloglik(params, X, y, lower, upper, is_left, is_right, is_mid):
 
 
 def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
-              upper: float = 1500.0, end_row: int | None = None) -> GwpptFit:
+              upper: float = 1500.0, end_row: int | None = None, base=None) -> GwpptFit:
     """Two-sided censored (Tobit) maximum likelihood on the power-curve
     regressor set: observations at or outside the power range are treated as
-    censored at the range bounds."""
+    censored at the range bounds (``base`` as in ``_wppt_data``)."""
     from scipy import optimize
 
     if not lower < upper:
         raise ValueError("need lower < upper")
-    X, y = _wppt_data(panel, turbine, k, end_row)
+    X, y = _wppt_data(panel, turbine, k, end_row, base)
     is_left = y <= lower
     is_right = y >= upper
     is_mid = ~(is_left | is_right)
@@ -529,21 +656,31 @@ class Arma11Model:
 
 class WpptModel:
     """Least-squares power curve per (turbine, horizon), each fitted on the
-    in-sample rows the first time a forecast asks for it."""
+    in-sample rows the first time a forecast asks for it. Each turbine's
+    horizon-free regressors are built once, at every in-sample origin, and
+    every horizon's fit reads its leading rows."""
 
     id = "wppt"
 
     def __init__(self):
         self.end_row = None
         self._cache: dict[tuple[int, int], WpptFit] = {}
+        self._bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def fit(self, panel, end_row):
         self.end_row = end_row
         self._cache.clear()
+        self._bases.clear()
         return self
 
+    def _base(self, panel, turbine):
+        if turbine not in self._bases:
+            end = panel.n if self.end_row is None else self.end_row
+            self._bases[turbine] = _wppt_regressors(panel, np.arange(1, end - 1), turbine)
+        return self._bases[turbine]
+
     def _fit_one(self, panel, turbine, k):
-        return fit_wppt(panel, turbine, k, self.end_row)
+        return fit_wppt(panel, turbine, k, self.end_row, self._base(panel, turbine))
 
     def _predict(self, latent, fits):
         return latent
@@ -573,7 +710,8 @@ class GwpptModel(WpptModel):
         self.lower, self.upper = lower, upper
 
     def _fit_one(self, panel, turbine, k):
-        return fit_gwppt(panel, turbine, k, self.lower, self.upper, self.end_row)
+        return fit_gwppt(panel, turbine, k, self.lower, self.upper, self.end_row,
+                         self._base(panel, turbine))
 
     def _predict(self, latent, fits):
         return censored_mean(latent, np.array([f.sigma for f in fits]),

@@ -139,31 +139,49 @@ def write_effective_config(cfg: dict, outdir: str) -> None:
 
 def model_config_from(cfg: dict) -> ModelConfig:
     m = cfg["model"]
+
+    def count(*keys: str) -> int:
+        value = m
+        for key in keys:
+            value = value[key]
+        return _integer(value, ".".join(("model",) + keys))
+
     band = m["own_long_band"]
-    sets = index_sets_from(int(m["own_short_max"]),
-                           None if band in (None, []) else (int(band[0]), int(band[1])),
-                           int(m["cross_max"]), _flag(cfg, "model", "time_varying"))
+    long_band = None if band in (None, []) else tuple(
+        _integer(b, "model.own_long_band") for b in (band[0], band[1]))
+    sets = index_sets_from(count("own_short_max"), long_band, count("cross_max"),
+                           _flag(cfg, "model", "time_varying"))
     return ModelConfig(
         sets=sets,
         threshold_policy=m["threshold_policy"],
-        diurnal=BSplineSpec(int(m["degree"]), 144.0, int(m["diurnal_basis"]),
+        diurnal=BSplineSpec(count("degree"), 144.0, count("diurnal_basis"),
                             strict_partition=True),
-        annual=BSplineSpec(int(m["degree"]), float(m["annual_season"]),
-                           int(m["annual_basis"])),
-        k_max=int(m["k_max"]),
+        annual=BSplineSpec(count("degree"), float(m["annual_season"]),
+                           count("annual_basis")),
+        k_max=count("k_max"),
         vol_floor_fraction=float(m["vol_floor_fraction"]),
-        min_rows=int(m["min_rows"]),
+        min_rows=count("min_rows"),
         lasso=LassoSettings(
-            grid_count=int(m["lasso"]["grid_count"]),
+            grid_count=count("lasso", "grid_count"),
             grid_ratio=float(m["lasso"]["grid_ratio"]),
             tol=float(m["lasso"]["tol"]),
-            max_sweeps=int(m["lasso"]["max_sweeps"]),
+            max_sweeps=count("lasso", "max_sweeps"),
         ),
     )
 
 
+def _integer(value, key: str) -> int:
+    """A YAML integer; an integral float such as 1000.0 counts as one. A bool
+    is refused, though Python counts it as an int, and so are fractions and
+    strings, which ``int`` would truncate or parse."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _positive(cfg: dict, section: str, key: str) -> int:
-    value = int(cfg[section][key])
+    value = _integer(cfg[section][key], f"{section}.{key}")
     if value < 1:
         raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
     return value
@@ -273,7 +291,8 @@ def cmd_analyze(cfg: dict, args) -> int:
         label, i = _analyze_turbine(cfg, panel)
         var = cfg["analyze"]["variable"]
         series = panel.speed[:, i] if var == "speed" else panel.power[:, i]
-        freqs, dens = smoothed_periodogram(series, int(cfg["analyze"]["span"]))
+        span = _integer(cfg["analyze"]["span"], "analyze.span")
+        freqs, dens = smoothed_periodogram(series, span)
         out = os.path.join(outdir, f"periodogram_{label}_{var}.csv")
         write_csv(out, ["frequency", "density"], zip(freqs, dens))
     elif what == "profiles":
@@ -319,7 +338,7 @@ def cmd_forecast(cfg: dict, args) -> int:
     model = load_model(args.model)
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     fcfg = cfg["forecast"]
-    origin, n = int(fcfg["origin"]), panel.n
+    origin, n = _integer(fcfg["origin"], "forecast.origin"), panel.n
     if not -n <= origin < n:
         raise ConfigError(f"forecast.origin must lie in [{-n}, {n}) for this panel, "
                           f"got {origin}")
@@ -354,7 +373,7 @@ def cmd_backtest(cfg: dict, args) -> int:
         raise ConfigError(f"backtest.{exc}") from None
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     report = run_backtest(panel, spec, lasso_config=model_config_from(cfg),
-                          workers=int(cfg["workers"]))
+                          workers=_integer(cfg["workers"], "workers"))
     files = write_report(report, cfg["output_dir"])
     print("wrote " + ", ".join(files))
     return 0

@@ -42,6 +42,7 @@ applies the regressors the fit's designs were built from.
 from __future__ import annotations
 
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +240,11 @@ class _Engine:
         out the shocks E and Ep (filtering). Otherwise ``shocks(s, sv, pv)``
         gives step ``s``'s speed and power shocks from its volatilities, or
         ``shocks`` is None: zero shocks, and the volatilities, which nothing
-        then reads, are not stepped. ``check`` raises once a speed or power
-        value leaves +-1e9.
+        then reads, are not stepped. ``check`` raises if a speed or power
+        value leaves +-1e9 or is not finite, naming the first such step. It
+        reads each block's steps once the block is done (blocks are then at
+        most the state's length), and overflow inside a block raises no
+        warning.
         """
         _, T, d, paths = state.shape
         flat = state.reshape(-1, paths)
@@ -263,6 +267,8 @@ class _Engine:
         else:
             basis = self.basis_rows(timestamps, kinds)
             block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
+        if check:
+            block = min(block, T)
         apply = [st.bind(flat) for st in stages]
         vol = np.empty((2, d, paths))
         vol_rows = vol.reshape(2 * d, paths)
@@ -278,31 +284,35 @@ class _Engine:
                 coefs = [np.broadcast_to(st.coef, (steps,) + st.coef.shape) for st in stages]
             else:
                 coefs = [st.fold(basis, b0, steps) for st in stages]
-            for k in range(steps):
-                s = b0 + k
-                now = at[(first + s) % T]
-                if per_path:
-                    tvs = [None if f is None else f.take(inverse[s], axis=1)
-                           for f in folded]
-                if step_vol:
-                    apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
-                    np.maximum(vol, self.floors, out=now[_SV:])
-                if shocks is not None:
-                    zs, zp = shocks(s, now[_SV], now[_PV])
-                for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
-                    if observed:
-                        apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
-                        np.subtract(now[y], fitted, out=now[e])
-                    else:
-                        value = now[y]
-                        apply[n](rows[n][k], coefs[n][k], value, tvs[n])
-                        now[e] = z
-                        if shocks is not None:
-                            value += z
-                if out is not None:
-                    out[:, s] = now[_W:_P + 1]
-                if check and np.abs(now[_W:_P + 1]).max() > 1e9:
-                    raise ForecastError(f"unstable recursion at step {s}")
+            with np.errstate(over="ignore", invalid="ignore") if check else nullcontext():
+                for k in range(steps):
+                    s = b0 + k
+                    now = at[(first + s) % T]
+                    if per_path:
+                        tvs = [None if f is None else f.take(inverse[s], axis=1)
+                               for f in folded]
+                    if step_vol:
+                        apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
+                        np.maximum(vol, self.floors, out=now[_SV:])
+                    if shocks is not None:
+                        zs, zp = shocks(s, now[_SV], now[_PV])
+                    for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
+                        if observed:
+                            apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
+                            np.subtract(now[y], fitted, out=now[e])
+                        else:
+                            value = now[y]
+                            apply[n](rows[n][k], coefs[n][k], value, tvs[n])
+                            now[e] = z
+                            if shocks is not None:
+                                value += z
+                    if out is not None:
+                        out[:, s] = now[_W:_P + 1]
+            if check:
+                wp = at[(first + b0 + np.arange(steps)) % T, _W:_P + 1]
+                bad = ~(np.abs(wp) <= 1e9).reshape(steps, -1).all(axis=1)
+                if bad.any():
+                    raise ForecastError(f"unstable recursion at step {b0 + int(bad.argmax())}")
 
 
 def check_seed(seed) -> int:

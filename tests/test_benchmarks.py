@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, signal
 
 from parkcast.benchmarks import (
     BENCHMARKS,
     Arma11Fit,
     BenchmarkError,
     VarFit,
-    _arma11_nll,
+    _SCAN,
+    _arma11_derivatives,
+    _arma11_innovations,
     _arma11_profiled,
     _autocov,
+    _recurse,
     _yw_solve,
     _yw_system,
     arma11_forecast,
@@ -286,14 +289,70 @@ class TestArma11:
         np.testing.assert_allclose(got, arma_recursion(fit, [14.5], 288), rtol=1e-12)
         assert got[0] == pytest.approx(12.0 + 0.93 * 2.5, rel=1e-15)
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.5, 0.999, -0.999])
+    @pytest.mark.parametrize("n", [1, _SCAN - 1, _SCAN, _SCAN + 1, 4000])
+    def test_recursion_matches_lfilter(self, c, n):
+        x = np.random.default_rng(n).standard_normal((3, n)) + 50.0
+        want = signal.lfilter([1.0], [1.0, c], x)
+        for got, ref in ((_recurse(x, c), want), (_recurse(x[1], c), want[1])):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("phi, theta", [(0.3, -0.4), (0.8, 0.2), (-0.5, 0.6),
                                             (0.95, -0.9)])
-    def test_gradient_matches_finite_differences(self, phi, theta):
+    def test_derivatives_match_finite_differences(self, phi, theta):
+        # the Jacobian of the innovations, and the Hessian J J' + S of e'e / 2
+        # against central differences of the innovations and of J e
         y = arma_series(0.7, -0.4)
-        x = np.array([phi, theta])
-        _, grad = _arma11_nll(x, y)
-        fd = optimize.approx_fprime(x, lambda v: _arma11_nll(v, y)[0])
-        np.testing.assert_allclose(grad, fd, rtol=1e-5)
+        p = np.array([phi, theta, 5.2])
+        J, S = _arma11_derivatives(y, p, _arma11_innovations(y, p))
+        h = 1e-6 * np.eye(3)
+
+        def grad(q):
+            e = _arma11_innovations(y, q)
+            return _arma11_derivatives(y, q, e)[0] @ e
+
+        fd_jac = np.stack([_arma11_innovations(y, p + h[k]) - _arma11_innovations(y, p - h[k])
+                           for k in range(3)]) / 2e-6
+        fd_hess = np.stack([grad(p + h[k]) - grad(p - h[k]) for k in range(3)]) / 2e-6
+        np.testing.assert_allclose(J, fd_jac, rtol=1e-5, atol=1e-6 * np.abs(J).max())
+        np.testing.assert_allclose(J @ J.T + S, fd_hess, rtol=1e-5)
+
+    @pytest.mark.parametrize("ar, ma", [(0.0, 0.0), (0.5, -0.49)])
+    def test_near_white_noise_takes_the_fallback(self, ar, ma):
+        # white noise, and an ARMA(1,1) whose factors nearly cancel: the sum
+        # of squares is flat along ar = -ma, so the three fixed starts run too
+        y = arma_series(ar, ma)
+        n1 = y.size - 1
+        fit = fit_arma11_mle(y)
+        assert fit.fallback
+        assert abs(fit.ar + fit.ma) < 0.1
+        ref = lbfgsb_reference(y)
+        assert n1 * np.log(fit.sigma2) <= ref.fun
+
+    def test_fit_stops_early_away_from_the_common_factor(self):
+        y = arma_series(0.9, 0.3)
+        fit = fit_arma11_mle(y)
+        assert not fit.fallback
+        assert fit.iterations <= 10
+
+    def test_random_walk_fit_at_the_bound(self):
+        y = np.cumsum(np.random.default_rng(5).standard_normal(3000))
+        with pytest.warns(UserWarning, match="stationarity boundary"):
+            fit = fit_arma11_mle(y)
+        assert fit.fallback and fit.boundary
+        assert fit.ar == pytest.approx(0.999, abs=1e-12)
+        # both end at the same point on the bound, equal up to rounding
+        ref = lbfgsb_reference(y)
+        assert (y.size - 1) * np.log(fit.sigma2) <= ref.fun + 1e-9
+
+    def test_forecast_reads_a_longer_history_after_a_shorter_one(self):
+        # the decay powers kept on the fit grow with the history
+        fit = Arma11Fit("arma11", 0.8, -0.6, 12.0, 1.0)
+        y = np.random.default_rng(10).standard_normal(400) + 12.0
+        for rows in (50, 400, 120):
+            np.testing.assert_allclose(arma11_forecast(fit, y[-rows:], 24),
+                                       arma_recursion(fit, y[-rows:], 24), rtol=1e-12)
 
     @pytest.mark.parametrize("ar, ma", [(0.7, -0.4), (0.9, 0.3)])
     def test_fit_matches_finite_difference_fit(self, ar, ma):
@@ -312,6 +371,24 @@ class TestArma11:
         np.testing.assert_allclose([fit.ar, fit.ma, fit.mean],
                                    [*ref.x, _arma11_profiled(y, *ref.x)[0]],
                                    rtol=0, atol=1e-6)
+
+
+def lbfgsb_reference(y):
+    """The profiled likelihood minimized by L-BFGS-B from three starts on its
+    exact gradient, the (ar, ma) derivatives through scipy.signal.lfilter."""
+    n1 = y.size - 1
+
+    def nll(params):
+        phi, theta = params
+        mu, sse, e = _arma11_profiled(y, phi, theta)
+        de = signal.lfilter([1.0], [1.0, theta],
+                            np.stack([mu - y[:-1], np.concatenate(([0.0], -e[:-1]))]))
+        return n1 * np.log(sse / n1), 2.0 * n1 / sse * (de @ e)
+
+    return min((optimize.minimize(nll, x0, jac=True, method="L-BFGS-B",
+                                  bounds=[(-0.999, 0.999)] * 2)
+                for x0 in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5))),
+               key=lambda res: res.fun)
 
 
 def arma_recursion(fit, y, horizon):

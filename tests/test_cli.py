@@ -67,6 +67,15 @@ def forecast_at(workdir, fitted, origin):
                "--model", str(fitted / "model.txt"), "--out-dir", "out")
 
 
+def test_integral_float_size_is_an_integer():
+    cfg = deepcopy(DEFAULT_CONFIG)
+    want = model_config_from(cfg)
+    cfg["model"]["min_rows"] = 5000.0
+    cfg["model"]["own_long_band"] = [140.0, 150]
+    got = model_config_from(cfg)
+    assert got == want and type(got.min_rows) is int
+
+
 def test_default_model_config_matches_library_defaults():
     # the CLI schema restates ModelConfig's, LassoSettings' and
     # index_sets_from's defaults; the two declarations must not drift apart
@@ -298,6 +307,30 @@ class TestExitCodes:
         assert run("simulate", "seed.yaml", "--out-dir", "out") == 2
         err = capsys.readouterr().err
         assert "error: config: seed must be an integer in [0, 2**64), got True" in err
+
+    @pytest.mark.parametrize("command, keys, value", [
+        ("forecast", ("forecast", "horizon"), True),  # would run a horizon of 1
+        ("forecast", ("forecast", "n_paths"), 150.7),  # would run 150 paths
+        ("fit", ("model", "k_max"), True),
+        ("fit", ("model", "lasso", "grid_count"), 20.5),
+        ("backtest", ("workers",), True),
+        ("simulate", ("simulate", "n"), "2500"),
+    ])
+    def test_non_integer_size_is_config_error(self, workdir, capsys, fitted,
+                                              command, keys, value):
+        cfg = yaml.safe_load(CONFIG)
+        section = cfg
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        (workdir / "size.yaml").write_text(yaml.safe_dump(cfg))
+        panel = str(fitted / "panel.csv")
+        extra = {"fit": ["--panel", panel], "backtest": ["--panel", panel], "simulate": [],
+                 "forecast": ["--panel", panel, "--model", str(fitted / "model.txt")]}
+        assert run(command, "size.yaml", "--out-dir", "out", *extra[command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: {'.'.join(keys)} must be an integer, got {value!r}" in err
+        assert os.listdir(workdir / "out") == ["effective-config.yaml"]
 
     @pytest.mark.parametrize("origin", [2500, 99999, -2501, -99999])
     def test_origin_outside_panel_is_config_error(self, workdir, capsys, fitted, origin):

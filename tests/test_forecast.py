@@ -276,6 +276,16 @@ class TestSimulate:
                                    burn_in=0)
         assert np.abs(panel.speed).max() <= 1e9
 
+    @pytest.mark.parametrize("speed_ar, intercept, step", [
+        (1e200, 5.0, 1),  # overflows to inf, then NaN, later in the same block
+        (0.5, float("nan"), 0),  # never leaves +-1e9, but is not finite
+    ])
+    def test_non_finite_values_are_unstable(self, speed_ar, intercept, step):
+        terms = const_model_terms(speed_ar=speed_ar, intercept=intercept)
+        with pytest.raises(ForecastError, match=f"unstable recursion at step {step}$"):
+            simulate_synthetic(tiny_config(), terms, n=400, seed=3, labels=("A",),
+                               burn_in=0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2 ** 64, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ForecastError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
