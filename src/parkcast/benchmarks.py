@@ -301,8 +301,16 @@ def _arma11_lm(y: np.ndarray, p: np.ndarray, max_iter: int = 50):
     90 iterations on white noise, against ten). A step that does not lower
     e'e is retried with lam ten times larger; an accepted one divides lam by
     ten. The run converges when a step moves no coordinate by more than
-    1e-10 relative, or when no damping finds a lower e'e. Returns
-    (p, sse, iterations, converged)."""
+    1e-10 relative, when no damping finds a lower e'e, or when e'e is at
+    rounding level, (16 eps)^2 y'y: the model fits the series exactly.
+    Near such a fit, once e'e is below sqrt(eps) times the sum of squares
+    about the mean, the step leaves S out: theta is then all but
+    unidentified, S's O(e) entries swamp J J''s O(e^2) one for theta, and
+    the exact step only halves e per iteration, where Gauss-Newton
+    converges quadratically. Returns (p, sse, iterations, converged)."""
+    eps = np.finfo(float).eps
+    floor = (16.0 * eps) ** 2 * float(y @ y)  # e'e at rounding level
+    exact = np.sqrt(eps) * y.size * float(np.var(y))  # below it, S is left out
     e = _arma11_innovations(y, p)
     sse, lam = float(e @ e), 0.1
     for it in range(1, max_iter + 1):
@@ -310,7 +318,8 @@ def _arma11_lm(y: np.ndarray, p: np.ndarray, max_iter: int = 50):
         G = J @ J.T
         g = J @ e
         free = ~(((p <= _ARMA_LOWER) & (g > 0)) | ((p >= -_ARMA_LOWER) & (g < 0)))
-        H, D = (G + S)[np.ix_(free, free)], np.diag(np.diag(G)[free])
+        H = G + S if sse > exact else G
+        H, D = H[np.ix_(free, free)], np.diag(np.diag(G)[free])
         while lam <= 1e10:
             q = p.copy()
             try:
@@ -328,7 +337,7 @@ def _arma11_lm(y: np.ndarray, p: np.ndarray, max_iter: int = 50):
             return p, sse, it, True
         moved = float(np.max(np.abs(q - p) / (1.0 + np.abs(p))))
         p, e, sse, lam = q, e_q, sse_q, max(lam / 10.0, 1e-12)
-        if moved <= 1e-10:
+        if moved <= 1e-10 or sse <= floor:
             return p, sse, it, True
     return p, sse, max_iter, False
 

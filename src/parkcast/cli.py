@@ -258,6 +258,14 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
+def _choice(cfg: dict, key: str, choices: tuple[str, ...]) -> str:
+    """``analyze.<key>``, which must be one of ``choices``."""
+    value = cfg["analyze"][key]
+    if value not in choices:
+        raise ConfigError(f"analyze.{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
 def _analyze_turbine(cfg, panel) -> tuple[str, int]:
     label = cfg["analyze"]["turbine"] or panel.labels[0]
     if label not in panel.labels:
@@ -268,9 +276,7 @@ def _analyze_turbine(cfg, panel) -> tuple[str, int]:
 
 def _analyze_design(cfg, panel, outdir) -> str:
     config = model_config_from(cfg)
-    equation = cfg["analyze"]["equation"]
-    if equation not in EQUATIONS:
-        raise ConfigError(f"analyze.equation must be one of {', '.join(EQUATIONS)}")
+    equation = _choice(cfg, "equation", tuple(EQUATIONS))
     label, i = _analyze_turbine(cfg, panel)
     _, bases, thresholds = design_inputs(panel, config)
     ones = np.ones((panel.n, panel.d))
@@ -285,11 +291,11 @@ def _analyze_design(cfg, panel, outdir) -> str:
 
 def cmd_analyze(cfg: dict, args) -> int:
     what = args.what or cfg["analyze"]["what"]
-    panel = _read_panel(args.panel, cfg)
+    panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     outdir = cfg["output_dir"]
     if what == "periodogram":
         label, i = _analyze_turbine(cfg, panel)
-        var = cfg["analyze"]["variable"]
+        var = _choice(cfg, "variable", ("speed", "power"))
         series = panel.speed[:, i] if var == "speed" else panel.power[:, i]
         span = _integer(cfg["analyze"]["span"], "analyze.span")
         freqs, dens = smoothed_periodogram(series, span)
@@ -305,7 +311,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         out = _analyze_design(cfg, panel, outdir)
     elif what == "basis":
         config = model_config_from(cfg)
-        kind = cfg["analyze"]["basis_kind"]
+        kind = _choice(cfg, "basis_kind", ("cumulative", "plain"))
         _, bases = calendar_bases(panel, config, (kind,))
         bs = bases[kind]
         out = os.path.join(outdir, f"basis_{kind}.csv")

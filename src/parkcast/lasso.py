@@ -36,7 +36,8 @@ _CHECK_EVERY = 16  # segments a path walk records between checks of their grid p
 
 
 class DegenerateGridError(ValueError):
-    """No usable penalty grid (e.g. all-zero response)."""
+    """No usable penalty grid (e.g. all-zero response); ``fit_path_bic`` fits
+    such a problem at lambda = 0 instead."""
 
 
 class LassoConvergenceWarning(UserWarning):
@@ -479,7 +480,8 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     belong to its segment, whose (q0, dq, w, v, support, signs, knot count)
     is recorded. Every ``_CHECK_EVERY`` segments, and once the walk stops,
     ``_check`` checks the recorded penalties in one pass; the walk stops at the
-    first that fails, which goes to ``_solve``."""
+    first that fails, which goes to ``_solve``. A problem with no usable column
+    has no path to walk: ``_solve`` fills its grid."""
     G, c, half, fixed = work.G, work.c, 0.5 * work.pen_scale, work.sign_fixed
     nonneg, nlam, k, na = work.problem.nonnegative, lambdas.size, work.c.size, active.size
     # the support, its signs and [c_A, pen_A s_A / 2]; a column enters at the end
@@ -492,7 +494,7 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     rising, chol = (-lambdas).tolist(), _cholesky(work.gram(active))
     crossed, at_knot = 0, False  # knots since the last grid penalty; whether lam is one
     segs, end = [], li  # the segments holding grid penalties; the grid index they reach
-    while end < nlam and chol is not None and crossed <= cap:
+    while k and end < nlam and chol is not None and crossed <= cap:
         active, s = act[:na], sg[:na]
         sol = lapack.dpotrs(chol, rhs[:na])[0] if na else rhs[:0]
         (w, v), qd = sol.T, sol.T @ G[active]  # rows = columns: G is symmetric
@@ -551,16 +553,22 @@ def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -
     breaking ties toward the larger penalty (sparser model). ``_walk`` starts
     above the grid with the unpenalized columns active; after a degenerate
     knot ``_solve`` takes the next grid penalty from the last grid point, and
-    the walk restarts from its support if it converged."""
+    the walk restarts from its support if it converged. Where no penalized
+    column carries signal (``DegenerateGridError``) the grid is the one point
+    lambda = 0, which the walk reaches at once with the penalized columns
+    held out: the least-squares fit on the unpenalized columns."""
     settings = settings or LassoSettings()
     tol, work = settings.tol, _Work(problem)
-    lambdas = _grid(work, settings.grid_count, settings.grid_ratio)
+    blocked = np.zeros(work.cols.size, dtype=bool)  # refused as dependent on the support
+    try:
+        lambdas = _grid(work, settings.grid_count, settings.grid_ratio)
+    except DegenerateGridError:
+        lambdas, blocked = np.zeros(1), work.pen_scale > 0.0
     nlam = lambdas.size
     path, rss = np.zeros((nlam, work.cols.size)), np.empty(nlam)  # path on the standardized scale
     sweeps, converged = np.ones(nlam, dtype=int), np.ones(nlam, dtype=bool)
     active = np.flatnonzero(work.pen_scale == 0.0)
     lam, s, li = np.inf, np.ones(active.size), 0
-    blocked = np.zeros(work.cols.size, dtype=bool)  # refused as dependent on the support
     while True:
         if li == 0 or converged[li - 1]:
             li = _walk(work, lambdas, li, lam, active, s, blocked, path, rss, sweeps, tol,
@@ -572,7 +580,9 @@ def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -
         path[li], li, active = b, li + 1, b.nonzero()[0]
         s = np.ones(active.size) if problem.nonnegative else np.sign(b[active])
     m = problem.m
-    zero = rss <= 1e-20 * max(work.yy, 1.0)
+    # zero at the Gram's precision: y'Wy - c_A'w rounds by up to m eps y'Wy, the
+    # worst case of the m-term sums behind both (a y'Wy below 1 counts as 1)
+    zero = rss <= m * np.finfo(float).eps * max(work.yy, 1.0)
     df = np.count_nonzero(path, axis=1)
     bic_path = np.where(zero, -np.inf, m * np.log(np.maximum(rss, 1e-300) / m) + df * np.log(m))
     selected = int(np.argmin(bic_path))  # first occurrence = largest lambda

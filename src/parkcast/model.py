@@ -37,16 +37,9 @@ from .design import (
     compute_threshold_set,
     default_index_sets,
 )
-from .lasso import (
-    DegenerateGridError,
-    LassoFit,
-    LassoProblem,
-    LassoSettings,
-    coordinate_descent,
-    fit_path_bic,
-    objective_value,
-    weighted_bic,
-)
+from .lasso import LassoFit, LassoProblem, LassoSettings, fit_path_bic
+# unused here; perfbench's tracer wraps these two by name on this module
+from .lasso import coordinate_descent, weighted_bic  # noqa: F401
 from .panel import CalendarIndex, TurbinePanel
 
 
@@ -123,37 +116,6 @@ def volatility_proxy(fitted_abs_values: np.ndarray, floor_fraction: float):
         raise ModelFitError("degenerate volatility: no positive fitted values")
     floor = floor_fraction * float(np.median(positive))
     return np.maximum(fitted, floor), floor
-
-
-def _fit_equation(equation: str, i: int, problem: LassoProblem,
-                  settings: LassoSettings) -> LassoFit:
-    try:
-        fit = fit_path_bic(problem, settings)
-    except DegenerateGridError:
-        # nothing penalizable explains the response (e.g. constant panel):
-        # keep the penalized coefficients at zero and fit the intercept side
-        coef = np.zeros(problem.p)
-        unpen = np.flatnonzero(~problem.penalize_mask)
-        if unpen.size:
-            sub = LassoProblem(problem.response, problem.design[:, unpen],
-                               weights=problem.weights,
-                               nonnegative=problem.nonnegative)
-            coef[unpen] = coordinate_descent(sub, 0.0, tol=settings.tol,
-                                             max_sweeps=settings.max_sweeps)
-        bic, flag = weighted_bic(problem, coef)
-        fit = LassoFit(
-            lambdas=np.array([0.0]),
-            coef_path=coef[None, :],
-            bic_path=np.array([bic]),
-            selected_index=0,
-            sweeps=np.array([1]),  # the zero or lambda = 0 solve counts as one check
-            converged=np.array([True]),
-            objective=objective_value(problem, coef, 0.0),
-            zero_rss=flag,
-        )
-    if fit.zero_rss:
-        warnings.warn(f"{equation}[{i}]: zero residual sum of squares (degenerate fit)")
-    return fit
 
 
 def _proxy_or_unit(equation: str, i: int, fitted: np.ndarray, config: ModelConfig):
@@ -235,8 +197,9 @@ def fit_joint_model(panel: TurbinePanel, config: ModelConfig | None = None) -> F
                                     nonnegative=not mean,
                                     penalize_mask=np.array([(c.family, c.basis_index) != const
                                                             for c in dm.columns]))
-                fit = _fit_equation(eq, i, prob, config.lasso)
-                fits[(eq, i)] = fit
+                fit = fits[(eq, i)] = fit_path_bic(prob, config.lasso)
+                if fit.zero_rss:
+                    warnings.warn(f"{eq}[{i}]: zero residual sum of squares (degenerate fit)")
                 terms[(eq, i)] = [replace(c, value=float(v))
                                   for c, v in zip(dm.columns, fit.coefficients) if v != 0.0]
                 if mean:

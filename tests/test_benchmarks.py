@@ -336,6 +336,16 @@ class TestArma11:
         assert not fit.fallback
         assert fit.iterations <= 10
 
+    @pytest.mark.parametrize("y, ar", [(0.5 ** np.arange(200.0), 0.5),
+                                       (100 * 0.9 ** np.arange(500.0) + 1, 0.9)],
+                             ids=["decay", "offset-decay"])
+    def test_exact_fit_stops_early(self, y, ar):
+        # an exact AR(1): the sum of squares falls to rounding level, where
+        # the runs used to take all 4 x 50 iterations
+        fit = fit_arma11_mle(y)
+        assert not fit.fallback and fit.iterations <= 20
+        assert fit.ar == pytest.approx(ar, abs=1e-8)
+
     def test_random_walk_fit_at_the_bound(self):
         y = np.cumsum(np.random.default_rng(5).standard_normal(3000))
         with pytest.warns(UserWarning, match="stationarity boundary"):

@@ -171,6 +171,39 @@ class TestPipeline:
         assert ("error: config: analyze.turbine 'ZZ' is not in the panel; "
                 "its turbines are A") in err
 
+    def test_analyze_fills_gaps(self, workdir):
+        # as fit, forecast and backtest do: every output equals that of the
+        # gap-filled panel, with no NaN from the 5 missing speed cells; one
+        # year of rows, which the seasonal profiles need
+        t = np.arange(52_560)
+        speed = 6.0 + 2.0 * np.sin(2 * np.pi * t / 144) + np.sin(2 * np.pi * t / 52_560)
+        rows = [f"{1288569600 + 600 * k},{s:.4f},{20 * s:.3f}" for k, s in zip(t, speed)]
+        for row in (40, 41, 700, 701, 30_000):
+            rows[row] = rows[row].split(",")[0] + ",," + rows[row].split(",")[2]
+        (workdir / "gaps.csv").write_text("ts,A_speed,A_power\n" + "\n".join(rows) + "\n")
+        assert run("ingest", "cfg.yaml", "--input", "gaps.csv", "--out-dir", "filled") == 0
+        for what in ("periodogram", "profiles", "design"):
+            for panel, out in (("gaps.csv", "a"), ("filled/panel.csv", "b")):
+                assert run("analyze", "cfg.yaml", "--panel", panel, "--out-dir", out,
+                           "--what", what) == 0
+        for name in ("periodogram_A_speed.csv", "profiles.csv", "design_speed_mean_A.csv"):
+            assert Path("a", name).read_text() == Path("b", name).read_text()
+        assert "nan" not in Path("a/periodogram_A_speed.csv").read_text()
+        assert "nan" not in Path("a/profiles.csv").read_text()
+
+    @pytest.mark.parametrize("what, key, value, choices", [
+        ("periodogram", "variable", "wind", "speed, power"),
+        ("basis", "basis_kind", "spline", "cumulative, plain"),
+    ])
+    def test_analyze_unknown_choice(self, workdir, capsys, what, key, value, choices):
+        run("simulate", "cfg.yaml", "--out-dir", "out", "--seed", "1")
+        (workdir / "choice.yaml").write_text(CONFIG + f"  {key}: {value}\n")
+        assert run("analyze", "choice.yaml", "--panel", "out/panel.csv",
+                   "--out-dir", "an", "--what", what) == 2
+        err = capsys.readouterr().err
+        assert f"error: config: analyze.{key} must be one of {choices}, got {value!r}" in err
+        assert os.listdir("an") == ["effective-config.yaml"]
+
     def test_fit_infers_turbines_from_a_quoted_header(self, workdir, fitted):
         lines = (fitted / "panel.csv").read_text().splitlines()
         lines[0] = ",".join(f'"{name}"' for name in lines[0].split(","))

@@ -490,6 +490,77 @@ class TestPathSegments:
             objective_value(prob, fit.coefficients, fit.selected_lambda), rel=1e-10)
 
 
+class TestDegenerateGrid:
+    """No penalized column carries signal: ``lambda_grid`` raises, and
+    ``fit_path_bic`` fits the one-point grid lambda = 0 on the path, with the
+    penalized coefficients at zero."""
+
+    def fit(self, prob, monkeypatch, solves=0):
+        calls = []
+        solve = lasso._solve
+        monkeypatch.setattr(lasso, "_solve", lambda *a: calls.append(1) or solve(*a))
+        fit = fit_path_bic(prob)
+        assert len(calls) == solves
+        assert fit.lambdas.tolist() == [0.0] and fit.selected_index == 0
+        assert fit.sweeps.tolist() == [1] and fit.converged.all()
+        assert np.all(fit.coefficients[prob.penalize_mask] == 0.0)
+        assert np.isfinite(fit.kkt_max) and fit.kkt_max <= LassoSettings().tol
+        return fit
+
+    def check_objective_and_bic(self, prob, fit):
+        assert fit.objective == pytest.approx(
+            objective_value(prob, fit.coefficients, 0.0), rel=1e-12)
+        bic, zero = weighted_bic(prob, fit.coefficients)
+        assert fit.bic_path[0] == pytest.approx(bic, rel=1e-12) and not zero
+        assert not fit.zero_rss
+
+    def test_weighted_response_with_zero_penalized_columns(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        X = np.column_stack([np.ones(80), np.zeros((80, 3))])
+        prob = LassoProblem(3.0 + rng.standard_normal(80), X,
+                            weights=rng.uniform(0.5, 2.0, 80),
+                            penalize_mask=np.array([False, True, True, True]))
+        fit = self.fit(prob, monkeypatch)  # the walk reaches lambda = 0 at once
+        assert fit.coefficients[0] == pytest.approx(
+            np.average(prob.response, weights=prob.weights), rel=1e-12)
+        self.check_objective_and_bic(prob, fit)
+
+    @pytest.mark.parametrize("sign, solves", [(1.0, 0), (-1.0, 1)])
+    def test_nonnegative_response(self, monkeypatch, sign, solves):
+        # a negative least-squares intercept fails the walk's sign check, and
+        # the active-set solve holds it at zero
+        y = sign * (1.0 + np.abs(np.random.default_rng(71).standard_normal(80)))
+        prob = LassoProblem(y, np.column_stack([np.ones(80), np.zeros((80, 2))]),
+                            nonnegative=True, penalize_mask=np.array([False, True, True]))
+        fit = self.fit(prob, monkeypatch, solves)
+        assert fit.coefficients[0] == pytest.approx(max(y.mean(), 0.0), rel=1e-12)
+        self.check_objective_and_bic(prob, fit)
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    def test_all_zero_design(self, monkeypatch, nonneg):
+        rng = np.random.default_rng(72)
+        prob = LassoProblem(np.abs(rng.standard_normal(40)), np.zeros((40, 3)),
+                            weights=rng.uniform(0.5, 2.0, 40), nonnegative=nonneg,
+                            penalize_mask=np.array([False, True, True]))
+        fit = self.fit(prob, monkeypatch, solves=1)  # no usable column: no walk
+        assert np.all(fit.coef_path == 0.0) and fit.kkt_max == 0.0
+        self.check_objective_and_bic(prob, fit)
+
+    def test_constant_response_at_large_offset_has_zero_rss(self, monkeypatch):
+        # y'Wy - c_A'w rounds far above 1e-20 y'Wy here; zero is judged at
+        # the Gram's precision, m eps y'Wy
+        rng = np.random.default_rng(73)
+        m = 5000
+        X = np.column_stack([np.ones(m), rng.standard_normal((m, 3))])
+        prob = LassoProblem(np.full(m, 987.6), X,
+                            penalize_mask=np.array([False, True, True, True]))
+        fit = self.fit(prob, monkeypatch)
+        yy = m * 987.6 ** 2
+        assert fit.zero_rss and fit.bic_path[0] == -np.inf
+        assert abs(fit.objective) <= m * np.finfo(float).eps * yy
+        assert fit.coefficients[0] == pytest.approx(987.6, rel=1e-12)
+
+
 class TestGramSetup:
     def test_duplicates_and_constants_collapse_to_first(self):
         rng = np.random.default_rng(50)

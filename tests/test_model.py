@@ -21,7 +21,6 @@ from parkcast.lasso import LassoProblem, LassoSettings, fit_path_bic, objective_
 from parkcast.model import (
     ModelConfig,
     ModelFitError,
-    _fit_equation,
     compute_residuals,
     fit_joint_model,
     load_model,
@@ -135,28 +134,54 @@ class TestFitJointModel:
         power = np.full((n, 1), 50.0)
         panel = TurbinePanel(ts, speed, power, ("A",),
                              np.zeros((n, 1), bool), np.zeros((n, 1), bool))
-        with pytest.warns(UserWarning, match="zero residual"), \
-                pytest.warns(UserWarning, match=r"speed_vol\[0\]: degenerate volatility"):
+        with pytest.warns(UserWarning) as record:
             model = fit_joint_model(panel, tiny_config(k_max=1))
-        fit = model.fits[("speed_mean", 0)]
-        nz = np.flatnonzero(fit.coefficients)
+        messages = {str(w.message) for w in record}
+        for eq in ("speed_mean", "power_mean"):
+            assert f"{eq}[0]: zero residual sum of squares (degenerate fit)" in messages
+            assert model.fits[(eq, 0)].zero_rss
+        assert "speed_vol[0]: degenerate volatility, using unit proxy" in messages
         # only unpenalized/basis intercept columns survive
         cols = model.terms[("speed_mean", 0)]
         assert all(t.family == "const" for t in cols)
 
     def test_degenerate_grid_fallback_reports_objective(self):
         # the only penalized column is zero, so there is no penalty grid:
-        # the fallback fits the unpenalized intercept at lambda = 0
+        # the path is the one point lambda = 0, the unpenalized intercept's fit
         rng = np.random.default_rng(3)
         y = 2.0 + rng.standard_normal(50)
         X = np.column_stack([np.ones(50), np.zeros(50)])
         prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 50),
                             penalize_mask=np.array([False, True]))
-        fit = _fit_equation("speed_mean", 0, prob, LassoSettings())
+        fit = fit_path_bic(prob, LassoSettings())
         assert fit.lambdas.tolist() == [0.0] and fit.sweeps[0] >= 1
         assert fit.coefficients[0] == pytest.approx(np.average(y, weights=prob.weights))
         assert fit.objective == objective_value(prob, fit.coefficients, 0.0)
         assert fit.objective > 0.0
+
+    def test_one_path_per_equation_and_no_other_solver(self, monkeypatch):
+        # a constant panel has degenerate grids; those too are fitted on the path
+        n, calls = 400, []
+
+        def path(problem, settings):
+            calls.append(problem.nonnegative)
+            return fit_path_bic(problem, settings)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a lasso solver other than fit_path_bic ran")
+
+        monkeypatch.setattr(model_module, "fit_path_bic", path)
+        for name in ("coordinate_descent", "weighted_bic", "objective_value"):
+            monkeypatch.setattr(lasso, name, refuse)
+            monkeypatch.setattr(model_module, name, refuse, raising=False)
+        ts = 1288569600 + 600 * np.arange(n)
+        panel = TurbinePanel(ts, np.full((n, 2), 5.0), np.full((n, 2), 50.0), ("A", "B"),
+                             np.zeros((n, 2), bool), np.zeros((n, 2), bool))
+        with pytest.warns(UserWarning):
+            model = fit_joint_model(panel, tiny_config(k_max=2))
+        # per pass: two mean equations, then two volatility equations, per turbine
+        assert calls == 2 * ([False] * 4 + [True] * 4)
+        assert all(np.isfinite(fit.kkt_max) for fit in model.fits.values())
 
     def test_standardized_pools_consistent(self, small_model):
         trim = small_model.trim
