@@ -117,8 +117,8 @@ class LassoFit:
     sweeps: np.ndarray
     converged: np.ndarray
     objective: float
-    zero_rss: bool = False
-    kkt_max: float = float("nan")  # residual at the selected solution
+    zero_rss: bool
+    kkt_max: float  # residual at the selected solution
 
     @property
     def selected_lambda(self) -> float:
