@@ -62,7 +62,6 @@ DEFAULT_CONFIG = {
     "schema": {"timestamp": "ts", "turbines": "auto"},
     "output_dir": "out",
     "seed": 0,
-    "workers": 1,
     "model": {
         "k_max": 2,
         "vol_floor_fraction": 1e-3,
@@ -378,8 +377,7 @@ def cmd_backtest(cfg: dict, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"backtest.{exc}") from None
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
-    report = run_backtest(panel, spec, lasso_config=model_config_from(cfg),
-                          workers=_integer(cfg["workers"], "workers"))
+    report = run_backtest(panel, spec, lasso_config=model_config_from(cfg))
     files = write_report(report, cfg["output_dir"])
     print("wrote " + ", ".join(files))
     return 0
@@ -406,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="YAML config file")
         p.add_argument("--out-dir", default=None, help="override output_dir")
         p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--panel", default=None, help="panel CSV path")
         if name == "ingest":
             p.add_argument("--input", default=None, help="raw input CSV")
@@ -426,8 +423,6 @@ def main(argv=None) -> int:
             cfg["output_dir"] = args.out_dir
         if args.seed is not None:
             cfg["seed"] = int(args.seed)
-        if args.workers is not None:
-            cfg["workers"] = int(args.workers)
         write_effective_config(cfg, cfg["output_dir"])
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,8 +136,8 @@ class JointModelAdapter:
         return self
 
     def prepare(self, panel, origins, horizons):
-        # filtering is sequential, and every origin is one path of a single
-        # engine run; both happen here, before any parallel forecasting
+        # every origin is one path of a single engine run, after filtering
+        # the state up to the last origin
         fcs = self.forecaster.point_batch(origins, int(max(horizons)))
         self.batch = dict(zip((int(o) for o in origins), fcs))
 
@@ -192,8 +191,10 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
                  lasso_config: ModelConfig | None = None,
                  workers: int = 1) -> BacktestReport:
     """Fit every requested model once on the initial in-sample window, then
-    forecast power at each sampled origin. Deterministic given the spec seed
-    and independent of ``workers``."""
+    forecast power at each sampled origin, one origin after another.
+    Deterministic given the spec seed. ``workers`` must be 1."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     if panel.has_missing():
         raise BacktestError("panel has missing values; fill gaps first")
     origins = sample_origins(panel.n, spec)
@@ -213,21 +214,12 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         if hasattr(model, "prepare"):
             model.prepare(panel, origins, horizons)
         preds = np.full((origins.size, horizons.size, panel.d), np.nan)
-
-        def one(oi: int) -> str | None:  # the error message if it failed
+        failures = []
+        for oi, origin in enumerate(origins):
             try:
-                preds[oi] = model.forecast_power(panel, int(origins[oi]), horizons)
+                preds[oi] = model.forecast_power(panel, int(origin), horizons)
             except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-                return str(exc)
-            return None
-
-        errors = [one(0)]  # warms lazy caches sequentially
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                errors += pool.map(one, range(1, origins.size))
-        else:
-            errors += map(one, range(1, origins.size))
-        failures = [(int(o), msg) for o, msg in zip(origins, errors) if msg is not None]
+                failures.append((int(origin), str(exc)))
         if failures:
             warnings.warn(f"{name}: {len(failures)} origin(s) failed and were excluded")
         ok = ~np.isnan(preds).any(axis=(1, 2))

@@ -4,12 +4,9 @@ Point forecasts plug the recursions forward with future shocks at zero;
 probabilistic forecasts resample whole cross-sectional rows of standardized
 in-sample residuals (preserving the dependence across turbines and between
 speed and power), re-scale them by the recursion's current volatility and
-collect empirical percentiles. Path draws come from a counter-based
-generator keyed by (seed, path), so results do not depend on worker count.
-Each path's draws are what NumPy's ``integers`` returns from a fresh Philox
-with that key, computed for a block of paths at once: one raw-word call per
-path, then Lemire's multiply-shift on whole arrays; the rare path with a
-draw that NumPy's sampler rejects and redraws is recomputed by ``integers``.
+collect empirical percentiles. A fan's pool rows come from one call to a
+Philox generator keyed by (seed, 1); synthetic simulation keys its shocks
+by (seed, 0), so the two never share a stream.
 
 One compiled engine steps the recursions for point forecasts, bootstrap
 paths, filtering of observed data beyond the training sample (to obtain
@@ -42,7 +39,6 @@ applies the regressors the fit's designs were built from.
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,8 +196,7 @@ class _Stage:
 
 
 class _Engine:
-    """The model's recursions, compiled into three stages per step. Read-only
-    after construction, so threads may share it."""
+    """The model's recursions, compiled into three stages per step."""
 
     def __init__(self, model: FittedJointModel):
         self.model = model
@@ -222,7 +217,7 @@ class _Engine:
         return {kind: b.values for kind, b in bases.items()}
 
     def run(self, state: np.ndarray, first: int, timestamps: np.ndarray,
-            shocks=None, observed: bool = False, check: bool = False,
+            shocks=None, observed: bool = False,
             out: np.ndarray | None = None) -> None:
         """Step positions ``first, first + 1, ...`` (one per timestamp) of
         ``state`` (variables x time x turbines x paths, C-contiguous).
@@ -240,11 +235,7 @@ class _Engine:
         out the shocks E and Ep (filtering). Otherwise ``shocks(s, sv, pv)``
         gives step ``s``'s speed and power shocks from its volatilities, or
         ``shocks`` is None: zero shocks, and the volatilities, which nothing
-        then reads, are not stepped. ``check`` raises if a speed or power
-        value leaves +-1e9 or is not finite, naming the first such step. It
-        reads each block's steps once the block is done (blocks are then at
-        most the state's length), and overflow inside a block raises no
-        warning.
+        then reads, are not stepped.
         """
         _, T, d, paths = state.shape
         flat = state.reshape(-1, paths)
@@ -267,8 +258,6 @@ class _Engine:
         else:
             basis = self.basis_rows(timestamps, kinds)
             block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
-        if check:
-            block = min(block, T)
         apply = [st.bind(flat) for st in stages]
         vol = np.empty((2, d, paths))
         vol_rows = vol.reshape(2 * d, paths)
@@ -284,35 +273,29 @@ class _Engine:
                 coefs = [np.broadcast_to(st.coef, (steps,) + st.coef.shape) for st in stages]
             else:
                 coefs = [st.fold(basis, b0, steps) for st in stages]
-            with np.errstate(over="ignore", invalid="ignore") if check else nullcontext():
-                for k in range(steps):
-                    s = b0 + k
-                    now = at[(first + s) % T]
-                    if per_path:
-                        tvs = [None if f is None else f.take(inverse[s], axis=1)
-                               for f in folded]
-                    if step_vol:
-                        apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
-                        np.maximum(vol, self.floors, out=now[_SV:])
-                    if shocks is not None:
-                        zs, zp = shocks(s, now[_SV], now[_PV])
-                    for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
-                        if observed:
-                            apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
-                            np.subtract(now[y], fitted, out=now[e])
-                        else:
-                            value = now[y]
-                            apply[n](rows[n][k], coefs[n][k], value, tvs[n])
-                            now[e] = z
-                            if shocks is not None:
-                                value += z
-                    if out is not None:
-                        out[:, s] = now[_W:_P + 1]
-            if check:
-                wp = at[(first + b0 + np.arange(steps)) % T, _W:_P + 1]
-                bad = ~(np.abs(wp) <= 1e9).reshape(steps, -1).all(axis=1)
-                if bad.any():
-                    raise ForecastError(f"unstable recursion at step {b0 + int(bad.argmax())}")
+            for k in range(steps):
+                s = b0 + k
+                now = at[(first + s) % T]
+                if per_path:
+                    tvs = [None if f is None else f.take(inverse[s], axis=1)
+                           for f in folded]
+                if step_vol:
+                    apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
+                    np.maximum(vol, self.floors, out=now[_SV:])
+                if shocks is not None:
+                    zs, zp = shocks(s, now[_SV], now[_PV])
+                for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
+                    if observed:
+                        apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
+                        np.subtract(now[y], fitted, out=now[e])
+                    else:
+                        value = now[y]
+                        apply[n](rows[n][k], coefs[n][k], value, tvs[n])
+                        now[e] = z
+                        if shocks is not None:
+                            value += z
+                if out is not None:
+                    out[:, s] = now[_W:_P + 1]
 
 
 def check_seed(seed) -> int:
@@ -322,59 +305,6 @@ def check_seed(seed) -> int:
             and 0 <= seed < 1 << 64):
         raise ForecastError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
-
-
-# paths drawn per raw-word block: bounds the scratch to a few hundred kB
-_DRAW_CHUNK = 128
-
-
-def _path_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
-    """Pool rows (horizon, n_paths), stored as int32: column ``p`` is exactly
-    ``Generator(Philox(key=(seed, p))).integers(0, pool_m, horizon)``.
-
-    One bit generator is re-keyed for every path (counter 0, empty buffer),
-    which draws what a fresh one would, and hands out ceil(horizon / 2) raw
-    64-bit words. NumPy's ``integers`` serves each draw from the low, then
-    the high 32 bits of a word, mapped by Lemire's multiply-shift
-    ``(u * pool_m) >> 32``; it redraws only when the product's low word is
-    below ``(2**32 - pool_m) % pool_m``. So a block of paths is mapped as
-    whole arrays, and a path with such a draw is recomputed by ``integers``
-    itself. Exactness rests on that NumPy algorithm; the per-path tests
-    against fresh generators pin it."""
-    if not 1 <= pool_m < 1 << 31:
-        raise ForecastError(f"pool size must be in [1, 2**31) for int32 draws, got {pool_m}")
-    bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state  # counter 0, empty buffer, no cached half-word
-
-    def rekey(p):
-        fresh["state"]["key"] = np.array([seed, p], dtype=np.uint64)
-        bitgen.state = fresh
-
-    n_words = (horizon + 1) // 2
-    chunk = min(_DRAW_CHUNK, n_paths)
-    words = np.empty((chunk, n_words), dtype=np.uint64)
-    halves = np.empty((chunk, 2 * n_words), dtype=np.uint64)
-    mapped = np.empty((chunk, horizon), dtype=np.int32)
-    threshold = ((1 << 32) - pool_m) % pool_m
-    draws = np.empty((horizon, n_paths), dtype=np.int32)
-    for start in range(0, n_paths, chunk):
-        k = min(chunk, n_paths - start)
-        for p in range(k):
-            rekey(start + p)
-            words[p] = bitgen.random_raw(n_words)
-        # shifts and masks, not a uint32 view: independent of byte order
-        np.bitwise_and(words[:k], 0xFFFFFFFF, out=halves[:k, 0::2])
-        np.right_shift(words[:k], 32, out=halves[:k, 1::2])
-        u = halves[:k, :horizon]
-        u *= pool_m  # < 2**63: exact in uint64
-        np.right_shift(u, 32, out=mapped[:k], casting="unsafe")
-        draws[:, start:start + k] = mapped[:k].T  # faster than a transposed ufunc out
-        u &= 0xFFFFFFFF  # the low word the rejection test reads
-        for p in np.flatnonzero(u.min(axis=1) < threshold):
-            rekey(start + p)
-            draws[:, start + p] = rng.integers(0, pool_m, size=horizon)
-    return draws
 
 
 def _locate(model: FittedJointModel, panel: TurbinePanel) -> int:
@@ -502,7 +432,8 @@ class Forecaster:
             raise ForecastError("empty standardized residual pool")
         if n_paths < 100:
             warnings.warn(f"n_paths={n_paths} < 100: quantiles will be noisy")
-        draws = _path_draws(seed, n_paths, horizon, pool_m)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+        draws = rng.integers(0, pool_m, (horizon, n_paths), dtype=np.int32)
         # (d, pool) copies: one step's jointly drawn rows are a (d, paths) take
         z_pool, u_pool = (model.pools[v].T.copy() for v in ("E", "Ep"))
 
@@ -566,7 +497,9 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
 
     ``true_coefficients`` maps (equation, turbine) to Term lists; the
     volatility terms drive the true conditional scales directly. ``config``
-    supplies the basis specs used for any time-varying coefficients.
+    supplies the basis specs used for any time-varying coefficients. A run
+    whose speed or power leaves +-1e9 or is not finite raises, naming the
+    first such step.
     """
     if n < 1 or burn_in < 0 or not labels:
         raise ForecastError(f"need n >= 1, burn_in >= 0 and a turbine label, got n={n}, "
@@ -586,8 +519,11 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = rng.standard_normal((T, d))[lead:, :, None]
     u = rng.standard_normal((T, d))[lead:, :, None]
-    engine.run(state, lead, ts[lead:],
-               lambda s, sv, pv: (sv * z[s], pv ** 3 * u[s]), check=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine.run(state, lead, ts[lead:], lambda s, sv, pv: (sv * z[s], pv ** 3 * u[s]))
+    bad = ~(np.abs(state[_W:_P + 1, lead:]) <= 1e9).all(axis=(0, 2, 3))
+    if bad.any():
+        raise ForecastError(f"unstable recursion at step {int(bad.argmax())}")
     keep = slice(T - n, T)
     return TurbinePanel(
         timestamps=ts[keep],

@@ -346,7 +346,6 @@ class TestExitCodes:
         ("forecast", ("forecast", "n_paths"), 150.7),  # would run 150 paths
         ("fit", ("model", "k_max"), True),
         ("fit", ("model", "lasso", "grid_count"), 20.5),
-        ("backtest", ("workers",), True),
         ("simulate", ("simulate", "n"), "2500"),
     ])
     def test_non_integer_size_is_config_error(self, workdir, capsys, fitted,
@@ -364,6 +363,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: config: {'.'.join(keys)} must be an integer, got {value!r}" in err
         assert os.listdir(workdir / "out") == ["effective-config.yaml"]
+
+    def test_workers_key_and_flag_refused(self, workdir, capsys, fitted):
+        # backtests run serially: a config, or an older effective-config.yaml,
+        # that sets workers is refused, and so is the flag
+        cfg = yaml.safe_load(CONFIG)
+        cfg["workers"] = 1
+        (workdir / "workers.yaml").write_text(yaml.safe_dump(cfg))
+        panel = str(fitted / "panel.csv")
+        assert run("backtest", "workers.yaml", "--panel", panel, "--out-dir", "out") == 2
+        assert "error: config: unknown config key(s): workers\n" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("backtest", "cfg.yaml", "--panel", panel, "--out-dir", "out", "--workers", "1")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 1" in capsys.readouterr().err
+        assert not os.path.exists(workdir / "out")
 
     @pytest.mark.parametrize("origin", [2500, 99999, -2501, -99999])
     def test_origin_outside_panel_is_config_error(self, workdir, capsys, fitted, origin):
