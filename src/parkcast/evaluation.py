@@ -192,7 +192,8 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
                  workers: int = 1) -> BacktestReport:
     """Fit every requested model once on the initial in-sample window, then
     forecast power at each sampled origin, one origin after another.
-    Deterministic given the spec seed. ``workers`` must be 1."""
+    Deterministic given the spec seed. ``workers`` must be 1; it stays for
+    callers that pass it."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if panel.has_missing():

@@ -217,8 +217,7 @@ class _Engine:
         return {kind: b.values for kind, b in bases.items()}
 
     def run(self, state: np.ndarray, first: int, timestamps: np.ndarray,
-            shocks=None, observed: bool = False,
-            out: np.ndarray | None = None) -> None:
+            shocks=None, observed: bool = False, out: np.ndarray | None = None) -> None:
         """Step positions ``first, first + 1, ...`` (one per timestamp) of
         ``state`` (variables x time x turbines x paths, C-contiguous).
 
