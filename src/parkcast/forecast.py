@@ -306,6 +306,16 @@ def check_seed(seed) -> int:
     return int(seed)
 
 
+def _pool_draws(seed: int, n_paths: int, horizon: int, pool_m: int) -> np.ndarray:
+    """Pool rows (horizon, n_paths) from one Philox stream keyed by (seed, 1),
+    stored as int32. NumPy draws a range below 2**32 from 32-bit words for
+    any dtype, so they equal that stream's default int64 ``integers``."""
+    if not 1 <= pool_m < 1 << 31:
+        raise ForecastError(f"pool size must be in [1, 2**31) for int32 draws, got {pool_m}")
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    return rng.integers(0, pool_m, (horizon, n_paths), dtype=np.int32)
+
+
 def _locate(model: FittedJointModel, panel: TurbinePanel) -> int:
     """Panel row index of the first model-covered row; model timestamps must
     be a contiguous run of panel timestamps."""
@@ -431,8 +441,7 @@ class Forecaster:
             raise ForecastError("empty standardized residual pool")
         if n_paths < 100:
             warnings.warn(f"n_paths={n_paths} < 100: quantiles will be noisy")
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-        draws = rng.integers(0, pool_m, (horizon, n_paths), dtype=np.int32)
+        draws = _pool_draws(seed, n_paths, horizon, pool_m)
         # (d, pool) copies: one step's jointly drawn rows are a (d, paths) take
         z_pool, u_pool = (model.pools[v].T.copy() for v in ("E", "Ep"))
 

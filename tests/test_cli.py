@@ -346,6 +346,7 @@ class TestExitCodes:
         ("forecast", ("forecast", "n_paths"), 150.7),  # would run 150 paths
         ("fit", ("model", "k_max"), True),
         ("fit", ("model", "lasso", "grid_count"), 20.5),
+        ("backtest", ("backtest", "n_origins"), True),
         ("simulate", ("simulate", "n"), "2500"),
     ])
     def test_non_integer_size_is_config_error(self, workdir, capsys, fitted,

@@ -750,3 +750,49 @@ class TestFitForecastAgreement:
                     assert np.array_equal(buf[r], regressor_from_meta(equation, info, ctx)), info
                 assert np.array_equal(buf[-1], responses[equation][trim:, i])
                 assert np.array_equal(y, buf[-1])
+
+
+@pytest.mark.parametrize("seed, n_paths", [(0, 3), (9, 40), (123456789, 7)])
+def test_path_draws_match_fresh_generator_per_path(seed, n_paths):
+    horizon, pool = 50, 37
+    draws = pf._pool_draws(seed, n_paths, horizon, pool)
+    assert draws.dtype == np.int32  # half the bytes of the generator's int64
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    stream = rng.integers(0, pool, size=(horizon, n_paths))
+    for path in range(n_paths):
+        assert np.array_equal(draws[:, path], stream[:, path])
+
+
+# 1.5e9 and 1.6e9 reject about 30 % and 25 % of raw draws, so the int32 and
+# int64 samplers must redraw alike; 1 consumes no words, 2**31 - 1 is the
+# largest int32 pool; with an odd 131 paths, successive steps start on
+# alternate halves of a 64-bit word
+@pytest.mark.parametrize("pool", [1, 1_500_000_000, 1_600_000_000, 2**31 - 1])
+@pytest.mark.parametrize("horizon", [1, 7, 288])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_path_draws_match_per_path_integers_across_chunks(pool, horizon, seed):
+    n_paths = 131
+    draws = pf._pool_draws(seed, n_paths, horizon, pool)
+    assert draws.shape == (horizon, n_paths) and draws.dtype == np.int32
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    stream = rng.integers(0, pool, size=(horizon, n_paths))
+    assert stream.dtype == np.int64
+    for path in range(n_paths):
+        assert np.array_equal(draws[:, path], stream[:, path])
+
+
+def test_path_draws_reject_pools_beyond_int32():
+    with pytest.raises(ForecastError, match="pool size"):
+        pf._pool_draws(0, 4, 10, 2**31)
+
+
+def test_path_draws_scratch_stays_small():
+    horizon, n_paths = 288, 1000
+    pf._pool_draws(1, n_paths, horizon, 5990)
+    tracemalloc.start()
+    try:
+        pf._pool_draws(1, n_paths, horizon, 5990)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # the int32 result alone is 1.15 MB
