@@ -4,18 +4,17 @@ The objective is exactly
 
     f(b) = (y - X b)' diag(w) (y - X b) + lambda * sum_j penalized_j |b_j|
 
-on the raw coefficient scale, solved from [X y]' W [X y] summed over row blocks
-(Friedman, Hastie & Tibshirani 2010's covariance form). Columns are rescaled to unit weighted norm
-internally (per-coordinate thresholds carry the scale back), and returned
-coefficients are on the raw scale. On a fixed support and signs the path is
-affine in the penalty, so it is walked exactly from knot to knot, where one
-column enters or leaves (the lasso homotopy: Osborne, Presnell & Turlach
-2000; Efron et al. 2004). At a degenerate knot an active-set method takes
-the next grid penalty from the path: exact sign-fixed KKT solves on the
-support, a step back to the first zero crossing, and one vectorized gradient
-to find the columns that must enter. Nonnegative problems hold every sign
-at +, as in Lawson & Hanson's NNLS, which keeps volatility recursions well
-defined.
+on the raw coefficient scale, solved from [X y]' W [X y] summed over row blocks by
+NumPy products (Friedman, Hastie & Tibshirani 2010's covariance form). Columns are
+rescaled to unit weighted norm internally (per-coordinate thresholds carry the scale
+back), and returned coefficients are on the raw scale. On a fixed support and signs
+the path is affine in the penalty, so it is walked exactly from knot to knot, where
+one column enters or leaves (the lasso homotopy: Osborne, Presnell & Turlach 2000;
+Efron et al. 2004), on the inverse of the support's Cholesky factor. At a degenerate
+knot an active-set method takes the next grid penalty from the path: exact sign-fixed
+KKT solves on the support, a step back to the first zero crossing, and one vectorized
+gradient to find the columns that must enter. Nonnegative problems hold every sign at
++, as in Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
 """
 
 from __future__ import annotations
@@ -25,13 +24,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 _OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
 _TIE = 1e-12  # relative gap within which two knots, or a knot and a grid penalty, coincide
 _PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
 _BLOCK_BYTES = 1 << 21  # one row block of [X y]' as _Work accumulates it
 _BLOCK_ROWS = 1024  # the fewest rows per block, so a wide one amortizes its (p+1)^2 update
+_PANEL = 512  # rows of A per product while _Work accumulates it
 _CHECK_EVERY = 16  # segments a path walk records between checks of their grid penalties
 
 
@@ -138,29 +137,35 @@ def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float)
 
 
 class _Work:
-    """Scales, G = X'WX, c = X'Wy and y'Wy on the standardized columns, all
-    from A = [X y]' W [X y], the only pass over the m rows: one syrk per row
-    block of ``_BLOCK_BYTES`` (at least ``_BLOCK_ROWS`` rows) adds into A's
-    upper triangle in place, and G is made symmetric as it is scaled. Zero
-    columns and exact duplicates of earlier columns are excluded (their
-    coefficients stay 0): a pair is flagged when ||x_i - x_j||^2_W =
-    G_ii + G_jj - 2 G_ij <= 1e-8 max(G_ii, G_jj) and confirmed by an exact
-    column compare, so a near-copy stays usable. Such a pair's norms agree
-    to 1e-4, so only neighbours in norm order are tested. Memory: one block,
-    then A and G, O(p^2) each, about 650 MB each at p = 9,000.
+    """Scales, G = X'WX, c = X'Wy and y'Wy on the standardized columns, all from
+    A = [X y]' W [X y], the only pass over the m rows: each row block Z of ``_BLOCK_BYTES``
+    (at least ``_BLOCK_ROWS``, or p + 1 - ``_PANEL``, rows) adds Z Z' to A's upper
+    triangle ``_PANEL`` rows at a time, by a NumPy self-product (a syrk) and a product
+    right of it, and G is made symmetric from its upper triangle as it is scaled. Zero
+    columns and exact duplicates of earlier columns are excluded (their coefficients
+    stay 0): a pair is flagged when ||x_i - x_j||^2_W = G_ii + G_jj - 2 G_ij <=
+    1e-8 max(G_ii, G_jj) and confirmed by an exact column compare, so a near-copy stays
+    usable. Such a pair's norms agree to 1e-4, so only neighbours in norm order are
+    tested. Memory: a block and a panel (at most (p + 1)^2), then A and G, O(p^2) each.
     """
 
     def __init__(self, problem: LassoProblem):
         self.problem = problem
         X, p, m = problem.design, problem.p, problem.m
-        rows = min(m, max(_BLOCK_BYTES // (8 * (p + 1)), _BLOCK_ROWS))
+        rows = min(m, max(_BLOCK_BYTES // (8 * (p + 1)), _BLOCK_ROWS, p + 1 - _PANEL))
         buf, A = np.empty((p + 1) * rows), np.zeros((p + 1, p + 1))
+        panel = np.empty(min(_PANEL, p + 1) * (p + 1))
         for lo in range(0, m, rows):
             Z = buf[:(p + 1) * (min(lo + rows, m) - lo)].reshape(p + 1, -1)
             problem.rows(lo, lo + Z.shape[1], Z)
-            # A += Z Z' on the upper triangle, in place: A' is the F-ordered C
-            blas.dsyrk(1.0, Z.T, beta=1.0, c=A.T, trans=1, lower=1, overwrite_c=1)
-        del buf
+            for r in range(0, p + 1, _PANEL):  # A[r:e, r:] += Z[r:e] Z[r:]'
+                e = min(r + _PANEL, p + 1)
+                out = A[r:e, r:] if lo == 0 else panel[:(e - r) * (p + 1 - r)].reshape(e - r, -1)
+                np.matmul(Z[r:e], Z[r:e].T, out=out[:, :e - r])
+                np.matmul(Z[r:e], Z[e:].T, out=out[:, e - r:])
+                if lo:
+                    A[r:e, r:] += out
+        del buf, panel, Z, out  # with the views that would keep them alive
         diag = A.diagonal()[:p]
         usable = diag > 0.0
         order = np.argsort(diag)
@@ -188,7 +193,7 @@ class _Work:
             rs = slice(r, r + 512)
             G[rs, :r] = G[:r, rs].T  # from rows already scaled
             G[rs, r:] /= np.outer(s[rs], s[r:])
-            G[rs, rs] += np.triu(G[rs, rs], 1).T  # that block's lower part is still 0
+            G[rs, rs] = np.triu(G[rs, rs]) + np.triu(G[rs, rs], 1).T
         self.yy = float(A[p, p])
         # per-coordinate threshold back on the raw-objective scale
         self.pen_scale = np.where(problem.penalize_mask[self.cols], 1.0 / s, 0.0)
@@ -216,13 +221,6 @@ def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, lam: float) -> np.ndarra
     else:
         inactive = np.maximum(np.abs(g) - thr, 0.0)
     return np.where(active, np.abs(g - thr * np.sign(b)), inactive)
-
-
-def _cholesky(gram: np.ndarray, floor: float = 1e-10):
-    """Cholesky factor of the Gram matrix of unit-norm columns, or None unless each column's
-    squared distance to the span of those before it (a squared pivot) exceeds ``floor``."""
-    chol, info = lapack.dpotrf(gram)
-    return None if info or np.diag(chol).min(initial=np.inf) ** 2 <= floor else chol
 
 
 def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
@@ -298,7 +296,7 @@ def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
             g_new, rss_new = work.gradient(b)
             new_obj = rss_new + lam * float(np.dot(work.pen_scale, np.abs(b)))
             ok = new_obj <= obj + slack
-            if not ok and _cholesky(h, 1e-6) is not None:
+            if not ok and _factor(work.G, active, active.size, 1e-6) is not None:
                 raise AssertionError("objective increased in an active-set step")
         if not ok:
             # on (nearly) collinear columns the step is lost in roundoff:
@@ -348,7 +346,7 @@ def coordinate_descent(
         if problem.nonnegative:
             np.maximum(b, 0.0, out=b)
         active = np.flatnonzero(b)
-        if active.size and _cholesky(work.gram(active)) is None:
+        if _factor(work.G, active, active.size) is None:
             b[:] = 0.0  # a warm start on (nearly) collinear columns: start afresh
     b, _, _, _ = _solve(work, lam, b, tol, max_sweeps)
     coefficients = np.zeros(problem.p)
@@ -463,6 +461,35 @@ def _check(work: _Work, lambdas: np.ndarray, segs: list, li: int, blocked: np.nd
     return li
 
 
+def _factor(G: np.ndarray, act: np.ndarray, n: int, floor=1e-10, V=None, na: int = 0):
+    """V = U^-1 for the upper Cholesky factor U of G_AA, A = act[:n], or None unless each
+    column's squared distance to the span of those before it (a squared pivot) exceeds
+    ``floor``. Given V for act[:na], it borders act[na:n], each j by r = V'G_Aj,
+    rho^2 = G_jj - r'r and the column (-V r / rho, 1 / rho), in a buffer that doubles."""
+    V = np.empty((16, 16)) if V is None else V
+    for i in range(na, n):
+        Vi, j = V[:i, :i], act[i]
+        r = Vi.T @ G[j, act[:i]]
+        schur = G[j, j] - r @ r
+        if schur <= floor:
+            return None
+        V = np.pad(V, (0, i)) if i == V.shape[0] else V
+        rho = np.sqrt(schur)
+        V[:i, i], V[i, :i], V[i, i] = Vi @ r / -rho, 0.0, 1.0 / rho
+    return V
+
+
+def _drop(V: np.ndarray, na: int, at: int) -> None:
+    """Remove column ``at`` of V = U^-1 in V[:na, :na], in place: for v = V[at, at:], G_AA^-1
+    becomes P (I - v'v / vv') P' with P = V less row ``at``. V[:at, :at] stays; P's trailing
+    columns M turn by the orthonormal basis of v's complement with column c in e_0..e_{c+1},
+    M[:, c+1] n_c / n_{c+1} - M[:, :c+1] v[:c+1] v[c+1] / (n_c n_{c+1}) for n_c = ||v[:c+1]||."""
+    v, M = V[at, at:na], V[:na, at:na]
+    n = np.sqrt(np.cumsum(v * v))
+    MQ = M[:, 1:] * (n[:-1] / n[1:]) - np.cumsum(M * v, axis=1)[:, :-1] * (v[1:] / (n[:-1] * n[1:]))
+    V[:at, at:na - 1], V[at:na - 1, at:na - 1] = MQ[:at], MQ[at + 1:]
+
+
 def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndarray,
           s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
           sweeps: np.ndarray, tol: float, cap: int) -> int:
@@ -472,11 +499,11 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     G_AA [w v] = [c_A, pen_A s_A / 2], and q = gradient - lam pen s / 2 =
     q0 + lam dq. The next knot is the largest penalty where a free column's
     |q_j| (q_j if nonnegative) reaches lam pen_j / 2 or a sign-fixed b_j
-    reaches 0; then the column enters (the Cholesky factor grows by a
-    triangular solve) or leaves (refactored). A knot is degenerate at a Schur
-    complement on the ``_cholesky`` floor (the column stays ``blocked`` until
-    one leaves), at two events within ``_TIE``, or past ``cap`` knots between
-    grid penalties. The grid penalties above a knot, or within ``_TIE`` below,
+    reaches 0; the column enters (``_factor`` borders V = U^-1 for U'U = G_AA,
+    a solve is V (V' rhs)) or leaves (``_drop``). A knot is degenerate at a Schur
+    complement on the ``_factor`` floor (the column stays ``blocked`` until one
+    leaves), at two events within ``_TIE``, or past ``cap`` knots between grid
+    penalties. The grid penalties above a knot, or within ``_TIE`` below,
     belong to its segment, whose (q0, dq, w, v, support, signs, knot count)
     is recorded. Every ``_CHECK_EVERY`` segments, and once the walk stops,
     ``_check`` checks the recorded penalties in one pass; the walk stops at the
@@ -491,13 +518,13 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     enter = free & ~blocked
     sides = np.array([[1.0]]) if nonneg else np.array([[1.0], [-1.0]])
     events = np.empty((sides.size, k))
-    rising, chol = (-lambdas).tolist(), _cholesky(work.gram(active))
+    rising, V = (-lambdas).tolist(), _factor(G, act, na)
     crossed, at_knot = 0, False  # knots since the last grid penalty; whether lam is one
     segs, end = [], li  # the segments holding grid penalties; the grid index they reach
-    while k and end < nlam and chol is not None and crossed <= cap:
-        active, s = act[:na], sg[:na]
-        sol = lapack.dpotrs(chol, rhs[:na])[0] if na else rhs[:0]
-        (w, v), qd = sol.T, sol.T @ G[active]  # rows = columns: G is symmetric
+    while k and end < nlam and V is not None and crossed <= cap:
+        active, s, Va = act[:na], sg[:na], V[:na, :na]
+        sol = rhs[:na].T @ Va @ Va.T  # [w v]' = [c_A, pen_A s_A / 2]' V V'
+        (w, v), qd = sol, sol @ G[active]  # rows = columns: G is symmetric
         q0, dq = c - qd[0], qd[1]
         dq[active] -= rhs[:na, 1]
         # each column's event: +-q crosses lam pen / 2 or b_A s reaches 0; at most lam
@@ -524,23 +551,20 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
                     return li
         if knot == 0.0 or tie or end == nlam:
             break
-        if free[j]:  # R' r = G_Aj; the new pivot is the Schur complement
-            r = lapack.dtrtrs(chol, G[j, active], trans=1)[0] if na else rhs[:0, 0]
-            schur = G[j, j] - float(r @ r)
-            if schur <= 1e-10:  # the _cholesky floor: j lies in the span of the support
+        if free[j]:
+            act[na], sg[na] = j, 1.0 - 2.0 * side
+            V = _factor(G, act, na + 1, V=V, na=na)
+            if V is None:  # j lies in the span of the support
                 blocked[j] = True
                 break
-            chol, grown = np.zeros((na + 1, na + 1), order="F"), chol
-            chol[:na, :na], chol[:na, na], chol[na, na] = grown, r, np.sqrt(schur)
-            act[na], sg[na] = j, 1.0 - 2.0 * side
             rhs[na] = c[j], half[j] * sg[na]
             na += 1
         else:
             at = int(np.flatnonzero(active == j)[0])
+            _drop(V, na, at)
             for buf in act, sg, rhs:
                 buf[at:na - 1] = buf[at + 1:na]
             na -= 1
-            chol = _cholesky(work.gram(act[:na]))
             blocked[:] = False  # the span shrank
         free[j] = not free[j]
         enter = free & ~blocked

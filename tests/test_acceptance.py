@@ -291,7 +291,7 @@ def test_criterion_08_complexity_scaling():
                             big.labels, np.zeros((n, 2), bool),
                             np.zeros((n, 2), bool))
 
-    fit_joint_model(prefix(4000), cfg)  # warm compiled kernels
+    fit_joint_model(prefix(4000), cfg)
     panels = {n: prefix(n) for n in (12_000, 24_000)}
     runs = {n: [] for n in panels}
     for _ in range(7):  # alternate the sizes, so a burst of load hits both
@@ -299,11 +299,13 @@ def test_criterion_08_complexity_scaling():
             t0 = time.perf_counter()
             fit_joint_model(p, cfg)
             runs[n].append(time.perf_counter() - t0)
+    # the median of the per-pair ratios: the fit time can switch level within
+    # a run, and a pair's two fits run back to back
+    ratio = float(np.median(np.divide(runs[24_000], runs[12_000])))
     medians = {n: float(np.median(r)) for n, r in runs.items()}
-    ratio = medians[24_000] / medians[12_000]
     assert 1.5 <= ratio <= 3.0
-    report(8, f"doubling n multiplies fit wall-time by {ratio:.2f} "
-              f"({medians[12_000]:.2f} s -> {medians[24_000]:.2f} s, medians of 7)")
+    report(8, f"doubling n multiplies fit wall-time by {ratio:.2f} (median of 7 "
+              f"pair ratios; {medians[12_000]:.2f} s -> {medians[24_000]:.2f} s)")
 
 
 def test_criterion_09_periodogram_peak():

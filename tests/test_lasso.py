@@ -382,6 +382,21 @@ class TestPathSegments:
             _, n_solves, n_changes = self.check_against_cold(LassoProblem(y, X), monkeypatch)
             assert n_changes >= 5 and n_solves <= 1
 
+    def test_support_losing_columns_matches_cold_solves(self, monkeypatch):
+        # strongly correlated columns: columns leave the path from the front
+        # and the middle of the support, not only from its end
+        rng = np.random.default_rng(49)
+        Z = rng.standard_normal((150, 3))
+        X = Z @ rng.standard_normal((3, 14)) + 0.2 * rng.standard_normal((150, 14))
+        y = X[:, 0] - 0.8 * X[:, 1] + 0.6 * X[:, 2] + rng.standard_normal(150)
+        drops, drop = [], lasso._drop
+        monkeypatch.setattr(lasso, "_drop",
+                            lambda V, na, at: drops.append((na, at)) or drop(V, na, at))
+        fit, _, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+        assert any(na - at >= 3 for na, at in drops)  # a trailing block to downdate
+        on = fit.coef_path != 0.0
+        assert (on[:-1] & ~on[1:]).any()  # a column left between grid penalties
+
     @staticmethod
     def orthogonal_problem(rng, inner, nonneg=False):
         """Orthogonal columns with squared norms d2 and X'y = inner, so that the
@@ -661,6 +676,81 @@ class TestGramSetup:
         r = y - X[:, :1] @ beta
         expect = 2.0 * np.abs((w * r) @ X[:, 1:]).max()
         assert grid[0] == pytest.approx(expect, rel=1e-12)
+
+
+class TestNumpyFactors:
+    """The Gram from panelled NumPy products, and the walk's inverse Cholesky
+    factor V = U^-1: bordered as a column enters, downdated as one leaves."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("p", [3, 7, 8, 9, 21])
+    def test_gram_matches_materialized_products(self, p, weighted, monkeypatch):
+        # panels of 8 rows of A and blocks of max(5, p + 1 - 8) rows of [X y]:
+        # p below, at and above one panel, and over several panels and blocks
+        monkeypatch.setattr(lasso, "_PANEL", 8)
+        monkeypatch.setattr(lasso, "_BLOCK_BYTES", 0)
+        monkeypatch.setattr(lasso, "_BLOCK_ROWS", 5)
+        rng = np.random.default_rng(60 + p)
+        m = 61
+        X, y = rng.standard_normal((m, p)), rng.standard_normal(m)
+        X[:, 1], X[:, -1] = 0.0, X[:, 0]  # a zero column and an exact duplicate
+        w = rng.uniform(0.5, 2.0, m) if weighted else np.ones(m)
+        work = _Work(LassoProblem(y, X, weights=w if weighted else None))
+        keep = [j for j in range(p) if j not in (1, p - 1)]
+        assert work.cols.tolist() == keep
+        Xs = X[:, keep] / np.sqrt(w @ X[:, keep] ** 2)
+        G = Xs.T @ (w[:, None] * Xs)
+        assert np.abs(work.G - G).max() <= 1e-12 * np.abs(G).max()
+        # the diagonal panels leave values below A's diagonal; G takes its
+        # lower triangle from the scaled upper one, exactly
+        assert np.array_equal(work.G, work.G.T)
+        c = (w * y) @ Xs
+        assert np.abs(work.c - c).max() <= 1e-12 * np.abs(c).max()
+        assert work.yy == pytest.approx(float(w @ y ** 2), rel=1e-12)
+
+    @staticmethod
+    def gram(rng, k):
+        X = rng.standard_normal((3 * k, k)) + rng.standard_normal((3 * k, 1))
+        X /= np.sqrt((X ** 2).sum(axis=0))
+        return X.T @ X
+
+    def test_factor_and_drop_keep_the_inverse_factor(self):
+        rng = np.random.default_rng(61)
+        k = 40
+        G = self.gram(rng, k)
+        cols = np.arange(k)
+        V = lasso._factor(G, cols, 10)
+        V = lasso._factor(G, cols, k, V=V, na=10)  # bordered on from 10 columns
+        assert V.shape == (64, 64)  # grown twice from 16
+        Va = V[:k, :k]
+        np.testing.assert_allclose(np.linalg.cholesky(G).T @ Va, np.eye(k), rtol=0, atol=1e-12)
+        cols, na = list(cols), k
+        for at in (17, 0, 37, 34, 5):  # middle, first, last and third-last of 38, ...
+            lasso._drop(V, na, at)
+            del cols[at]
+            na -= 1
+            Va = V[:na, :na]
+            assert np.array_equal(np.tril(Va, -1), np.zeros((na, na))) and (np.diag(Va) > 0).all()
+            g = G[np.ix_(cols, cols)]
+            assert np.abs(Va @ Va.T @ g - np.eye(na)).max() <= 1e-12
+            # the factor of the reduced Gram is unique: V is its inverse
+            np.testing.assert_allclose(np.linalg.cholesky(g).T @ Va, np.eye(na),
+                                       rtol=0, atol=1e-12)
+
+    def test_column_on_the_schur_floor_is_refused(self):
+        # unit columns at squared sine s from one another: the Schur complement
+        for s, refused in ((0.5e-10, True), (2e-10, False)):
+            G = np.array([[1.0, np.sqrt(1.0 - s)], [np.sqrt(1.0 - s), 1.0]])
+            V = lasso._factor(G, np.arange(2), 1)
+            assert (lasso._factor(G, np.arange(2), 2, V=V, na=1) is None) == refused
+            assert (lasso._factor(G, np.arange(2), 2) is None) == refused
+            assert (lasso._factor(G, np.arange(2), 2, floor=1e-6) is None)
+
+    def test_factor_refuses_indefinite_and_singular(self):
+        for G in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((3, 3))):
+            assert lasso._factor(G, np.arange(G.shape[0]), G.shape[0]) is None
+        V = lasso._factor(np.eye(3), np.arange(3), 0)
+        assert V is not None and V.shape == (16, 16)  # an empty support
 
 
 class TestStackedRows:
