@@ -461,7 +461,8 @@ def _check(work: _Work, lambdas: np.ndarray, segs: list, li: int, blocked: np.nd
     return li
 
 
-def _factor(G: np.ndarray, act: np.ndarray, n: int, floor=1e-10, V=None, na: int = 0):
+def _factor(G: np.ndarray, act: np.ndarray, n: int, floor: float = 1e-10,
+            V: np.ndarray | None = None, na: int = 0):
     """V = U^-1 for the upper Cholesky factor U of G_AA, A = act[:n], or None unless each
     column's squared distance to the span of those before it (a squared pivot) exceeds
     ``floor``. Given V for act[:na], it borders act[na:n], each j by r = V'G_Aj,

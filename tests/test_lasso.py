@@ -744,7 +744,7 @@ class TestNumpyFactors:
             V = lasso._factor(G, np.arange(2), 1)
             assert (lasso._factor(G, np.arange(2), 2, V=V, na=1) is None) == refused
             assert (lasso._factor(G, np.arange(2), 2) is None) == refused
-            assert (lasso._factor(G, np.arange(2), 2, floor=1e-6) is None)
+            assert lasso._factor(G, np.arange(2), 2, floor=1e-6) is None
 
     def test_factor_refuses_indefinite_and_singular(self):
         for G in (np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones((3, 3))):
