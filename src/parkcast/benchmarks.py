@@ -8,13 +8,17 @@ blocks. An iterated AR/BVAR/VAR forecast is linear in the last ``order``
 centred rows: each ``VarFit`` keeps that map, and a forecast is one product
 per origin.
 
-The ARMA(1,1) model needs NumPy alone. Its filter 1 / (1 + theta B) is a
-blocked scan (``_recurse``); the fit is Levenberg-Marquardt on the
-conditional sum of squares, with first and second derivatives taken
-through the same scan; a forecast reads the last innovation as one dot
-product with the powers of -theta. SciPy's ``optimize`` and ``special`` are
-imported inside the censored power-curve functions that call them, so a
-process that never fits or forecasts with that model does not load them.
+The ARMA(1,1) model needs NumPy alone. For a fixed MA coefficient theta
+the innovations are linear in the AR coefficient and the intercept, so the
+conditional sum of squares is profiled over both in closed form (variable
+projection), from lag sums of the series that one FFT pair gives; the fit
+searches theta alone, on a grid, then by golden sections and a closing
+parabola. The exact innovations and the mean come from the filter
+1 / (1 + theta B) as a blocked scan (``_recurse``); a forecast reads the last
+innovation as one dot product with the powers of -theta. SciPy's
+``optimize`` and ``special`` are imported inside the censored power-curve
+functions that call them, so a process that never fits or forecasts with
+that model does not load them.
 
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
@@ -201,9 +205,8 @@ class Arma11Fit:
     mean: float
     sigma2: float
     boundary: bool = False
-    iterations: int = 0  # Levenberg-Marquardt iterations, over every start run
-    fallback: bool = False  # the three fixed starts were run too
-    # (-ma)^j, j = 0, 1, ..., for the longest history forecast from so far
+    evaluations: int = 0  # profile sums of squares computed by the search
+    # (-ma)^j, j = 0, 1, ..., with room for twice the longest history forecast from
     decay: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -246,134 +249,121 @@ def _arma11_profiled(y: np.ndarray, phi: float, theta: float):
     return mu, float(np.dot(e, e)), e
 
 
-def _arma11_innovations(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The zero-initialized innovations at t = 1..n-1 under p = (phi, theta, mu):
-    e = F(y_t - mu - phi (y_{t-1} - mu)), F = 1 / (1 + theta B)."""
-    phi, theta, mu = p
-    return _recurse(y[1:] - mu - phi * (y[:-1] - mu), theta)
-
-
-def _arma11_derivatives(y: np.ndarray, p: np.ndarray, e: np.ndarray):
-    """The Jacobian J (3, n-1) of the innovations ``e`` in p = (phi, theta, mu),
-    de/dphi = F(mu - y_{t-1}), de/dtheta = F(-e_{t-1}), de/dmu = F(phi - 1),
-    and S, the second-order part sum_t e_t d2e_t of the Hessian of e'e / 2
-    (which is J J' + S). Every second derivative is F of a lagged first one
-    (F(-v_{t-1}) for v = de/dphi, de/dmu, 2 de/dtheta) or F(1) for phi and mu,
-    so its product with e is read through z = F'e, the filter run backward in
-    time: e . F(v) = z . v."""
-    phi, theta, mu = p
-    n1 = e.size
-    d_phi, d_mu = _recurse(np.stack([mu - y[:-1], np.full(n1, phi - 1.0)]), theta)
-    d_theta, z = _recurse(np.stack([np.r_[0.0, -e[:-1]], e[::-1]]), theta)
-    z = z[::-1]
-    # e . F(-v_{t-1}) = -z[1:] . v[:-1]
-    s_phi, s_mu, s_theta = -(np.stack([d_phi, d_mu, 2.0 * d_theta])[:, :-1] @ z[1:])
-    s_cross = float(z.sum())
-    S = np.array([[0.0, s_phi, s_cross], [s_phi, s_theta, s_mu], [s_cross, s_mu, 0.0]])
-    return np.stack([d_phi, d_theta, d_mu]), S
-
-
 _ARMA_BOUND = 0.999
-_ARMA_LOWER = np.array([-_ARMA_BOUND, -_ARMA_BOUND, -np.inf])
+# the first pass of the MA search, evenly spaced in artanh(ma): the profile's
+# valleys narrow towards the bounds, and so do the cells
+_ARMA_GRID = np.tanh(np.linspace(-1.0, 1.0, 21) * np.arctanh(_ARMA_BOUND))
+_ARMA_TOL = 1e-5  # the golden-section bracket width and the closing parabola's half-width
 
 
-def _arma11_moments(y: np.ndarray) -> np.ndarray:
-    """(phi, theta, mu) that match the lag-1 and lag-2 autocorrelations:
-    phi = r2 / r1, and theta the invertible root of a theta^2 + b theta + a,
-    a = phi - r1, b = 1 + phi^2 - 2 r1 phi (the real part of the pair when no
-    root is real); both clipped to +-0.99."""
-    x = y - y.mean()
-    g0, g1, g2 = (float(np.dot(x[k:], x[: x.size - k])) for k in range(3))
-    phi = min(max(g2 / g1, -0.99), 0.99) if g1 else 0.0
-    a, b = phi - g1 / g0, 1.0 + phi * phi - 2.0 * phi * g1 / g0
-    theta = -2.0 * a / (b + np.sqrt(max(b * b - 4.0 * a * a, 0.0)))
-    return np.array([phi, min(max(theta, -0.99), 0.99), y.mean()])
+def _arma11_lags(x: np.ndarray) -> np.ndarray:
+    """The statistics of ``_arma11_css`` for the series x (mean removed): with
+    u = (x[1:], x[:-1], 1), rows 0-5 hold s(k) = sum_t u_p,t u_q,t+k +
+    u_q,t u_p,t+k for the pairs p <= q at lags k = 0..n-1 (one term at k = 0,
+    0 at k = n-1), from one FFT correlation; rows 6-8 hold 0, then u
+    reversed in time."""
+    n1 = x.size - 1
+    u = np.stack([x[1:], x[:-1], np.ones(n1)])
+    m = 1 << (2 * n1).bit_length()  # >= 2 n - 1: no lag wraps around
+    f = np.fft.rfft(u, m)
+    g = f.conj()
+    r = np.fft.irfft(np.stack([g[0] * f[0], g[0] * f[1], g[0] * f[2],
+                               g[1] * f[1], g[1] * f[2], g[2] * f[2]]), m)
+    out = np.zeros((9, n1 + 1))
+    out[:6, :n1] = r[:, :n1]  # r[., k] = sum_t u_p,t u_q,t+k, at k mod m
+    out[:6, 1:n1] += r[:, : m - n1 : -1]
+    out[6:, 1:] = u[:, ::-1]
+    return out
 
 
-def _arma11_lm(y: np.ndarray, p: np.ndarray, max_iter: int = 50):
-    """Levenberg-Marquardt on the conditional sum of squares e'e in
-    (phi, theta, mu) from ``p``, with |phi|, |theta| <= _ARMA_BOUND.
+def _arma11_css(lags: np.ndarray, theta: float):
+    """The conditional sum of squares at MA coefficient ``theta``, profiled
+    over the AR coefficient and the intercept; returns (css, ar).
 
-    Each iteration solves (J J' + S + lam diag(J J')) step = -J e over the
-    coordinates that the gradient does not hold at a bound, and clips the
-    step to the box. The Hessian is exact: the Gauss-Newton J J' alone
-    converges linearly along the flat common-factor line phi = -theta (about
-    90 iterations on white noise, against ten). A step that does not lower
-    e'e is retried with lam ten times larger; an accepted one divides lam by
-    ten. The run converges when a step moves no coordinate by more than
-    1e-10 relative, when no damping finds a lower e'e, or when e'e is at
-    rounding level, (16 eps)^2 y'y: the model fits the series exactly.
-    Near such a fit, once e'e is below sqrt(eps) times the sum of squares
-    about the mean, the step leaves S out: theta is then all but
-    unidentified, S's O(e) entries swamp J J''s O(e^2) one for theta, and
-    the exact step only halves e per iteration, where Gauss-Newton
-    converges quadratically. Returns (p, sse, iterations, converged)."""
-    eps = np.finfo(float).eps
-    floor = (16.0 * eps) ** 2 * float(y @ y)  # e'e at rounding level
-    exact = np.sqrt(eps) * y.size * float(np.var(y))  # below it, S is left out
-    e = _arma11_innovations(y, p)
-    sse, lam = float(e @ e), 0.1
-    for it in range(1, max_iter + 1):
-        J, S = _arma11_derivatives(y, p, e)
-        G = J @ J.T
-        g = J @ e
-        free = ~(((p <= _ARMA_LOWER) & (g > 0)) | ((p >= -_ARMA_LOWER) & (g < 0)))
-        H = G + S if sse > exact else G
-        H, D = H[np.ix_(free, free)], np.diag(np.diag(G)[free])
-        while lam <= 1e10:
-            q = p.copy()
-            try:
-                q[free] -= np.linalg.solve(H + lam * D, g[free])
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            q = np.clip(q, _ARMA_LOWER, -_ARMA_LOWER)
-            e_q = _arma11_innovations(y, q)
-            sse_q = float(e_q @ e_q)
-            if sse_q <= sse:
-                break
-            lam *= 10.0
+    The innovations e = F(u_0 - phi u_1 - c u_2), F = 1 / (1 + theta B) from
+    a zero start, are linear in (phi, c): e'e = w' Q w, w = (1, -phi, -c).
+    With a = -theta and N = n - 1, (F'F)_ij = (a^|i-j| - a^(2N-i-j)) /
+    (1 - a^2), so Q = (sum_k a^k s(k) - v v') / (1 - a^2), v_p = sum_t
+    u_p,t a^(N-t): one product of ``_arma11_lags`` with the powers of a down
+    to eps^2. (phi, c) solves the 2 x 2 least squares; a clipped phi has c
+    re-solved."""
+    a = -theta
+    k = min(lags.shape[1], 2 + int(72.1 / -np.log(max(abs(a), 1e-32))))
+    pw = np.full(k, a)
+    pw[0] = 1.0
+    s00, s01, s02, s11, s12, s22, v0, v1, v2 = (lags[:, :k] @ np.cumprod(pw, out=pw)).tolist()
+    q01, q02, q12 = s01 - v0 * v1, s02 - v0 * v2, s12 - v1 * v2
+    q11, q22 = s11 - v1 * v1, s22 - v2 * v2
+    det = q11 * q22 - q12 * q12
+    phi = min(max((q01 * q22 - q02 * q12) / det if det > 0 else 0.0, -_ARMA_BOUND),
+              _ARMA_BOUND)
+    c = (q02 - phi * q12) / q22
+    css = s00 - v0 * v0 - 2 * (phi * q01 + c * q02 - phi * c * q12) + phi * phi * q11 + c * c * q22
+    return css / (1.0 - a * a), phi
+
+
+def _golden(f, a: float, b: float):
+    """Golden-section search for a minimum of f on [a, b], down to a bracket
+    of width _ARMA_TOL; returns (f(x), x)."""
+    g = 0.5 * (5.0 ** 0.5 - 1.0)
+    c, d = b - g * (b - a), a + g * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _ARMA_TOL:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
         else:
-            return p, sse, it, True
-        moved = float(np.max(np.abs(q - p) / (1.0 + np.abs(p))))
-        p, e, sse, lam = q, e_q, sse_q, max(lam / 10.0, 1e-12)
-        if moved <= 1e-10 or sse <= floor:
-            return p, sse, it, True
-    return p, sse, max_iter, False
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return min((fc, c), (fd, d))
 
 
 def fit_arma11_mle(series) -> Arma11Fit:
     """Maximize the conditional Gaussian likelihood over (ar, ma) in
     [-0.999, 0.999]^2; mean and innovation variance are profiled out exactly.
-    That is the least conditional sum of squares in (ar, ma, mean), which
-    ``_arma11_lm`` finds from the moment estimate. The run is repeated from
-    the three fixed starts (0.5, 0), (0.9, -0.3) and (0, 0.5), and the lowest
-    sum of squares kept, when it does not converge, ends within 0.005 of the
-    bound, or ends within 0.1 of the common-factor line ar = -ma: there the
-    model is nearly white noise, the sum of squares is flat along the line,
-    and it has several minima."""
+    That is the least conditional sum of squares in (ar, ma, mean). For a
+    fixed ma, ``_arma11_css`` profiles out ar and the intercept (variable
+    projection), so the search is over ma alone: the profile on
+    ``_ARMA_GRID``, a golden-section search in the cells around each of its
+    local minima, the lowest point found (a bound can be it), and the vertex
+    of the parabola through its neighbours at +-_ARMA_TOL, which places the
+    minimum below the profile's rounding."""
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 100:
         raise BenchmarkError(f"need at least 100 observations, got {n}")
     if np.std(y) == 0.0:
         raise BenchmarkError("constant series")
-    p, sse, iterations, converged = _arma11_lm(y, _arma11_moments(y))
-    fallback = (not converged or np.abs(p[:2]).max() > _ARMA_BOUND - 0.005
-                or abs(p[0] + p[1]) < 0.1)
-    if fallback:
-        for start in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5)):
-            q, sse_q, its, _ = _arma11_lm(y, np.array([*start, y.mean()]))
-            iterations += its
-            if sse_q < sse:
-                p, sse = q, sse_q
-    phi, theta = float(p[0]), float(p[1])
+    x = y - y.mean()
+    lags = _arma11_lags(x)
+    calls = []
+
+    def css(t):
+        calls.append(t)
+        return _arma11_css(lags, t)[0]
+
+    grid = np.array([css(t) for t in _ARMA_GRID])
+    theta = 0.0  # taken when the sum of squares is at rounding level: then every ma fits
+    if grid.min() > n * np.finfo(float).eps * float(x @ x):
+        edge = np.r_[np.inf, grid, np.inf]
+        tries = list(zip(grid, _ARMA_GRID))
+        for i in np.flatnonzero((grid <= edge[:-2]) & (grid <= edge[2:])):
+            tries.append(_golden(css, _ARMA_GRID[max(i - 1, 0)],
+                                 _ARMA_GRID[min(i + 1, grid.size - 1)]))
+        best, theta = min(tries)
+        if abs(theta) + _ARMA_TOL <= _ARMA_BOUND:
+            lo, hi = css(theta - _ARMA_TOL), css(theta + _ARMA_TOL)
+            if abs(lo - hi) < 2.0 * (lo + hi - 2.0 * best):  # the vertex is inside
+                theta += 0.5 * _ARMA_TOL * (lo - hi) / (lo + hi - 2.0 * best)
+    theta = float(theta)
+    phi = _arma11_css(lags, theta)[1]
     mu, sse, _ = _arma11_profiled(y, phi, theta)
     boundary = max(abs(phi), abs(theta)) > 0.995
     if boundary:
         warnings.warn("ARMA(1,1) estimate at the stationarity boundary")
-    return Arma11Fit("arma11", phi, theta, mu, sse / (n - 1), boundary,
-                     iterations, bool(fallback))
+    return Arma11Fit("arma11", phi, theta, mu, sse / (n - 1), boundary, len(calls))
 
 
 def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.ndarray:
@@ -382,7 +372,7 @@ def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.nda
     # first row: sum_j (-ma)^j u_{t-j}
     u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
     if fit.decay is None or fit.decay.size < u.size:
-        fit.decay = np.power(-fit.ma, np.arange(float(u.size)))
+        fit.decay = np.power(-fit.ma, np.arange(2.0 * u.size))
     e = float(u[::-1] @ fit.decay[: u.size])
     one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e
     return fit.mean + fit.ar ** np.arange(horizon) * (one - fit.mean)
@@ -656,10 +646,8 @@ class Arma11Model:
 
     def forecast_power(self, panel, origin, horizons):
         steps = np.asarray(horizons) - 1
-        back = min(origin + 1, 2000)  # innovation recursion forgets quickly
         return np.column_stack([
-            arma11_forecast(f, panel.power[origin - back + 1 : origin + 1, i],
-                            int(steps.max()) + 1)[steps]
+            arma11_forecast(f, panel.power[: origin + 1, i], int(steps.max()) + 1)[steps]
             for i, f in enumerate(self.fits)])
 
 

@@ -32,11 +32,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .panel import write_csv
 
-SHORT = tuple(range(1, 7))
-SHORT0 = tuple(range(0, 7))
-LONG = tuple(range(1, 41)) + tuple(range(140, 151))
-LONG0 = (0,) + LONG
-
 _NO_THRESHOLD = np.nan
 
 

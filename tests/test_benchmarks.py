@@ -7,9 +7,10 @@ from parkcast.benchmarks import (
     Arma11Fit,
     BenchmarkError,
     VarFit,
+    _ARMA_GRID,
     _SCAN,
-    _arma11_derivatives,
-    _arma11_innovations,
+    _arma11_css,
+    _arma11_lags,
     _arma11_profiled,
     _autocov,
     _recurse,
@@ -298,59 +299,107 @@ class TestArma11:
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("phi, theta", [(0.3, -0.4), (0.8, 0.2), (-0.5, 0.6),
-                                            (0.95, -0.9)])
-    def test_derivatives_match_finite_differences(self, phi, theta):
-        # the Jacobian of the innovations, and the Hessian J J' + S of e'e / 2
-        # against central differences of the innovations and of J e
-        y = arma_series(0.7, -0.4)
-        p = np.array([phi, theta, 5.2])
-        J, S = _arma11_derivatives(y, p, _arma11_innovations(y, p))
-        h = 1e-6 * np.eye(3)
+    @pytest.mark.parametrize("theta", [-0.999, -0.9, -0.3, 0.0, 0.12, 0.7, 0.999])
+    @pytest.mark.parametrize("ar, ma", [(0.7, -0.4), (0.0, 0.0)])
+    def test_profile_matches_the_recursion(self, ar, ma, theta):
+        # the lag-sum profile against the innovations run one scan at a time:
+        # the same sum of squares at its ar, and no lower one at ar +- 1e-4
+        y = arma_series(ar, ma, n=600)
+        css, phi = _arma11_css(_arma11_lags(y - y.mean()), theta)
+        sse = [_arma11_profiled(y, min(max(p, -0.999), 0.999), theta)[1]
+               for p in (phi, phi - 1e-4, phi + 1e-4)]
+        assert css == pytest.approx(sse[0], rel=1e-10)
+        assert sse[0] <= min(sse[1:])
 
-        def grad(q):
-            e = _arma11_innovations(y, q)
-            return _arma11_derivatives(y, q, e)[0] @ e
-
-        fd_jac = np.stack([_arma11_innovations(y, p + h[k]) - _arma11_innovations(y, p - h[k])
-                           for k in range(3)]) / 2e-6
-        fd_hess = np.stack([grad(p + h[k]) - grad(p - h[k]) for k in range(3)]) / 2e-6
-        np.testing.assert_allclose(J, fd_jac, rtol=1e-5, atol=1e-6 * np.abs(J).max())
-        np.testing.assert_allclose(J @ J.T + S, fd_hess, rtol=1e-5)
+    def test_lag_sums_match_direct_sums(self):
+        # rows 0-5: u_p . shift(u_q, k) + u_q . shift(u_p, k); rows 6-8: u reversed
+        y = arma_series(0.6, 0.2, n=150)
+        x = y - y.mean()
+        u = np.stack([x[1:], x[:-1], np.ones(x.size - 1)])
+        lags = _arma11_lags(x)
+        for row, (p, q) in enumerate(zip(*np.triu_indices(3))):
+            want = [u[p] @ u[q]] + [u[p, :-k] @ u[q, k:] + u[q, :-k] @ u[p, k:]
+                                    for k in range(1, u.shape[1])] + [0.0]
+            np.testing.assert_allclose(lags[row], want, rtol=0, atol=1e-12 * abs(want[0]))
+        np.testing.assert_array_equal(lags[6:, 1:], u[:, ::-1])
+        assert not lags[6:, 0].any()
 
     @pytest.mark.parametrize("ar, ma", [(0.0, 0.0), (0.5, -0.49)])
-    def test_near_white_noise_takes_the_fallback(self, ar, ma):
+    def test_near_white_noise_reaches_the_lbfgsb_objective(self, ar, ma):
         # white noise, and an ARMA(1,1) whose factors nearly cancel: the sum
-        # of squares is flat along ar = -ma, so the three fixed starts run too
+        # of squares is flat along ar = -ma and has several minima there
         y = arma_series(ar, ma)
         n1 = y.size - 1
         fit = fit_arma11_mle(y)
-        assert fit.fallback
         assert abs(fit.ar + fit.ma) < 0.1
         ref = lbfgsb_reference(y)
         assert n1 * np.log(fit.sigma2) <= ref.fun
 
+    @pytest.mark.parametrize("ar, ma, n, seed", [
+        (ar, ma, n, seed) for ar, ma in ((0.0, 0.0), (0.5, -0.45))
+        for n in (200, 500) for seed in range(3)])
+    def test_near_white_noise_global_minimum(self, ar, ma, n, seed):
+        y = arma_series(ar, ma, n=n, seed=seed)
+        fit = fit_arma11_mle(y)
+        ref = lbfgsb_reference(y)
+        assert (n - 1) * np.log(fit.sigma2) <= ref.fun + 1e-9 * abs(ref.fun)
+
+    @pytest.mark.parametrize("ar, ma, n, seed", [
+        (0.0, 0.0, 1000, 0), (0.0, 0.0, 1000, 28), (0.0, 0.0, 3000, 36),
+        (0.0, 0.0, 3000, 38), (0.5, -0.45, 1000, 9), (0.9, -0.88, 1000, 9)])
+    def test_narrow_valleys_near_the_bounds(self, ar, ma, n, seed):
+        # the lowest sum of squares lies in a valley near |ma| = 1 that a
+        # uniform grid, or a search of the lowest grid cell alone, misses;
+        # L-BFGS-B from 49 starts finds it
+        y = arma_series(ar, ma, n=n, seed=seed)
+        fit = fit_arma11_mle(y)
+        ref = lbfgsb_reference(y, MANY_STARTS)
+        assert (n - 1) * np.log(fit.sigma2) <= ref.fun + 1e-9 * abs(ref.fun)
+
+    @pytest.mark.parametrize("ar, ma", [(0.7, -0.4), (0.9, 0.3), (0.95, 0.12)])
+    def test_fit_is_the_profile_minimum(self, ar, ma):
+        # the vertex of the exact profile (the recursion's sum of squares at
+        # the profiled ar) through ma +- 1e-4 lies within 1e-8 of the fit
+        y = arma_series(ar, ma)
+        fit = fit_arma11_mle(y)
+        lags = _arma11_lags(y - y.mean())
+        lo, mid, hi = (_arma11_profiled(y, _arma11_css(lags, t)[1], t)[1]
+                       for t in (fit.ma - 1e-4, fit.ma, fit.ma + 1e-4))
+        assert abs(0.5e-4 * (lo - hi) / (lo + hi - 2.0 * mid)) <= 1e-8
+
+    def test_common_factor_series_below_the_local_minimum(self):
+        # the local-search fit stopped near (0.60, -0.55), 2.43 above L-BFGS-B;
+        # the lowest sum of squares lies on the ma bound
+        y = arma_series(0.9, -0.88, n=1000, seed=15)
+        with pytest.warns(UserWarning, match="stationarity boundary"):
+            fit = fit_arma11_mle(y)
+        assert fit.boundary and fit.ma == -0.999
+        ref = lbfgsb_reference(y)
+        assert 999 * np.log(fit.sigma2) <= ref.fun + 1e-9 * abs(ref.fun)
+        assert 999 * fit.sigma2 < 928.45
+
     def test_fit_stops_early_away_from_the_common_factor(self):
+        # one local minimum on the grid: one golden-section search of at most
+        # 26 evaluations (its widest cell is 0.73), and the closing parabola's 2
         y = arma_series(0.9, 0.3)
         fit = fit_arma11_mle(y)
-        assert not fit.fallback
-        assert fit.iterations <= 10
+        assert fit.evaluations <= _ARMA_GRID.size + 28
 
     @pytest.mark.parametrize("y, ar", [(0.5 ** np.arange(200.0), 0.5),
                                        (100 * 0.9 ** np.arange(500.0) + 1, 0.9)],
                              ids=["decay", "offset-decay"])
     def test_exact_fit_stops_early(self, y, ar):
-        # an exact AR(1): the sum of squares falls to rounding level, where
-        # the runs used to take all 4 x 50 iterations
+        # an exact AR(1): the sum of squares is at rounding level at every ma
+        # of the grid, where the search stops
         fit = fit_arma11_mle(y)
-        assert not fit.fallback and fit.iterations <= 20
+        assert fit.evaluations == _ARMA_GRID.size and fit.ma == 0.0
         assert fit.ar == pytest.approx(ar, abs=1e-8)
 
     def test_random_walk_fit_at_the_bound(self):
         y = np.cumsum(np.random.default_rng(5).standard_normal(3000))
         with pytest.warns(UserWarning, match="stationarity boundary"):
             fit = fit_arma11_mle(y)
-        assert fit.fallback and fit.boundary
+        assert fit.boundary
         assert fit.ar == pytest.approx(0.999, abs=1e-12)
         # both end at the same point on the bound, equal up to rounding
         ref = lbfgsb_reference(y)
@@ -383,8 +432,13 @@ class TestArma11:
                                    rtol=0, atol=1e-6)
 
 
-def lbfgsb_reference(y):
-    """The profiled likelihood minimized by L-BFGS-B from three starts on its
+# a 7 x 7 grid of (ar, ma) starts, evenly spaced in artanh over +-0.99
+MANY_STARTS = [(a, b) for a in np.tanh(np.linspace(-1.0, 1.0, 7) * np.arctanh(0.99))
+               for b in np.tanh(np.linspace(-1.0, 1.0, 7) * np.arctanh(0.99))]
+
+
+def lbfgsb_reference(y, starts=((0.5, 0.0), (0.9, -0.3), (0.0, 0.5))):
+    """The profiled likelihood minimized by L-BFGS-B from each start on its
     exact gradient, the (ar, ma) derivatives through scipy.signal.lfilter."""
     n1 = y.size - 1
 
@@ -397,7 +451,7 @@ def lbfgsb_reference(y):
 
     return min((optimize.minimize(nll, x0, jac=True, method="L-BFGS-B",
                                   bounds=[(-0.999, 0.999)] * 2)
-                for x0 in ((0.5, 0.0), (0.9, -0.3), (0.0, 0.5))),
+                for x0 in starts),
                key=lambda res: res.fun)
 
 
@@ -583,10 +637,9 @@ class TestAdapterValues:
                 both = np.column_stack([p.speed[:, i], p.power[:, i]])
                 fit = fit_ar_yule_walker(both[:end], 20)
                 path = var_forecast(fit, both[: origin + 1], horizon)[:, 1]
-            else:  # arma11 reads the last 2000 rows
+            else:  # arma11 reads every row up to the origin
                 fit = fit_arma11_mle(p.power[:end, i])
-                path = arma11_forecast(fit, p.power[origin - 1999 : origin + 1, i],
-                                       horizon)
+                path = arma11_forecast(fit, p.power[: origin + 1, i], horizon)
             cols.append(path[steps])
         return np.column_stack(cols)
 
