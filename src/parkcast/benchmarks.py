@@ -15,10 +15,9 @@ projection), from lag sums of the series that one FFT pair gives; the fit
 searches theta alone, on a grid, then by golden sections and a closing
 parabola. The exact innovations and the mean come from the filter
 1 / (1 + theta B) as a blocked scan (``_recurse``); a forecast reads the last
-innovation as one dot product with the powers of -theta. SciPy's
-``optimize`` and ``special`` are imported inside the censored power-curve
-functions that call them, so a process that never fits or forecasts with
-that model does not load them.
+innovation as one dot product with the powers of -theta. The censored
+power curve is fitted by Newton's method in (beta/sigma, 1/sigma), where its
+log-likelihood is concave, on a normal CDF from ``math.erf``/``math.erfc``.
 
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
@@ -36,6 +35,7 @@ then ``forecast_power(panel, origin, horizons) -> (len(horizons), d)``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -465,57 +465,79 @@ class GwpptFit:
     converged: bool = True
 
 
-def _tobit_negloglik(params, X, y, lower, upper, is_left, is_right, is_mid):
-    from scipy.special import log_ndtr
+_erf, _erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# (-1)^i (2i - 1)!!, i = 11..0: the Mills ratio's asymptotic series in 1/a^2,
+# whose terms fall below 1e-17 by the tenth at a <= -20
+_MILLS = np.cumprod([1.0] + [1.0 - 2.0 * i for i in range(1, 12)])[::-1]
+# Newton's cap, and the decrement per row under which a last full step ends it
+_NEWTON_ITER, _NEWTON_TOL = 50, 1e-10
 
-    beta, log_sigma = params[:-1], params[-1]
-    sigma = np.exp(log_sigma)
-    xb = X @ beta
-    nll = 0.0
-    grad_b = np.zeros(beta.size)
-    grad_s = 0.0
-    if is_mid.any():
-        z = (y[is_mid] - xb[is_mid]) / sigma
-        nll += float(0.5 * np.dot(z, z)) + is_mid.sum() * log_sigma
-        grad_b += -(X[is_mid].T @ z) / sigma
-        grad_s += float(is_mid.sum() - np.dot(z, z))
-    for flag, point, sign in ((is_left, lower, 1.0), (is_right, upper, -1.0)):
-        if not flag.any():
-            continue
-        a = sign * (point - xb[flag]) / sigma
-        nll -= float(np.sum(log_ndtr(a)))
-        mills = np.exp(-0.5 * a * a - 0.5 * np.log(2 * np.pi) - log_ndtr(a))
-        grad_b += sign * (X[flag].T @ mills) / sigma
-        grad_s += float(np.dot(mills, a))
-    return nll, np.append(grad_b, grad_s)
+
+def ndtr(a) -> np.ndarray:
+    """The standard normal CDF, by cephes' branches: erf near zero, and erfc
+    of |x| in the tails, where 1 + erf(x) would cancel."""
+    x = np.asarray(a, dtype=float) * math.sqrt(0.5)
+    tail = 0.5 * np.asarray(_erfc(np.abs(x)), dtype=float)
+    return np.where(np.abs(x) < math.sqrt(0.5), 0.5 + 0.5 * np.asarray(_erf(x), dtype=float),
+                    np.where(x > 0.0, 1.0 - tail, tail))
+
+
+def log_ndtr(a) -> np.ndarray:
+    """log Phi(a), by cephes' branches: log1p(-Phi(-a)) above zero, log Phi(a)
+    down to -20, and the Mills ratio's asymptotic series below."""
+    a = np.asarray(a, dtype=float)
+    out, up, low = np.empty_like(a), a > 0.0, a <= -20.0
+    mid, t = ~(up | low), a[low]
+    out[up], out[mid] = np.log1p(-ndtr(-a[up])), np.log(ndtr(a[mid]))
+    out[low] = np.log(np.polyval(_MILLS, 1.0 / (t * t)) / -t) - 0.5 * t * t - _LOG_SQRT_2PI
+    return out
 
 
 def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
               upper: float = 1500.0, end_row: int | None = None, base=None) -> GwpptFit:
     """Two-sided censored (Tobit) maximum likelihood on the power-curve
     regressor set: observations at or outside the power range are treated as
-    censored at the range bounds (``base`` as in ``_wppt_data``)."""
-    from scipy import optimize
-
+    censored at the range bounds (``base`` as in ``_wppt_data``). Newton climbs
+    from the clipped least-squares fit in Olsen's theta = (beta/sigma, 1/sigma),
+    where the log-likelihood is concave, backtracking on it."""
     if not lower < upper:
         raise ValueError("need lower < upper")
     X, y = _wppt_data(panel, turbine, k, end_row, base)
-    is_left = y <= lower
-    is_right = y >= upper
-    is_mid = ~(is_left | is_right)
-    beta0, *_ = np.linalg.lstsq(X, np.clip(y, lower, upper), rcond=None)
-    resid = np.clip(y, lower, upper) - X @ beta0
-    s0 = max(float(resid.std()), 1e-3)
-    x0 = np.append(beta0, np.log(s0))
-    res = optimize.minimize(
-        _tobit_negloglik, x0, args=(X, y, lower, upper, is_left, is_right, is_mid),
-        jac=True, method="L-BFGS-B",
-        bounds=[(None, None)] * beta0.size + [(np.log(1e-6 * s0), None)],
-    )
-    if not res.success:
-        warnings.warn(f"censored likelihood did not converge: {res.message}")
-    return GwpptFit("gwppt", turbine, k, res.x[:-1], float(np.exp(res.x[-1])),
-                    lower, upper, bool(res.success))
+    clipped = np.clip(y, lower, upper)
+    beta0, *_ = np.linalg.lstsq(X, clipped, rcond=None)
+    theta = np.append(beta0, 1.0) / max(float((clipped - X @ beta0).std()), 1e-3)
+    # rows [x, -y] inside the range and +-[x, -bound] at a bound, so that
+    # Zc @ theta is the argument of a censored observation's normal CDF
+    Z = np.column_stack([X, -clipped]) * np.where(y <= lower, -1.0, 1.0)[:, None]
+    inside = (y > lower) & (y < upper)
+    Zm, Zc, n = Z[inside], Z[~inside], int(inside.sum())
+
+    def tobit(theta):  # the log-likelihood less its constant, gradient, negated Hessian
+        a, r = Zc @ theta, Zm @ theta
+        log_cdf = log_ndtr(a)
+        mills = np.exp(-0.5 * a * a - _LOG_SQRT_2PI - log_cdf)  # phi(a) / Phi(a)
+        grad = Zc.T @ mills - Zm.T @ r
+        neg_hess = Zm.T @ Zm + (Zc.T * (mills * (a + mills))) @ Zc
+        grad[-1] += n / theta[-1]
+        neg_hess[-1, -1] += n / theta[-1] ** 2
+        return n * math.log(theta[-1]) - 0.5 * (r @ r) + log_cdf.sum(), grad, neg_hess
+
+    ll, grad, neg_hess = tobit(theta)
+    for _ in range(_NEWTON_ITER):
+        step = np.linalg.solve(neg_hess, grad)
+        if (decrement := grad @ step) <= _NEWTON_TOL * y.size:
+            theta = theta + step
+            break
+        t = 1.0  # halved until 1/sigma stays positive and l gains a quarter of t * decrement
+        while not (theta[-1] + t * step[-1] > 0.0
+                   and (new := tobit(theta + t * step))[0] >= ll + 0.25 * t * decrement):
+            t *= 0.5
+        theta, (ll, grad, neg_hess) = theta + t * step, new
+    else:
+        warnings.warn("censored likelihood did not converge")
+    return GwpptFit("gwppt", turbine, k, theta[:-1] / theta[-1], float(1.0 / theta[-1]),
+                    lower, upper, bool(decrement <= _NEWTON_TOL * y.size))
 
 
 def censored_mean(latent, sigma, lower: float, upper: float):
@@ -524,8 +546,6 @@ def censored_mean(latent, sigma, lower: float, upper: float):
     term is included so the identity is exact for lower != 0). Elementwise
     over ``latent`` and ``sigma``; where sigma <= 0 it is the clipped latent.
     Scalar arguments give a float."""
-    from scipy.special import ndtr
-
     latent, sigma = np.broadcast_arrays(np.asarray(latent, dtype=float),
                                         np.asarray(sigma, dtype=float))
     spread = sigma > 0.0

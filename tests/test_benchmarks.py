@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import optimize, signal
+from scipy import optimize, signal, special
 
 from parkcast.benchmarks import (
     BENCHMARKS,
@@ -14,6 +14,7 @@ from parkcast.benchmarks import (
     _arma11_profiled,
     _autocov,
     _recurse,
+    _wppt_data,
     _yw_solve,
     _yw_system,
     arma11_forecast,
@@ -23,7 +24,9 @@ from parkcast.benchmarks import (
     fit_gwppt,
     fit_wppt,
     gwppt_forecast,
+    log_ndtr,
     make_benchmark,
+    ndtr,
     persistence_forecast,
     var_forecast,
     wppt_forecast,
@@ -535,6 +538,55 @@ class TestWppt:
         assert wppt_forecast(fit, p, 3000) == pytest.approx(2.0 * base)
 
 
+def tobit_negloglik(params, X, y, lower, upper):
+    """The censored negative log-likelihood (less its constant) in
+    (beta, log sigma) and its gradient, on scipy.special.log_ndtr."""
+    beta, log_sigma = params[:-1], params[-1]
+    sigma = np.exp(log_sigma)
+    xb = X @ beta
+    mid = (y > lower) & (y < upper)
+    z = (y[mid] - xb[mid]) / sigma
+    nll = 0.5 * (z @ z) + mid.sum() * log_sigma
+    grad = np.append(-(X[mid].T @ z) / sigma, mid.sum() - z @ z)
+    for flag, point, sign in ((y <= lower, lower, 1.0), (y >= upper, upper, -1.0)):
+        a = sign * (point - xb[flag]) / sigma
+        log_cdf = special.log_ndtr(a)
+        mills = np.exp(-0.5 * a * a - 0.5 * np.log(2 * np.pi) - log_cdf)
+        nll -= log_cdf.sum()
+        grad += np.append(sign * (X[flag].T @ mills) / sigma, mills @ a)
+    return nll, grad
+
+
+def lbfgsb_tobit(X, y, lower, upper):
+    """The least ``tobit_negloglik`` L-BFGS-B reaches from fit_gwppt's start,
+    the least-squares fit to the clipped targets."""
+    clipped = np.clip(y, lower, upper)
+    beta0, *_ = np.linalg.lstsq(X, clipped, rcond=None)
+    s0 = max(float((clipped - X @ beta0).std()), 1e-3)
+    res = optimize.minimize(tobit_negloglik, np.append(beta0, np.log(s0)),
+                            args=(X, y, lower, upper), jac=True, method="L-BFGS-B",
+                            bounds=[(None, None)] * beta0.size + [(np.log(1e-6 * s0), None)])
+    return res.fun
+
+
+class TestNormalCdf:
+    """ndtr and log_ndtr against scipy.special wherever SciPy's value is a
+    normal float, across every branch."""
+
+    GRID = np.linspace(-38.0, 38.0, 760_001)
+
+    @pytest.mark.parametrize("ours, theirs", [(ndtr, special.ndtr),
+                                              (log_ndtr, special.log_ndtr)])
+    def test_agrees_with_scipy(self, ours, theirs):
+        want = theirs(self.GRID)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        np.testing.assert_allclose(ours(self.GRID)[normal], want[normal], rtol=1e-13, atol=0)
+
+    def test_log_ndtr_far_in_the_lower_tail(self):
+        a = -np.logspace(0.0, 8.0, 80_001)
+        np.testing.assert_allclose(log_ndtr(a), special.log_ndtr(a), rtol=1e-13, atol=0)
+
+
 class TestGwppt:
     def test_censored_mean_against_monte_carlo(self):
         rng = np.random.default_rng(11)
@@ -570,12 +622,30 @@ class TestGwppt:
         assert 0.0 <= val <= 1500.0
 
     def test_recovers_uncensored_regression(self):
-        # no censored observations: Tobit collapses to least squares
+        # no censored observations: Tobit collapses to least squares, with
+        # the maximum-likelihood sigma sqrt(RSS / m)
         p = wppt_panel()
         k = 2
         wfit = fit_wppt(p, 0, k)
         gfit = fit_gwppt(p, 0, k, lower=-10000.0, upper=10000.0)
-        assert np.abs(wfit.coefs - gfit.coefs).max() < 0.05
+        X, y = _wppt_data(p, 0, k, None)
+        resid = y - X @ wfit.coefs
+        assert gfit.converged
+        np.testing.assert_allclose(gfit.coefs, wfit.coefs, rtol=1e-10, atol=0)
+        assert gfit.sigma == pytest.approx(np.sqrt(resid @ resid / y.size), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 24, 144])
+    @pytest.mark.parametrize("turbine", [0, 1])
+    def test_reaches_the_censored_maximum(self, turbine, k):
+        # both bounds bind, on about 40 % of the rows: the score vanishes,
+        # and L-BFGS-B from the same start climbs no higher
+        p, lower, upper = two_turbine_panel(), 60.0, 85.0
+        fit = fit_gwppt(p, turbine, k, lower, upper, end_row=2500)
+        X, y = _wppt_data(p, turbine, k, 2500)
+        nll, score = tobit_negloglik(np.append(fit.coefs, np.log(fit.sigma)), X, y, lower, upper)
+        assert fit.converged
+        assert np.abs(score).max() <= 1e-6
+        assert nll <= lbfgsb_tobit(X, y, lower, upper) + 1e-9 * abs(nll)
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""SciPy loads only with the censored power-curve model, which calls its
-optimize and special, and no step loads signal: the pipeline, a backtest of
-the lasso and the linear and ARMA(1,1) reference models, and an ARMA(1,1)
-fit load no SciPy package at all. The test process has imported them
-already, so each check runs in a fresh interpreter."""
+"""No step imports SciPy: the pipeline, a backtest of the lasso and every
+reference model, and the ARMA(1,1) and censored power-curve fits all run in
+an interpreter where any SciPy import fails, and give the same results as
+with SciPy's optimize, signal and special imported up front. The test
+process has imported SciPy already, so each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -20,6 +21,8 @@ SCRIPT = r"""
 import hashlib, json, os, sys, tempfile
 if sys.argv[1] == "preload":
     import scipy.optimize, scipy.signal, scipy.special
+else:
+    sys.modules["scipy"] = None  # every SciPy import now raises ImportError
 import numpy as np
 
 loaded = {}
@@ -49,7 +52,8 @@ fore.bootstrap(panel.n - 1, 12, n_paths=100, seed=1)
 fore.point_batch([panel.n - 50, panel.n - 1], 12)
 step("point, bootstrap, point_batch")
 spec = BacktestSpec(n_origins=5, horizons=(1, 2, 6), in_sample=3000,
-                    models=("persistence", "ar", "var", "bvar", "arma11", "lasso"))
+                    models=("persistence", "ar", "var", "bvar", "arma11", "wppt", "gwppt",
+                            "lasso"))
 run_backtest(panel, spec, lasso_config=cfg)
 step("backtest")
 
@@ -78,25 +82,20 @@ def run_fresh(mode: str) -> dict:
 
 
 @pytest.fixture(scope="module")
-def lazy():
-    return run_fresh("lazy")
+def blocked():
+    return run_fresh("blocked")
 
 
-STEPS = ["import", "fit, save, load", "point, bootstrap, point_batch", "backtest", "arma11"]
+STEPS = ["import", "fit, save, load", "point, bootstrap, point_batch", "backtest", "arma11",
+         "gwppt"]
 
 
 @pytest.mark.parametrize("step", STEPS)
-def test_pipeline_loads_none_of_them(lazy, step):
-    assert lazy["loaded"][step] == []
+def test_pipeline_loads_none_of_them(blocked, step):
+    assert blocked["loaded"][step] == []
 
 
-def test_gwppt_loads_optimize_and_special_but_not_signal(lazy):
-    loaded = set(lazy["loaded"]["gwppt"])
-    assert {"scipy.optimize", "scipy.special"} <= loaded
-    assert "scipy.signal" not in loaded
-
-
-def test_results_equal_those_with_scipy_imported_up_front(lazy):
+def test_results_equal_those_with_scipy_imported_up_front(blocked):
     eager = run_fresh("preload")
     assert {"scipy.optimize", "scipy.signal", "scipy.special"} <= set(eager["loaded"]["import"])
-    assert lazy["digest"] == eager["digest"]
+    assert blocked["digest"] == eager["digest"]
