@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import optimize, signal, special
 
+from parkcast import benchmarks
 from parkcast.benchmarks import (
     BENCHMARKS,
     Arma11Fit,
@@ -650,6 +651,12 @@ class TestGwppt:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             fit_gwppt(wppt_panel(), 0, 1, lower=10.0, upper=5.0)
+
+    def test_iteration_cap_warns_and_flags(self, monkeypatch):
+        monkeypatch.setattr(benchmarks, "_NEWTON_ITER", 1)
+        with pytest.warns(UserWarning, match="did not converge"):
+            fit = fit_gwppt(two_turbine_panel(), 0, 1, 60.0, 85.0, end_row=2500)
+        assert not fit.converged
 
 
 class TestRegistry:
