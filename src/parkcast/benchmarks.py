@@ -504,6 +504,8 @@ def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
     if not lower < upper:
         raise ValueError("need lower < upper")
     X, y = _wppt_data(panel, turbine, k, end_row, base)
+    if not np.isfinite(y).all():  # a NaN likelihood would stall the line search
+        raise BenchmarkError("non-finite power among the targets")
     clipped = np.clip(y, lower, upper)
     beta0, *_ = np.linalg.lstsq(X, clipped, rcond=None)
     theta = np.append(beta0, 1.0) / max(float((clipped - X @ beta0).std()), 1e-3)

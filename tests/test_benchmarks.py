@@ -652,6 +652,12 @@ class TestGwppt:
         with pytest.raises(ValueError):
             fit_gwppt(wppt_panel(), 0, 1, lower=10.0, upper=5.0)
 
+    def test_non_finite_target_refused(self):
+        p = wppt_panel()
+        p.power[-1, 0] = np.nan  # the last target of every horizon, in no regressor
+        with pytest.raises(BenchmarkError, match="non-finite"):
+            fit_gwppt(p, 0, 1, 60.0, 85.0)
+
     def test_iteration_cap_warns_and_flags(self, monkeypatch):
         monkeypatch.setattr(benchmarks, "_NEWTON_ITER", 1)
         with pytest.warns(UserWarning, match="did not converge"):
