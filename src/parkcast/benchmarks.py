@@ -5,8 +5,8 @@ models (plain least squares and its two-sided censored generalization).
 A Yule-Walker fit builds one block-Toeplitz system and one lag matrix at the
 largest order, and every smaller order reads its own from their leading
 blocks. An iterated AR/BVAR/VAR forecast is linear in the last ``order``
-centred rows: each ``VarFit`` keeps that map, and a forecast is one product
-per origin.
+centred rows: a forecast builds that map once and applies it to the rows
+gathered at every origin in one product.
 
 The ARMA(1,1) model needs NumPy alone. For a fixed MA coefficient theta
 the innovations are linear in the AR coefficient and the intercept, so the
@@ -14,10 +14,10 @@ conditional sum of squares is profiled over both in closed form (variable
 projection), from lag sums of the series that one FFT pair gives; the fit
 searches theta alone, on a grid, then by golden sections and a closing
 parabola. The exact innovations and the mean come from the filter
-1 / (1 + theta B) as a blocked scan (``_recurse``); a forecast reads the last
-innovation as one dot product with the powers of -theta. The censored
-power curve is fitted by Newton's method in (beta/sigma, 1/sigma), where its
-log-likelihood is concave, on a normal CDF from ``math.erf``/``math.erfc``.
+1 / (1 + theta B) as a blocked scan (``_recurse``), which a forecast runs
+once, up to the last origin. The censored power curve is fitted by Newton's
+method in (beta/sigma, 1/sigma), where its log-likelihood is concave, on a
+normal CDF from ``math.erf``/``math.erfc``.
 
 The power-curve models regress power at t+k, one fit per (turbine, k), on 9
 regressors: an intercept, power at t and t-1, wind speed at t+k and its
@@ -25,19 +25,20 @@ square, and four diurnal Fourier terms of the time of day at t+k. The speed
 at t+k is the observed speed at t carried forward (persistence). The
 adapter builds each turbine's horizon-free regressors once, and every
 horizon's fit reads their leading rows and the Fourier terms of the 144
-slots of the day. A forecast builds one (horizons, 9) matrix per turbine
-and takes all horizons in one product.
+slots of the day. A forecast builds one (origins x horizons, 9) matrix per
+turbine and takes every (origin, horizon) pair in one contraction.
 
 Every benchmark registers under a string id and exposes the same adapter
 surface as the joint model for the backtest harness: ``fit(panel, end_row)``
-then ``forecast_power(panel, origin, horizons) -> (len(horizons), d)``.
+then ``forecast_power(panel, origins, horizons)``, a list with each origin's
+(len(horizons), d) power forecasts or the ``BenchmarkError`` it raised.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,8 +62,6 @@ class VarFit:
     sigma: np.ndarray  # innovation covariance
     aic: np.ndarray  # per candidate order 0..max_order
     stationary: bool = True
-    # (horizon, m, order * m) forecast map for the longest horizon asked so far
-    fmap: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _autocov(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -167,30 +166,33 @@ def fit_ar_yule_walker(series: np.ndarray, max_order: int = 20) -> VarFit:
 
 def _forecast_map(fit: VarFit, horizon: int) -> np.ndarray:
     """R (horizon, m, p * m) with x_{t+s+1} = R[s] @ [x_t, ..., x_{t-p+1}], all
-    centred: R[s] is the top m rows of the companion matrix to the power s + 1.
-    Built for the longest horizon asked so far and kept on the fit."""
-    fmap = fit.fmap
-    if fmap is None or fmap.shape[0] < horizon:
-        p, m = fit.order, fit.mean.size
-        fmap = np.zeros((horizon, m, p * m))
-        if p:
-            comp = _companion(fit.coefs)
-            row = np.eye(m, p * m)
-            for s in range(horizon):
-                row = fmap[s] = row @ comp
-        fit.fmap = fmap
-    return fmap[:horizon]
+    centred: R[s] is the top m rows of the companion matrix C to the power
+    s + 1. By doubling: R[s + j] = R[s] @ C^j for the filled rows s < j."""
+    p, m = fit.order, fit.mean.size
+    fmap = np.zeros((horizon, m, p * m))
+    if p:
+        power = _companion(fit.coefs)
+        fmap[0], j = power[:m], 1
+        while j < horizon:
+            n = min(j, horizon - j)
+            fmap[j : j + n] = (fmap[:n].reshape(n * m, p * m) @ power).reshape(n, m, p * m)
+            power, j = power @ power, 2 * j
+    return fmap
 
 
-def var_forecast(fit: VarFit, history: np.ndarray, horizon: int) -> np.ndarray:
-    """Iterated forecasts; ``history`` holds the most recent rows (last row =
-    forecast origin). Returns (horizon, m): the fit's forecast map applied to
-    the last ``order`` centred rows, plus the mean."""
-    history = np.asarray(history, dtype=float)  # (n, m), or (n,) when m = 1
-    if history.shape[0] < fit.order:
-        raise BenchmarkError(f"need {fit.order} rows of history, got {history.shape[0]}")
-    state = (history[::-1][: fit.order] - fit.mean).ravel()
-    return _forecast_map(fit, horizon) @ state + fit.mean
+def var_forecast(fit: VarFit, series: np.ndarray, origins, horizon: int) -> np.ndarray:
+    """Iterated forecasts from each origin row of ``series`` (n, m):
+    (len(origins), horizon, m), the fit's forecast map applied to the
+    ``order`` centred rows up to each origin, plus the mean. An origin with
+    fewer than ``order`` rows up to it raises ``BenchmarkError``."""
+    x, origins = np.asarray(series, dtype=float), np.asarray(origins, dtype=int)
+    if (short := origins[origins + 1 < fit.order]).size:  # a negative row would wrap
+        raise BenchmarkError(f"need {fit.order} rows of history, got {short[0] + 1}")
+    m, k = fit.mean.size, fit.order * fit.mean.size
+    state = x[origins[:, None] - np.arange(fit.order)] - fit.mean  # (origins, order, m)
+    fmap = _forecast_map(fit, horizon).reshape(horizon * m, k)
+    out = state.reshape(origins.size, k) @ fmap.T + np.tile(fit.mean, horizon)
+    return out.reshape(origins.size, horizon, m)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +208,6 @@ class Arma11Fit:
     sigma2: float
     boundary: bool = False
     evaluations: int = 0  # profile sums of squares computed by the search
-    # (-ma)^j, j = 0, 1, ..., with room for twice the longest history forecast from
-    decay: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # block length of the blocked scan in ``_recurse``
@@ -366,25 +366,25 @@ def fit_arma11_mle(series) -> Arma11Fit:
     return Arma11Fit("arma11", phi, theta, mu, sse / (n - 1), boundary, len(calls))
 
 
-def arma11_forecast(fit: Arma11Fit, history: np.ndarray, horizon: int) -> np.ndarray:
-    y = np.asarray(history, dtype=float)
-    # the last innovation under the fitted parameters, from a zero one at the
-    # first row: sum_j (-ma)^j u_{t-j}
-    u = (y[1:] - fit.mean) - fit.ar * (y[:-1] - fit.mean)
-    if fit.decay is None or fit.decay.size < u.size:
-        fit.decay = np.power(-fit.ma, np.arange(2.0 * u.size))
-    e = float(u[::-1] @ fit.decay[: u.size])
-    one = fit.mean + fit.ar * (y[-1] - fit.mean) + fit.ma * e
-    return fit.mean + fit.ar ** np.arange(horizon) * (one - fit.mean)
+def arma11_forecast(fit: Arma11Fit, series, origins, horizon: int) -> np.ndarray:
+    """Forecasts from each origin row of ``series``: (len(origins), horizon).
+    The innovations, zero at the first row, are filtered once up to the last
+    origin."""
+    y, origins = np.asarray(series, dtype=float), np.asarray(origins, dtype=int)
+    last = int(origins.max(initial=0))
+    u = (y[1 : last + 1] - fit.mean) - fit.ar * (y[:last] - fit.mean)
+    e = np.concatenate([[0.0], _recurse(u, fit.ma)])[origins]
+    one = fit.mean + fit.ar * (y[origins] - fit.mean) + fit.ma * e
+    return fit.mean + np.multiply.outer(one - fit.mean, fit.ar ** np.arange(horizon))
 
 
 # ---------------------------------------------------------------------------
 # dynamic power-curve regressions
 
 
-def persistence_forecast(panel: TurbinePanel, origin: int, horizon: int) -> np.ndarray:
-    """Carry the origin's power forward to every horizon: (horizon, d)."""
-    return np.tile(panel.power[origin], (horizon, 1))
+def persistence_forecast(panel: TurbinePanel, origins, horizon: int) -> np.ndarray:
+    """Each origin's power carried to every horizon: (len(origins), horizon, d)."""
+    return np.repeat(panel.power[np.asarray(origins, dtype=int), None], horizon, axis=1)
 
 
 def _fourier(day_index) -> np.ndarray:
@@ -448,9 +448,9 @@ def fit_wppt(panel: TurbinePanel, turbine: int, k: int,
     return WpptFit("wppt", turbine, k, coefs)
 
 
-def wppt_forecast(fit: WpptFit, panel: TurbinePanel, origin: int) -> float:
-    x = _wppt_matrix(panel, np.array([origin]), fit.turbine, fit.horizon)
-    return float((x @ fit.coefs)[0])
+def wppt_forecast(fit: WpptFit, panel: TurbinePanel, origins) -> np.ndarray:
+    """The fit's horizon forecast from each origin: (len(origins),)."""
+    return _wppt_matrix(panel, np.asarray(origins), fit.turbine, fit.horizon) @ fit.coefs
 
 
 @dataclass
@@ -478,9 +478,11 @@ def ndtr(a) -> np.ndarray:
     """The standard normal CDF, by cephes' branches: erf near zero, and erfc
     of |x| in the tails, where 1 + erf(x) would cancel."""
     x = np.asarray(a, dtype=float) * math.sqrt(0.5)
-    tail = 0.5 * np.asarray(_erfc(np.abs(x)), dtype=float)
-    return np.where(np.abs(x) < math.sqrt(0.5), 0.5 + 0.5 * np.asarray(_erf(x), dtype=float),
-                    np.where(x > 0.0, 1.0 - tail, tail))
+    out, near = np.empty_like(x), np.abs(x) < math.sqrt(0.5)
+    out[near] = 0.5 + 0.5 * _erf(x[near]).astype(float)
+    tail = 0.5 * _erfc(np.abs(x[~near])).astype(float)
+    out[~near] = np.where(x[~near] > 0.0, 1.0 - tail, tail)
+    return out
 
 
 def log_ndtr(a) -> np.ndarray:
@@ -508,11 +510,14 @@ def fit_gwppt(panel: TurbinePanel, turbine: int, k: int, lower: float = 0.0,
         raise BenchmarkError("non-finite power among the targets")
     clipped = np.clip(y, lower, upper)
     beta0, *_ = np.linalg.lstsq(X, clipped, rcond=None)
-    theta = np.append(beta0, 1.0) / max(float((clipped - X @ beta0).std()), 1e-3)
+    resid, inside = clipped - X @ beta0, (y > lower) & (y < upper)
+    if inside.all():  # no censoring: least squares is the maximum, with sigma^2 = RSS / m
+        sigma = math.sqrt(resid @ resid / y.size)
+        return GwpptFit("gwppt", turbine, k, beta0, sigma, lower, upper)
+    theta = np.append(beta0, 1.0) / max(float(resid.std()), 1e-3)
     # rows [x, -y] inside the range and +-[x, -bound] at a bound, so that
     # Zc @ theta is the argument of a censored observation's normal CDF
     Z = np.column_stack([X, -clipped]) * np.where(y <= lower, -1.0, 1.0)[:, None]
-    inside = (y > lower) & (y < upper)
     Zm, Zc, n = Z[inside], Z[~inside], int(inside.sum())
 
     def tobit(theta):  # the log-likelihood less its constant, gradient, negated Hessian
@@ -561,8 +566,9 @@ def censored_mean(latent, sigma, lower: float, upper: float):
     return float(out) if out.ndim == 0 else out
 
 
-def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origin: int) -> float:
-    return censored_mean(wppt_forecast(fit, panel, origin), fit.sigma,
+def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origins) -> np.ndarray:
+    """The censored-normal mean of the fit's latent forecast from each origin."""
+    return censored_mean(wppt_forecast(fit, panel, origins), fit.sigma,
                          fit.lower, fit.upper)
 
 
@@ -570,18 +576,19 @@ def gwppt_forecast(fit: GwpptFit, panel: TurbinePanel, origin: int) -> float:
 # backtest adapters
 
 
-def _window(origin: int, max_order: int) -> slice:
-    """The rows a VAR forecast at ``origin`` reads: the last max(order, 1),
-    or all rows up to the origin when there are fewer."""
-    return slice(max(origin - max(max_order, 1) + 1, 0), origin + 1)
-
-
-def _power_paths(fits, histories, horizons, col) -> np.ndarray:
-    """Forecast each history with its fit and read the power column(s) ``col``
-    at ``horizons``: (len(horizons), d)."""
-    steps = np.asarray(horizons) - 1
-    return np.column_stack([var_forecast(f, h, int(steps.max()) + 1)[steps, col]
-                            for f, h in zip(fits, histories)])
+def _power_paths(fits, series, origins, horizons, cols) -> list:
+    """Forecast each series with its fit from every origin and read the power
+    columns ``cols`` at ``horizons``: per origin a (len(horizons), d) array,
+    or, where the origin has fewer rows than some fit's order, the
+    ``BenchmarkError`` of the first such fit."""
+    origins, steps = np.asarray(origins, dtype=int), np.asarray(horizons) - 1
+    horizon, ok = int(steps.max()) + 1, origins + 1 >= max(f.order for f in fits)
+    paths = iter(np.concatenate([
+        var_forecast(f, x, origins[ok], horizon).take(steps, axis=1)[..., cols]
+        for f, x in zip(fits, series)], axis=2))
+    return [next(paths) if good else BenchmarkError(
+        f"need {next(f.order for f in fits if f.order > o + 1)} rows of history, got {o + 1}")
+        for o, good in zip(origins.tolist(), ok.tolist())]
 
 
 class PersistenceModel:
@@ -590,8 +597,8 @@ class PersistenceModel:
     def fit(self, panel, end_row):
         return self
 
-    def forecast_power(self, panel, origin, horizons):
-        return persistence_forecast(panel, origin, len(horizons))
+    def forecast_power(self, panel, origins, horizons):
+        return list(persistence_forecast(panel, origins, len(horizons)))
 
 
 class ArModel:
@@ -608,10 +615,9 @@ class ArModel:
         ]
         return self
 
-    def forecast_power(self, panel, origin, horizons):
-        sl = _window(origin, self.max_order)
-        hists = [panel.power[sl, i : i + 1] for i in range(panel.d)]
-        return _power_paths(self.fits, hists, horizons, 0)
+    def forecast_power(self, panel, origins, horizons):
+        series = [panel.power[:, i : i + 1] for i in range(panel.d)]
+        return _power_paths(self.fits, series, origins, horizons, slice(0, 1))
 
 
 class BvarModel:
@@ -631,11 +637,10 @@ class BvarModel:
         ]
         return self
 
-    def forecast_power(self, panel, origin, horizons):
-        sl = _window(origin, self.max_order)
-        hists = [np.column_stack([panel.speed[sl, i], panel.power[sl, i]])
-                 for i in range(panel.d)]
-        return _power_paths(self.fits, hists, horizons, 1)
+    def forecast_power(self, panel, origins, horizons):
+        series = [np.column_stack([panel.speed[:, i], panel.power[:, i]])
+                  for i in range(panel.d)]
+        return _power_paths(self.fits, series, origins, horizons, slice(1, 2))
 
 
 class VarModel:
@@ -650,10 +655,9 @@ class VarModel:
         self.fit_ = fit_ar_yule_walker(joint, self.max_order)
         return self
 
-    def forecast_power(self, panel, origin, horizons):
-        sl = _window(origin, self.max_order)
-        hist = np.hstack([panel.speed[sl], panel.power[sl]])
-        return _power_paths([self.fit_], [hist], horizons, slice(panel.d, None))
+    def forecast_power(self, panel, origins, horizons):
+        joint = np.hstack([panel.speed, panel.power])
+        return _power_paths([self.fit_], [joint], origins, horizons, slice(panel.d, None))
 
 
 class Arma11Model:
@@ -666,11 +670,11 @@ class Arma11Model:
         self.fits = [fit_arma11_mle(panel.power[:end_row, i]) for i in range(panel.d)]
         return self
 
-    def forecast_power(self, panel, origin, horizons):
+    def forecast_power(self, panel, origins, horizons):
         steps = np.asarray(horizons) - 1
-        return np.column_stack([
-            arma11_forecast(f, panel.power[: origin + 1, i], int(steps.max()) + 1)[steps]
-            for i, f in enumerate(self.fits)])
+        return list(np.stack([
+            arma11_forecast(f, panel.power[:, i], origins, int(steps.max()) + 1)[:, steps]
+            for i, f in enumerate(self.fits)], axis=2))
 
 
 class WpptModel:
@@ -704,18 +708,19 @@ class WpptModel:
     def _predict(self, latent, fits):
         return latent
 
-    def forecast_power(self, panel, origin, horizons):
-        ks = np.asarray(horizons, dtype=int)
-        out = np.empty((ks.size, panel.d))
+    def forecast_power(self, panel, origins, horizons):
+        origins, ks = np.asarray(origins, dtype=int), np.asarray(horizons, dtype=int)
+        rows, hs = np.repeat(origins, ks.size), np.tile(ks, origins.size)
+        out = np.empty((origins.size, ks.size, panel.d))
         for i in range(panel.d):
             for k in ks.tolist():
                 if (i, k) not in self._cache:
                     self._cache[i, k] = self._fit_one(panel, i, k)
             fits = [self._cache[i, k] for k in ks.tolist()]
-            X = _wppt_matrix(panel, np.full(ks.size, origin), i, ks)
-            latent = np.einsum("hj,hj->h", X, np.array([f.coefs for f in fits]))
-            out[:, i] = self._predict(latent, fits)
-        return out
+            X = _wppt_matrix(panel, rows, i, hs).reshape(origins.size, ks.size, -1)
+            latent = np.einsum("ohj,hj->oh", X, np.array([f.coefs for f in fits]))
+            out[:, :, i] = self._predict(latent, fits)
+        return list(out)
 
 
 class GwpptModel(WpptModel):

@@ -5,8 +5,8 @@ full in-sample window before them and the full horizon after them; every
 model is evaluated on the same origins. Mean absolute errors are reported
 per turbine and horizon, as the turbine mean, and as the difference to the
 persistence forecaster; signed-error densities are kept at a few display
-horizons. The sparse joint model forecasts every origin in one engine run,
-each origin one path.
+horizons. Every model forecasts all origins in one call; the sparse joint
+model runs each origin as one path of a single engine run.
 """
 
 from __future__ import annotations
@@ -106,8 +106,11 @@ def error_density(errors, grid=None, bandwidth=None):
         lo, hi = e.min() - 4 * bandwidth, e.max() + 4 * bandwidth
         grid = np.linspace(lo, hi, 512)
     grid = np.asarray(grid, dtype=float)
-    z = (grid[:, None] - e[None, :]) / bandwidth
-    dens = np.exp(-0.5 * z * z).mean(axis=1) / (bandwidth * np.sqrt(2 * np.pi))
+    z = np.subtract.outer(grid, e)
+    z /= bandwidth
+    kernel = z * -0.5
+    kernel *= z
+    dens = np.exp(kernel, out=kernel).mean(axis=1) / (bandwidth * np.sqrt(2 * np.pi))
     return grid, dens
 
 
@@ -119,7 +122,6 @@ class JointModelAdapter:
     def __init__(self, config: ModelConfig | None = None):
         self.config = config
         self.forecaster: Forecaster | None = None
-        self.batch: dict = {}  # origin -> ForecastResult or its ForecastError
 
     def fit(self, panel: TurbinePanel, end_row: int):
         sub = TurbinePanel(
@@ -135,17 +137,12 @@ class JointModelAdapter:
         self.forecaster = Forecaster(model, panel)
         return self
 
-    def prepare(self, panel, origins, horizons):
-        # every origin is one path of a single engine run, after filtering
-        # the state up to the last origin
-        fcs = self.forecaster.point_batch(origins, int(max(horizons)))
-        self.batch = dict(zip((int(o) for o in origins), fcs))
-
-    def forecast_power(self, panel, origin, horizons):
-        fc = self.batch[origin]
-        if isinstance(fc, ForecastError):
-            raise fc
-        return fc.power_point[np.asarray(horizons) - 1]
+    def forecast_power(self, panel, origins, horizons):
+        # every origin is one path of a single engine run, after filtering the
+        # state up to the last origin; an origin it rejects keeps its error
+        steps = np.asarray(horizons) - 1
+        return [fc if isinstance(fc, ForecastError) else fc.power_point[steps]
+                for fc in self.forecaster.point_batch(origins, int(max(horizons)))]
 
 
 @dataclass
@@ -191,9 +188,9 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
                  lasso_config: ModelConfig | None = None,
                  workers: int = 1) -> BacktestReport:
     """Fit every requested model once on the initial in-sample window, then
-    forecast power at each sampled origin, one origin after another.
-    Deterministic given the spec seed. ``workers`` must be 1; it stays for
-    callers that pass it."""
+    forecast power at every sampled origin in one call per model; an origin
+    that fails is recorded with its message and left out. Deterministic given
+    the spec seed. ``workers`` must be 1; it stays for callers that pass it."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
     if panel.has_missing():
@@ -212,15 +209,13 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         t0 = time.perf_counter()
         model = _instantiate(name, lasso_config)
         model.fit(panel, spec.in_sample)
-        if hasattr(model, "prepare"):
-            model.prepare(panel, origins, horizons)
         preds = np.full((origins.size, horizons.size, panel.d), np.nan)
         failures = []
-        for oi, origin in enumerate(origins):
-            try:
-                preds[oi] = model.forecast_power(panel, int(origin), horizons)
-            except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-                failures.append((int(origin), str(exc)))
+        for oi, fc in enumerate(model.forecast_power(panel, origins, horizons)):
+            if isinstance(fc, Exception):
+                failures.append((int(origins[oi]), str(fc)))
+            else:
+                preds[oi] = fc
         if failures:
             warnings.warn(f"{name}: {len(failures)} origin(s) failed and were excluded")
         ok = ~np.isnan(preds).any(axis=(1, 2))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import optimize, signal, special
@@ -50,13 +52,13 @@ def panel_from(speed, power, labels=None):
 class TestPersistence:
     def test_carries_last_observation(self):
         p = panel_from(np.arange(10.0), np.arange(10.0) * 10)
-        fc = persistence_forecast(p, origin=5, horizon=288)
-        assert fc.shape == (288, 1)
+        fc = persistence_forecast(p, origins=[5], horizon=288)
+        assert fc.shape == (1, 288, 1)
         assert np.all(fc == 50.0)
 
     def test_constant_series_zero_error(self):
         p = panel_from(np.full(20, 3.0), np.full(20, 30.0))
-        fc = persistence_forecast(p, 10, 5)
+        fc = persistence_forecast(p, [10, 12], 5)
         assert np.all(fc == 30.0)
 
 
@@ -164,15 +166,15 @@ class TestYuleWalker:
         rng = np.random.default_rng(4)
         y = rng.standard_normal(5000) + 11.0
         fit = fit_ar_yule_walker(y, max_order=4)
-        fc = var_forecast(fit, y[-10:], 600)
+        fc = var_forecast(fit, y[:, None], [y.size - 1], 600)[0]
         assert fc[-1, 0] == pytest.approx(fit.mean[0], abs=1e-6)
 
     def test_bivariate_shapes(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4000, 2)).cumsum(axis=0) * 0.01 + rng.standard_normal((4000, 2))
         fit = fit_ar_yule_walker(x, max_order=3)
-        fc = var_forecast(fit, x[-5:], 7)
-        assert fc.shape == (7, 2)
+        fc = var_forecast(fit, x, [3999, 3998, 4], 7)
+        assert fc.shape == (3, 7, 2)
 
 
 def recursive_forecast(fit, history, horizon):
@@ -204,8 +206,7 @@ def stable_var(m, order, seed, radius=0.9):
 class TestForecastMap:
     @staticmethod
     def fits():
-        """(name, fit factory, history); a factory gives a fresh fit, so no
-        forecast map is cached yet."""
+        """(name, fit factory, history)."""
         rng = np.random.default_rng(11)
         y = np.zeros(6000)
         for t in range(3, y.size):
@@ -214,7 +215,7 @@ class TestForecastMap:
         x2 = rng.standard_normal((40, 2)) + 3.0
         x4 = rng.standard_normal((40, 4)) * 4.0
         return [
-            ("ar", lambda: fit_ar_yule_walker(y, max_order=8), y[-25:]),
+            ("ar", lambda: fit_ar_yule_walker(y, max_order=8), y[-25:, None]),
             ("var2_near_unit_root", lambda: stable_var(2, 3, 1, radius=0.999), x2),
             ("var4", lambda: stable_var(4, 5, 2), x4),
             ("order0", lambda: VarFit("var", 0, np.zeros((0, 3, 3)), np.array([1.0, -2.0, 5.0]),
@@ -232,18 +233,18 @@ class TestForecastMap:
                 assert name != "ar" or fit.order >= 2
                 assert hist.shape[0] > fit.order  # history longer than p
                 for h in horizons:
-                    got = var_forecast(fit, hist, h)
+                    got = var_forecast(fit, hist, [len(hist) - 1], h)[0]
                     assert got.shape == (h, fit.mean.size)
                     self.check(got, recursive_forecast(fit, hist, h))
 
     def test_order_zero_is_the_mean(self):
         fit = self.fits()[-1][1]()
-        fc = var_forecast(fit, np.zeros((0, 3)), 5)
-        assert np.array_equal(fc, np.tile(fit.mean, (5, 1)))
+        fc = var_forecast(fit, np.zeros((1, 3)), [0], 5)
+        assert np.array_equal(fc, np.tile(fit.mean, (1, 5, 1)))
 
     def test_history_shorter_than_order(self):
         with pytest.raises(BenchmarkError, match="need 5 rows"):
-            var_forecast(stable_var(4, 5, 2), np.zeros((4, 4)), 3)
+            var_forecast(stable_var(4, 5, 2), np.zeros((9, 4)), [8, 3], 3)
 
 
 class TestArma11:
@@ -277,20 +278,20 @@ class TestArma11:
         rng = np.random.default_rng(8)
         y = rng.standard_normal(5000) + 4.0
         fit = fit_arma11_mle(y)
-        fc = arma11_forecast(fit, y[-100:], 400)
+        fc = arma11_forecast(fit, y[-100:], [99], 400)[0]
         assert fc[-1] == pytest.approx(fit.mean, abs=0.05)
 
     @pytest.mark.parametrize("ar", [0.93, -0.6])
     def test_forecast_tail_matches_recursion(self, ar):
         fit = Arma11Fit("arma11", ar, 0.3, 12.0, 1.0)
         y = np.random.default_rng(9).standard_normal(300) + 14.0
-        np.testing.assert_allclose(arma11_forecast(fit, y, 288),
+        np.testing.assert_allclose(arma11_forecast(fit, y, [y.size - 1], 288)[0],
                                    arma_recursion(fit, y, 288), rtol=1e-12)
 
     def test_one_row_history(self):
         # the only innovation is the zero initial one
         fit = Arma11Fit("arma11", 0.93, 0.3, 12.0, 1.0)
-        got = arma11_forecast(fit, np.array([14.5]), 288)
+        got = arma11_forecast(fit, np.array([14.5]), [0], 288)[0]
         np.testing.assert_allclose(got, arma_recursion(fit, [14.5], 288), rtol=1e-12)
         assert got[0] == pytest.approx(12.0 + 0.93 * 2.5, rel=1e-15)
 
@@ -409,13 +410,13 @@ class TestArma11:
         ref = lbfgsb_reference(y)
         assert (y.size - 1) * np.log(fit.sigma2) <= ref.fun + 1e-9
 
-    def test_forecast_reads_a_longer_history_after_a_shorter_one(self):
-        # the decay powers kept on the fit grow with the history
+    def test_forecasts_from_several_origins_match_the_recursion(self):
+        # one filter pass up to the last origin serves every origin, in any order
         fit = Arma11Fit("arma11", 0.8, -0.6, 12.0, 1.0)
         y = np.random.default_rng(10).standard_normal(400) + 12.0
-        for rows in (50, 400, 120):
-            np.testing.assert_allclose(arma11_forecast(fit, y[-rows:], 24),
-                                       arma_recursion(fit, y[-rows:], 24), rtol=1e-12)
+        origins = [49, 399, 119, 0, 16]
+        for o, got in zip(origins, arma11_forecast(fit, y, origins, 24)):
+            np.testing.assert_allclose(got, arma_recursion(fit, y[: o + 1], 24), rtol=1e-12)
 
     @pytest.mark.parametrize("ar, ma", [(0.7, -0.4), (0.9, 0.3)])
     def test_fit_matches_finite_difference_fit(self, ar, ma):
@@ -534,9 +535,9 @@ class TestWppt:
     def test_forecast_linear_in_coefficients(self):
         p = wppt_panel()
         fit = fit_wppt(p, 0, 2)
-        base = wppt_forecast(fit, p, 3000)
+        base = wppt_forecast(fit, p, [3000, 3100])
         fit.coefs = fit.coefs * 2.0
-        assert wppt_forecast(fit, p, 3000) == pytest.approx(2.0 * base)
+        assert wppt_forecast(fit, p, [3000, 3100]) == pytest.approx(2.0 * base)
 
 
 def tobit_negloglik(params, X, y, lower, upper):
@@ -583,6 +584,21 @@ class TestNormalCdf:
         normal = np.abs(want) >= np.finfo(float).tiny
         np.testing.assert_allclose(ours(self.GRID)[normal], want[normal], rtol=1e-13, atol=0)
 
+    @staticmethod
+    def both_branches_ndtr(a):
+        """The former ndtr: erf and erfc at every point, then one picked."""
+        x = np.asarray(a, dtype=float) * math.sqrt(0.5)
+        erf, erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+        tail = 0.5 * np.asarray(erfc(np.abs(x)), dtype=float)
+        return np.where(np.abs(x) < math.sqrt(0.5), 0.5 + 0.5 * np.asarray(erf(x), dtype=float),
+                        np.where(x > 0.0, 1.0 - tail, tail))
+
+    def test_ndtr_equals_the_formula_on_both_branches(self):
+        # one math call per point, on its own branch, changes no bit
+        a = np.r_[self.GRID, 1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan]
+        np.testing.assert_array_equal(ndtr(a), self.both_branches_ndtr(a))
+        assert ndtr(0.5) == self.both_branches_ndtr(0.5)
+
     def test_log_ndtr_far_in_the_lower_tail(self):
         a = -np.logspace(0.0, 8.0, 80_001)
         np.testing.assert_allclose(log_ndtr(a), special.log_ndtr(a), rtol=1e-13, atol=0)
@@ -619,8 +635,8 @@ class TestGwppt:
     def test_forecast_within_bounds(self):
         p = wppt_panel()
         fit = fit_gwppt(p, 0, 2, lower=0.0, upper=1500.0)
-        val = gwppt_forecast(fit, p, 3500)
-        assert 0.0 <= val <= 1500.0
+        val = gwppt_forecast(fit, p, [3500, 10, 3999])
+        assert np.all((0.0 <= val) & (val <= 1500.0))
 
     def test_recovers_uncensored_regression(self):
         # no censored observations: Tobit collapses to least squares, with
@@ -678,7 +694,7 @@ class TestRegistry:
     def test_adapter_surface(self, name):
         p = wppt_panel(3000)
         model = make_benchmark(name).fit(p, 2500)
-        fc = model.forecast_power(p, 2600, np.array([1, 6, 24]))
+        (fc,) = model.forecast_power(p, np.array([2600]), np.array([1, 6, 24]))
         assert fc.shape == (3, 1)
         assert np.all(np.isfinite(fc))
 
@@ -686,7 +702,7 @@ class TestRegistry:
         p = wppt_panel(3000)
         for name in ("wppt", "gwppt"):
             model = make_benchmark(name).fit(p, 2500)
-            fc = model.forecast_power(p, 2600, np.array([1, 4]))
+            (fc,) = model.forecast_power(p, np.array([2600]), np.array([1, 4]))
             assert fc.shape == (2, 1)
 
 
@@ -703,26 +719,26 @@ class TestAdapterValues:
     HORIZONS = np.array([1, 2, 6, 24])
 
     def direct(self, p, name):
-        end, origin, steps = self.END, self.ORIGIN, self.HORIZONS - 1
+        end, origin, steps = self.END, [self.ORIGIN], self.HORIZONS - 1
         horizon = int(self.HORIZONS.max())
         if name == "persistence":
-            return persistence_forecast(p, origin, horizon)[steps]
+            return persistence_forecast(p, origin, horizon)[0, steps]
         if name == "var":
-            fit = fit_ar_yule_walker(np.hstack([p.speed[:end], p.power[:end]]), 10)
-            hist = np.hstack([p.speed[: origin + 1], p.power[: origin + 1]])
-            return var_forecast(fit, hist, horizon)[steps, p.d :]
+            joint = np.hstack([p.speed, p.power])
+            fit = fit_ar_yule_walker(joint[:end], 10)
+            return var_forecast(fit, joint, origin, horizon)[0, steps, p.d :]
         cols = []
         for i in range(p.d):
             if name == "ar":
                 fit = fit_ar_yule_walker(p.power[:end, i], 20)
-                path = var_forecast(fit, p.power[: origin + 1, i], horizon)[:, 0]
+                path = var_forecast(fit, p.power[:, i : i + 1], origin, horizon)[0, :, 0]
             elif name == "bvar":
                 both = np.column_stack([p.speed[:, i], p.power[:, i]])
                 fit = fit_ar_yule_walker(both[:end], 20)
-                path = var_forecast(fit, both[: origin + 1], horizon)[:, 1]
+                path = var_forecast(fit, both, origin, horizon)[0, :, 1]
             else:  # arma11 reads every row up to the origin
                 fit = fit_arma11_mle(p.power[:end, i])
-                path = arma11_forecast(fit, p.power[: origin + 1, i], horizon)
+                path = arma11_forecast(fit, p.power[:, i], origin, horizon)[0]
             cols.append(path[steps])
         return np.column_stack(cols)
 
@@ -730,9 +746,29 @@ class TestAdapterValues:
     def test_linear_adapters_equal_direct_calls(self, name):
         p = two_turbine_panel()
         model = make_benchmark(name).fit(p, self.END)
-        got = model.forecast_power(p, self.ORIGIN, self.HORIZONS)
+        (got,) = model.forecast_power(p, np.array([self.ORIGIN]), self.HORIZONS)
         assert got.shape == (self.HORIZONS.size, 2)
         np.testing.assert_array_equal(got, self.direct(p, name))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_one_call_equals_one_origin_calls(self, name):
+        # the earliest origin each model takes: arma11 at origin 0, the
+        # AR/BVAR/VAR fits at order - 1 rows, the power curves at 1 (their
+        # regressors read the power at t - 1)
+        p = two_turbine_panel()
+        model = make_benchmark(name).fit(p, self.END)
+        if name in ("ar", "bvar", "var"):
+            first = max(f.order for f in ([model.fit_] if name == "var" else model.fits)) - 1
+            assert first > 0
+        else:
+            first = 1 if name in ("wppt", "gwppt") else 0
+        origins = np.array([self.ORIGIN, first, 2999, first + 1, 1200, 2900])
+        batch = model.forecast_power(p, origins, self.HORIZONS)
+        assert len(batch) == origins.size
+        for origin, got in zip(origins, batch):
+            (want,) = model.forecast_power(p, np.array([origin]), self.HORIZONS)
+            assert got.shape == (self.HORIZONS.size, 2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @staticmethod
     def with_stable_fits(name, d, order):
@@ -755,21 +791,40 @@ class TestAdapterValues:
         r = slice(0, origin + 1)
         if name == "var":
             hist = np.hstack([p.speed[r], p.power[r]])
-            want = var_forecast(model.fit_, hist, horizon)[steps, p.d :]
+            want = var_forecast(model.fit_, hist, [origin], horizon)[0, steps, p.d :]
         else:
-            hists = [p.power[r, i] if name == "ar"
+            hists = [p.power[r, i : i + 1] if name == "ar"
                      else np.column_stack([p.speed[r, i], p.power[r, i]])
                      for i in range(p.d)]
-            want = np.column_stack([var_forecast(f, h, horizon)[steps, -1]
+            want = np.column_stack([var_forecast(f, h, [origin], horizon)[0, steps, -1]
                                     for f, h in zip(model.fits, hists)])
-        got = model.forecast_power(p, origin, self.HORIZONS)
+        (got,) = model.forecast_power(p, np.array([origin]), self.HORIZONS)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["ar", "bvar", "var"])
     def test_origin_with_fewer_rows_than_order(self, name):
+        # the short origins get their error; the others their forecasts
+        p = two_turbine_panel()
         model = self.with_stable_fits(name, 2, 3)
-        with pytest.raises(BenchmarkError, match="need 3 rows of history, got 2"):
-            model.forecast_power(two_turbine_panel(), 1, self.HORIZONS)
+        origins = np.array([self.ORIGIN, 1, 2, 0, 900])
+        batch = model.forecast_power(p, origins, self.HORIZONS)
+        for origin, got in zip(origins.tolist(), batch):
+            if origin < 2:
+                assert isinstance(got, BenchmarkError)
+                assert str(got) == f"need 3 rows of history, got {origin + 1}"
+            else:
+                (want,) = model.forecast_power(p, np.array([origin]), self.HORIZONS)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_short_origin_names_the_first_turbine_it_fails(self):
+        # turbine orders 2 and 4: each short origin names the first fit whose
+        # order exceeds its rows
+        model = make_benchmark("ar")
+        model.fits = [stable_var(1, 2, 4), stable_var(1, 4, 5)]
+        batch = model.forecast_power(two_turbine_panel(), np.array([0, 2, 3]), self.HORIZONS)
+        assert [str(e) for e in batch[:2]] == ["need 2 rows of history, got 1",
+                                               "need 4 rows of history, got 3"]
+        assert batch[2].shape == (self.HORIZONS.size, 2)
 
     def test_arma11_at_origin_zero(self):
         p = two_turbine_panel()
@@ -779,7 +834,7 @@ class TestAdapterValues:
         want = np.column_stack([
             arma_recursion(f, p.power[:1, i], int(self.HORIZONS.max()))[self.HORIZONS - 1]
             for i, f in enumerate(model.fits)])
-        got = model.forecast_power(p, 0, self.HORIZONS)
+        (got,) = model.forecast_power(p, np.array([0]), self.HORIZONS)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("name, kwargs", [
@@ -790,14 +845,14 @@ class TestAdapterValues:
     def test_power_curve_adapters_equal_direct_calls(self, name, kwargs):
         p = two_turbine_panel()
         model = make_benchmark(name, **kwargs).fit(p, self.END)
-        want = np.empty((self.HORIZONS.size, p.d))
-        for origin in (self.ORIGIN, 2900):
-            got = model.forecast_power(p, origin, self.HORIZONS)
-            for h, k in enumerate(self.HORIZONS.tolist()):
-                for i in range(p.d):
-                    if name == "wppt":
-                        want[h, i] = wppt_forecast(fit_wppt(p, i, k, self.END), p, origin)
-                    else:
-                        fit = fit_gwppt(p, i, k, end_row=self.END, **kwargs)
-                        want[h, i] = gwppt_forecast(fit, p, origin)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        origins = np.array([self.ORIGIN, 2900])
+        want = np.empty((origins.size, self.HORIZONS.size, p.d))
+        for h, k in enumerate(self.HORIZONS.tolist()):
+            for i in range(p.d):
+                if name == "wppt":
+                    want[:, h, i] = wppt_forecast(fit_wppt(p, i, k, self.END), p, origins)
+                else:
+                    fit = fit_gwppt(p, i, k, end_row=self.END, **kwargs)
+                    want[:, h, i] = gwppt_forecast(fit, p, origins)
+        got = model.forecast_power(p, origins, self.HORIZONS)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -173,10 +173,9 @@ class TestRunBacktest:
         bad = {int(origins[0]): "boom", int(origins[5]): "bang"}
         real = ArModel.forecast_power
 
-        def flaky(self, panel, origin, horizons):
-            if origin in bad:
-                raise RuntimeError(bad[origin])
-            return real(self, panel, origin, horizons)
+        def flaky(self, panel, origins, horizons):
+            return [RuntimeError(bad[o]) if o in bad else fc
+                    for o, fc in zip(origins.tolist(), real(self, panel, origins, horizons))]
 
         monkeypatch.setattr(ArModel, "forecast_power", flaky)
         with pytest.warns(UserWarning, match="ar: 2 origin"):
@@ -196,6 +195,16 @@ class TestRunBacktest:
                                  - fc.power_point[horizons - 1])
         expect = abs_err.mean(axis=0).T.mean(axis=0)
         np.testing.assert_allclose(report.mae_mean["lasso"], expect, rtol=1e-12, atol=0)
+
+    def test_lasso_one_call_equals_one_origin_calls(self, backtest_panel):
+        model = JointModelAdapter(tiny_config()).fit(backtest_panel, 4000)
+        origins, horizons = np.array([4500, 4000, 4975, 4001, 4800]), np.array([1, 2, 6, 24])
+        batch = model.forecast_power(backtest_panel, origins, horizons)
+        assert len(batch) == origins.size
+        for origin, got in zip(origins, batch):
+            (want,) = model.forecast_power(backtest_panel, np.array([origin]), horizons)
+            assert got.shape == (horizons.size, 2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_lasso_origin_without_history_recorded(self, backtest_panel, monkeypatch):
         # origin 1 has 2 rows of history for the lasso's lag 3; persistence

@@ -59,12 +59,14 @@ step("backtest")
 
 digest = hashlib.sha256()
 arma = Arma11Model().fit(panel, 3000)
-digest.update(arma.forecast_power(panel, 3500, np.array([1, 6])).tobytes())
+arma_fc = arma.forecast_power(panel, np.array([3500, 0]), np.array([1, 6]))
+digest.update(np.array(arma_fc).tobytes())
 for f in arma.fits:
     digest.update(np.array([f.ar, f.ma, f.mean, f.sigma2]).tobytes())
 step("arma11")
 gw = GwpptModel().fit(panel, 3000)
-digest.update(gw.forecast_power(panel, 3500, np.array([1, 2])).tobytes())
+gw_fc = gw.forecast_power(panel, np.array([3500, 3600]), np.array([1, 2]))
+digest.update(np.array(gw_fc).tobytes())
 for f in gw._cache.values():
     digest.update(np.append(f.coefs, f.sigma).tobytes())
 step("gwppt")
