@@ -401,7 +401,10 @@ _FOURIER = _fourier(np.arange(144))
 def _wppt_regressors(panel: TurbinePanel, rows: np.ndarray, turbine: int):
     """The horizon-free part of the regressors at origins ``rows``: the first
     five columns (intercept, power at t and t-1, the speed at t, carried
-    forward to t+k, and its square) and the 10-minute slot of the day at t."""
+    forward to t+k, and its square) and the 10-minute slot of the day at t.
+    An origin without a row before it raises ``BenchmarkError``."""
+    if rows.size and rows.min() < 1:  # P[rows - 1] would wrap to the last row
+        raise BenchmarkError(f"need 2 rows of history, got {rows.min() + 1}")
     P = panel.power[:, turbine]
     w = panel.speed[rows, turbine]
     cols = np.column_stack([np.ones(rows.size), P[rows], P[rows - 1], w, w * w])
@@ -710,17 +713,20 @@ class WpptModel:
 
     def forecast_power(self, panel, origins, horizons):
         origins, ks = np.asarray(origins, dtype=int), np.asarray(horizons, dtype=int)
-        rows, hs = np.repeat(origins, ks.size), np.tile(ks, origins.size)
-        out = np.empty((origins.size, ks.size, panel.d))
+        ok = origins >= 1  # the regressors read the power at t - 1
+        rows, hs = np.repeat(origins[ok], ks.size), np.tile(ks, int(ok.sum()))
+        out = np.empty((int(ok.sum()), ks.size, panel.d))
         for i in range(panel.d):
             for k in ks.tolist():
                 if (i, k) not in self._cache:
                     self._cache[i, k] = self._fit_one(panel, i, k)
             fits = [self._cache[i, k] for k in ks.tolist()]
-            X = _wppt_matrix(panel, rows, i, hs).reshape(origins.size, ks.size, -1)
+            X = _wppt_matrix(panel, rows, i, hs).reshape(out.shape[0], ks.size, -1)
             latent = np.einsum("ohj,hj->oh", X, np.array([f.coefs for f in fits]))
             out[:, :, i] = self._predict(latent, fits)
-        return list(out)
+        paths = iter(out)
+        return [next(paths) if good else BenchmarkError(f"need 2 rows of history, got {o + 1}")
+                for o, good in zip(origins.tolist(), ok.tolist())]
 
 
 class GwpptModel(WpptModel):

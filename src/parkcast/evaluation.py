@@ -189,7 +189,8 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
                  workers: int = 1) -> BacktestReport:
     """Fit every requested model once on the initial in-sample window, then
     forecast power at every sampled origin in one call per model; an origin
-    that fails is recorded with its message and left out. Deterministic given
+    that fails (raises, or forecasts NaN or inf) is recorded with its message
+    and left out. Deterministic given
     the spec seed. ``workers`` must be 1; it stays for callers that pass it."""
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
@@ -212,8 +213,9 @@ def run_backtest(panel: TurbinePanel, spec: BacktestSpec,
         preds = np.full((origins.size, horizons.size, panel.d), np.nan)
         failures = []
         for oi, fc in enumerate(model.forecast_power(panel, origins, horizons)):
-            if isinstance(fc, Exception):
-                failures.append((int(origins[oi]), str(fc)))
+            if isinstance(fc, Exception) or not np.isfinite(fc).all():
+                failures.append((int(origins[oi]), str(fc) if isinstance(fc, Exception)
+                                 else "forecast is not finite"))
             else:
                 preds[oi] = fc
         if failures:

@@ -10,11 +10,12 @@ rescaled to unit weighted norm internally (per-coordinate thresholds carry the s
 back), and returned coefficients are on the raw scale. On a fixed support and signs
 the path is affine in the penalty, so it is walked exactly from knot to knot, where
 one column enters or leaves (the lasso homotopy: Osborne, Presnell & Turlach 2000;
-Efron et al. 2004), on the inverse of the support's Cholesky factor. At a degenerate
-knot an active-set method takes the next grid penalty from the path: exact sign-fixed
-KKT solves on the support, a step back to the first zero crossing, and one vectorized
-gradient to find the columns that must enter. Nonnegative problems hold every sign at
-+, as in Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
+Efron et al. 2004), on the inverse of the support's Cholesky factor. The walk is the
+only solver. Columns need not be in general position (Tibshirani 2013): tied events
+are taken one at a time, a column in the span of the support stays out, and every
+grid penalty is checked against its KKT conditions; a failed check restarts the walk
+from the last checked penalty. Nonnegative problems hold every sign at +, as in
+Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_OBJ_SLACK = 1e-12  # float roundoff allowance for the monotonicity assertion
 _TIE = 1e-12  # relative gap within which two knots, or a knot and a grid penalty, coincide
 _PAIR_BLOCK = 1 << 16  # norm-neighbour column pairs screened at once for duplicates
 _BLOCK_BYTES = 1 << 21  # one row block of [X y]' as _Work accumulates it
@@ -111,9 +111,7 @@ class LassoFit:
     coef_path: np.ndarray  # (n_lambda, p), raw scale
     bic_path: np.ndarray
     selected_index: int
-    # per lambda: knots crossed since the previous one, plus one; or, where
-    # the active-set solve ran, its iterations
-    sweeps: np.ndarray
+    sweeps: np.ndarray  # per lambda: knots walked since the previous one, plus one
     converged: np.ndarray
     objective: float
     zero_rss: bool
@@ -202,18 +200,13 @@ class _Work:
         self.sign_fixed = (np.ones(self.cols.size, dtype=bool) if problem.nonnegative
                            else self.pen_scale > 0)
 
-    def gradient(self, b: np.ndarray) -> tuple[np.ndarray, float]:
-        """X'W r on the standardized columns and the weighted RSS at ``b``."""
-        g = self.c - self.G @ b
-        return g, self.yy - float(np.dot(self.c, b)) - float(np.dot(b, g))
-
     def gram(self, active: np.ndarray) -> np.ndarray:
         return self.G.take(active, 0).take(active, 1)
 
 
-def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, lam: float) -> np.ndarray:
-    """KKT residuals per usable coordinate, on the standardized scale, from
-    the gradient ``g`` = X'W r at ``b``."""
+def _kkt_std(work: _Work, b: np.ndarray, lam: float) -> np.ndarray:
+    """KKT residuals per usable coordinate at ``b``, on the standardized scale."""
+    g = work.c - work.G @ b  # X'W r
     thr = 0.5 * lam * work.pen_scale
     active = b != 0.0
     if work.problem.nonnegative:
@@ -223,134 +216,15 @@ def _kkt_std(work: _Work, b: np.ndarray, g: np.ndarray, lam: float) -> np.ndarra
     return np.where(active, np.abs(g - thr * np.sign(b)), inactive)
 
 
-def _solve(work: _Work, lam: float, b: np.ndarray, tol: float, max_iter: int):
-    """Active-set solve at one lambda from warm start ``b`` (standardized
-    scale, updated in place; feasible, on numerically independent columns).
-
-    Each iteration checks the KKT residuals first. While the active set is
-    not optimal, it steps toward the exact solution of its KKT equations
-    with the signs held fixed (repeated while that lowers the residual),
-    stopping at the first zero crossing of a sign-fixed coefficient, whose
-    column leaves. Once the set is optimal, the inactive column with the
-    largest KKT residual joins with the sign of its gradient, moving along
-    the ray on which the old set stays optimal (Osborne, Presnell & Turlach
-    2000); every step lowers the objective. Returns (b, iterations,
-    converged, weighted RSS); an optimal start counts one iteration.
-    """
-    nonneg = work.problem.nonnegative
-    thr = 0.5 * lam * work.pen_scale
-    active = b.nonzero()[0]
-    signs = np.ones(b.size) if nonneg else np.sign(b)
-    blocked = np.zeros(b.size, dtype=bool)  # violators that cannot enter
-    # float-roundoff allowance for the quadratic form; genuine increases are
-    # orders of magnitude larger
-    slack = _OBJ_SLACK * (work.yy + 1.0)
-    g, rss = work.gradient(b)
-    obj = rss + lam * float(np.dot(work.pen_scale, np.abs(b)))
-    refine_res = np.inf  # active-set residual before the last Newton step on this set
-    iterations = 0
-    while True:
-        res = _kkt_std(work, b, g, lam)
-        converged = res.max(initial=0.0) <= tol
-        if converged or iterations >= max_iter:
-            break
-        on = b != 0.0
-        worst = res.max(where=on, initial=0.0)
-        if tol < worst < refine_res:
-            entered, refine_res = -1, worst
-        else:
-            candidates = np.where(on | blocked, 0.0, res)
-            entered = int(np.argmax(candidates))
-            if candidates[entered] <= tol:
-                break  # only roundoff on the active set or a blocked column is left
-            signs[entered] = 1.0 if nonneg else np.sign(g[entered])
-            active = np.concatenate((active, [entered]))
-            refine_res = np.inf
-        iterations += 1
-        s, ba, h = signs[active], b[active], work.gram(active)
-        try:
-            if entered >= 0:
-                # H^-1 e_j = [-u; 1] / sc: the ray on which the old set stays
-                # optimal, to the objective's minimum on it, or only to a
-                # crossing if the column lies in the span of the others (sc =
-                # 0: the fit does not change along the ray, the penalty falls)
-                u = np.linalg.solve(h[:-1, :-1], h[:-1, -1])
-                sc = h[-1, -1] - float(h[-1, :-1] @ u)
-                v = np.concatenate((-u, [1.0])) * s[-1]
-                t_max = (abs(g[entered] - thr[entered] * s[-1]) / sc
-                         if sc > 0.0 else np.inf)
-            else:
-                # Newton step from the fresh gradient: G_AA v = g_A - thr_A s_A
-                v = np.linalg.solve(h, g[active] - thr[active] * s)
-                t_max = 1.0
-        except np.linalg.LinAlgError:
-            v = np.full(active.size, np.nan)
-        cross = work.sign_fixed[active] & (v * s < 0.0)
-        reach = -ba[cross] / v[cross]
-        t = min(t_max, float(np.min(reach, initial=np.inf)))
-        ok = np.isfinite(t) and bool(np.all(np.isfinite(v)))
-        if ok:
-            b[active] = ba + t * v
-            dropped = active[cross][reach <= t]
-            b[dropped] = 0.0
-            g_new, rss_new = work.gradient(b)
-            new_obj = rss_new + lam * float(np.dot(work.pen_scale, np.abs(b)))
-            ok = new_obj <= obj + slack
-            if not ok and _factor(work.G, active, active.size, 1e-6) is not None:
-                raise AssertionError("objective increased in an active-set step")
-        if not ok:
-            # on (nearly) collinear columns the step is lost in roundoff:
-            # undo it, and keep a new column out
-            b[active] = ba
-            if entered < 0:
-                break
-            blocked[entered] = True
-            active = active[:-1]
-            continue
-        active = active[b[active] != 0.0]
-        if dropped.size:
-            refine_res = np.inf
-        g, rss, obj = g_new, rss_new, new_obj
-    if not converged:
-        warnings.warn(
-            f"active-set lasso stopped without meeting tol={tol:g} at "
-            f"lambda={lam:g} after {iterations} iterations",
-            LassoConvergenceWarning,
-        )
-    # razor-edge activations far below the solver's own resolution are zero
-    dust = (b != 0.0) & (np.abs(b) < 1e-3 * tol)
-    if dust.any():
-        b[dust] = 0.0
-        g, rss = work.gradient(b)
-    return b, max(iterations, 1), converged, rss
-
-
-def coordinate_descent(
-    problem: LassoProblem,
-    lam: float,
-    warm_start: np.ndarray | None = None,
-    tol: float = 1e-7,
-    max_sweeps: int = 10_000,
-) -> np.ndarray:
-    """Solve one weighted lasso at penalty ``lam``; coefficients on raw scale.
-
-    The name is historical: the solver is the active-set method of
-    ``_solve``, and ``max_sweeps`` caps its iterations.
-    """
+def coordinate_descent(problem: LassoProblem, lam: float, tol: float = 1e-7,
+                       max_sweeps: int = 10_000) -> np.ndarray:
+    """Solve one weighted lasso at penalty ``lam``: the path walked to the
+    one-point grid [lam]; coefficients on the raw scale. The name is historical,
+    and ``max_sweeps`` is the walk's knot cap."""
     work = _Work(problem)
-    if warm_start is None:
-        b = np.zeros(work.cols.size)
-    else:
-        ws = np.asarray(warm_start, dtype=float)
-        b = ws[work.cols] * work.scale[work.cols]
-        if problem.nonnegative:
-            np.maximum(b, 0.0, out=b)
-        active = np.flatnonzero(b)
-        if _factor(work.G, active, active.size) is None:
-            b[:] = 0.0  # a warm start on (nearly) collinear columns: start afresh
-    b, _, _, _ = _solve(work, lam, b, tol, max_sweeps)
+    b = _path(work, np.array([float(lam)]), np.zeros(work.cols.size, bool), tol, max_sweeps)[0]
     coefficients = np.zeros(problem.p)
-    coefficients[work.cols] = b / work.scale[work.cols]
+    coefficients[work.cols] = b[0] / work.scale[work.cols]
     return coefficients
 
 
@@ -360,11 +234,11 @@ def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -
     work = _Work(problem)
     out = np.zeros(problem.p)
     b = np.asarray(coefficients, dtype=float)[work.cols] * work.scale[work.cols]
-    out[work.cols] = _kkt_std(work, b, work.gradient(b)[0], lam)
+    out[work.cols] = _kkt_std(work, b, lam)
     return out
 
 
-def _grid(work: _Work, count: int, ratio: float) -> np.ndarray:
+def _grid(work: _Work, count: int, ratio: float, tol: float = 1e-7) -> np.ndarray:
     if count < 2:
         raise ValueError("count must be >= 2")
     if not 0.0 < ratio < 1.0:
@@ -376,15 +250,10 @@ def _grid(work: _Work, count: int, ratio: float) -> np.ndarray:
         # the response residualized on the unpenalized columns (Gram block)
         beta, *_ = np.linalg.lstsq(work.gram(unpen), g[unpen], rcond=None)
         g = g - work.G[:, unpen] @ beta
-    s = work.scale[work.cols][pen]
-    lam_max = 2.0 * float(np.max(np.abs(g[pen]) * s, initial=0.0))
-    # Cauchy-Schwarz bound on the same inner products; a top value this far
-    # below it is floating-point residue, not signal
-    bound = 2.0 * float(np.max(s, initial=0.0)) * np.sqrt(work.yy)
-    if not np.isfinite(lam_max) or lam_max <= 1e-10 * bound or lam_max <= 0.0:
-        raise DegenerateGridError(
-            "no usable penalty grid (response carries no penalizable signal)"
-        )
+    lam_max = 2.0 * float(np.max(np.abs(g[pen]) * work.scale[work.cols][pen], initial=0.0))
+    # where no penalized gradient exceeds tol, b_pen = 0 meets KKT at every penalty
+    if not (np.isfinite(lam_max) and np.max(np.abs(g[pen]), initial=0.0) > tol):
+        raise DegenerateGridError("no usable penalty grid (no penalizable signal above tol)")
     return np.geomspace(lam_max, lam_max * ratio, count)
 
 
@@ -394,7 +263,8 @@ def lambda_grid(problem: LassoProblem, count: int = 100, ratio: float = 1e-4) ->
     The top value is the smallest penalty at which every penalized
     coefficient is zero: twice the largest weighted inner product between a
     penalized column and the response residualized on the unpenalized
-    columns, taken from the Gram matrix.
+    columns, taken from the Gram matrix. ``DegenerateGridError`` where no
+    penalized column's standardized inner product exceeds tol = 1e-7.
     """
     return _grid(_Work(problem), count, ratio)
 
@@ -419,15 +289,15 @@ class LassoSettings:
     grid_count: int = 100
     grid_ratio: float = 1e-4
     tol: float = 1e-7
-    max_sweeps: int = 10_000  # cap on active-set iterations, or knots, per lambda
+    max_sweeps: int = 10_000  # cap on the knots walked between two grid penalties
 
 
 def _fill(work: _Work, lambdas: np.ndarray, segs: list, path: np.ndarray,
           rss: np.ndarray, sweeps: np.ndarray, tol: float) -> int:
     """Fill the grid penalties of the segments ``_walk`` recorded, segment
     (lo, hi, knots since the previous one, ...) holding lambdas[lo:hi]. All
-    are checked at once (KKT, and the dust floor on the sign-fixed support);
-    the penalties before the first failure are written and counted."""
+    are written and checked at once (KKT, and the dust floor on the sign-fixed
+    support); those before the first failure are counted."""
     lo, hi, crossed, q0, dq, free, sup, sfix, w, v, a, bq, _ = zip(*segs)
     at = np.repeat(np.arange(len(segs)), np.subtract(hi, lo))
     lw, free = lambdas[lo[0]:lo[0] + at.size, None], np.array(free)[at]
@@ -442,9 +312,9 @@ def _fill(work: _Work, lambdas: np.ndarray, segs: list, path: np.ndarray,
     ba, sb = wf[at] - lw * vf[at], sf[at]
     ok = (res.max(axis=1) <= tol) & ((ba * sb > 1e-3 * tol) | (sb == 0.0)).all(axis=1)
     n = at.size if ok.all() else int(np.argmin(ok))
-    path[lo[0]:lo[0] + n] = ba[:n]
+    path[lo[0]:lo[0] + at.size] = ba
     # weighted RSS y'Wy - 2 c_A'b_A + b_A'G_AA b_A = y'Wy - c_A'w + lam^2 v'G_AA v
-    rss[lo[0]:lo[0] + n] = np.array(a)[at[:n]] + lw[:n, 0] ** 2 * np.array(bq)[at[:n]]
+    rss[lo[0]:lo[0] + at.size] = np.array(a)[at] + lw[:, 0] ** 2 * np.array(bq)[at]
     first = np.array(lo) < lo[0] + n  # segments with a penalty filled
     sweeps[np.array(lo)[first]] = np.array(crossed)[first] + 1
     return n
@@ -495,21 +365,22 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
           s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
           sweeps: np.ndarray, tol: float, cap: int) -> int:
     """Fill the path from lambdas[li] on, walking down from penalty ``lam`` on
-    support ``active`` with signs ``s``; return the first grid index it leaves
-    to ``_solve``, or the grid's size. Between knots b_A = w - lam v, with
+    support ``active`` (which ``_factor`` accepts) with signs ``s``; return the
+    first grid index not filled. Between knots b_A = w - lam v, with
     G_AA [w v] = [c_A, pen_A s_A / 2], and q = gradient - lam pen s / 2 =
     q0 + lam dq. The next knot is the largest penalty where a free column's
     |q_j| (q_j if nonnegative) reaches lam pen_j / 2 or a sign-fixed b_j
     reaches 0; the column enters (``_factor`` borders V = U^-1 for U'U = G_AA,
-    a solve is V (V' rhs)) or leaves (``_drop``). A knot is degenerate at a Schur
-    complement on the ``_factor`` floor (the column stays ``blocked`` until one
-    leaves), at two events within ``_TIE``, or past ``cap`` knots between grid
-    penalties. The grid penalties above a knot, or within ``_TIE`` below,
-    belong to its segment, whose (q0, dq, w, v, support, signs, knot count)
-    is recorded. Every ``_CHECK_EVERY`` segments, and once the walk stops,
-    ``_check`` checks the recorded penalties in one pass; the walk stops at the
-    first that fails, which goes to ``_solve``. A problem with no usable column
-    has no path to walk: ``_solve`` fills its grid."""
+    a solve is V (V' rhs)) or leaves (``_drop``). Tied events are taken one at
+    a time, at one penalty. A column whose Schur complement is on the
+    ``_factor`` floor lies in the span of the support: it stays out,
+    ``blocked`` until a column leaves, and the walk goes on. The grid
+    penalties above a knot, or within ``_TIE`` below, belong to its segment,
+    whose (q0, dq, w, v, support, signs, knot count) is recorded; past ``cap``
+    knots the segment also takes the next grid penalty, and the walk stops.
+    Every ``_CHECK_EVERY`` segments, and once the walk stops, ``_check``
+    checks the recorded penalties in one pass; the walk stops at the first
+    that fails."""
     G, c, half, fixed = work.G, work.c, 0.5 * work.pen_scale, work.sign_fixed
     nonneg, nlam, k, na = work.problem.nonnegative, lambdas.size, work.c.size, active.size
     # the support, its signs and [c_A, pen_A s_A / 2]; a column enters at the end
@@ -520,9 +391,9 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     sides = np.array([[1.0]]) if nonneg else np.array([[1.0], [-1.0]])
     events = np.empty((sides.size, k))
     rising, V = (-lambdas).tolist(), _factor(G, act, na)
-    crossed, at_knot = 0, False  # knots since the last grid penalty; whether lam is one
+    crossed = 0  # knots since the last grid penalty
     segs, end = [], li  # the segments holding grid penalties; the grid index they reach
-    while k and end < nlam and V is not None and crossed <= cap:
+    while True:
         active, s, Va = act[:na], sg[:na], V[:na, :na]
         sol = rhs[:na].T @ Va @ Va.T  # [w v]' = [c_A, pen_A s_A / 2]' V V'
         (w, v), qd = sol, sol @ G[active]  # rows = columns: G is symmetric
@@ -537,10 +408,10 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
             events[0, active[drop]] = w[drop] / v[drop]
         np.minimum(events, lam, out=events)
         side, j = divmod(int(events.argmax()), k)
-        knot, events[:, j] = max(float(events[side, j]), 0.0), -np.inf
-        tie = knot > 0.0 and (events.max() >= knot * (1.0 - _TIE)
-                              or at_knot and lam <= knot * (1.0 + _TIE))
+        knot, capped = max(float(events[side, j]), 0.0), crossed > cap
         stop = bisect.bisect_right(rising, -knot * (1.0 - _TIE), end)
+        if capped:
+            stop = max(stop, end + 1)
         if stop > end:
             segs.append((end, stop, crossed, q0, dq, free.copy(), active.copy(),
                          s * fixed[active], w, v, work.yy - rhs[:na, 0] @ w,
@@ -550,60 +421,86 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
                 li, segs = _check(work, lambdas, segs, li, blocked, path, rss, sweeps, tol), []
                 if li < end:
                     return li
-        if knot == 0.0 or tie or end == nlam:
+        if knot == 0.0 or end == nlam or capped:
             break
+        lam = knot
         if free[j]:
             act[na], sg[na] = j, 1.0 - 2.0 * side
-            V = _factor(G, act, na + 1, V=V, na=na)
-            if V is None:  # j lies in the span of the support
+            U = _factor(G, act, na + 1, V=V, na=na)
+            if U is None:  # refused: no knot, the support stays
                 blocked[j] = True
-                break
-            rhs[na] = c[j], half[j] * sg[na]
-            na += 1
+            else:
+                V, rhs[na], free[j] = U, (c[j], half[j] * sg[na]), False
+                na, crossed = na + 1, crossed + 1
         else:
             at = int(np.flatnonzero(active == j)[0])
             _drop(V, na, at)
             for buf in act, sg, rhs:
                 buf[at:na - 1] = buf[at + 1:na]
-            na -= 1
-            blocked[:] = False  # the span shrank
-        free[j] = not free[j]
+            na, crossed = na - 1, crossed + 1
+            free[j], blocked[:] = True, False  # the span shrank
         enter = free & ~blocked
-        lam, at_knot, crossed = knot, True, crossed + 1
     return _check(work, lambdas, segs, li, blocked, path, rss, sweeps, tol) if segs else li
 
 
+def _accept(G: np.ndarray, cols: np.ndarray, blocked: np.ndarray) -> np.ndarray:
+    """The columns of ``cols`` that ``_factor`` accepts in turn; the rest lie in
+    the span of those before them and are ``blocked``."""
+    act, V, na = cols.copy(), None, 0
+    for j in cols:
+        act[na] = j
+        U = _factor(G, act, na + 1, V=V, na=na)
+        if U is None:
+            blocked[j] = True
+        else:
+            V, na = U, na + 1
+    return act[:na]
+
+
+def _path(work: _Work, lambdas: np.ndarray, blocked: np.ndarray, tol: float, cap: int):
+    """The walk over ``lambdas``: b on the standardized scale, the weighted RSS,
+    sweeps and convergence flags per penalty. It starts above the grid from the
+    unpenalized columns ``_accept`` takes (if nonnegative, those whose start
+    coefficient is above the 1e-3 tol dust floor). A failed check or the knot
+    cap restarts it from the last filled penalty with a fresh factor; where a
+    restart fills nothing, that penalty keeps the walk's value, unconverged, and
+    the walk goes on below it. A problem with no usable column has b = 0."""
+    nlam, k, nonneg = lambdas.size, work.cols.size, work.problem.nonnegative
+    path, rss = np.zeros((nlam, k)), np.full(nlam, work.yy)
+    sweeps, converged = np.ones(nlam, dtype=int), np.ones(nlam, dtype=bool)
+    li, lam, stuck = 0, np.inf, -1  # stuck: where a restart begins
+    while k and li < nlam:
+        cols = np.flatnonzero(path[li - 1] if li else work.pen_scale == 0.0)
+        active = _accept(work.G, cols, blocked)
+        if nonneg and not li:
+            active = active[np.linalg.solve(work.gram(active), work.c[active]) > 1e-3 * tol]
+        s = np.sign(path[li - 1, active]) if li and not nonneg else np.ones(active.size)
+        start, li = li, _walk(work, lambdas, li, lam, active, s, blocked, path, rss, sweeps,
+                              tol, cap)
+        if li == start == stuck:
+            converged[li] = False
+            warnings.warn(f"lasso path walk failed its KKT check (tol={tol:g}) at "
+                          f"lambda={lambdas[li]:g}", LassoConvergenceWarning)
+            li += 1
+        stuck, lam = li, lambdas[li - 1] if li else np.inf
+    return path, rss, sweeps, converged
+
+
 def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -> LassoFit:
-    """Exact lasso path along the descending grid; pick the BIC minimizer,
-    breaking ties toward the larger penalty (sparser model). ``_walk`` starts
-    above the grid with the unpenalized columns active; after a degenerate
-    knot ``_solve`` takes the next grid penalty from the last grid point, and
-    the walk restarts from its support if it converged. Where no penalized
-    column carries signal (``DegenerateGridError``) the grid is the one point
-    lambda = 0, which the walk reaches at once with the penalized columns
+    """Exact lasso path along the descending grid (``_path``); pick the BIC
+    minimizer, breaking ties toward the larger penalty (sparser model). Where no
+    penalized column carries signal (``DegenerateGridError``) the grid is the one
+    point lambda = 0, which the walk reaches at once with the penalized columns
     held out: the least-squares fit on the unpenalized columns."""
     settings = settings or LassoSettings()
     tol, work = settings.tol, _Work(problem)
     blocked = np.zeros(work.cols.size, dtype=bool)  # refused as dependent on the support
     try:
-        lambdas = _grid(work, settings.grid_count, settings.grid_ratio)
+        lambdas = _grid(work, settings.grid_count, settings.grid_ratio, tol)
     except DegenerateGridError:
         lambdas, blocked = np.zeros(1), work.pen_scale > 0.0
     nlam = lambdas.size
-    path, rss = np.zeros((nlam, work.cols.size)), np.empty(nlam)  # path on the standardized scale
-    sweeps, converged = np.ones(nlam, dtype=int), np.ones(nlam, dtype=bool)
-    active = np.flatnonzero(work.pen_scale == 0.0)
-    lam, s, li = np.inf, np.ones(active.size), 0
-    while True:
-        if li == 0 or converged[li - 1]:
-            li = _walk(work, lambdas, li, lam, active, s, blocked, path, rss, sweeps, tol,
-                       settings.max_sweeps)
-        if li == nlam:
-            break
-        lam, b = float(lambdas[li]), path[li - 1].copy() if li else np.zeros(work.cols.size)
-        b, sweeps[li], converged[li], rss[li] = _solve(work, lam, b, tol, settings.max_sweeps)
-        path[li], li, active = b, li + 1, b.nonzero()[0]
-        s = np.ones(active.size) if problem.nonnegative else np.sign(b[active])
+    path, rss, sweeps, converged = _path(work, lambdas, blocked, tol, settings.max_sweeps)
     m = problem.m
     # zero at the Gram's precision: y'Wy - c_A'w rounds by up to m eps y'Wy, the
     # worst case of the m-term sums behind both (a y'Wy below 1 counts as 1)
@@ -616,7 +513,6 @@ def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -
     coef_path[:, work.cols] = path / work.scale[work.cols]
     b_sel = path[selected]
     objective = float(rss[selected]) + lam_sel * float(np.dot(work.pen_scale, np.abs(b_sel)))
-    kkt_max = float(np.max(_kkt_std(work, b_sel, work.gradient(b_sel)[0], lam_sel),
-                           initial=0.0))
+    kkt_max = float(np.max(_kkt_std(work, b_sel, lam_sel), initial=0.0))
     return LassoFit(lambdas, coef_path, bic_path, selected, sweeps, converged, objective,
                     zero_rss=bool(zero.any()), kkt_max=kkt_max)

@@ -826,6 +826,22 @@ class TestAdapterValues:
                                                "need 4 rows of history, got 3"]
         assert batch[2].shape == (self.HORIZONS.size, 2)
 
+    @pytest.mark.parametrize("name", ["wppt", "gwppt"])
+    def test_power_curve_at_origin_zero(self, name):
+        # the regressors read the power at t - 1, which origin 0 does not have:
+        # its entry is the error, the other origins keep their forecasts
+        p = two_turbine_panel()
+        model = make_benchmark(name).fit(p, self.END)
+        batch = model.forecast_power(p, np.array([0, self.ORIGIN, 1]), self.HORIZONS)
+        assert isinstance(batch[0], BenchmarkError)
+        assert str(batch[0]) == "need 2 rows of history, got 1"
+        for origin, got in zip([self.ORIGIN, 1], batch[1:]):
+            (want,) = model.forecast_power(p, np.array([origin]), self.HORIZONS)
+            np.testing.assert_array_equal(got, want)
+        fit = model._cache[0, 1]
+        with pytest.raises(BenchmarkError, match="got 1"):
+            (wppt_forecast if name == "wppt" else gwppt_forecast)(fit, p, [0, 5])
+
     def test_arma11_at_origin_zero(self):
         p = two_turbine_panel()
         model = make_benchmark("arma11")

@@ -182,6 +182,27 @@ class TestRunBacktest:
             report = run_backtest(backtest_panel, spec)
         assert report.failures["ar"] == sorted(bad.items())
 
+    def test_nan_forecast_recorded_as_failure(self, backtest_panel, monkeypatch):
+        spec = BacktestSpec(n_origins=8, horizons=(1, 6, 12), in_sample=4200,
+                            seed=5, models=("persistence", "ar"))
+        clean = run_backtest(backtest_panel, spec)
+        origins = sample_origins(backtest_panel.n, spec)
+        real = ArModel.forecast_power
+
+        def one_nan(self, panel, origins, horizons):
+            out = real(self, panel, origins, horizons)
+            out[2] = out[2].copy()
+            out[2][1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(ArModel, "forecast_power", one_nan)
+        with pytest.warns(UserWarning, match="ar: 1 origin"):
+            report = run_backtest(backtest_panel, spec)
+        assert report.failures["ar"] == [(int(origins[2]), "forecast is not finite")]
+        assert report.failures["persistence"] == []
+        assert not np.array_equal(report.mae_mean["ar"], clean.mae_mean["ar"])
+        assert np.isfinite(report.mae_mean["ar"]).all()
+
     def test_lasso_mae_matches_per_origin_point(self, backtest_panel):
         spec = BacktestSpec(n_origins=12, horizons=(1, 2, 6, 24, 48), in_sample=4000,
                             seed=6, models=("persistence", "lasso"))

@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 
+import lasso_reference as reference
 import numpy as np
 import pytest
 
@@ -126,7 +128,7 @@ class TestCoordinateDescent:
         prob = random_problem(rng, m=80, p=10)
         lam = lambda_grid(prob, 10, 0.01)[4]
         cold = coordinate_descent(prob, lam)
-        warm = coordinate_descent(prob, lam, warm_start=cold + rng.normal(0, 0.1, 10))
+        warm = reference.solve(prob, lam, warm_start=cold + rng.normal(0, 0.1, 10))
         assert np.abs(cold - warm).max() < 1e-8
 
     def test_duplicated_rows_leave_ls_solution(self):
@@ -160,7 +162,7 @@ class TestCoordinateDescent:
             for lam in lambda_grid(prob, 8, 1e-3):
                 b = coordinate_descent(prob, lam)
                 assert kkt_residuals(prob, b, lam).max() <= 1e-7
-                warm = coordinate_descent(prob, lam, warm_start=rng.standard_normal(8))
+                warm = reference.solve(prob, lam, warm_start=rng.standard_normal(8))
                 assert objective_value(prob, warm, lam) <= objective_value(prob, b, lam) + 1e-9
 
     def test_iteration_cap_warns(self):
@@ -253,8 +255,8 @@ class TestFitPathBic:
 
 
 # LassoFit.sweeps wherever it is not 1 (knots crossed since the previous grid
-# penalty, plus one, or _solve's iterations), per fit of each test below; when
-# and in what groups the grid penalties are checked must not move them
+# penalty, plus one), per fit of each test below; when and in what groups the
+# grid penalties are checked must not move them
 PINNED_SWEEPS = {
     "test_signed_with_unpenalized_intercept": [
         {1: 2, 2: 2, 9: 2, 11: 2, 16: 2, 23: 2, 39: 3, 42: 2, 48: 2, 59: 2},
@@ -267,7 +269,7 @@ PINNED_SWEEPS = {
         {1: 3, 2: 3, 7: 2, 9: 2, 14: 2, 16: 2, 18: 2, 23: 2},
     ],
     "test_nonnegative_unpenalized_column_held_at_zero": [
-        {0: 8, 12: 2},
+        {0: 9, 12: 2},
     ],
     "test_near_collinear_columns": [
         {1: 2, 38: 2, 41: 2, 64: 2, 83: 2},
@@ -291,7 +293,7 @@ PINNED_SWEEPS = {
     "test_two_columns_entering_at_one_knot": [
         {1: 2, 6: 3, 19: 2, 32: 2},
     ],
-    "test_dependent_entry_falls_back_to_solve": [
+    "test_dependent_entry_stays_blocked": [
         {1: 2, 6: 2, 18: 2, 31: 2, 36: 2, 40: 2, 85: 2},
     ],
 }
@@ -308,24 +310,26 @@ class TestPathSegments:
         assert next(self.pinned, None) is None  # every pinned fit was checked
 
     def check_against_cold(self, prob, monkeypatch):
+        """Fit the path and compare every grid penalty with a cold reference
+        solve; return the fit, the walks it took (1 unless a check failed) and
+        the grid steps on which the support changed."""
         settings = LassoSettings(grid_count=100, grid_ratio=1e-3)
-        solves = []
-        solve = lasso._solve
-        monkeypatch.setattr(lasso, "_solve", lambda *a: solves.append(1) or solve(*a))
+        walks = []
+        walk = lasso._walk
+        monkeypatch.setattr(lasso, "_walk", lambda *a: walks.append(1) or walk(*a))
         fit = fit_path_bic(prob, settings)
         monkeypatch.undo()
         assert fit.converged.all() and (fit.sweeps >= 1).all()
         pinned = next(self.pinned, None)
         if pinned is not None:
             assert {i: int(x) for i, x in enumerate(fit.sweeps) if x != 1} == pinned
-        assert len(solves) < fit.lambdas.size  # the rest lie on segments
         for lam, coef, bic in zip(fit.lambdas, fit.coef_path, fit.bic_path):
             assert kkt_residuals(prob, coef, lam).max() <= 10 * settings.tol
-            cold = coordinate_descent(prob, lam, tol=settings.tol)
+            cold = reference.solve(prob, lam, tol=settings.tol)
             assert np.abs(coef - cold).max() <= 1e-8
             assert bic == pytest.approx(weighted_bic(prob, coef)[0], rel=1e-10)
         on = fit.coef_path != 0.0
-        return fit, len(solves), int((on[:-1] != on[1:]).any(axis=1).sum())
+        return fit, len(walks), int((on[:-1] != on[1:]).any(axis=1).sum())
 
     def test_signed_with_unpenalized_intercept(self, monkeypatch):
         rng = np.random.default_rng(40)
@@ -357,9 +361,9 @@ class TestPathSegments:
         mask = np.ones(10, dtype=bool)
         mask[0] = False
         prob = LassoProblem(y, X, nonnegative=True, penalize_mask=mask)
-        fit, n_solves, n_changes = self.check_against_cold(prob, monkeypatch)
+        fit, walks, _ = self.check_against_cold(prob, monkeypatch)
         assert (fit.coef_path[:, 0] == 0.0).all()
-        assert n_solves <= n_changes / 3 + 1
+        assert walks == 1
 
     def test_near_collinear_columns(self, monkeypatch):
         rng = np.random.default_rng(42)
@@ -379,8 +383,8 @@ class TestPathSegments:
             Z = rng.standard_normal((120, 4))
             X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
             y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
-            _, n_solves, n_changes = self.check_against_cold(LassoProblem(y, X), monkeypatch)
-            assert n_changes >= 5 and n_solves <= 1
+            _, walks, n_changes = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+            assert n_changes >= 5 and walks == 1
 
     def test_support_losing_columns_matches_cold_solves(self, monkeypatch):
         # strongly correlated columns: columns leave the path from the front
@@ -411,8 +415,8 @@ class TestPathSegments:
         rng = np.random.default_rng(47)
         inner = np.array([9.0, -7.5, 6.0, 4.2, -3.1, 2.0, -1.3, 0.7])
         prob, d2 = self.orthogonal_problem(rng, inner, nonneg)
-        fit, n_solves, _ = self.check_against_cold(prob, monkeypatch)
-        assert n_solves == 0
+        fit, walks, _ = self.check_against_cold(prob, monkeypatch)
+        assert walks == 1
         for lam, coef in zip(fit.lambdas, fit.coef_path):
             shrunk = (inner if nonneg else np.abs(inner)) - 0.5 * lam
             expected = np.where(shrunk > 0.0, np.sign(inner) * shrunk, 0.0) / d2
@@ -424,12 +428,13 @@ class TestPathSegments:
         rng = np.random.default_rng(48)
         # columns 1 and 2 both reach the threshold at lam = 12, below column 0's 18
         prob, _ = self.orthogonal_problem(rng, np.array([9.0, 6.0, -6.0, 2.5, -1.0]))
-        fit, n_solves, _ = self.check_against_cold(prob, monkeypatch)
-        assert n_solves >= 1  # the tie is degenerate: _solve takes the next grid penalty
+        fit, walks, _ = self.check_against_cold(prob, monkeypatch)
+        # the walk takes the tied entries one at a time, two knots at one penalty
+        assert walks == 1 and fit.sweeps[np.argmax(fit.lambdas < 12.0)] == 3
         on = fit.coef_path != 0.0
         assert np.array_equal(on[:, 1], on[:, 2]) and on[:, 1].any() and not on[:, 1].all()
 
-    def test_dependent_entry_falls_back_to_solve(self, monkeypatch):
+    def test_dependent_entry_stays_blocked(self, monkeypatch):
         rng = np.random.default_rng(45)
         X = rng.standard_normal((60, 8))
         X[:, 3] = X[:, 0] + 1e-7 * rng.standard_normal(60)  # a near-copy of x0
@@ -438,21 +443,21 @@ class TestPathSegments:
         walk = lasso._walk
         monkeypatch.setattr(lasso, "_walk",
                             lambda *a: (walk(*a), refused.append(a[6].copy()))[0])
-        fit, n_solves, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+        _, walks, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
         # the pair's Schur complement is below the floor: the entering column
-        # is refused, _solve takes the next grid penalty, and the walk goes on
+        # is refused and stays out, and the walk goes on
         assert any(r[[0, 3]].any() for r in refused)
-        assert 1 <= n_solves < fit.lambdas.size / 2
+        assert walks == 1
 
-    def test_failed_deferred_check_goes_to_solve(self, monkeypatch):
+    def test_failed_deferred_check_restarts_the_walk(self, monkeypatch):
         # the walk checks its grid penalties in one pass every _CHECK_EVERY
-        # segments and once it stops; a failure there stops the walk and hands
-        # that index to _solve, and the walk goes on after it
+        # segments and once it stops; a failure there stops the walk, which
+        # restarts from the penalty above the failed one and goes on
         rng = np.random.default_rng(45)
         Z = rng.standard_normal((120, 4))
         X = Z @ rng.standard_normal((4, 40)) + 0.3 * rng.standard_normal((120, 40))
         y = X[:, 0] - X[:, 1] + rng.standard_normal(120)
-        fill, solve, failed, solved, past, starts = lasso._fill, lasso._solve, [], [], [], []
+        fill, walk, failed, began, past, starts = lasso._fill, lasso._walk, [], [], [], []
 
         def failing_fill(work, lambdas, segs, *rest):
             starts.extend(lo for lo, *_ in segs)
@@ -464,18 +469,20 @@ class TestPathSegments:
             return fill(work, lambdas, segs, *rest)
 
         monkeypatch.setattr(lasso, "_fill", failing_fill)
-        monkeypatch.setattr(lasso, "_solve",
-                            lambda work, lam, *a: solved.append(lam) or solve(work, lam, *a))
-        fit, n_solves, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
-        # only the failed penalty was solved; the walk filled the rest
-        assert failed and n_solves == 1 and solved == [fit.lambdas[failed[0]]]
+        monkeypatch.setattr(lasso, "_walk",
+                            lambda work, lambdas, li, lam, *a: began.append((li, lam))
+                            or walk(work, lambdas, li, lam, *a))
+        fit, walks, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
+        # one restart, at the failed penalty, from the one above it
+        assert failed and walks == 2
+        assert began == [(0, np.inf), (failed[0], fit.lambdas[failed[0] - 1])]
         # the failing walk recorded fewer than _CHECK_EVERY segments past the
         # failure, though the path has more than that many there
         assert past[0] < lasso._CHECK_EVERY < sum(lo > failed[0] for lo in starts) - past[0]
 
     def test_failed_check_restores_the_blocked_columns_of_its_segment(self, monkeypatch):
         # column 1, refused before the walk, is freed by a drop further down;
-        # a check failing above that drop hands _solve the state it had there
+        # a check failing above that drop leaves the state it had there for the restart
         rng = np.random.default_rng(45)
         Z = rng.standard_normal((120, 4))
         X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
@@ -505,17 +512,137 @@ class TestPathSegments:
             objective_value(prob, fit.coefficients, fit.selected_lambda), rel=1e-10)
 
 
+def stress_problem(name, nonneg):
+    """One design whose columns are not in general position, or whose response
+    carries no penalizable signal."""
+    rng = np.random.default_rng(80 + STRESS.index(name))
+    m = 60
+    X, mask, w = rng.standard_normal((m, 6)), np.ones(6, dtype=bool), rng.uniform(0.5, 2.0, m)
+    y = X[:, 0] - 0.6 * X[:, 1] + 0.4 * X[:, 4] + 0.5 * rng.standard_normal(m)
+    if nonneg:
+        X, y = np.abs(X), np.abs(y)
+    if name == "negated":  # a column and its negative
+        X[:, 2] = -X[:, 0]
+    elif name == "dependent_triple":  # exactly dependent
+        X[:, 3] = X[:, 0] + X[:, 1]
+    elif name == "dependent_unpenalized":  # x and 2x, neither penalized
+        X[:, 1], mask[:2] = 2.0 * X[:, 0], False
+    elif name == "constant_and_zero":
+        X[:, 2], X[:, 3], mask[2] = 1.0, 0.0, False
+    elif name == "ties":  # orthogonal: ties at the top of the path and inside it
+        inner = np.array([9.0, -9.0, 6.0, 4.0, -4.0, 1.5])
+        Q, _ = np.linalg.qr(rng.standard_normal((m, 7)))
+        X = Q[:, :6] * 2.0
+        y = X @ ((np.abs(inner) if nonneg else inner) / 4.0) + 2.0 * Q[:, 6]
+    elif name == "near_copy":  # test_dependent_entry_stays_blocked's design
+        rng = np.random.default_rng(45)
+        X, mask, w = rng.standard_normal((m, 8)), None, None
+        X = np.abs(X) if nonneg else X
+        X[:, 3] = X[:, 0] + 1e-7 * rng.standard_normal(m)  # under the _factor floor
+        y = X[:, 0] + 0.5 * X[:, 1] + 2e6 * (X[:, 3] - X[:, 0]) + rng.standard_normal(m)
+    elif name == "constant_panel":  # the rounding noise of a zero-RSS mean fit
+        X[:, 0], mask[0] = 1.0, False
+        y = 1e-15 * rng.standard_normal(m)
+    return LassoProblem(y, X, weights=w, nonnegative=nonneg, penalize_mask=mask)
+
+
+STRESS = ["negated", "dependent_triple", "dependent_unpenalized", "constant_and_zero",
+          "ties", "near_copy", "constant_panel"]
+
+
+class TestStressCorpus:
+    """Designs whose columns are not in general position (Tibshirani 2013): the
+    walk alone meets KKT at every grid penalty and matches the reference."""
+
+    @staticmethod
+    def check(prob, fit, tol, skip=()):
+        for i, (lam, coef) in enumerate(zip(fit.lambdas, fit.coef_path)):
+            if i in skip:
+                continue
+            assert reference.kkt(prob, coef, lam).max() <= 10 * tol, i
+            cold = reference.solve(prob, lam, tol=tol)
+            assert np.abs(coef - cold).max() <= 1e-8, i
+
+    @pytest.mark.parametrize("nonneg", [False, True])
+    @pytest.mark.parametrize("name", STRESS)
+    def test_walk_meets_kkt_and_matches_the_reference(self, name, nonneg, monkeypatch):
+        prob = stress_problem(name, nonneg)
+        settings = LassoSettings(grid_count=50, grid_ratio=1e-3)
+        walks, walk = [], lasso._walk
+        monkeypatch.setattr(lasso, "_walk", lambda *a: walks.append(1) or walk(*a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_path_bic(prob, settings)
+            assert fit.converged.all() and len(walks) == 1  # no restart
+            self.check(prob, fit, settings.tol)
+        if name == "constant_panel":
+            assert fit.lambdas.tolist() == [0.0]
+
+    def test_near_copy_the_walk_cannot_follow_is_flagged(self):
+        # a near-copy whose refusal the walk cannot walk past: blocked, it leaves
+        # KKT residuals just above tol at the small penalties. Each such penalty
+        # is flagged with one warning and keeps the walk's value, within 10 tol
+        rng = np.random.default_rng(89)
+        X = np.abs(rng.standard_normal((60, 6)))
+        X[:, 3] = X[:, 0] + 1e-7 * rng.standard_normal(60)
+        y = X[:, 0] + 0.5 * X[:, 1] + 2e6 * (X[:, 3] - X[:, 0]) + rng.standard_normal(60)
+        prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 60), nonnegative=True)
+        settings = LassoSettings(grid_count=50, grid_ratio=1e-3)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            fit = fit_path_bic(prob, settings)
+        assert len(record) == np.count_nonzero(~fit.converged)
+        assert all(issubclass(r.category, LassoConvergenceWarning) for r in record)
+        for lam, coef in zip(fit.lambdas, fit.coef_path):
+            assert reference.kkt(prob, coef, lam).max() <= 10 * settings.tol
+
+    def test_fill_failing_at_one_index_leaves_it_unconverged(self, monkeypatch):
+        # every check of penalty 20 fails: a restart there fills nothing, so it
+        # keeps the walk's value, flagged, and the walk goes on below it
+        rng = np.random.default_rng(90)
+        Z = rng.standard_normal((120, 4))
+        X = Z @ rng.standard_normal((4, 12)) + 0.3 * rng.standard_normal((120, 12))
+        prob = LassoProblem(X[:, 0] - X[:, 1] + rng.standard_normal(120), X)
+        fill, bad = lasso._fill, 20
+
+        def failing_fill(work, lambdas, segs, *rest):
+            n, lo = fill(work, lambdas, segs, *rest), segs[0][0]
+            return min(n, bad - lo) if lo <= bad else n
+
+        monkeypatch.setattr(lasso, "_fill", failing_fill)
+        settings = LassoSettings(grid_count=50, grid_ratio=1e-3)
+        with pytest.warns(LassoConvergenceWarning) as record:
+            fit = fit_path_bic(prob, settings)
+        assert len(record) == 1 and f"lambda={fit.lambdas[bad]:g}" in str(record[0].message)
+        assert np.flatnonzero(~fit.converged).tolist() == [bad]
+        self.check(prob, fit, settings.tol)  # the walk's value at 20 is right here
+
+    def test_knot_cap_restarts_the_walk(self):
+        # at most one knot between grid penalties: a penalty past the cap is
+        # taken from the segment the walk stopped on, checked, and flagged if
+        # it fails; the walk restarts below it
+        rng = np.random.default_rng(91)
+        prob = random_problem(rng, m=80, p=10)
+        settings = LassoSettings(grid_count=8, grid_ratio=1e-3, max_sweeps=0)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            fit = fit_path_bic(prob, settings)
+        assert len(record) == np.count_nonzero(~fit.converged) >= 1
+        assert all(issubclass(r.category, LassoConvergenceWarning) for r in record)
+        self.check(prob, fit, settings.tol, skip=set(np.flatnonzero(~fit.converged)))
+
+
 class TestDegenerateGrid:
     """No penalized column carries signal: ``lambda_grid`` raises, and
     ``fit_path_bic`` fits the one-point grid lambda = 0 on the path, with the
     penalized coefficients at zero."""
 
-    def fit(self, prob, monkeypatch, solves=0):
+    def fit(self, prob, monkeypatch, walks=1):
         calls = []
-        solve = lasso._solve
-        monkeypatch.setattr(lasso, "_solve", lambda *a: calls.append(1) or solve(*a))
+        walk = lasso._walk
+        monkeypatch.setattr(lasso, "_walk", lambda *a: calls.append(1) or walk(*a))
         fit = fit_path_bic(prob)
-        assert len(calls) == solves
+        assert len(calls) == walks
         assert fit.lambdas.tolist() == [0.0] and fit.selected_index == 0
         assert fit.sweeps.tolist() == [1] and fit.converged.all()
         assert np.all(fit.coefficients[prob.penalize_mask] == 0.0)
@@ -540,14 +667,14 @@ class TestDegenerateGrid:
             np.average(prob.response, weights=prob.weights), rel=1e-12)
         self.check_objective_and_bic(prob, fit)
 
-    @pytest.mark.parametrize("sign, solves", [(1.0, 0), (-1.0, 1)])
-    def test_nonnegative_response(self, monkeypatch, sign, solves):
-        # a negative least-squares intercept fails the walk's sign check, and
-        # the active-set solve holds it at zero
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nonnegative_response(self, monkeypatch, sign):
+        # a negative least-squares intercept is below the dust floor: the walk
+        # starts without it and holds it at zero
         y = sign * (1.0 + np.abs(np.random.default_rng(71).standard_normal(80)))
         prob = LassoProblem(y, np.column_stack([np.ones(80), np.zeros((80, 2))]),
                             nonnegative=True, penalize_mask=np.array([False, True, True]))
-        fit = self.fit(prob, monkeypatch, solves)
+        fit = self.fit(prob, monkeypatch)
         assert fit.coefficients[0] == pytest.approx(max(y.mean(), 0.0), rel=1e-12)
         self.check_objective_and_bic(prob, fit)
 
@@ -557,7 +684,7 @@ class TestDegenerateGrid:
         prob = LassoProblem(np.abs(rng.standard_normal(40)), np.zeros((40, 3)),
                             weights=rng.uniform(0.5, 2.0, 40), nonnegative=nonneg,
                             penalize_mask=np.array([False, True, True]))
-        fit = self.fit(prob, monkeypatch, solves=1)  # no usable column: no walk
+        fit = self.fit(prob, monkeypatch, walks=0)  # no usable column: no walk
         assert np.all(fit.coef_path == 0.0) and fit.kkt_max == 0.0
         self.check_objective_and_bic(prob, fit)
 
