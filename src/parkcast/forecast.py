@@ -22,14 +22,17 @@ then the power means (power loads on the current speed). Each stage gathers
 its distinct regressors (variable, turbine, lag, transform) with one fancy
 index into a table of flat state rows built once per block of steps,
 transforms them on contiguous row ranges and takes one product with an
-(outputs x regressors) coefficient matrix. When every path steps through
-the same timestamps, time-varying coefficients and intercepts are folded
-into those matrices from the basis rows, one bounded block of steps at a
-time. The path axis may also hold different origins (a backtest runs all of
-its origins in one call): the basis is then evaluated once on the distinct
-timestamps, each path folds its own calendar rows, and the time-varying
-part of a stage is one gather of folded rows times the matching regressor
-rows, added to the constant product.
+(outputs x regressors) coefficient matrix. Forward runs step every stage;
+filtering, which observes W and P, first applies speed mean, power mean and
+volatility in turn, while the stage has no MA or GARCH lag, to a whole block
+of steps in one stacked product, and steps the rest. When every path steps
+through the same timestamps, time-varying coefficients and intercepts are
+folded into those matrices from the basis rows, one bounded block of steps
+at a time. The path axis may also hold different origins (a backtest runs
+all of its origins in one call): the basis is then evaluated once on the
+distinct timestamps, each path folds its own calendar rows, and the
+time-varying part of a stage is one gather of folded rows times the
+matching regressor rows, added to the constant product.
 
 The variable and transform each coefficient family reads come from
 ``design.EQUATIONS``, the one place a family is declared, so the engine
@@ -166,20 +169,22 @@ class _Stage:
         when the stage has none."""
         return (basis[self.kind] @ self.tv).T.copy() if self.tv_at.size else None
 
-    def bind(self, flat: np.ndarray):
+    def bind(self, flat: np.ndarray, steps: tuple = ()):
         """This stage on the flat state ``flat`` (rows, paths):
         ``apply(rows, coef, out, tv)`` sets ``out = coef @ x`` after gathering
         ``flat[rows]`` into the leading rows of ``x`` (regressors + 1, paths;
-        its last row is 1) and transforming them. ``tv`` (entries, paths),
-        each path's time-varying coefficient values, adds their products; it
-        is overwritten. The views of ``x`` are built here, once per run."""
-        x = np.ones((self.coef.shape[1], flat.shape[1]))
-        head = x[:-1]
-        neg = x[self.neg] if self.neg else None
-        low, lower = (x[self.low], self.lower[self.low]) if self.low else (None, None)
-        cbrt = x[self.cbrt] if self.cbrt else None
+        its last row is 1) and transforming them, and returns it. ``tv``
+        (entries, paths), each path's time-varying coefficient values, adds
+        their products; it is overwritten. The views of ``x`` are built here,
+        once per run, or once per block: ``steps`` = (n,) gives x, rows, coef
+        and out a leading axis of n steps, for one stacked product."""
+        x = np.ones(steps + (self.coef.shape[1], flat.shape[1]))
+        head = x[..., :-1, :]
+        neg = x[..., self.neg, :] if self.neg else None
+        low, lower = (x[..., self.low, :], self.lower[self.low]) if self.low else (None, None)
+        cbrt = x[..., self.cbrt, :] if self.cbrt else None
 
-        def apply(rows, coef, out, tv=None):
+        def apply(rows, coef, out=None, tv=None):
             flat.take(rows, axis=0, out=head, mode="clip")
             if neg is not None:
                 np.negative(neg, out=neg)
@@ -187,10 +192,11 @@ class _Stage:
                 np.maximum(low, lower, out=low)
             if cbrt is not None:
                 np.cbrt(cbrt, out=cbrt)
-            np.matmul(coef, x, out=out)
+            out = np.matmul(coef, x, out=out)
             if tv is not None:
                 tv *= x.take(self.tv_reg, axis=0)
                 out += self.tv_out @ tv
+            return out
 
         return apply
 
@@ -204,6 +210,13 @@ class _Engine:
         self.stages = (_Stage(model, ("speed_vol", "power_vol"), ()),
                        _Stage(model, ("speed_mean",), (_SV, _PV)),
                        _Stage(model, ("power_mean",), (_W, _E, _SV, _PV)))
+        # the stages filtering applies per block (see run): (stage, observed,
+        # written), while each reads only the variables VARS lists before it writes
+        self.per_block = []
+        for n, y, e in ((1, _W, _E), (2, _P, _EP), (0, None, _SV)):
+            if self.stages[n].var.max(initial=_W) >= e:
+                break
+            self.per_block.append((n, y, e))
 
     def basis_rows(self, timestamps: np.ndarray, kinds) -> dict[str, np.ndarray]:
         """Interaction basis rows of each kind ("cumulative" for the means,
@@ -231,10 +244,11 @@ class _Engine:
         one row per path, each path folding its own calendar rows (rows that
         all agree are run as one shared row).
         ``observed``: W and P already hold observations and the step backs
-        out the shocks E and Ep (filtering). Otherwise ``shocks(s, sv, pv)``
-        gives step ``s``'s speed and power shocks from its volatilities, or
-        ``shocks`` is None: zero shocks, and the volatilities, which nothing
-        then reads, are not stepped.
+        out the shocks E and Ep (filtering); each block first applies the
+        ``per_block`` stages (none with per-path timestamps) to all of its
+        steps. Otherwise ``shocks(s, sv, pv)`` gives step ``s``'s speed and
+        power shocks from its volatilities, or ``shocks`` is None: zero
+        shocks, and the volatilities, which nothing then reads, are not stepped.
         """
         _, T, d, paths = state.shape
         flat = state.reshape(-1, paths)
@@ -257,6 +271,8 @@ class _Engine:
         else:
             basis = self.basis_rows(timestamps, kinds)
             block = max(1, _FOLD_ELEMS // max(st.coef.size for st in stages))
+        # how many of speed mean, power mean and volatility go per block, in turn
+        done = len(self.per_block) if observed and not per_path else 0
         apply = [st.bind(flat) for st in stages]
         vol = np.empty((2, d, paths))
         vol_rows = vol.reshape(2 * d, paths)
@@ -272,18 +288,27 @@ class _Engine:
                 coefs = [np.broadcast_to(st.coef, (steps,) + st.coef.shape) for st in stages]
             else:
                 coefs = [st.fold(basis, b0, steps) for st in stages]
+            for n, y, e in self.per_block[:done]:  # one gather and product, one write
+                fit = stages[n].bind(flat, (steps,))(rows[n], coefs[n]).reshape(steps, -1, d, paths)
+                t = pos[:, 0] % T
+                if y is None:
+                    state[_SV:, t] = np.maximum(fit, self.floors).swapaxes(0, 1)
+                else:
+                    state[e, t] = state[y, t] - fit[:, 0]
+            if done == 3 and out is None:
+                continue
             for k in range(steps):
                 s = b0 + k
                 now = at[(first + s) % T]
                 if per_path:
                     tvs = [None if f is None else f.take(inverse[s], axis=1)
                            for f in folded]
-                if step_vol:
+                if step_vol and done < 3:
                     apply[0](rows[0][k], coefs[0][k], vol_rows, tvs[0])
                     np.maximum(vol, self.floors, out=now[_SV:])
                 if shocks is not None:
                     zs, zp = shocks(s, now[_SV], now[_PV])
-                for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp)):
+                for n, y, e, z in ((-2, _W, _E, zs), (-1, _P, _EP, zp))[done:]:
                     if observed:
                         apply[n](rows[n][k], coefs[n][k], fitted, tvs[n])
                         np.subtract(now[y], fitted, out=now[e])

@@ -362,10 +362,10 @@ def _drop(V: np.ndarray, na: int, at: int) -> None:
 
 
 def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndarray,
-          s: np.ndarray, blocked: np.ndarray, path: np.ndarray, rss: np.ndarray,
-          sweeps: np.ndarray, tol: float, cap: int) -> int:
+          V: np.ndarray, s: np.ndarray, blocked: np.ndarray, path: np.ndarray,
+          rss: np.ndarray, sweeps: np.ndarray, tol: float, cap: int) -> int:
     """Fill the path from lambdas[li] on, walking down from penalty ``lam`` on
-    support ``active`` (which ``_factor`` accepts) with signs ``s``; return the
+    support ``active``, whose ``_factor`` is V, with signs ``s``; return the
     first grid index not filled. Between knots b_A = w - lam v, with
     G_AA [w v] = [c_A, pen_A s_A / 2], and q = gradient - lam pen s / 2 =
     q0 + lam dq. The next knot is the largest penalty where a free column's
@@ -390,7 +390,7 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     enter = free & ~blocked
     sides = np.array([[1.0]]) if nonneg else np.array([[1.0], [-1.0]])
     events = np.empty((sides.size, k))
-    rising, V = (-lambdas).tolist(), _factor(G, act, na)
+    rising = (-lambdas).tolist()
     crossed = 0  # knots since the last grid penalty
     segs, end = [], li  # the segments holding grid penalties; the grid index they reach
     while True:
@@ -443,10 +443,10 @@ def _walk(work: _Work, lambdas: np.ndarray, li: int, lam: float, active: np.ndar
     return _check(work, lambdas, segs, li, blocked, path, rss, sweeps, tol) if segs else li
 
 
-def _accept(G: np.ndarray, cols: np.ndarray, blocked: np.ndarray) -> np.ndarray:
-    """The columns of ``cols`` that ``_factor`` accepts in turn; the rest lie in
-    the span of those before them and are ``blocked``."""
-    act, V, na = cols.copy(), None, 0
+def _accept(G: np.ndarray, cols: np.ndarray, blocked: np.ndarray):
+    """The columns of ``cols`` that ``_factor`` accepts in turn and their
+    factor V; the rest lie in the span of those before them and are ``blocked``."""
+    act, V, na = cols.copy(), np.empty((16, 16)), 0
     for j in cols:
         act[na] = j
         U = _factor(G, act, na + 1, V=V, na=na)
@@ -454,7 +454,7 @@ def _accept(G: np.ndarray, cols: np.ndarray, blocked: np.ndarray) -> np.ndarray:
             blocked[j] = True
         else:
             V, na = U, na + 1
-    return act[:na]
+    return act[:na], V
 
 
 def _path(work: _Work, lambdas: np.ndarray, blocked: np.ndarray, tol: float, cap: int):
@@ -471,12 +471,14 @@ def _path(work: _Work, lambdas: np.ndarray, blocked: np.ndarray, tol: float, cap
     li, lam, stuck = 0, np.inf, -1  # stuck: where a restart begins
     while k and li < nlam:
         cols = np.flatnonzero(path[li - 1] if li else work.pen_scale == 0.0)
-        active = _accept(work.G, cols, blocked)
+        active, V = _accept(work.G, cols, blocked)
         if nonneg and not li:
-            active = active[np.linalg.solve(work.gram(active), work.c[active]) > 1e-3 * tol]
+            keep = np.linalg.solve(work.gram(active), work.c[active]) > 1e-3 * tol
+            if not keep.all():  # the floor dropped a start column: factor afresh
+                active, V = active[keep], _factor(work.G, active[keep], keep.sum())
         s = np.sign(path[li - 1, active]) if li and not nonneg else np.ones(active.size)
-        start, li = li, _walk(work, lambdas, li, lam, active, s, blocked, path, rss, sweeps,
-                              tol, cap)
+        start, li = li, _walk(work, lambdas, li, lam, active, V, s, blocked, path, rss,
+                              sweeps, tol, cap)
         if li == start == stuck:
             converged[li] = False
             warnings.warn(f"lasso path walk failed its KKT check (tol={tol:g}) at "

@@ -611,6 +611,48 @@ class TestEngineReference:
         assert fore.covered_through == panel.n - 1
 
 
+# every_family_terms less these families -> the stages filtering applies to
+# whole blocks (0 volatility, 1 speed mean, 2 power mean), in that order
+SCHEDULES = {
+    (): [],
+    ("speed_ma",): [1],
+    ("speed_ma", "power_ma"): [1, 2],
+    ("speed_ma", "power_ma", "vol_lag", "speed_vol_lag"): [1, 2, 0],
+}
+
+
+def schedule_setup(drop):
+    panel, model = every_family_setup()
+    model.terms = {key: [t for t in terms if t.family not in drop]
+                   for key, terms in model.terms.items()}
+    return panel, model
+
+
+class TestFilterSchedule:
+    @pytest.mark.parametrize("fold_elems", [200, pf._FOLD_ELEMS])
+    @pytest.mark.parametrize("drop, per_block", list(SCHEDULES.items()))
+    def test_filter_matches_per_term_loop(self, monkeypatch, fold_elems, drop, per_block):
+        monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
+        panel, model = schedule_setup(drop)
+        fore = Forecaster(model, panel)
+        assert [n for n, _, _ in fore.engine.per_block] == per_block
+        fore.ensure_state(panel.n - 1)
+        ref = reference_filter(model, panel, 0, panel.n - 1)
+        for name in ("E", "Ep", "Sv", "Pv"):
+            assert_close(getattr(fore, name), ref[name])
+
+    @pytest.mark.parametrize("fold_elems", [200, pf._FOLD_ELEMS])
+    @pytest.mark.parametrize("drop", list(SCHEDULES))
+    def test_filter_in_pieces_equals_one_call(self, monkeypatch, fold_elems, drop):
+        monkeypatch.setattr(pf, "_FOLD_ELEMS", fold_elems)
+        panel, model = schedule_setup(drop)
+        whole, pieces = Forecaster(model, panel), Forecaster(model, panel)
+        whole.ensure_state(699)
+        for row in (350, 351, 477, 699):
+            pieces.ensure_state(row)
+        assert np.array_equal(pieces.state, whole.state)
+
+
 # ---------------------------------------------------------------------------
 # forecasts from a ring of trim + 1 lag rows
 

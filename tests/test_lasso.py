@@ -442,7 +442,7 @@ class TestPathSegments:
         refused = []
         walk = lasso._walk
         monkeypatch.setattr(lasso, "_walk",
-                            lambda *a: (walk(*a), refused.append(a[6].copy()))[0])
+                            lambda *a: (walk(*a), refused.append(a[7].copy()))[0])
         _, walks, _ = self.check_against_cold(LassoProblem(y, X), monkeypatch)
         # the pair's Schur complement is below the floor: the entering column
         # is refused and stays out, and the walk goes on
@@ -494,8 +494,9 @@ class TestPathSegments:
                 work, lambdas, [(lo, min(hi, fail_at), *more) for lo, hi, *more in segs
                                 if lo < fail_at], *rest))
             blocked = np.arange(k) == 1
-            li = lasso._walk(work, lambdas, 0, np.inf, np.zeros(0, dtype=np.intp), np.ones(0),
-                             blocked, np.zeros((100, k)), np.empty(100),
+            none = np.zeros(0, dtype=np.intp)
+            li = lasso._walk(work, lambdas, 0, np.inf, none, lasso._factor(work.G, none, 0),
+                             np.ones(0), blocked, np.zeros((100, k)), np.empty(100),
                              np.ones(100, dtype=int), 1e-7, 10_000)
             return li, blocked
 
