@@ -42,7 +42,6 @@ from .lasso import (
     LassoSettings,
     coordinate_descent,
     fit_path_bic,
-    lambda_grid,
     weighted_bic,
 )
 from .model import (

@@ -49,8 +49,8 @@ class BSplineSpec:
             raise ValueError(f"degree must be odd and nonnegative, got {self.degree}")
         if self.n_basis < 1:
             raise ValueError("n_basis must be >= 1")
-        if self.season_length <= 0:
-            raise ValueError("season_length must be positive")
+        if not 0.0 < self.season_length < np.inf:  # NaN too
+            raise ValueError("season_length must be positive and finite")
         if self.n_basis < self.degree + 1:
             # support of one shifted spline would exceed one period and the
             # two-shift wrap below would drop mass

@@ -137,36 +137,44 @@ def write_effective_config(cfg: dict, outdir: str) -> None:
 
 
 def model_config_from(cfg: dict) -> ModelConfig:
+    """The ``model`` section as a ModelConfig; a value it refuses is a
+    ConfigError that names its key."""
     m = cfg["model"]
 
-    def count(*keys: str) -> int:
+    def setting(*keys: str, parse=_integer):
         value = m
         for key in keys:
             value = value[key]
-        return _integer(value, ".".join(("model",) + keys))
+        return parse(value, ".".join(("model",) + keys))
 
     band = m["own_long_band"]
-    long_band = None if band in (None, []) else tuple(
-        _integer(b, "model.own_long_band") for b in (band[0], band[1]))
-    sets = index_sets_from(count("own_short_max"), long_band, count("cross_max"),
-                           _flag(cfg, "model", "time_varying"))
-    return ModelConfig(
-        sets=sets,
-        threshold_policy=m["threshold_policy"],
-        diurnal=BSplineSpec(count("degree"), 144.0, count("diurnal_basis"),
-                            strict_partition=True),
-        annual=BSplineSpec(count("degree"), float(m["annual_season"]),
-                           count("annual_basis")),
-        k_max=count("k_max"),
-        vol_floor_fraction=float(m["vol_floor_fraction"]),
-        min_rows=count("min_rows"),
-        lasso=LassoSettings(
-            grid_count=count("lasso", "grid_count"),
-            grid_ratio=float(m["lasso"]["grid_ratio"]),
-            tol=float(m["lasso"]["tol"]),
-            max_sweeps=count("lasso", "max_sweeps"),
-        ),
-    )
+    if band not in (None, []) and not (isinstance(band, list) and len(band) == 2):
+        raise ConfigError(f"model.own_long_band must be [first, last] or [], got {band!r}")
+    long_band = tuple(_integer(b, "model.own_long_band") for b in band) if band else None
+    sets = _built("model.", index_sets_from, setting("own_short_max"), long_band,
+                  setting("cross_max"), _flag(cfg, "model", "time_varying"))
+    return _built(
+        "model.", ModelConfig, sets=sets, threshold_policy=m["threshold_policy"],
+        diurnal=_built("model.degree or model.diurnal_basis: ", BSplineSpec, setting("degree"),
+                       144.0, setting("diurnal_basis"), strict_partition=True),
+        annual=_built("model.degree, model.annual_season or model.annual_basis: ",
+                      BSplineSpec, setting("degree"), setting("annual_season", parse=_real),
+                      setting("annual_basis")),
+        k_max=setting("k_max"), vol_floor_fraction=setting("vol_floor_fraction", parse=_real),
+        min_rows=setting("min_rows"),
+        lasso=_built("model.lasso.", LassoSettings, grid_count=setting("lasso", "grid_count"),
+                     grid_ratio=setting("lasso", "grid_ratio", parse=_real),
+                     tol=setting("lasso", "tol", parse=_real),
+                     max_sweeps=setting("lasso", "max_sweeps")))
+
+
+def _built(prefix: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError raised as a ConfigError whose
+    message starts with ``prefix``: the keys it read."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _integer(value, key: str) -> int:
@@ -177,6 +185,17 @@ def _integer(value, key: str) -> int:
             or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, key: str) -> float:
+    """A number, or a string that ``float`` reads (YAML 1.1 leaves 1e-4 a
+    string). A bool is refused."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _positive(cfg: dict, section: str, key: str) -> int:
@@ -324,8 +343,9 @@ def cmd_analyze(cfg: dict, args) -> int:
 
 
 def cmd_fit(cfg: dict, args) -> int:
+    config = model_config_from(cfg)
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
-    model = fit_joint_model(panel, model_config_from(cfg))
+    model = fit_joint_model(panel, config)
     out = os.path.join(cfg["output_dir"], "model.txt")
     save_model(model, out)
     nz = sum(len(v) for v in model.terms.values())
@@ -366,18 +386,12 @@ def cmd_backtest(cfg: dict, args) -> int:
     models = cfg["backtest"]["models"]
     if not isinstance(models, list):
         raise ConfigError(f"backtest.models must be a list of model names, got {models!r}")
-    try:
-        spec = BacktestSpec(
-            n_origins=n_origins,
-            horizons=tuple(range(1, max_horizon + 1)),
-            in_sample=in_sample,
-            seed=_seed(cfg),
-            models=tuple(str(m) for m in models),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"backtest.{exc}") from None
+    spec = _built("backtest.", BacktestSpec, n_origins=n_origins,
+                  horizons=tuple(range(1, max_horizon + 1)), in_sample=in_sample,
+                  seed=_seed(cfg), models=tuple(str(m) for m in models))
+    config = model_config_from(cfg)
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
-    report = run_backtest(panel, spec, lasso_config=model_config_from(cfg))
+    report = run_backtest(panel, spec, lasso_config=config)
     files = write_report(report, cfg["output_dir"])
     print("wrote " + ", ".join(files))
     return 0

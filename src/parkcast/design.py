@@ -87,6 +87,9 @@ def index_sets_from(own_short_max: int = 40,
     of 1..own_short_max plus the previous-day band, thresholds and time
     variation on the first lags only. ``time_varying=False`` keeps every
     non-intercept coefficient constant (a much smaller design)."""
+    if own_long_band is not None and not 1 <= own_long_band[0] <= own_long_band[1]:
+        raise ValueError(f"own_long_band must be (first, last) with 1 <= first <= last, "
+                         f"got {own_long_band}")
     long = tuple(range(1, own_short_max + 1))
     if own_long_band is not None:
         long += tuple(range(own_long_band[0], own_long_band[1] + 1))

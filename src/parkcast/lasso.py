@@ -15,7 +15,9 @@ only solver. Columns need not be in general position (Tibshirani 2013): tied eve
 are taken one at a time, a column in the span of the support stays out, and every
 grid penalty is checked against its KKT conditions; a failed check restarts the walk
 from the last checked penalty. Nonnegative problems hold every sign at +, as in
-Lawson & Hanson's NNLS, which keeps volatility recursions well defined.
+Lawson & Hanson's NNLS, which keeps volatility recursions well defined. Each
+penalty's BIC takes df = nnz (Zou, Hastie & Tibshirani 2007); a weighted RSS at or
+below m eps max(y'Wy, 1) counts as zero, one rule for the path and ``weighted_bic``.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ _BLOCK_BYTES = 1 << 21  # one row block of [X y]' as _Work accumulates it
 _BLOCK_ROWS = 1024  # the fewest rows per block, so a wide one amortizes its (p+1)^2 update
 _PANEL = 512  # rows of A per product while _Work accumulates it
 _CHECK_EVERY = 16  # segments a path walk records between checks of their grid penalties
-
-
-class DegenerateGridError(ValueError):
-    """No usable penalty grid (e.g. all-zero response); ``fit_path_bic`` fits
-    such a problem at lambda = 0 instead."""
 
 
 class LassoConvergenceWarning(UserWarning):
@@ -126,12 +123,22 @@ class LassoFit:
         return self.coef_path[self.selected_index]
 
 
-def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> float:
-    support = np.flatnonzero(coefficients)
-    r = problem.response - problem.design[:, support] @ coefficients[support]
-    rss = float(np.dot(problem.weights * r, r))
-    pen = float(np.abs(coefficients[problem.penalize_mask]).sum())
-    return rss + lam * pen
+@dataclass
+class LassoSettings:
+    grid_count: int = 100
+    grid_ratio: float = 1e-4
+    tol: float = 1e-7
+    max_sweeps: int = 10_000  # cap on the knots walked between two grid penalties
+
+    def __post_init__(self) -> None:
+        if self.grid_count < 2:
+            raise ValueError(f"grid_count must be >= 2, got {self.grid_count}")
+        if not 0.0 < self.grid_ratio < 1.0:
+            raise ValueError(f"grid_ratio must lie in (0, 1), got {self.grid_ratio}")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_sweeps < 0:
+            raise ValueError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
 
 
 class _Work:
@@ -164,6 +171,8 @@ class _Work:
                 if lo:
                     A[r:e, r:] += out
         del buf, panel, Z, out  # with the views that would keep them alive
+        if not np.isfinite(A.diagonal()).all():  # any non-finite entry of X or y
+            raise ValueError("the weighted Gram of design and response must be finite")
         diag = A.diagonal()[:p]
         usable = diag > 0.0
         order = np.argsort(diag)
@@ -228,21 +237,11 @@ def coordinate_descent(problem: LassoProblem, lam: float, tol: float = 1e-7,
     return coefficients
 
 
-def kkt_residuals(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> np.ndarray:
-    """Per-column KKT residuals on the standardized scale (0 for excluded
-    columns); a solution is optimal iff these vanish."""
-    work = _Work(problem)
-    out = np.zeros(problem.p)
-    b = np.asarray(coefficients, dtype=float)[work.cols] * work.scale[work.cols]
-    out[work.cols] = _kkt_std(work, b, lam)
-    return out
-
-
-def _grid(work: _Work, count: int, ratio: float, tol: float = 1e-7) -> np.ndarray:
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
+def _grid(work: _Work, settings: LassoSettings) -> np.ndarray | None:
+    """Descending log-spaced penalties from the smallest at which every penalized
+    coefficient is zero: twice the largest weighted inner product of a penalized column
+    with the response residualized on the unpenalized ones, from the Gram. None where no
+    penalized standardized product exceeds tol: b_pen = 0 meets KKT at every penalty."""
     pen = work.pen_scale > 0.0
     unpen = np.flatnonzero(~pen)
     g = work.c
@@ -251,45 +250,26 @@ def _grid(work: _Work, count: int, ratio: float, tol: float = 1e-7) -> np.ndarra
         beta, *_ = np.linalg.lstsq(work.gram(unpen), g[unpen], rcond=None)
         g = g - work.G[:, unpen] @ beta
     lam_max = 2.0 * float(np.max(np.abs(g[pen]) * work.scale[work.cols][pen], initial=0.0))
-    # where no penalized gradient exceeds tol, b_pen = 0 meets KKT at every penalty
-    if not (np.isfinite(lam_max) and np.max(np.abs(g[pen]), initial=0.0) > tol):
-        raise DegenerateGridError("no usable penalty grid (no penalizable signal above tol)")
-    return np.geomspace(lam_max, lam_max * ratio, count)
+    if not (np.isfinite(lam_max) and np.max(np.abs(g[pen]), initial=0.0) > settings.tol):
+        return None
+    return np.geomspace(lam_max, lam_max * settings.grid_ratio, settings.grid_count)
 
 
-def lambda_grid(problem: LassoProblem, count: int = 100, ratio: float = 1e-4) -> np.ndarray:
-    """Descending log-spaced penalty grid.
-
-    The top value is the smallest penalty at which every penalized
-    coefficient is zero: twice the largest weighted inner product between a
-    penalized column and the response residualized on the unpenalized
-    columns, taken from the Gram matrix. ``DegenerateGridError`` where no
-    penalized column's standardized inner product exceeds tol = 1e-7.
-    """
-    return _grid(_Work(problem), count, ratio)
+def _bic(m: int, rss, df, yy: float):
+    """(m log(RSS_w / m) + df log(m), zero): where RSS_w is zero at the Gram's precision,
+    m eps max(y'Wy, 1), the rounding of the m-term sums behind y'Wy - c_A'w, the BIC
+    is -inf, a flag, not a score."""
+    zero = rss <= m * np.finfo(float).eps * max(yy, 1.0)
+    return np.where(zero, -np.inf, m * np.log(np.maximum(rss, 1e-300) / m) + df * np.log(m)), zero
 
 
 def weighted_bic(problem: LassoProblem, coefficients: np.ndarray):
-    """m log(RSS_w / m) + df log(m) with df = number of nonzero coefficients.
-
-    A perfect fit (zero weighted RSS up to float roundoff) returns the
-    (-inf, True) sentinel; callers must treat that as a flag, not a score.
-    """
-    m = problem.m
-    rss = objective_value(problem, coefficients, 0.0)
-    df = int(np.count_nonzero(coefficients))
-    scale = float(np.dot(problem.weights * problem.response, problem.response))
-    if rss <= 1e-20 * max(scale, 1.0):
-        return -np.inf, True
-    return m * np.log(rss / m) + df * np.log(m), False
-
-
-@dataclass
-class LassoSettings:
-    grid_count: int = 100
-    grid_ratio: float = 1e-4
-    tol: float = 1e-7
-    max_sweeps: int = 10_000  # cap on the knots walked between two grid penalties
+    """``_bic`` of ``coefficients`` as (float, bool), df their nonzero count and
+    the weighted RSS formed from the residual: ``fit_path_bic``'s zero-RSS rule."""
+    w, y, support = problem.weights, problem.response, np.flatnonzero(coefficients)
+    r = y - problem.design[:, support] @ coefficients[support]
+    bic, zero = _bic(problem.m, np.dot(w * r, r), np.count_nonzero(coefficients), np.dot(w * y, y))
+    return float(bic), bool(zero)
 
 
 def _fill(work: _Work, lambdas: np.ndarray, segs: list, path: np.ndarray,
@@ -490,28 +470,22 @@ def _path(work: _Work, lambdas: np.ndarray, blocked: np.ndarray, tol: float, cap
 
 def fit_path_bic(problem: LassoProblem, settings: LassoSettings | None = None) -> LassoFit:
     """Exact lasso path along the descending grid (``_path``); pick the BIC
-    minimizer, breaking ties toward the larger penalty (sparser model). Where no
-    penalized column carries signal (``DegenerateGridError``) the grid is the one
-    point lambda = 0, which the walk reaches at once with the penalized columns
-    held out: the least-squares fit on the unpenalized columns."""
+    minimizer (``_bic``, whose zero-RSS rule ``weighted_bic`` shares), breaking
+    ties toward the larger penalty (sparser model). Where ``_grid`` finds no
+    penalized column carrying signal, the grid is the one point lambda = 0, which
+    the walk reaches at once with the penalized columns held out: the
+    least-squares fit on the unpenalized columns."""
     settings = settings or LassoSettings()
     tol, work = settings.tol, _Work(problem)
     blocked = np.zeros(work.cols.size, dtype=bool)  # refused as dependent on the support
-    try:
-        lambdas = _grid(work, settings.grid_count, settings.grid_ratio, tol)
-    except DegenerateGridError:
+    lambdas = _grid(work, settings)
+    if lambdas is None:
         lambdas, blocked = np.zeros(1), work.pen_scale > 0.0
-    nlam = lambdas.size
     path, rss, sweeps, converged = _path(work, lambdas, blocked, tol, settings.max_sweeps)
-    m = problem.m
-    # zero at the Gram's precision: y'Wy - c_A'w rounds by up to m eps y'Wy, the
-    # worst case of the m-term sums behind both (a y'Wy below 1 counts as 1)
-    zero = rss <= m * np.finfo(float).eps * max(work.yy, 1.0)
-    df = np.count_nonzero(path, axis=1)
-    bic_path = np.where(zero, -np.inf, m * np.log(np.maximum(rss, 1e-300) / m) + df * np.log(m))
+    bic_path, zero = _bic(problem.m, rss, np.count_nonzero(path, axis=1), work.yy)
     selected = int(np.argmin(bic_path))  # first occurrence = largest lambda
     lam_sel = float(lambdas[selected])
-    coef_path = np.zeros((nlam, problem.p))
+    coef_path = np.zeros((lambdas.size, problem.p))
     coef_path[:, work.cols] = path / work.scale[work.cols]
     b_sel = path[selected]
     objective = float(rss[selected]) + lam_sel * float(np.dot(work.pen_scale, np.abs(b_sel)))

@@ -65,6 +65,10 @@ class ModelConfig:
             raise ValueError("k_max must be >= 1")
         if not 0.0 < self.vol_floor_fraction < 1.0:
             raise ValueError("vol_floor_fraction must lie in (0, 1)")
+        if not (isinstance(self.threshold_policy, dict)
+                or self.threshold_policy in ("deciles", "none")):
+            raise ValueError("threshold_policy must be deciles, none or a mapping, "
+                             f"got {self.threshold_policy!r}")
 
 
 @dataclass

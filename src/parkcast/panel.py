@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -177,8 +178,8 @@ def load_panel(path, schema: PanelSchema) -> TurbinePanel:
     """Read the CSV at ``path`` into a panel.
 
     Rows arriving out of order are re-sorted with a warning; duplicate
-    timestamps and non-600 s sampling are rejected. Empty cells become masked
-    entries, never silently filled.
+    timestamps and non-600 s sampling are rejected, and so are infinite cells.
+    Empty and "nan" cells become masked entries, never silently filled.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -219,11 +220,15 @@ def load_panel(path, schema: PanelSchema) -> TurbinePanel:
                     vals.append(np.nan)
                     continue
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise PanelParseError(
                         f"non-numeric cell {cell!r} in column {header[k]!r}", line_no
                     ) from None
+                if math.isinf(value):  # "nan" text stays a missing cell
+                    raise PanelParseError(f"infinite cell {cell!r} in column {header[k]!r}",
+                                          line_no)
+                vals.append(value)
             rows.append(vals)
 
     if not rows:

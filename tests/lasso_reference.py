@@ -1,4 +1,5 @@
-"""Reference weighted lasso solver and oracles for the path tests.
+"""Reference weighted lasso solver and oracles for the path tests: KKT
+residuals, the objective and the penalty grid's top, from X directly.
 
 An active-set method at one penalty (Osborne, Presnell & Turlach 2000), on a
 Gram built here from the columns of X directly, so that it shares no code
@@ -35,6 +36,33 @@ def kkt(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> np.ndarr
     thr[nz] = 0.5 * lam * problem.penalize_mask[nz] / scale[nz]
     inactive = np.maximum((g if problem.nonnegative else np.abs(g)) - thr, 0.0)
     return np.where(b != 0.0, np.abs(g - thr * np.sign(b)), inactive)
+
+
+def objective_value(problem: LassoProblem, coefficients: np.ndarray, lam: float) -> float:
+    support = np.flatnonzero(coefficients)
+    r = problem.response - problem.design[:, support] @ coefficients[support]
+    rss = float(np.dot(problem.weights * r, r))
+    pen = float(np.abs(coefficients[problem.penalize_mask]).sum())
+    return rss + lam * pen
+
+
+def lambda_max(problem: LassoProblem) -> float:
+    """The smallest penalty at which every penalized coefficient is zero:
+    2 max_j |x_j' W r| over the penalized columns j, where r is the weighted
+    least-squares residual of the response on the unpenalized columns."""
+    X, y, w, pen = problem.design, problem.response, problem.weights, problem.penalize_mask
+    r = y
+    if not pen.all():
+        sw = np.sqrt(w)
+        beta, *_ = np.linalg.lstsq(sw[:, None] * X[:, ~pen], sw * y, rcond=None)
+        r = y - X[:, ~pen] @ beta
+    return 2.0 * float(np.abs((w * r) @ X[:, pen]).max(initial=0.0))
+
+
+def grid(problem: LassoProblem, count: int, ratio: float) -> np.ndarray:
+    """``count`` log-spaced penalties from ``lambda_max`` down to ``ratio`` times it."""
+    top = lambda_max(problem)
+    return np.geomspace(top, top * ratio, count)
 
 
 def solve(problem: LassoProblem, lam: float, warm_start: np.ndarray | None = None,

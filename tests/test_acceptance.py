@@ -5,6 +5,7 @@ frozen seeds; tolerances are fixed here, not tuned at run time."""
 import time
 import warnings
 
+import lasso_reference as reference
 import numpy as np
 import pytest
 from conftest import NAN, NO_THR, tiny_config
@@ -13,13 +14,7 @@ from parkcast.basis import BSplineSpec, periodic_basis_matrix
 from parkcast.design import FamilySpec, IndexSets
 from parkcast.evaluation import BacktestSpec, run_backtest
 from parkcast.forecast import Forecaster, bootstrap_forecast, point_forecast, simulate_synthetic
-from parkcast.lasso import (
-    LassoProblem,
-    LassoSettings,
-    coordinate_descent,
-    fit_path_bic,
-    kkt_residuals,
-)
+from parkcast.lasso import LassoProblem, LassoSettings, coordinate_descent, fit_path_bic
 from parkcast.model import ModelConfig, Term, fit_joint_model, load_model, save_model
 from parkcast.panel import TurbinePanel, smoothed_periodogram
 from parkcast.presets import demo_config, example_generator
@@ -94,7 +89,7 @@ def test_criterion_03_nonnegative_lasso(small_model):
         fit = fit_path_bic(prob, LassoSettings(grid_count=40))
         assert fit.coefficients.min() >= 0.0
         assert not np.signbit(fit.coefficients).any()
-        res = kkt_residuals(prob, fit.coefficients, fit.selected_lambda)
+        res = reference.kkt(prob, fit.coefficients, fit.selected_lambda)
         worst_kkt = max(worst_kkt, float(res.max()))
     assert worst_kkt <= 1e-6
     report(3, f"all volatility coefficients >= 0 exactly; worst KKT residual "

@@ -195,6 +195,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BSplineSpec(2, 144.0, 12)
 
+    @pytest.mark.parametrize("season", [0.0, -5.0, np.nan, np.inf])
+    def test_season_not_positive_and_finite_rejected(self, season):
+        with pytest.raises(ValueError, match="season_length must be positive and finite"):
+            BSplineSpec(3, season, 12)
+
     def test_too_few_basis_functions_rejected(self):
         with pytest.raises(ValueError):
             BSplineSpec(3, 144.0, 3)

@@ -365,6 +365,71 @@ class TestExitCodes:
         assert f"error: config: {'.'.join(keys)} must be an integer, got {value!r}" in err
         assert os.listdir(workdir / "out") == ["effective-config.yaml"]
 
+    @pytest.mark.parametrize("command", ["fit", "backtest"])
+    @pytest.mark.parametrize("keys, value, message", [
+        (("k_max",), 0, "model.k_max must be >= 1"),
+        (("degree",), 2, "model.degree or model.diurnal_basis: degree must be odd"),
+        (("annual_season",), -5, "model.degree, model.annual_season or model.annual_basis: "
+                                 "season_length must be positive"),
+        (("diurnal_basis",), 2, "model.degree or model.diurnal_basis: n_basis=2 too small"),
+        (("vol_floor_fraction",), 1.0, "model.vol_floor_fraction must lie in (0, 1)"),
+        (("threshold_policy",), "foo", "model.threshold_policy must be deciles, none or a "
+                                       "mapping, got 'foo'"),
+        (("own_long_band",), [5], "model.own_long_band must be [first, last] or [], got [5]"),
+        (("own_long_band",), 7, "model.own_long_band must be [first, last] or [], got 7"),
+        (("own_long_band",), [9, 4], "model.own_long_band must be (first, last) with "
+                                     "1 <= first <= last, got (9, 4)"),
+        (("lasso", "grid_count"), 1, "model.lasso.grid_count must be >= 2, got 1"),
+        (("lasso", "grid_ratio"), 1.5, "model.lasso.grid_ratio must lie in (0, 1), got 1.5"),
+        (("lasso", "tol"), 0.0, "model.lasso.tol must be positive and finite, got 0.0"),
+        (("lasso", "tol"), -1.0, "model.lasso.tol must be positive and finite, got -1.0"),
+        (("lasso", "max_sweeps"), -5, "model.lasso.max_sweeps must be >= 0, got -5"),
+        (("annual_season",), "abc", "model.annual_season must be a number, got 'abc'"),
+        (("annual_season",), float("nan"), "model.degree, model.annual_season or "
+                                           "model.annual_basis: season_length must be "
+                                           "positive and finite"),
+        (("vol_floor_fraction",), [0.1], "model.vol_floor_fraction must be a number, "
+                                         "got [0.1]"),
+        (("lasso", "grid_ratio"), True, "model.lasso.grid_ratio must be a number, got True"),
+        (("lasso", "tol"), "abc", "model.lasso.tol must be a number, got 'abc'"),
+    ])
+    def test_malformed_model_setting_is_config_error(self, workdir, capsys, command, keys,
+                                                     value, message):
+        # refused before the panel is read: a missing panel is not reached
+        cfg = yaml.safe_load(CONFIG)
+        section = cfg["model"]
+        for key in keys[:-1]:
+            section = section.setdefault(key, {})
+        section[keys[-1]] = value
+        (workdir / "model.yaml").write_text(yaml.safe_dump(cfg))
+        assert run(command, "model.yaml", "--panel", "missing.csv", "--out-dir", "out") == 2
+        assert f"error: config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, value", [(("lasso", "tol"), 0.0),
+                                             (("lasso", "max_sweeps"), -5),
+                                             (("own_long_band",), [9, 4])])
+    def test_malformed_model_setting_fits_nothing(self, workdir, capsys, fitted, keys,
+                                                  value):
+        cfg = yaml.safe_load(CONFIG)
+        section = cfg["model"]
+        for key in keys[:-1]:
+            section = section[key]
+        section[keys[-1]] = value
+        (workdir / "model.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("fit", "model.yaml", "--panel", str(fitted / "panel.csv"),
+                   "--out-dir", "out") == 2
+        assert f"error: config: model.{'.'.join(keys)}" in capsys.readouterr().err
+        assert os.listdir(workdir / "out") == ["effective-config.yaml"]
+
+    def test_infinite_panel_cell_is_data_error(self, workdir, capsys):
+        (workdir / "inf.csv").write_text(
+            "ts,A_speed,A_power\n" + "\n".join(
+                f"{600*i},1.0,{'inf' if i == 5 else 10.0}" for i in range(20)) + "\n")
+        for command in ("fit", "analyze"):
+            assert run(command, "cfg.yaml", "--panel", "inf.csv", "--out-dir", "out") == 4
+            assert ("error: data: line 7: infinite cell 'inf' in column 'A_power'"
+                    in capsys.readouterr().err)
+
     def test_workers_key_and_flag_refused(self, workdir, capsys, fitted):
         # backtests run serially: a config, or an older effective-config.yaml,
         # that sets workers is refused, and so is the flag

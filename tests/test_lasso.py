@@ -7,16 +7,12 @@ import pytest
 
 from parkcast import lasso
 from parkcast.lasso import (
-    DegenerateGridError,
     _Work,
     LassoConvergenceWarning,
     LassoProblem,
     LassoSettings,
     coordinate_descent,
     fit_path_bic,
-    kkt_residuals,
-    lambda_grid,
-    objective_value,
     weighted_bic,
 )
 
@@ -42,10 +38,28 @@ def collinear_design(rng, m=60):
     return X
 
 
+def fit_grid(problem, count=100, ratio=1e-4):
+    """The fit's penalty grid, or None where it is degenerate."""
+    return lasso._grid(_Work(problem), LassoSettings(grid_count=count, grid_ratio=ratio))
+
+
+class RowPlan:
+    """The part of a design plan the fit reads: its shape, blocks of rows and whole columns."""
+
+    def __init__(self, X):
+        self.X, self.shape = X, X.shape
+
+    def rows(self, lo, hi, out):
+        out[:] = self.X[lo:hi].T
+
+    def __getitem__(self, key):
+        return self.X[key]
+
+
 class TestLambdaGrid:
     def test_count_two(self):
         prob = random_problem(np.random.default_rng(0))
-        grid = lambda_grid(prob, count=2, ratio=0.25)
+        grid = fit_grid(prob, count=2, ratio=0.25)
         assert grid.size == 2
         assert grid[1] == pytest.approx(grid[0] * 0.25)
 
@@ -54,7 +68,7 @@ class TestLambdaGrid:
         x = rng.standard_normal(60)
         w = rng.uniform(0.5, 2.0, 60)
         prob = LassoProblem(x.copy(), x[:, None], weights=w)
-        grid = lambda_grid(prob, count=3, ratio=0.1)
+        grid = fit_grid(prob, count=3, ratio=0.1)
         assert grid[0] == pytest.approx(2.0 * abs(np.dot(w * x, x)))
         # at lambda >= lambda_max the coefficient is exactly zero
         assert coordinate_descent(prob, grid[0] * (1 + 1e-12))[0] == 0.0
@@ -63,23 +77,20 @@ class TestLambdaGrid:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((40, 5))
         y = rng.standard_normal(40)
-        g1 = lambda_grid(LassoProblem(y, X), count=4, ratio=0.5)
-        g2 = lambda_grid(LassoProblem(y, X, weights=np.full(40, 3.0)),
-                         count=4, ratio=0.5)
+        g1 = fit_grid(LassoProblem(y, X), count=4, ratio=0.5)
+        g2 = fit_grid(LassoProblem(y, X, weights=np.full(40, 3.0)), count=4, ratio=0.5)
         assert g2[0] == pytest.approx(3.0 * g1[0])
 
     def test_zero_response_degenerate(self):
         prob = LassoProblem(np.zeros(20), np.random.default_rng(3).standard_normal((20, 4)))
-        with pytest.raises(DegenerateGridError):
-            lambda_grid(prob)
+        assert fit_grid(prob) is None
 
     def test_unpenalized_columns_residualized(self):
         # response fully explained by the unpenalized constant
         X = np.column_stack([np.ones(30), np.random.default_rng(4).standard_normal(30)])
         prob = LassoProblem(np.full(30, 7.0), X,
                             penalize_mask=np.array([False, True]))
-        with pytest.raises(DegenerateGridError):
-            lambda_grid(prob)
+        assert fit_grid(prob) is None
 
 
 class TestCoordinateDescent:
@@ -126,7 +137,7 @@ class TestCoordinateDescent:
     def test_warm_start_matches_cold(self):
         rng = np.random.default_rng(14)
         prob = random_problem(rng, m=80, p=10)
-        lam = lambda_grid(prob, 10, 0.01)[4]
+        lam = reference.grid(prob, 10, 0.01)[4]
         cold = coordinate_descent(prob, lam)
         warm = reference.solve(prob, lam, warm_start=cold + rng.normal(0, 0.1, 10))
         assert np.abs(cold - warm).max() < 1e-8
@@ -159,11 +170,12 @@ class TestCoordinateDescent:
         for nonneg in (False, True):
             prob = LassoProblem(y, X, weights=rng.uniform(0.5, 2.0, 60),
                                 nonnegative=nonneg, penalize_mask=mask)
-            for lam in lambda_grid(prob, 8, 1e-3):
+            for lam in reference.grid(prob, 8, 1e-3):
                 b = coordinate_descent(prob, lam)
-                assert kkt_residuals(prob, b, lam).max() <= 1e-7
+                assert reference.kkt(prob, b, lam).max() <= 1e-7
                 warm = reference.solve(prob, lam, warm_start=rng.standard_normal(8))
-                assert objective_value(prob, warm, lam) <= objective_value(prob, b, lam) + 1e-9
+                assert (reference.objective_value(prob, warm, lam)
+                        <= reference.objective_value(prob, b, lam) + 1e-9)
 
     def test_iteration_cap_warns(self):
         prob = random_problem(np.random.default_rng(18), m=60, p=8)
@@ -196,6 +208,28 @@ class TestWeightedBic:
         bic, flag = weighted_bic(prob, np.array([2.0]))
         assert flag and bic == -np.inf
 
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_one_zero_rss_rule_with_the_path(self, factor):
+        # a least-squares residual whose weighted RSS is factor * m eps max(y'Wy, 1),
+        # with y'Wy below 1: zero just below the bound, a score just above it
+        rng = np.random.default_rng(22)
+        m = 50
+        X = np.column_stack([np.ones(m), rng.standard_normal(m)])
+        w = rng.uniform(0.5, 2.0, m)
+        r = rng.standard_normal(m)
+        r -= X @ np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * r))  # W-orthogonal to X
+        r *= np.sqrt(factor * m * np.finfo(float).eps / np.dot(w * r, r))
+        prob = LassoProblem(1e-7 * (X @ [1.0, 0.5]) + r, X, weights=w,
+                            penalize_mask=np.zeros(2, dtype=bool))
+        assert float(np.dot(w * prob.response, prob.response)) < 1.0
+        fit = fit_path_bic(prob)  # nothing penalized: the one point lambda = 0
+        bic, zero = weighted_bic(prob, fit.coefficients)
+        assert zero == fit.zero_rss == (factor < 1.0)
+        if zero:
+            assert bic == fit.bic_path[0] == -np.inf
+        else:
+            assert bic == pytest.approx(fit.bic_path[0], rel=1e-9)
+
 
 class TestFitPathBic:
     def test_pure_noise_selects_mostly_nothing(self):
@@ -227,7 +261,7 @@ class TestFitPathBic:
         rng = np.random.default_rng(32)
         prob = random_problem(rng, m=120, p=12)
         fit = fit_path_bic(prob, LassoSettings(grid_count=30))
-        res = kkt_residuals(prob, fit.coefficients, fit.selected_lambda)
+        res = reference.kkt(prob, fit.coefficients, fit.selected_lambda)
         assert res.max() <= 1e-6
 
     def test_every_lambda_converged(self):
@@ -237,13 +271,13 @@ class TestFitPathBic:
         fit = fit_path_bic(prob, settings)
         assert fit.converged.all() and (fit.sweeps >= 1).all()
         for lam, coef in zip(fit.lambdas, fit.coef_path):
-            assert kkt_residuals(prob, coef, lam).max() <= 10 * settings.tol
+            assert reference.kkt(prob, coef, lam).max() <= 10 * settings.tol
 
     def test_objective_not_above_zero_start(self):
         rng = np.random.default_rng(33)
         prob = random_problem(rng, m=60, p=6)
         fit = fit_path_bic(prob)
-        start = objective_value(prob, np.zeros(6), fit.selected_lambda)
+        start = reference.objective_value(prob, np.zeros(6), fit.selected_lambda)
         assert fit.objective <= start + 1e-9
 
     def test_tie_break_prefers_larger_lambda(self):
@@ -324,7 +358,7 @@ class TestPathSegments:
         if pinned is not None:
             assert {i: int(x) for i, x in enumerate(fit.sweeps) if x != 1} == pinned
         for lam, coef, bic in zip(fit.lambdas, fit.coef_path, fit.bic_path):
-            assert kkt_residuals(prob, coef, lam).max() <= 10 * settings.tol
+            assert reference.kkt(prob, coef, lam).max() <= 10 * settings.tol
             cold = reference.solve(prob, lam, tol=settings.tol)
             assert np.abs(coef - cold).max() <= 1e-8
             assert bic == pytest.approx(weighted_bic(prob, coef)[0], rel=1e-10)
@@ -487,7 +521,8 @@ class TestPathSegments:
         Z = rng.standard_normal((120, 4))
         X = Z @ rng.standard_normal((4, 10)) + 0.3 * rng.standard_normal((120, 10))
         work = _Work(LassoProblem(X[:, 0] - X[:, 1] + rng.standard_normal(120), X))
-        lambdas, k, fill = lasso._grid(work, 100, 1e-3), work.cols.size, lasso._fill
+        lambdas = lasso._grid(work, LassoSettings(grid_ratio=1e-3))
+        k, fill = work.cols.size, lasso._fill
 
         def walk(fail_at):
             monkeypatch.setattr(lasso, "_fill", lambda work, lambdas, segs, *rest: fill(
@@ -510,7 +545,7 @@ class TestPathSegments:
         prob = random_problem(rng, m=90, p=9)
         fit = fit_path_bic(prob, LassoSettings(grid_count=40))
         assert fit.objective == pytest.approx(
-            objective_value(prob, fit.coefficients, fit.selected_lambda), rel=1e-10)
+            reference.objective_value(prob, fit.coefficients, fit.selected_lambda), rel=1e-10)
 
 
 def stress_problem(name, nonneg):
@@ -634,7 +669,7 @@ class TestStressCorpus:
 
 
 class TestDegenerateGrid:
-    """No penalized column carries signal: ``lambda_grid`` raises, and
+    """No penalized column carries signal: ``_grid`` returns None, and
     ``fit_path_bic`` fits the one-point grid lambda = 0 on the path, with the
     penalized coefficients at zero."""
 
@@ -652,7 +687,7 @@ class TestDegenerateGrid:
 
     def check_objective_and_bic(self, prob, fit):
         assert fit.objective == pytest.approx(
-            objective_value(prob, fit.coefficients, 0.0), rel=1e-12)
+            reference.objective_value(prob, fit.coefficients, 0.0), rel=1e-12)
         bic, zero = weighted_bic(prob, fit.coefficients)
         assert fit.bic_path[0] == pytest.approx(bic, rel=1e-12) and not zero
         assert not fit.zero_rss
@@ -798,12 +833,9 @@ class TestGramSetup:
         w = rng.uniform(0.5, 2.0, m)
         mask = np.ones(7, dtype=bool)
         mask[0] = False
-        grid = lambda_grid(LassoProblem(y, X, weights=w, penalize_mask=mask), 5, 0.1)
-        sw = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(sw[:, None] * X[:, :1], sw * y, rcond=None)
-        r = y - X[:, :1] @ beta
-        expect = 2.0 * np.abs((w * r) @ X[:, 1:]).max()
-        assert grid[0] == pytest.approx(expect, rel=1e-12)
+        prob = LassoProblem(y, X, weights=w, penalize_mask=mask)
+        grid = fit_grid(prob, 5, 0.1)
+        assert grid[0] == pytest.approx(reference.lambda_max(prob), rel=1e-12)
 
 
 class TestNumpyFactors:
@@ -964,6 +996,29 @@ class TestStackedRows:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("grid_count", 1), ("grid_ratio", 0.0), ("grid_ratio", 1.0), ("grid_ratio", np.nan),
+        ("tol", 0.0), ("tol", -1.0), ("tol", np.inf), ("tol", np.nan), ("max_sweeps", -5),
+    ])
+    def test_bad_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            LassoSettings(**{field: value})
+
+    def test_settings_at_their_bounds_accepted(self):
+        LassoSettings(grid_count=2, grid_ratio=1e-300, tol=1e-300, max_sweeps=0)
+
+    @pytest.mark.parametrize("where", ["response", "design"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("plan", [False, True])
+    def test_non_finite_input_rejected(self, where, value, plan):
+        rng = np.random.default_rng(23)
+        X, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+        (y if where == "response" else X[:, 1])[7] = value
+        prob = LassoProblem(y, RowPlan(X) if plan else X)
+        for solve in (fit_path_bic, lambda prob: coordinate_descent(prob, 0.1)):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve(prob)
+
     def test_bad_weights_rejected(self):
         X = np.ones((3, 1))
         with pytest.raises(ValueError):

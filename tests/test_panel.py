@@ -77,6 +77,18 @@ class TestLoadPanel:
         with pytest.raises(PanelParseError, match="line 3"):
             load_panel(path, SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+    def test_infinite_cell_names_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path, f"ts,A_speed,A_power\n0,1,10\n600,2,{cell}\n1200,3,30\n")
+        with pytest.raises(PanelParseError,
+                           match=f"line 3: infinite cell '{cell}' in column 'A_power'"):
+            load_panel(path, SCHEMA)
+
+    def test_nan_text_is_a_missing_cell(self, tmp_path):
+        p = load_panel(write(tmp_path, "ts,A_speed,A_power\n0,nan,10\n600,2,NaN\n"), SCHEMA)
+        assert p.speed_mask[:, 0].tolist() == [True, False]
+        assert p.power_mask[:, 0].tolist() == [False, True]
+
     def test_iso_timestamps(self, tmp_path):
         p = load_panel(write(tmp_path,
             "ts,A_speed,A_power\n2010-11-01T00:00:00,1,1\n2010-11-01T00:10:00,2,2\n"),
