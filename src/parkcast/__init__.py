@@ -17,7 +17,6 @@ from .design import (
     compute_thresholds,
     default_index_sets,
     index_sets_from,
-    threshold_regressor,
 )
 from .evaluation import (
     BacktestReport,

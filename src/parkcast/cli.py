@@ -52,6 +52,7 @@ from .panel import (
 from .presets import example_generator
 
 EXIT_CONFIG, EXIT_MISSING, EXIT_DATA, EXIT_RUNTIME = 2, 3, 4, 5
+ANALYSES = ("periodogram", "profiles", "design", "basis")  # analyze.what
 
 
 class ConfigError(Exception):
@@ -292,8 +293,7 @@ def _analyze_turbine(cfg, panel) -> tuple[str, int]:
     return label, panel.labels.index(label)
 
 
-def _analyze_design(cfg, panel, outdir) -> str:
-    config = model_config_from(cfg)
+def _analyze_design(cfg, config, panel, outdir) -> str:
     equation = _choice(cfg, "equation", tuple(EQUATIONS))
     label, i = _analyze_turbine(cfg, panel)
     _, bases, thresholds = design_inputs(panel, config)
@@ -308,7 +308,9 @@ def _analyze_design(cfg, panel, outdir) -> str:
 
 
 def cmd_analyze(cfg: dict, args) -> int:
-    what = args.what or cfg["analyze"]["what"]
+    what = args.what or _choice(cfg, "what", ANALYSES)
+    # a bad model setting is a config error, whatever the panel
+    config = model_config_from(cfg) if what in ("design", "basis") else None
     panel = fill_gaps_linear(_read_panel(args.panel, cfg))
     outdir = cfg["output_dir"]
     if what == "periodogram":
@@ -326,18 +328,14 @@ def cmd_analyze(cfg: dict, args) -> int:
                   ([s, tau, panel.labels[i], ("speed", "power")[v], x]
                    for (s, tau, i, v), x in np.ndenumerate(prof)))
     elif what == "design":
-        out = _analyze_design(cfg, panel, outdir)
-    elif what == "basis":
-        config = model_config_from(cfg)
+        out = _analyze_design(cfg, config, panel, outdir)
+    else:  # "basis"
         kind = _choice(cfg, "basis_kind", ("cumulative", "plain"))
         _, bases = calendar_bases(panel, config, (kind,))
         bs = bases[kind]
         out = os.path.join(outdir, f"basis_{kind}.csv")
         write_csv(out, ["ts"] + [f"b{a}_{b}" for a, b in bs.pairs],
                   ([t] + list(row) for t, row in zip(panel.timestamps, bs.values)))
-    else:
-        raise ConfigError(
-            "analyze.what must be one of periodogram, profiles, design, basis")
     print(f"wrote {out}")
     return 0
 
@@ -422,8 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ingest":
             p.add_argument("--input", default=None, help="raw input CSV")
         if name == "analyze":
-            p.add_argument("--what", default=None,
-                           choices=["periodogram", "profiles", "design", "basis"])
+            p.add_argument("--what", default=None, choices=ANALYSES)
         if name == "forecast":
             p.add_argument("--model", required=True, help="serialized model file")
     return parser

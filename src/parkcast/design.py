@@ -13,6 +13,7 @@ Each target turbine i gets four designs:
 ``EQUATIONS`` is the one place a coefficient family is declared: its state
 variable, its transform and its lag set. The generic builder, the column
 rebuild, the thresholds, the fit loop and the forecast engine all read it.
+``check_term``, beside it, is the one rule for which terms are valid.
 
 Coefficients flagged time varying are expanded against the seasonal
 interaction basis (cumulative set for the mean equations, plain set with a
@@ -168,6 +169,33 @@ FAMILY_SOURCE = {(eq, family): (var, transform)
                  for eq, spec in EQUATIONS.items()
                  for family, var, transform, _ in spec.families}
 
+# the families that read the step's own value, written by an earlier stage
+LAG_ZERO = frozenset({("power_mean", "speed_reg"), ("power_mean", "speed_err")})
+
+
+def check_term(eq: str, term: Term, d: int, trim: int, n_basis: int) -> Term:
+    """``term`` if the forecast engine can evaluate it in ``eq``, else ValueError. The
+    intercept is turbine -1, lag 0; any other term has a family of ``eq``, a turbine in
+    [0, d) and a lag in [1, trim] ([0, trim] in ``LAG_ZERO``). A threshold (NaN, -inf or
+    finite) only on a "thr" family; a basis index in [0, n_basis) iff time-varying."""
+    const = term.family == "const"
+    if not const and (eq, term.family) not in FAMILY_SOURCE:
+        raise ValueError(f"{eq} has no family {term.family!r}")
+    what = f"{eq} {term.family} term, time-varying {int(term.time_varying)}"
+    first_lag = int((eq, term.family) not in LAG_ZERO)
+    for name, value, (lo, hi) in (
+            ("source turbine", term.j, (-1, -1) if const else (0, d - 1)),
+            ("lag", term.lag, (0, 0) if const else (first_lag, trim)),
+            ("basis index", term.basis_index, (0, n_basis - 1) if term.time_varying else (-1, -1))):
+        if not lo <= value <= hi:
+            raise ValueError(f"{what}: {name} {value} is not in [{lo}, {hi}]")
+    thr = not const and FAMILY_SOURCE[(eq, term.family)][1] == "thr"
+    if not (np.isnan(term.threshold) or thr and term.threshold < np.inf):
+        raise ValueError(f"{what}: threshold {term.threshold} is not "
+                         + ("NaN, -inf or finite" if thr else "NaN: the family has none"))
+    return term
+
+
 # transform -> its action on a state array; "thr" thresholds per column
 _APPLY = {
     "id": lambda x: x,
@@ -193,13 +221,6 @@ def compute_thresholds(series) -> np.ndarray:
         warnings.warn("constant series: thresholds collapsed to a single value")
         return dec[:1]
     return dec
-
-
-def threshold_regressor(x, c: float):
-    """max(x, c); c = -inf leaves the regressor linear."""
-    if c == -np.inf:
-        return np.asarray(x, dtype=float)
-    return np.maximum(x, c)
 
 
 @dataclass
@@ -347,15 +368,13 @@ def build_design(ctx: DesignContext, equation: str, i: int, sets: IndexSets,
         source, tail = np.asfortranarray(_APPLY[transform](getattr(ctx, var))), None
         win = as_strided(source, (ctx.trim + 1, ctx.d, ctx.n - ctx.trim),  # win[u, j]: lag trim - u
                          source.strides + source.strides[:1], writeable=False)
-        lags = getattr(sets, field)
+        lags, first_lag = getattr(sets, field), int((equation, family) not in LAG_ZERO)
         for j in range(ctx.d):
             own = j == i
             for k in lags.lags(own):
-                if k > ctx.trim:
-                    raise ValueError(
-                        f"lag {k} exceeds the shared trim {ctx.trim}; need at "
-                        f"least {k} leading rows"
-                    )
+                if not first_lag <= k <= ctx.trim:
+                    raise ValueError(f"{equation} {family}: lag {k} is not in "
+                                     f"[{first_lag}, {ctx.trim}], the shared trim")
                 cs = [_NO_THRESHOLD]
                 if transform == "thr" and thresholds is not None:
                     cs = thresholds.get(var, j) if k in lags.threshold_lags else [-np.inf]
@@ -403,11 +422,8 @@ def regressor_from_meta(equation: str, term: Term, ctx: DesignContext) -> np.nda
         return basis[:, term.basis_index].copy()
     var, transform = FAMILY_SOURCE[(equation, term.family)]
     reg = _APPLY[transform](getattr(ctx, var)[ctx.trim - term.lag : ctx.n - term.lag, term.j])
-    if not np.isnan(term.threshold):
-        reg = threshold_regressor(reg, term.threshold)
-    if term.time_varying:
-        return reg * basis[:, term.basis_index]
-    return reg.copy()
+    reg = np.maximum(reg, np.fmax(term.threshold, -np.inf))  # NaN as -inf; max(x, -inf) is x
+    return reg * basis[:, term.basis_index] if term.time_varying else reg
 
 
 def dump_columns_csv(equation: str, i: int, columns: list[Term], path) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .benchmarks import BENCHMARKS, make_benchmark
-from .forecast import ForecastError, Forecaster
+from .forecast import ForecastError, Forecaster, check_seed
 from .model import ModelConfig, fit_joint_model
 from .panel import TurbinePanel, write_csv
 
@@ -41,6 +41,10 @@ class BacktestSpec:
     summary_horizons: tuple[int, ...] = SUMMARY_HORIZONS
 
     def __post_init__(self) -> None:
+        try:
+            check_seed(self.seed)
+        except ForecastError as exc:
+            raise ValueError(str(exc)) from None
         if self.n_origins < 1:
             raise ValueError("n_origins must be >= 1")
         if self.in_sample < 1:

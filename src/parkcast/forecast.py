@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import interaction_basis
-from .design import EQUATIONS, FAMILY_SOURCE, VARS
+from .design import EQUATIONS, FAMILY_SOURCE, VARS, check_term
 from .model import FittedJointModel
 from .panel import STEP_SECONDS, CalendarIndex, TurbinePanel
 
@@ -81,12 +81,12 @@ class ForecastResult:
 # the first axis of the engine's state array
 _W, _P, _E, _EP, _SV, _PV = range(len(VARS))
 
-# the transforms of EQUATIONS -> (class, lower bound); "thr" takes the
-# term's threshold, and no threshold makes it "id". A stage sorts its
+# the transforms of EQUATIONS -> (class, lower bound); "thr" is "id" unless
+# the term has a finite threshold, its lower bound. A stage sorts its
 # regressors by class, so negation (classes 2-3), the lower bound (1-4) and
 # the cube root (3-5) each act on one contiguous range of rows:
 # cbrt(max(-x, 0)) for "cbrt_neg".
-_TRANSFORMS = {"id": (0, -np.inf), "thr": (1, None), "pos": (1, 0.0), "neg": (2, 0.0),
+_TRANSFORMS = {"id": (0, -np.inf), "thr": (0, -np.inf), "pos": (1, 0.0), "neg": (2, 0.0),
                "cbrt_neg": (3, 0.0), "cbrt_pos": (4, 0.0), "cbrt": (5, -np.inf)}
 
 # upper bound on the elements of one stage's folded (steps x outputs x
@@ -102,32 +102,29 @@ def _rows(cls: np.ndarray, lo: int, hi: int) -> slice | None:
 class _Stage:
     """One compiled stage: for every output (equation, turbine),
     ``coef @ [transform(state[var, pos - lag, j]); 1]``, the intercept being
-    the last column of ``coef``.
-
-    ``now`` holds the variables written by earlier stages of the same step;
-    only those may be read at lag 0.
+    the last column of ``coef``. A term that ``design.check_term`` refuses
+    raises a ``ForecastError`` naming its equation and turbine, so every
+    gather stays in range.
     """
 
-    def __init__(self, model, equations: tuple[str, ...], now: tuple[int, ...]):
+    def __init__(self, model, equations: tuple[str, ...]):
         self.kind = EQUATIONS[equations[0]].basis  # shared by the equations
+        n_basis = model.diurnal.n_basis * model.annual.n_basis
         entries = []  # (output, regressor key or None for the intercept, basis, value)
         for o, (eq, i) in enumerate((eq, i) for eq in equations for i in range(model.d)):
             for t in model.terms.get((eq, i), []):
+                try:
+                    check_term(eq, t, model.d, model.trim, n_basis)
+                except ValueError as exc:
+                    raise ForecastError(f"{eq}[{i}]: {exc}") from None
                 if t.family == "const":
                     entries.append((o, None, t.basis_index, t.value))
                     continue
-                source = FAMILY_SOURCE.get((eq, t.family))
-                if source is None:
-                    raise ForecastError(f"unknown family {t.family!r} in {eq}")
-                var = VARS.index(source[0])
-                if t.lag < 1 and var not in now:
-                    what = "volatility" if eq.endswith("_vol") else t.family
-                    raise ForecastError(f"{eq}[{i}]: {what} terms need lag >= 1")
-                cls, lower = _TRANSFORMS[source[1]]
-                if lower is None:
-                    finite = np.isfinite(t.threshold)
-                    cls, lower = (1, float(t.threshold)) if finite else (0, -np.inf)
-                entries.append((o, (cls, lower, var, t.j, t.lag), t.basis_index, t.value))
+                var, transform = FAMILY_SOURCE[(eq, t.family)]
+                finite = np.isfinite(t.threshold)  # then a "thr" family's lower bound
+                cls, lower = (1, float(t.threshold)) if finite else _TRANSFORMS[transform]
+                entries.append((o, (cls, lower, VARS.index(var), t.j, t.lag), t.basis_index,
+                                t.value))
         keys = sorted({key for _, key, _, _ in entries if key is not None})
         col = {key: c for c, key in enumerate(keys + [None])}
         cls = np.array([k[0] for k in keys], dtype=int)
@@ -145,7 +142,7 @@ class _Stage:
                 row = tv.setdefault(at, {})
                 row[b] = row.get(b, 0.0) + value
         self.tv_at = np.array(sorted(tv), dtype=np.intp)
-        self.tv = np.zeros((model.diurnal.n_basis * model.annual.n_basis, len(tv)))
+        self.tv = np.zeros((n_basis, len(tv)))
         for k, at in enumerate(self.tv_at):
             for b, value in tv[at].items():
                 self.tv[b, k] = value
@@ -207,9 +204,11 @@ class _Engine:
     def __init__(self, model: FittedJointModel):
         self.model = model
         self.floors = np.stack([model.floors[v] for v in VARS[_SV:]])[:, :, None]
-        self.stages = (_Stage(model, ("speed_vol", "power_vol"), ()),
-                       _Stage(model, ("speed_mean",), (_SV, _PV)),
-                       _Stage(model, ("power_mean",), (_W, _E, _SV, _PV)))
+        if unknown := set(model.terms) - {(eq, i) for eq in EQUATIONS for i in range(model.d)}:
+            raise ForecastError(f"terms keys {', '.join(sorted(map(repr, unknown)))} are not "
+                                f"(equation, turbine) pairs of EQUATIONS and range({model.d})")
+        self.stages = (_Stage(model, ("speed_vol", "power_vol")),
+                       _Stage(model, ("speed_mean",)), _Stage(model, ("power_mean",)))
         # the stages filtering applies per block (see run): (stage, observed,
         # written), while each reads only the variables VARS lists before it writes
         self.per_block = []
@@ -512,8 +511,9 @@ def bootstrap_forecast(model: FittedJointModel, panel: TurbinePanel, origin: int
 class _SyntheticModel:
     """Minimal stand-in carrying what _Engine needs for a true-model run."""
 
-    def __init__(self, labels, diurnal, annual, anchor_epoch, terms):
+    def __init__(self, labels, diurnal, annual, anchor_epoch, terms, trim):
         self.labels = tuple(labels)
+        self.trim = trim
         self.diurnal = diurnal
         self.annual = annual
         self.anchor_epoch = anchor_epoch
@@ -530,9 +530,11 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
 
     ``true_coefficients`` maps (equation, turbine) to Term lists; the
     volatility terms drive the true conditional scales directly. ``config``
-    supplies the basis specs used for any time-varying coefficients. A run
-    whose speed or power leaves +-1e9 or is not finite raises, naming the
-    first such step.
+    supplies the basis specs used for any time-varying coefficients. A key
+    outside ``EQUATIONS`` x range(len(labels)), and a term that
+    ``design.check_term`` refuses with 160 rows of history, raise a
+    ``ForecastError``. A run whose speed or power leaves +-1e9 or is not
+    finite raises, naming the first such step.
     """
     if n < 1 or burn_in < 0 or not labels:
         raise ForecastError(f"need n >= 1, burn_in >= 0 and a turbine label, got n={n}, "
@@ -540,11 +542,11 @@ def simulate_synthetic(config, true_coefficients: dict, n: int, seed: int,
     seed = check_seed(seed)
     d = len(labels)
     anchor = CalendarIndex.from_timestamps([start_epoch]).anchor_epoch
+    lead = 160  # flat pre-history: the deepest lag a term may read
     model = _SyntheticModel(labels, config.diurnal, config.annual, anchor,
-                            true_coefficients)
+                            true_coefficients, lead)
     engine = _Engine(model)
     total = burn_in + n
-    lead = 160  # flat pre-history so max-lag reads stay in bounds
     ts = start_epoch + STEP_SECONDS * (np.arange(total + lead) - burn_in - lead)
     T = total + lead
     state = np.zeros((len(VARS), T, d, 1))

@@ -229,7 +229,12 @@ def coordinate_descent(problem: LassoProblem, lam: float, tol: float = 1e-7,
                        max_sweeps: int = 10_000) -> np.ndarray:
     """Solve one weighted lasso at penalty ``lam``: the path walked to the
     one-point grid [lam]; coefficients on the raw scale. The name is historical,
-    and ``max_sweeps`` is the walk's knot cap."""
+    and ``max_sweeps`` is the walk's knot cap. ``tol`` and ``max_sweeps`` are
+    refused as ``LassoSettings`` refuses them, and so is a negative or
+    non-finite ``lam``, with a ValueError."""
+    LassoSettings(tol=tol, max_sweeps=max_sweeps)  # raises as a fit's settings would
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
     work = _Work(problem)
     b = _path(work, np.array([float(lam)]), np.zeros(work.cols.size, bool), tol, max_sweeps)[0]
     coefficients = np.zeros(problem.p)

@@ -25,7 +25,6 @@ import numpy as np
 from .basis import ANNUAL_STEPS, BSplineSpec, interaction_basis
 from .design import (
     EQUATIONS,
-    FAMILY_SOURCE,
     DesignContext,
     IndexSets,
     Term,
@@ -34,6 +33,7 @@ from .design import (
     build_power_vol_design,
     build_speed_mean_design,
     build_speed_vol_design,
+    check_term,
     compute_threshold_set,
     default_index_sets,
 )
@@ -370,30 +370,15 @@ class _Reader:
 
 def load_model(path) -> FittedJointModel:
     """Read a file written by :func:`save_model`; the result forecasts
-    identically to the model that was saved. A malformed file raises
-    :class:`ModelFormatError` naming the file and the line."""
+    identically to the model that was saved. A malformed file, or a term that
+    ``design.check_term`` refuses, raises :class:`ModelFormatError` naming the
+    file and the line."""
     with open(path) as fh:
         r = _Reader(fh)
         try:
             return _read_model(r)
         except (ModelFormatError, ValueError, IndexError) as exc:
             raise ModelFormatError(f"{path}, line {r.lineno}: {exc}") from exc
-
-
-def _checked(eq: str, t: Term, d: int, trim: int, n_basis: int) -> Term:
-    """``t`` if the forecast engine can evaluate it in ``eq``: its gathers
-    clip out-of-range indices instead of raising."""
-    const = t.family == "const"
-    if not const and (eq, t.family) not in FAMILY_SOURCE:
-        raise ModelFormatError(f"{eq} has no family {t.family!r}")
-    for what, value, (lo, hi) in (
-            ("source turbine", t.j, (-1, -1) if const else (0, d - 1)),
-            ("lag", t.lag, (0, trim)),
-            ("basis index", t.basis_index, (0, n_basis - 1) if t.time_varying else (-1, -1))):
-        if not lo <= value <= hi:
-            raise ModelFormatError(f"{eq} {t.family} term, time-varying {int(t.time_varying)}: "
-                                   f"{what} {value} is not in [{lo}, {hi}]")
-    return t
 
 
 def _read_model(r: _Reader) -> FittedJointModel:
@@ -425,7 +410,7 @@ def _read_model(r: _Reader) -> FittedJointModel:
                 fam, j, lag, thr, bidx, tv, val = r.next().split()
                 t = Term(fam, int(j), int(lag), float.fromhex(thr), int(bidx),
                          bool(int(tv)), float.fromhex(val))
-                lst.append(_checked(eq, t, d, trim, n_basis))
+                lst.append(check_term(eq, t, d, trim, n_basis))
             terms[(eq, i)] = lst
     (n_ts,) = r.section("tail.timestamps")
     ts = np.array([int(v) for v in r.next().split()], dtype=np.int64)

@@ -94,6 +94,9 @@ class TurbinePanel:
             raise PanelSchemaError("speed/power/timestamps shapes disagree")
         if len(self.labels) != d:
             raise PanelSchemaError("label count does not match series count")
+        repeated = sorted({label for label in self.labels if self.labels.count(label) > 1})
+        if repeated:  # the panel CSV would name two turbines' columns alike
+            raise PanelSchemaError(f"repeated turbine label(s) {', '.join(map(repr, repeated))}")
         steps = np.diff(self.timestamps)
         if np.any(steps <= 0):
             raise PanelSchemaError("timestamps must be strictly increasing")
@@ -201,6 +204,9 @@ def load_panel(path, schema: PanelSchema) -> TurbinePanel:
         missing = [c for c in needed if c not in col_index]
         if missing:
             raise PanelSchemaError(f"{path}: missing columns {missing}")
+        repeated = sorted({c for c in needed if header.count(c) > 1})
+        if repeated:
+            raise PanelSchemaError(f"{path}: header repeats column(s) {repeated}")
         idx = [col_index[c] for c in needed]
 
         ts_list: list[int] = []

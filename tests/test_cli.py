@@ -421,6 +421,32 @@ class TestExitCodes:
         assert f"error: config: model.{'.'.join(keys)}" in capsys.readouterr().err
         assert os.listdir(workdir / "out") == ["effective-config.yaml"]
 
+    @pytest.mark.parametrize("what", ["design", "basis"])
+    def test_analyze_model_setting_checked_before_the_panel(self, workdir, capsys, what):
+        cfg = yaml.safe_load(CONFIG)
+        cfg["model"]["k_max"] = 0
+        cfg["analyze"]["what"] = what
+        (workdir / "an.yaml").write_text(yaml.safe_dump(cfg))
+        assert run("analyze", "an.yaml", "--panel", "missing.csv", "--out-dir", "out") == 2
+        assert "error: config: model.k_max must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("panel", ["missing.csv", "real"])
+    def test_analyze_unknown_what_is_config_error(self, workdir, capsys, fitted, panel):
+        (workdir / "what.yaml").write_text(CONFIG + "  what: bogus\n")
+        panel = str(fitted / "panel.csv") if panel == "real" else panel
+        assert run("analyze", "what.yaml", "--panel", panel, "--out-dir", "out") == 2
+        assert ("error: config: analyze.what must be one of periodogram, profiles, design, "
+                "basis, got 'bogus'") in capsys.readouterr().err
+
+    def test_ingest_repeated_column_is_data_error(self, workdir, capsys):
+        (workdir / "raw.csv").write_text("ts,A_speed,A_power,A_power\n"
+                                         + "".join(f"{600 * i},1.0,{i},{2 * i}\n"
+                                                   for i in range(20)))
+        assert run("ingest", "cfg.yaml", "--input", "raw.csv", "--out-dir", "ing") == 4
+        assert ("error: data: raw.csv: header repeats column(s) ['A_power']"
+                in capsys.readouterr().err)
+        assert os.listdir("ing") == ["effective-config.yaml"]
+
     def test_infinite_panel_cell_is_data_error(self, workdir, capsys):
         (workdir / "inf.csv").write_text(
             "ts,A_speed,A_power\n" + "\n".join(
@@ -460,6 +486,18 @@ class TestExitCodes:
         if code:
             err = capsys.readouterr().err
             assert "error: runtime: ForecastError: origin 0 leaves less than" in err
+
+    def test_model_term_the_engine_refuses_is_data_error(self, workdir, capsys, fitted):
+        # a speed_mean term at lag 0 would read the speed it is forecasting
+        lines = (fitted / "model.txt").read_text().splitlines()
+        k = next(k for k, ln in enumerate(lines) if ln.startswith("speed_ar "))
+        fields = lines[k].split()
+        lines[k] = " ".join(fields[:2] + ["0"] + fields[3:])
+        (workdir / "lag0.txt").write_text("\n".join(lines) + "\n")
+        assert run("forecast", "cfg.yaml", "--panel", str(fitted / "panel.csv"),
+                   "--model", "lag0.txt", "--out-dir", "out") == 4
+        assert (f"error: data: lag0.txt, line {k + 1}: speed_mean speed_ar term, "
+                f"time-varying {fields[5]}: lag 0 is not in [1, ") in capsys.readouterr().err
 
     def test_malformed_model_file(self, workdir, capsys):
         (workdir / "bad_model.txt").write_text("parkcast-model 1\n")

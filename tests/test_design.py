@@ -10,12 +10,14 @@ from parkcast.design import (
     build_power_mean_design,
     build_power_vol_design,
     build_speed_mean_design,
+    build_design,
     build_speed_vol_design,
+    check_term,
     compute_threshold_set,
     compute_thresholds,
     default_index_sets,
+    index_sets_from,
     regressor_from_meta,
-    threshold_regressor,
 )
 from parkcast.lasso import LassoProblem
 
@@ -58,6 +60,48 @@ def context(n=400, d=1, trim=2, seed=0):
                          mean_b, vol_b, trim)
 
 
+# (equation, family, IndexSets field) for the first family of each equation
+# that reads a field: build_design meets it, and its lags, first
+FAMILIES = [(eq, family, field) for eq, spec in EQUATIONS.items()
+            for k, (family, _, _, field) in enumerate(spec.families)
+            if field not in [f[3] for f in spec.families[:k]]]
+
+
+class TestLagRule:
+    """``build_design`` builds the lags ``check_term`` accepts: 1..trim, and
+    0 only where a family reads the step's own speed or speed shock."""
+
+    @pytest.mark.parametrize("eq, family, field", FAMILIES)
+    def test_lag_zero_only_on_speed_in_power(self, eq, family, field):
+        ctx = context(d=2)
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
+        sets = minimal_sets(**{field: FamilySpec((0, 1), (0,))})
+        if (eq, family) in (("power_mean", "speed_reg"), ("power_mean", "speed_err")):
+            dm, _ = build_design(ctx, eq, 0, sets, thr)
+            assert {c.lag for c in dm.columns if c.family == family} == {0, 1}
+        else:
+            with pytest.raises(ValueError, match=rf"^{eq} {family}: lag 0 is not in \[1, 2\]"):
+                build_design(ctx, eq, 0, sets, thr)
+
+    @pytest.mark.parametrize("eq, family, field", FAMILIES)
+    def test_lag_beyond_trim_refused(self, eq, family, field):
+        ctx = context(trim=2)
+        sets = minimal_sets(**{field: FamilySpec((3,), ())})
+        with pytest.raises(ValueError, match=rf"^{eq} {family}: lag 3 is not in \[[01], 2\]"):
+            build_design(ctx, eq, 0, sets, compute_threshold_set(ctx.W, ctx.P, "deciles"))
+
+    @pytest.mark.parametrize("eq", EQUATIONS)
+    def test_every_built_term_passes_the_term_rule(self, eq):
+        sets = index_sets_from(own_short_max=3, own_long_band=(5, 6), cross_max=2)
+        ctx = context(d=2, trim=sets.max_lag())
+        thr = compute_threshold_set(ctx.W, ctx.P, "deciles")
+        for i in range(2):
+            dm, _ = build_design(ctx, eq, i, sets, thr)
+            n_basis = getattr(ctx, EQUATIONS[eq].basis).shape[1]
+            for t in dm.columns:
+                assert check_term(eq, t, 2, ctx.trim, n_basis) is t
+
+
 class TestComputeThresholds:
     def test_type7_deciles_of_1_to_100(self):
         dec = compute_thresholds(np.arange(1.0, 101.0))
@@ -77,13 +121,6 @@ class TestComputeThresholds:
     def test_too_short(self):
         with pytest.raises(ValueError):
             compute_thresholds(np.arange(5.0))
-
-
-class TestThresholdRegressor:
-    def test_values(self):
-        assert threshold_regressor(5.0, 3.0) == 5.0
-        assert threshold_regressor(2.0, 3.0) == 3.0
-        assert threshold_regressor(2.0, -np.inf) == 2.0
 
 
 class TestSpeedMeanDesign:

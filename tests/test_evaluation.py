@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,14 @@ class TestSampleOrigins:
         # a negative window would index origins and fits from the panel's end
         with pytest.raises(ValueError, match=f"in_sample must be >= 1, got {in_sample}"):
             BacktestSpec(n_origins=10, horizons=(1, 12), in_sample=in_sample)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2 ** 64, 1.5])
+    def test_seed_that_is_no_philox_key_rejected(self, seed):
+        # as simulate_synthetic, bootstrap and the CLI refuse it: -1 used to fail
+        # inside NumPy, and True to run as seed 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be an integer in [0, 2**64), got {seed!r}")):
+            BacktestSpec(n_origins=10, horizons=(1, 12), in_sample=50, seed=seed)
 
     def test_unknown_model_rejected(self):
         # "lasso" is valid though it is no registered benchmark

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from parkcast.forecast import (
     simulate_synthetic,
 )
 from parkcast.lasso import LassoProblem
-from parkcast.model import FittedJointModel, Term
+from parkcast.model import FittedJointModel, ModelFormatError, Term, load_model, save_model
 from parkcast.panel import CalendarIndex, TurbinePanel
 from parkcast.presets import example_generator
 
@@ -150,8 +151,21 @@ class TestPointForecast:
         terms = const_model_terms()
         terms[("speed_mean", 0)].append(Term("speed_ar", 0, 7, NO_THR, -1, False, 0.5))
         model = model_from_terms(terms, panel, trim=5)
-        with pytest.raises(ForecastError, match="history"):
+        with pytest.raises(ForecastError, match=r"speed_mean\[0\]: .*lag 7 is not in \[1, 5\]"):
             point_forecast(model, panel, 200, 4)
+
+    def test_filtering_from_a_state_shorter_than_a_lag_rejected(self):
+        # a lag within the trim, but before the first row the model's state
+        # covers: filtering must not wrap round to the panel's last rows
+        panel = flat_panel()
+        terms = const_model_terms()
+        terms[("speed_mean", 0)].append(Term("speed_ar", 0, 5, NO_THR, -1, False, 0.5))
+        model = model_from_terms(terms, panel, trim=5)
+        model.timestamps = model.timestamps[:2]
+        model.state = {var: rows[:2] for var, rows in model.state.items()}
+        fore = Forecaster(model, panel)
+        with pytest.raises(ForecastError, match="lags reach before the 2 rows of history"):
+            fore.ensure_state(10)
 
 
 class TestBootstrapForecast:
@@ -589,14 +603,15 @@ class TestEngineReference:
     def test_unknown_family_rejected(self):
         panel, model = every_family_setup()
         model.terms[("speed_mean", 1)].append(Term("bogus", 0, 1, NAN, -1, False, 0.1))
-        with pytest.raises(ForecastError, match="unknown family 'bogus' in speed_mean"):
+        with pytest.raises(ForecastError,
+                           match=r"speed_mean\[1\]: speed_mean has no family 'bogus'"):
             Forecaster(model, panel)
 
     def test_volatility_lag_zero_rejected(self):
         panel, model = every_family_setup()
         model.terms[("power_vol", 0)].append(Term("pos_shock", 0, 0, NAN, -1, False, 0.1))
         with pytest.raises(ForecastError,
-                           match=r"power_vol\[0\]: volatility terms need lag >= 1"):
+                           match=r"power_vol\[0\]: .*: lag 0 is not in \[1, 5\]"):
             Forecaster(model, panel)
 
     @pytest.mark.parametrize("row", [700, 900])
@@ -609,6 +624,109 @@ class TestEngineReference:
         assert fore.covered_through == covered
         fore.ensure_state(panel.n - 1)
         assert fore.covered_through == panel.n - 1
+
+
+# the families whose lags start at 0: they read the step's own speed or speed shock
+LAG_ZERO_FAMILIES = {("power_mean", "speed_reg"), ("power_mean", "speed_err")}
+
+
+def saved_with_term(model, path, eq, term):
+    """Save ``model`` to ``path`` with ``term`` appended to turbine 0's ``eq``
+    section of the file, as an edit would leave it."""
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if ln.startswith(f"[terms {eq} 0] "))
+    lines[k] = f"[terms {eq} 0] {int(lines[k].split()[-1]) + 1}"
+    lines.insert(k + 1, f"{term.family} {term.j} {term.lag} {term.threshold.hex()} "
+                        f"{term.basis_index} {int(term.time_varying)} {term.value.hex()}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestTermRule:
+    """The engine and the model file accept the same terms: those of
+    ``design.check_term``."""
+
+    def answers(self, tmp_path, eq, term):
+        """(engine, file): None where ``term`` is accepted, else the refusal
+        without the prefix naming the equation and turbine, or file and line."""
+        panel, model = every_family_setup()
+        saved_with_term(model, tmp_path / "model.txt", eq, term)
+        model.terms[(eq, 0)].append(term)
+        out = []
+        for make, error in ((lambda: Forecaster(model, panel), ForecastError),
+                            (lambda: load_model(tmp_path / "model.txt"), ModelFormatError)):
+            try:
+                make()
+                out.append(None)
+            except error as exc:
+                out.append(str(exc).split(": ", 1)[1])
+        return out
+
+    @pytest.mark.parametrize("lag", [0, 1, 6])  # the model's trim is 5
+    @pytest.mark.parametrize("eq, family", sorted(FAMILY_SOURCE))
+    def test_every_family_at_lags_0_1_and_beyond_trim(self, tmp_path, eq, family, lag):
+        engine, file = self.answers(tmp_path, eq, Term(family, 0, lag, NAN, -1, False, 0.01))
+        assert engine == file
+        accepted = lag == 1 or lag == 0 and (eq, family) in LAG_ZERO_FAMILIES
+        assert (engine is None) == accepted
+        if not accepted:
+            low = int((eq, family) not in LAG_ZERO_FAMILIES)
+            assert engine == f"{eq} {family} term, time-varying 0: lag {lag} is not in [{low}, 5]"
+
+    @pytest.mark.parametrize("threshold", [3.0, -np.inf, np.inf])
+    @pytest.mark.parametrize("eq, family", sorted(FAMILY_SOURCE))
+    def test_threshold_only_on_threshold_families(self, tmp_path, eq, family, threshold):
+        engine, file = self.answers(tmp_path, eq, Term(family, 0, 1, threshold, -1, False, 0.01))
+        assert engine == file
+        assert (engine is None) == (FAMILY_SOURCE[(eq, family)][1] == "thr"
+                                    and threshold < np.inf)
+
+    @pytest.mark.parametrize("term, message", [
+        (Term("const", -1, 0, NAN, 999, True, 0.1), "basis index 999 is not in [0, 15]"),
+        (Term("const", -1, 0, NAN, 2, False, 0.1), "basis index 2 is not in [-1, -1]"),
+        (Term("const", 0, 0, NAN, -1, False, 0.1), "source turbine 0 is not in [-1, -1]"),
+        (Term("const", -1, 1, NAN, -1, False, 0.1), "lag 1 is not in [0, 0]"),
+        (Term("const", -1, 0, 2.0, -1, False, 0.1), "threshold 2.0 is not NaN"),
+        (Term("speed_ar", 2, 1, NAN, -1, False, 0.1), "source turbine 2 is not in [0, 1]"),
+        (Term("speed_ar", -1, 1, NAN, -1, False, 0.1), "source turbine -1 is not in [0, 1]"),
+    ])
+    def test_turbine_basis_and_intercept(self, tmp_path, term, message):
+        engine, file = self.answers(tmp_path, "speed_mean", term)
+        assert engine == file
+        assert message in engine
+
+    @pytest.mark.parametrize("key, term, message", [
+        (("speed_mean", 0), Term("speed_ar", 7, 1, NO_THR, -1, False, 0.05),
+         r"speed_mean\[0\]: .*source turbine 7 is not in \[0, 1\]"),
+        (("speed_mean", 1), Term("const", -1, 0, NAN, 999, True, 0.1),
+         r"speed_mean\[1\]: .*basis index 999 is not in"),
+        (("speed_vol", 0), Term("pos_shock", 0, 1, 0.5, -1, False, 0.1),
+         r"speed_vol\[0\]: .*threshold 0.5 is not NaN"),
+        (("speed_mean", 0), Term("speed_ar", 0, 0, NO_THR, -1, False, 0.1),
+         r"lag 0 is not in \[1, 160\]"),
+        (("power_mean", 0), Term("power_ar", 0, 161, NO_THR, -1, False, 0.01),
+         r"lag 161 is not in \[1, 160\]"),
+    ])
+    def test_simulation_refuses_bad_terms(self, key, term, message):
+        truth = example_generator(2)
+        truth[key] = truth[key] + [term]
+        with pytest.raises(ForecastError, match=message):
+            simulate_synthetic(tiny_config(), truth, 50, 1)
+
+    @pytest.mark.parametrize("key", [("speed_mean", 5), ("speed_meen", 0), ("speed_mean",)])
+    def test_simulation_refuses_unknown_keys(self, key):
+        truth = example_generator(2)
+        truth[key] = [Term("const", -1, 0, NAN, -1, False, 1.0)]
+        with pytest.raises(ForecastError, match=re.escape(
+                f"terms keys {key!r} are not (equation, turbine) pairs of EQUATIONS and "
+                "range(2)")):
+            simulate_synthetic(tiny_config(), truth, 50, 1)
+
+    def test_deepest_lag_simulates(self):
+        truth = example_generator(2)
+        truth[("power_mean", 0)] = truth[("power_mean", 0)] + [
+            Term("power_ar", 0, 160, NO_THR, -1, False, 0.01)]
+        assert simulate_synthetic(tiny_config(), truth, 50, 1).n == 50
 
 
 # every_family_terms less these families -> the stages filtering applies to

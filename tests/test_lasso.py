@@ -1004,6 +1004,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^{field} must"):
             LassoSettings(**{field: value})
 
+    @pytest.mark.parametrize("lam, settings, message", [
+        (1.0, {"tol": 0.0}, "^tol must"), (1.0, {"tol": -1.0}, "^tol must"),
+        (1.0, {"max_sweeps": -5}, "^max_sweeps must"), (-1.0, {}, "^lam must"),
+        (np.nan, {}, "^lam must"), (np.inf, {}, "^lam must"),
+    ], ids=["tol-zero", "tol-negative", "max_sweeps-negative", "lam-negative", "lam-nan",
+            "lam-inf"])
+    def test_single_penalty_refuses_what_the_settings_refuse(self, lam, settings, message):
+        rng = np.random.default_rng(5)
+        prob = LassoProblem(rng.standard_normal(50), rng.standard_normal((50, 4)))
+        with pytest.raises(ValueError, match=message):
+            coordinate_descent(prob, lam, **settings)
+
     def test_settings_at_their_bounds_accepted(self):
         LassoSettings(grid_count=2, grid_ratio=1e-300, tol=1e-300, max_sweeps=0)
 

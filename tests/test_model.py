@@ -358,7 +358,7 @@ class TestSerialization:
                                       "bad-hex-float", "short-terms-line",
                                       "short-tail", "narrow-pool", "bad-turbine",
                                       "bad-family", "bad-lag", "bad-basis",
-                                      "bad-tv-flag"])
+                                      "bad-tv-flag", "lag-zero", "infinite-threshold"])
     def test_malformed_file_raises_format_error(self, small_model, tmp_path, kind):
         path = tmp_path / "model.txt"
         save_model(small_model, path)
@@ -405,6 +405,11 @@ class TestSerialization:
                                 f"basis index {n_basis} is not in", basis=n_basis, tv=1),
             "bad-tv-flag": edited(f"speed_ar term, time-varying {1 - tv}: basis index",
                                   tv=1 - tv),
+            # terms the engine would refuse: only then-written values are read at lag 0
+            "lag-zero": edited(f"speed_ar term, time-varying {tv}: "
+                               rf"lag 0 is not in \[1, {trim}\]", lag=0),
+            "infinite-threshold": edited(f"speed_ar term, time-varying {tv}: threshold inf "
+                                         "is not NaN, -inf or finite", threshold="inf"),
         }[kind]
         lines[k:k + span] = new
         path.write_text("\n".join(lines) + "\n")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -101,6 +102,24 @@ class TestLoadPanel:
             load_panel(path, SCHEMA)
         with pytest.raises(PanelSchemaError, match="no turbine speed/power column pairs"):
             load_panel(path, PanelSchema("ts", ()))
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("ts,A_speed,A_power,A_power", "'A_power'"),
+        ("ts,A_speed,A_power,A_speed", "'A_speed'"),
+        ("ts,A_speed,A_power,ts", "'ts'"),
+    ])
+    @pytest.mark.parametrize("schema", [SCHEMA, PanelSchema("ts", ())])
+    def test_repeated_column_rejected(self, tmp_path, header, repeated, schema):
+        # a dict of the header would keep the last of the columns silently
+        path = write(tmp_path, f"{header}\n0,1,10,20\n600,2,11,21\n")
+        with pytest.raises(PanelSchemaError,
+                           match=re.escape(f"header repeats column(s) [{repeated}]")):
+            load_panel(path, schema)
+
+    def test_repeated_label_rejected(self, tmp_path):
+        # written out, two turbines labelled alike would read back as one twice
+        with pytest.raises(PanelSchemaError, match=re.escape("repeated turbine label(s) 'A'")):
+            make_panel(np.ones((3, 3)), labels=("A", "B", "A"))
 
     def test_out_of_range_power_warns(self, tmp_path):
         path = write(tmp_path, "ts,A_speed,A_power\n0,1,9000\n600,2,20\n")
